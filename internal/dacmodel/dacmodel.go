@@ -40,13 +40,22 @@ func IdealOut(bits, code int) float64 {
 	return float64(code) / float64(int(1)<<bits)
 }
 
-// bitsOf expands code i into the switch states D_1..D_N.
-func bitsOf(bits, code int) []bool {
-	d := make([]bool, bits+1)
-	for k := 1; k <= bits; k++ {
-		d[k] = code&(1<<(k-1)) != 0
+// codeSums returns S[i] = init + Σ_{k: D_k(i)} x[k] for every code i
+// of an N-bit DAC (x indexed by capacitor, x[0] unused), summed in
+// ascending k. It builds the table by the top-bit recurrence
+// S[i] = S[i − 2^(k−1)] + x[k], k the highest set bit of i: S[i −
+// 2^(k−1)] is the same ascending fold over i's lower bits, so each
+// entry is bit-identical to a per-code loop over D_1..D_N at O(1)
+// instead of O(N) per code. dst (len 2^N) is filled and returned.
+func codeSums(dst, x []float64, init float64) []float64 {
+	dst[0] = init
+	for k, half := 1, 1; half < len(dst); k, half = k+1, half<<1 {
+		xk := x[k]
+		for j, v := range dst[:half] {
+			dst[half+j] = v + xk
+		}
 	}
-	return d
+	return dst
 }
 
 // Nonlinearity runs the paper's 3σ INL/DNL analysis over all 2^N codes
@@ -82,11 +91,16 @@ func Nonlinearity(a *variation.Analysis, par Parasitics, vref float64) (*Result,
 		cNom[k] = float64(a.Counts[k]) * a.CuFF
 		cT += cNom[k]
 	}
+	dSys := make([]float64, n+1)
 	sysT := 0.0
 	for k := 0; k <= n; k++ {
-		sysT += a.DCSys(k)
+		dSys[k] = a.DCSys(k)
+		sysT += dSys[k]
 	}
 	parsT := par.CTBOnfF + par.CTBOfffF + par.CTSfF
+	// Per-code C_ON and ΣΔC_sys,ON tables (see codeSums).
+	cOnT := codeSums(make([]float64, codes), cNom, 0)
+	sysOnT := codeSums(make([]float64, codes), dSys, 0)
 
 	lsb := 1.0 / float64(codes) // LSB in V/V_REF ratio units
 	quadForm := func(w []float64) float64 {
@@ -104,25 +118,18 @@ func Nonlinearity(a *variation.Analysis, par Parasitics, vref float64) (*Result,
 
 	res := &Result{ThetaRad: a.ThetaRad}
 	prevSys := 0.0
+	w := make([]float64, n+1)
 	prevW := make([]float64, n+1)
 	diff := make([]float64, n+1)
 	for i := 0; i < codes; i++ {
-		d := bitsOf(n, i)
-		cOn, sysOn := 0.0, 0.0
-		for k := 1; k <= n; k++ {
-			if d[k] {
-				cOn += cNom[k]
-				sysOn += a.DCSys(k)
-			}
-		}
+		cOn := cOnT[i]
 		r0 := cOn / cT
-		rSys := (cOn + sysOn + par.CTBOnfF) / (cT + sysT + parsT)
+		rSys := (cOn + sysOnT[i] + par.CTBOnfF) / (cT + sysT + parsT)
 
-		w := make([]float64, n+1)
 		w[0] = -r0 / cT
 		for k := 1; k <= n; k++ {
 			dk := 0.0
-			if d[k] {
+			if i&(1<<(k-1)) != 0 {
 				dk = 1
 			}
 			w[k] = (dk - r0) / cT
@@ -221,6 +228,11 @@ func monteCarloNL(a *variation.Analysis, shifts [][]float64, par Parasitics, vre
 	}
 	vLSB := vref / float64(codes)
 	results := make([]Result, len(shifts))
+	// The nominal C_ON table is per analysis; the ΔC_ON table and the
+	// transfer are rebuilt in place per sample, so a block allocates
+	// the same handful of slices at any sample count or resolution.
+	cOn := codeSums(make([]float64, codes), cNom, 0)
+	dOn := make([]float64, codes)
 	out := make([]float64, codes)
 	for s, dc := range shifts {
 		if len(dc) != n+1 {
@@ -230,32 +242,28 @@ func monteCarloNL(a *variation.Analysis, shifts [][]float64, par Parasitics, vre
 		for k := 0; k <= n; k++ {
 			dCT += dc[k]
 		}
-		for i := 0; i < codes; i++ {
-			d := bitsOf(n, i)
-			cOn, dOn := 0.0, par.CTBOnfF
-			for k := 1; k <= n; k++ {
-				if d[k] {
-					cOn += cNom[k]
-					dOn += dc[k]
-				}
-			}
-			out[i] = vref * (cOn + dOn) / (cT + dCT)
+		codeSums(dOn, dc, par.CTBOnfF)
+		for i := range out {
+			out[i] = vref * (cOn[i] + dOn[i]) / (cT + dCT)
 		}
 		// Reference: the ideal transfer (raw), or the straight line
 		// through this sample's own endpoints (endpoint-corrected).
-		ref := func(i int) float64 { return IdealOut(n, i) * vref }
-		lsb := vLSB
+		lsb, v0 := vLSB, out[0]
 		if endpoint {
-			v0, vMax := out[0], out[codes-1]
-			lsb = (vMax - v0) / float64(codes-1)
+			lsb = (out[codes-1] - v0) / float64(codes-1)
 			if lsb <= 0 {
 				return nil, fmt.Errorf("dacmodel: sample %d transfer not increasing end to end", s)
 			}
-			ref = func(i int) float64 { return v0 + float64(i)*lsb }
 		}
 		res := Result{ThetaRad: a.ThetaRad}
 		for i := 1; i < codes; i++ {
-			inl := (out[i] - ref(i)) / lsb
+			var ref float64
+			if endpoint {
+				ref = v0 + float64(i)*lsb
+			} else {
+				ref = IdealOut(n, i) * vref
+			}
+			inl := (out[i] - ref) / lsb
 			if abs := math.Abs(inl); abs > res.MaxAbsINL {
 				res.MaxAbsINL, res.WorstINLCode = abs, i
 			}

@@ -45,16 +45,6 @@ func TestIdealOut(t *testing.T) {
 	}
 }
 
-func TestBitsOf(t *testing.T) {
-	d := bitsOf(6, 0b101001)
-	want := []bool{false, true, false, false, true, false, true}
-	for k, w := range want {
-		if d[k] != w {
-			t.Errorf("bitsOf code 41 bit %d = %v, want %v", k, d[k], w)
-		}
-	}
-}
-
 func TestNonlinearitySmall(t *testing.T) {
 	a := analysisFor(t, 6, place.Spiral, math.Pi/4)
 	r, err := Nonlinearity(a, Parasitics{}, 1.0)

@@ -1,0 +1,272 @@
+package dacmodel
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"ccdac/internal/linalg"
+	"ccdac/internal/place"
+	"ccdac/internal/variation"
+)
+
+// The reference implementations below are verbatim copies of the
+// per-code loops the table-driven kernels replaced: every code's sums
+// rebuilt bit by bit from its switch states. They exist only to pin
+// the kernels' bit identity.
+
+func refSwitches(bits, code int) []bool {
+	d := make([]bool, bits+1)
+	for k := 1; k <= bits; k++ {
+		d[k] = code&(1<<(k-1)) != 0
+	}
+	return d
+}
+
+func refNonlinearity(a *variation.Analysis, par Parasitics) *Result {
+	n := a.Bits
+	codes := 1 << n
+	cNom := make([]float64, n+1)
+	cT := 0.0
+	for k := 0; k <= n; k++ {
+		cNom[k] = float64(a.Counts[k]) * a.CuFF
+		cT += cNom[k]
+	}
+	sysT := 0.0
+	for k := 0; k <= n; k++ {
+		sysT += a.DCSys(k)
+	}
+	parsT := par.CTBOnfF + par.CTBOfffF + par.CTSfF
+	lsb := 1.0 / float64(codes)
+	quadForm := func(w []float64) float64 {
+		v := 0.0
+		for j := 0; j <= n; j++ {
+			if w[j] == 0 {
+				continue
+			}
+			for k := 0; k <= n; k++ {
+				v += w[j] * w[k] * a.Cov.At(j, k)
+			}
+		}
+		return math.Max(0, v)
+	}
+	res := &Result{ThetaRad: a.ThetaRad}
+	prevSys := 0.0
+	prevW := make([]float64, n+1)
+	diff := make([]float64, n+1)
+	for i := 0; i < codes; i++ {
+		d := refSwitches(n, i)
+		cOn, sysOn := 0.0, 0.0
+		for k := 1; k <= n; k++ {
+			if d[k] {
+				cOn += cNom[k]
+				sysOn += a.DCSys(k)
+			}
+		}
+		r0 := cOn / cT
+		rSys := (cOn + sysOn + par.CTBOnfF) / (cT + sysT + parsT)
+		w := make([]float64, n+1)
+		w[0] = -r0 / cT
+		for k := 1; k <= n; k++ {
+			dk := 0.0
+			if d[k] {
+				dk = 1
+			}
+			w[k] = (dk - r0) / cT
+		}
+		sigma := math.Sqrt(quadForm(w))
+		if i > 0 {
+			inl := (math.Abs(rSys-IdealOut(n, i)) + 3*sigma) / lsb
+			if inl > res.MaxAbsINL {
+				res.MaxAbsINL, res.WorstINLCode = inl, i
+			}
+			for k := 0; k <= n; k++ {
+				diff[k] = w[k] - prevW[k]
+			}
+			sigmaD := math.Sqrt(quadForm(diff))
+			dnl := (math.Abs(rSys-prevSys-lsb) + 3*sigmaD) / lsb
+			if dnl > res.MaxAbsDNL {
+				res.MaxAbsDNL, res.WorstDNLCode = dnl, i
+			}
+		}
+		prevSys = rSys
+		copy(prevW, w)
+	}
+	return res
+}
+
+func refMonteCarloNL(a *variation.Analysis, shifts [][]float64, par Parasitics, vref float64, endpoint bool) []Result {
+	n := a.Bits
+	codes := 1 << n
+	cNom := make([]float64, n+1)
+	cT := 0.0
+	for k := 0; k <= n; k++ {
+		cNom[k] = float64(a.Counts[k]) * a.CuFF
+		cT += cNom[k]
+	}
+	vLSB := vref / float64(codes)
+	results := make([]Result, len(shifts))
+	out := make([]float64, codes)
+	for s, dc := range shifts {
+		dCT := par.CTBOnfF + par.CTBOfffF + par.CTSfF
+		for k := 0; k <= n; k++ {
+			dCT += dc[k]
+		}
+		for i := 0; i < codes; i++ {
+			d := refSwitches(n, i)
+			cOn, dOn := 0.0, par.CTBOnfF
+			for k := 1; k <= n; k++ {
+				if d[k] {
+					cOn += cNom[k]
+					dOn += dc[k]
+				}
+			}
+			out[i] = vref * (cOn + dOn) / (cT + dCT)
+		}
+		ref := func(i int) float64 { return IdealOut(n, i) * vref }
+		lsb := vLSB
+		if endpoint {
+			v0, vMax := out[0], out[codes-1]
+			lsb = (vMax - v0) / float64(codes-1)
+			ref = func(i int) float64 { return v0 + float64(i)*lsb }
+		}
+		res := Result{ThetaRad: a.ThetaRad}
+		for i := 1; i < codes; i++ {
+			inl := (out[i] - ref(i)) / lsb
+			if abs := math.Abs(inl); abs > res.MaxAbsINL {
+				res.MaxAbsINL, res.WorstINLCode = abs, i
+			}
+			dnl := (out[i] - out[i-1] - lsb) / lsb
+			if abs := math.Abs(dnl); abs > res.MaxAbsDNL {
+				res.MaxAbsDNL, res.WorstDNLCode = abs, i
+			}
+		}
+		results[s] = res
+	}
+	return results
+}
+
+// syntheticAnalysis builds a binary-weighted analysis with perturbed
+// gradient shifts and a random SPD covariance — no placement needed,
+// so every resolution 1–12 is cheap.
+func syntheticAnalysis(bits int, rng *rand.Rand) *variation.Analysis {
+	a := &variation.Analysis{
+		Bits:     bits,
+		Counts:   make([]int, bits+1),
+		CuFF:     0.5 + rng.Float64(),
+		ThetaRad: rng.Float64() * math.Pi,
+		CStar:    make([]float64, bits+1),
+		Cov:      linalg.NewDense(bits + 1),
+	}
+	for k := 0; k <= bits; k++ {
+		a.Counts[k] = 1
+		if k > 0 {
+			a.Counts[k] = 1 << (k - 1)
+		}
+		a.CStar[k] = float64(a.Counts[k]) * a.CuFF * (1 + 1e-3*rng.NormFloat64())
+	}
+	// Cov = B·Bᵀ·σ² for a random B: symmetric positive semidefinite.
+	b := make([]float64, (bits+1)*(bits+1))
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	for i := 0; i <= bits; i++ {
+		for j := 0; j <= bits; j++ {
+			v := 0.0
+			for k := 0; k <= bits; k++ {
+				v += b[i*(bits+1)+k] * b[j*(bits+1)+k]
+			}
+			a.Cov.Set(i, j, 1e-6*v)
+		}
+	}
+	return a
+}
+
+// syntheticShifts draws per-capacitor shifts small enough that every
+// sample's transfer stays increasing end to end.
+func syntheticShifts(a *variation.Analysis, samples int, rng *rand.Rand) [][]float64 {
+	out := make([][]float64, samples)
+	for s := range out {
+		dc := make([]float64, a.Bits+1)
+		for k := range dc {
+			dc[k] = a.DCSys(k) + 1e-3*a.CuFF*rng.NormFloat64()
+		}
+		out[s] = dc
+	}
+	return out
+}
+
+// TestKernelsMatchReference requires bit identity (== on every Result
+// field) between the table-driven NL kernels and the per-code
+// reference loops for every resolution 1–12, with and without
+// parasitics, on synthetic analyses and on placed spiral arrays.
+func TestKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	type tc struct {
+		name string
+		a    *variation.Analysis
+	}
+	var cases []tc
+	for bits := 1; bits <= 12; bits++ {
+		cases = append(cases, tc{fmt.Sprintf("synthetic-%d", bits), syntheticAnalysis(bits, rng)})
+	}
+	for _, bits := range []int{6, 9} {
+		cases = append(cases, tc{fmt.Sprintf("spiral-%d", bits), analysisFor(t, bits, place.Spiral, 0.3)})
+	}
+	pars := []Parasitics{{}, {CTSfF: 0.37, CTBOnfF: 0.011, CTBOfffF: 0.007}}
+	for _, c := range cases {
+		shifts := syntheticShifts(c.a, 5, rng)
+		for pi, par := range pars {
+			name := fmt.Sprintf("%s/par%d", c.name, pi)
+			got3, err := Nonlinearity(c.a, par, 1.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refNonlinearity(c.a, par); *got3 != *want {
+				t.Errorf("%s: Nonlinearity = %+v, reference %+v", name, *got3, *want)
+			}
+			for _, endpoint := range []bool{false, true} {
+				var got []Result
+				if endpoint {
+					got, err = MonteCarloNLEndpoint(c.a, shifts, par, 0.8)
+				} else {
+					got, err = MonteCarloNL(c.a, shifts, par, 0.8)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := refMonteCarloNL(c.a, shifts, par, 0.8, endpoint)
+				for s := range want {
+					if got[s] != want[s] {
+						t.Errorf("%s endpoint=%v sample %d: %+v, reference %+v", name, endpoint, s, got[s], want[s])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMonteCarloNLAllocsFlat guards the table-driven kernel's
+// allocation profile: a call allocates a fixed set of per-block
+// tables, so allocations per call must not grow with the sample count
+// or with the 2^N code count.
+func TestMonteCarloNLAllocsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	allocs := func(bits, samples int) float64 {
+		a := syntheticAnalysis(bits, rng)
+		shifts := syntheticShifts(a, samples, rng)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := MonteCarloNLEndpoint(a, shifts, Parasitics{CTSfF: 0.2}, 0.8); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(4, 1)
+	for _, c := range []struct{ bits, samples int }{{4, 64}, {10, 1}, {10, 64}} {
+		if got := allocs(c.bits, c.samples); got != base {
+			t.Errorf("%d-bit, %d samples: %v allocs per call, want %v (as 4-bit, 1 sample)", c.bits, c.samples, got, base)
+		}
+	}
+	t.Logf("allocs per call: %v", base)
+}

@@ -237,7 +237,9 @@ func (e *Embedding) mulVec(dst1, dst2, x1, x2 []float64) {
 // (row-major over the lattice, len Rows*Cols): spectral noise ε_k =
 // ξ+iη scaled by sqrt(λ_k/M), one forward transform, real part at the
 // lattice cells. Both quadratures of the complex output carry the
-// target covariance; the real one is used. Exactly 2M normal variates
+// target covariance; the real one is used. Only the first Cols torus
+// columns reach the lattice, so the column pass transforms just those
+// (see Plan2D.transform). Exactly 2M normal variates
 // are consumed from rng in torus-index order, so a fixed per-sample
 // stream yields a byte-stable sample at any worker count. Callers must
 // check CanSample first; an indefinite spectrum's clamp error is
@@ -254,7 +256,7 @@ func (e *Embedding) Sample(dst []float64, rng *rand.Rand) {
 		im := rng.NormFloat64()
 		s.buf[i] = complex(sl*re, sl*im)
 	}
-	e.plan.Forward(s.buf, s.col)
+	e.plan.transform(s.buf, s.col, false, e.grid.Cols)
 	for r := 0; r < e.grid.Rows; r++ {
 		for c := 0; c < e.grid.Cols; c++ {
 			dst[r*e.grid.Cols+c] = real(s.buf[r*e.q+c])

@@ -194,15 +194,19 @@ func NewPlan2D(rows, cols int) (*Plan2D, error) {
 // Forward transforms x (row-major, len Rows*Cols) in place. colBuf is
 // scratch of length Rows for the strided column passes.
 func (p *Plan2D) Forward(x, colBuf []complex128) {
-	p.transform(x, colBuf, false)
+	p.transform(x, colBuf, false, p.Cols)
 }
 
 // Inverse applies the normalized inverse 2-D transform in place.
 func (p *Plan2D) Inverse(x, colBuf []complex128) {
-	p.transform(x, colBuf, true)
+	p.transform(x, colBuf, true, p.Cols)
 }
 
-func (p *Plan2D) transform(x, colBuf []complex128, inverse bool) {
+// transform runs the row pass over every row and the column pass over
+// the first cols columns only. Column transforms are independent, so
+// the columns it does transform are bit-identical to a full
+// transform's; the rest are left after the row pass.
+func (p *Plan2D) transform(x, colBuf []complex128, inverse bool, cols int) {
 	if len(x) != p.Rows*p.Cols {
 		panic(fmt.Sprintf("fftk: 2-D transform length %d, want %d", len(x), p.Rows*p.Cols))
 	}
@@ -218,7 +222,7 @@ func (p *Plan2D) transform(x, colBuf []complex128, inverse bool) {
 		}
 	}
 	cb := colBuf[:p.Rows]
-	for c := 0; c < p.Cols; c++ {
+	for c := 0; c < cols; c++ {
 		for r := 0; r < p.Rows; r++ {
 			cb[r] = x[r*p.Cols+c]
 		}

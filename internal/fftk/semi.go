@@ -32,6 +32,8 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+
+	"ccdac/internal/par"
 )
 
 // SemiGrid describes a separable lattice: Rows cells per column at
@@ -63,8 +65,11 @@ type SemiEmbedding struct {
 	sampleOnce sync.Once
 	// fac holds one dense C×C factor per distinct frequency
 	// d ∈ [0, m/2], scaled so F·Fᵀ = clamp(S[d])/m; frequency f uses
-	// fac[min(f, m−f)].
-	fac [][]float64
+	// fac[min(f, m−f)]. lower[d] records that fac[d] came from
+	// Cholesky, so its strict upper triangle is zero and the draw
+	// skips it.
+	fac   [][]float64
+	lower []bool
 	// SampleRelErr is the exact entrywise covariance error of the draw
 	// relative to k(0): the largest in-lattice lag response of the
 	// clamped spectral parts. Zero until the factorization has run.
@@ -74,8 +79,7 @@ type SemiEmbedding struct {
 
 type semiScratch struct {
 	field []complex128 // C column time-series of length M, len C*M
-	w     []complex128 // one frequency's column vector, len C
-	xi    []float64    // normal draws, len 2C
+	xi    []float64    // normal draws: C real parts, then C imaginary
 }
 
 // NewSemiEmbedding builds the row-spectral embedding of kernel(d²) —
@@ -138,7 +142,6 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, opts EmbedOpt
 	e.pool.New = func() any {
 		return &semiScratch{
 			field: make([]complex128, cols*m),
-			w:     make([]complex128, cols),
 			xi:    make([]float64, 2*cols),
 		}
 	}
@@ -234,9 +237,16 @@ func (e *SemiEmbedding) QuadForms(classes [][]int) [][]float64 {
 
 // CanSample reports whether the clamped factorization's covariance
 // error stayed within SampleTol, running the one-time factorization
-// if needed. QuadForms is sound either way.
-func (e *SemiEmbedding) CanSample() bool {
-	e.sampleOnce.Do(e.factorize)
+// serially if needed. QuadForms is sound either way.
+func (e *SemiEmbedding) CanSample() bool { return e.Factorize(1) }
+
+// Factorize is CanSample with the one-time factorization, if it has
+// not run yet, spreading its independent per-frequency factorizations
+// over up to workers goroutines. Each factor is computed and stored by
+// frequency index, so the factors — and every later sample — are
+// identical at any worker count.
+func (e *SemiEmbedding) Factorize(workers int) bool {
+	e.sampleOnce.Do(func() { e.factorize(workers) })
 	return e.canSample
 }
 
@@ -249,13 +259,16 @@ func (e *SemiEmbedding) CanSample() bool {
 // transform is even in the lag) is SampleRelErr. This is far tighter
 // than the nuclear-mass bound: the indefinite band's contributions
 // oscillate and mostly cancel at in-lattice lags.
-func (e *SemiEmbedding) factorize() {
+func (e *SemiEmbedding) factorize(workers int) {
 	C, M := e.cols, e.m
 	e.fac = make([][]float64, M/2+1)
-	s := make([]float64, C*C)
-	var clamped [][]float64 // packed symmetric N[d], nil where PSD
-	for d := 0; d <= M/2; d++ {
+	e.lower = make([]bool, M/2+1)
+	clamped := make([][]float64, M/2+1) // packed symmetric N[d], nil where PSD
+	inv := 1 / math.Sqrt(float64(M))
+	// The per-frequency work cannot fail, so ForN has no error to report.
+	_ = par.ForN(workers, M/2+1, func(d int) error {
 		lam := e.lamT[d]
+		s := make([]float64, C*C)
 		for cj := 0; cj < C; cj++ {
 			base := cj * (cj + 1) / 2
 			for ci := 0; ci <= cj; ci++ {
@@ -264,20 +277,18 @@ func (e *SemiEmbedding) factorize() {
 				s[cj*C+ci] = v
 			}
 		}
-		f, nf := factorPSD(s, C, e.k0)
-		inv := 1 / math.Sqrt(float64(M))
+		f, lower, nf := factorPSD(s, C, e.k0)
 		for i := range f {
 			f[i] *= inv
 		}
-		e.fac[d] = f
-		if nf != nil {
-			if clamped == nil {
-				clamped = make([][]float64, M/2+1)
-			}
-			clamped[d] = nf
-		}
+		e.fac[d], e.lower[d], clamped[d] = f, lower, nf
+		return nil
+	})
+	anyClamped := false
+	for _, nf := range clamped {
+		anyClamped = anyClamped || nf != nil
 	}
-	if clamped == nil {
+	if !anyClamped {
 		e.canSample = true
 		return
 	}
@@ -312,16 +323,17 @@ func (e *SemiEmbedding) factorize() {
 
 // factorPSD returns F with F·Fᵀ = clamp(s) for the symmetric C×C
 // matrix s (row-major, not modified logically — contents are
-// consumed). Cholesky handles the definite case in O(C³/3);
-// indefinite or near-singular matrices take the Jacobi eigen-clamp,
-// which also returns the clamped part N = Σ_{λ<0} (−λ)·v·vᵀ (packed
-// symmetric, nil when nothing was clamped) so the caller can evaluate
-// the exact perturbation clamp(s) − s = N induces.
-func factorPSD(s []float64, n int, scale float64) (f, clampedPart []float64) {
+// consumed). Cholesky handles the definite case in O(C³/3) and
+// reports lower = true: F is lower triangular. Indefinite or
+// near-singular matrices take the Jacobi eigen-clamp, which also
+// returns the clamped part N = Σ_{λ<0} (−λ)·v·vᵀ (packed symmetric,
+// nil when nothing was clamped) so the caller can evaluate the exact
+// perturbation clamp(s) − s = N induces.
+func factorPSD(s []float64, n int, scale float64) (f []float64, lower bool, clampedPart []float64) {
 	f = make([]float64, n*n)
 	copy(f, s)
 	if cholInPlace(f, n, scale) {
-		return f, nil
+		return f, true, nil
 	}
 	vals, vecs := jacobiEig(append([]float64(nil), s...), n)
 	var nf []float64
@@ -344,7 +356,7 @@ func factorPSD(s []float64, n int, scale float64) (f, clampedPart []float64) {
 			f[i*n+j] = vecs[i*n+j] * root
 		}
 	}
-	return f, nf
+	return f, false, nf
 }
 
 // cholInPlace attempts an in-place lower Cholesky of the row-major
@@ -449,31 +461,38 @@ func jacobiEig(a []float64, n int) (vals, vecs []float64) {
 // normal variates are consumed from rng in (frequency, column) order,
 // so a fixed per-sample stream yields a byte-stable sample at any
 // worker count. Callers must check CanSample first.
+//
+// A Cholesky factor's row i multiplies only its first i+1 entries:
+// the skipped products are ±0 added to a sum that starts at +0, which
+// leaves every sum bit-identical to the full row.
 func (e *SemiEmbedding) Sample(dst []float64, rng *rand.Rand) {
 	R, C, M := e.g.Rows, e.cols, e.m
 	if len(dst) != R*C {
 		panic(fmt.Sprintf("fftk: Sample length %d, want %d", len(dst), R*C))
 	}
-	e.sampleOnce.Do(e.factorize)
+	e.Factorize(1)
 	sc := e.pool.Get().(*semiScratch)
 	defer e.pool.Put(sc)
+	xr, xq := sc.xi[:C], sc.xi[C:2*C]
 	for f := 0; f < M; f++ {
 		for c := 0; c < C; c++ {
-			sc.xi[2*c] = rng.NormFloat64()
-			sc.xi[2*c+1] = rng.NormFloat64()
+			xr[c] = rng.NormFloat64()
+			xq[c] = rng.NormFloat64()
 		}
-		fm := e.fac[min(f, M-f)]
+		d := min(f, M-f)
+		fm, lower := e.fac[d], e.lower[d]
 		for i := 0; i < C; i++ {
 			re, im := 0.0, 0.0
 			row := fm[i*C : i*C+C]
-			for j, fv := range row {
-				re += fv * sc.xi[2*j]
-				im += fv * sc.xi[2*j+1]
+			if lower {
+				row = row[:i+1]
 			}
-			sc.w[i] = complex(re, im)
-		}
-		for c := 0; c < C; c++ {
-			sc.field[c*M+f] = sc.w[c]
+			xr, xq := xr[:len(row)], xq[:len(row)]
+			for j, fv := range row {
+				re += fv * xr[j]
+				im += fv * xq[j]
+			}
+			sc.field[i*M+f] = complex(re, im)
 		}
 	}
 	for c := 0; c < C; c++ {

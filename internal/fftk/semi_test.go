@@ -168,21 +168,27 @@ func TestSemiLongRangeKernelSamples(t *testing.T) {
 }
 
 // TestSemiFactorPSD pins the two factorization routes: Cholesky on a
-// definite matrix, eigen-clamp (with the clamped part reported) on an
-// indefinite one.
+// definite matrix (reported lower triangular), eigen-clamp (with the
+// clamped part reported) on an indefinite one.
 func TestSemiFactorPSD(t *testing.T) {
 	// Definite: diag(2, 3) plus small coupling.
 	s := []float64{2, 0.5, 0.5, 3}
-	f, nf := factorPSD(append([]float64(nil), s...), 2, 1)
+	f, lower, nf := factorPSD(append([]float64(nil), s...), 2, 1)
 	if nf != nil {
 		t.Errorf("definite matrix clamped part %v, want nil", nf)
+	}
+	if !lower || f[1] != 0 {
+		t.Errorf("definite matrix factor %v lower=%v, want lower triangular", f, lower)
 	}
 	checkFactor(t, f, s, 2)
 
 	// Indefinite: eigenvalues 3 and −1, eigenvector of −1 is
 	// [1,−1]/√2, so the clamped part is [[0.5,−0.5],[−0.5,0.5]].
 	s = []float64{1, 2, 2, 1}
-	f, nf = factorPSD(append([]float64(nil), s...), 2, 1)
+	f, lower, nf = factorPSD(append([]float64(nil), s...), 2, 1)
+	if lower {
+		t.Error("eigen-clamp factor reported lower triangular")
+	}
 	wantN := []float64{0.5, -0.5, 0.5} // packed symmetric
 	if nf == nil {
 		t.Fatal("indefinite matrix clamped part nil")

@@ -395,7 +395,8 @@ func TestSlowTraceTriggersProfileCapture(t *testing.T) {
 	}
 
 	// The capture runs asynchronously (50ms window + write-behind
-	// persist); poll the trace view until the artifacts link up.
+	// persist, one artifact at a time); poll the trace view until every
+	// artifact asserted below has linked up, not just the first.
 	var tv traceResponse
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -411,11 +412,11 @@ func TestSlowTraceTriggersProfileCapture(t *testing.T) {
 		if err := json.Unmarshal(tdata, &tv); err != nil {
 			t.Fatal(err)
 		}
-		if len(tv.ProfileArtifacts) > 0 {
+		if _, ok := tv.ProfileArtifacts["goroutine"]; ok {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("trace %s never linked profile artifacts: %s", slowID, tdata)
+			t.Fatalf("trace %s never linked its goroutine profile: %s", slowID, tdata)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -39,24 +39,39 @@ import (
 	"ccdac/internal/tech"
 )
 
-// newMCRand returns sample s's private RNG stream (see mcStreamSeed).
-func newMCRand(seed int64, s int) *rand.Rand {
-	return rand.New(rand.NewSource(mcStreamSeed(seed, s)))
+// mcScratch is one worker's reusable per-sample state: an RNG that is
+// reseeded onto each sample's private stream (see mcStreamSeed) and a
+// float buffer — the spectral sampler's lattice field or the dense
+// sampler's normal draws. Reseeding a *rand.Rand yields exactly the
+// stream rand.New(rand.NewSource(seed)) would, without allocating a
+// fresh ~5 KB source per sample, so a million-sample run's steady
+// state allocates only its results.
+type mcScratch struct {
+	rng *rand.Rand
+	buf []float64
 }
 
-// fieldPool recycles the per-sample lattice fields of the spectral
-// sampler so a million-sample run's steady state allocates only its
-// results.
-type fieldPool struct{ p sync.Pool }
+// mcScratchPool hands out per-worker scratch with a buffer of fixed
+// length.
+type mcScratchPool struct{ p sync.Pool }
 
-func newFieldPool(n int) *fieldPool {
-	fp := &fieldPool{}
-	fp.p.New = func() any { return make([]float64, n) }
-	return fp
+func newMCScratchPool(n int) *mcScratchPool {
+	sp := &mcScratchPool{}
+	sp.p.New = func() any {
+		return &mcScratch{rng: rand.New(rand.NewSource(0)), buf: make([]float64, n)}
+	}
+	return sp
 }
 
-func (fp *fieldPool) get() []float64  { return fp.p.Get().([]float64) }
-func (fp *fieldPool) put(f []float64) { fp.p.Put(f) }
+// get returns scratch whose RNG is positioned at the start of sample
+// s's stream.
+func (sp *mcScratchPool) get(seed int64, s int) *mcScratch {
+	sc := sp.p.Get().(*mcScratch)
+	sc.rng.Seed(mcStreamSeed(seed, s))
+	return sc
+}
+
+func (sp *mcScratchPool) put(sc *mcScratch) { sp.p.Put(sc) }
 
 // FFTMode selects the covariance/sampling kernel family.
 type FFTMode int
@@ -387,8 +402,8 @@ type mcSampler struct {
 	sampler interface {
 		Sample([]float64, *rand.Rand)
 	}
-	cols   int
-	fields *fieldPool
+	cols    int
+	scratch *mcScratchPool
 }
 
 // newMCSampler attempts the spectral setup: grid fit plus embedding
@@ -412,8 +427,8 @@ func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.T
 		return nil, false
 	}
 	// Both embeddings expose the same per-sample draw; the separable
-	// one additionally pays a one-time per-frequency factorization
-	// inside CanSample.
+	// one additionally pays a one-time per-frequency factorization,
+	// run here on the caller's worker budget.
 	var sampler interface {
 		Sample([]float64, *rand.Rand)
 	}
@@ -429,7 +444,7 @@ func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.T
 	} else {
 		emb, c, f, err := mismatchSemiEmbedding(t, sg)
 		calls, fetches = c, f
-		if err != nil || !emb.CanSample() {
+		if err != nil || !emb.Factorize(par.Workers(ctx)) {
 			obs.CountL(ctx, "ccdac_numeric_fft_fallback_total", obs.Labels{"path": "mc"}, 1)
 			return nil, false
 		}
@@ -438,7 +453,7 @@ func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.T
 	obs.Count(ctx, "ccdac_variation_rho_calls_total", calls)
 	obs.Count(ctx, "ccdac_variation_rho_memo_hits_total", calls-fetches)
 	obs.CountL(ctx, "ccdac_numeric_fft_structured_total", obs.Labels{"path": "mc"}, 1)
-	return &mcSampler{sampler: sampler, cols: cols, fields: newFieldPool(rows * cols)}, true
+	return &mcSampler{sampler: sampler, cols: cols, scratch: newMCScratchPool(rows * cols)}, true
 }
 
 // run draws the sample block [from, to). The per-sample splitmix64
@@ -447,24 +462,14 @@ func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.T
 // sampler — though the two samplers consume their streams differently
 // and so draw different (equally distributed) samples for one seed.
 func (ms *mcSampler) run(ctx context.Context, units []mcUnit, a *Analysis, from, to int, seed int64) ([][]float64, error) {
-	bits := a.Bits
 	out := make([][]float64, to-from)
 	err := par.ForN(par.Workers(ctx), to-from, func(i int) error {
 		s := from + i
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("variation: monte-carlo sample %d: %w", s, err)
 		}
-		rng := newMCRand(seed, s)
-		field := ms.fields.get()
-		defer ms.fields.put(field)
-		ms.sampler.Sample(field, rng)
-		shifts := make([]float64, bits+1)
-		for _, u := range units {
-			shifts[u.bit] += field[u.c.Row*ms.cols+u.c.Col]
-		}
-		for k := 0; k <= bits; k++ {
-			shifts[k] += a.DCSys(k)
-		}
+		shifts := make([]float64, a.Bits+1)
+		ms.draw(shifts, units, a, seed, s)
 		out[i] = shifts
 		return nil
 	})
@@ -473,6 +478,23 @@ func (ms *mcSampler) run(ctx context.Context, units []mcUnit, a *Analysis, from,
 	}
 	obs.Count(ctx, "ccdac_numeric_fft_samples_total", int64(to-from))
 	return out, nil
+}
+
+// draw folds sample s's lattice field into the per-capacitor shifts
+// (len Bits+1, zeroed by the caller), plus the systematic gradient
+// shift. It allocates nothing: the field and the reseeded RNG come
+// from the per-worker scratch pool.
+func (ms *mcSampler) draw(shifts []float64, units []mcUnit, a *Analysis, seed int64, s int) {
+	sc := ms.scratch.get(seed, s)
+	defer ms.scratch.put(sc)
+	field := sc.buf
+	ms.sampler.Sample(field, sc.rng)
+	for _, u := range units {
+		shifts[u.bit] += field[u.c.Row*ms.cols+u.c.Col]
+	}
+	for k := range shifts {
+		shifts[k] += a.DCSys(k)
+	}
 }
 
 // monteCarloFFT attempts the spectral sampling path: ok reports

@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -542,22 +541,24 @@ func monteCarloDense(ctx context.Context, units []mcUnit, bits int, t *tech.Tech
 	// above is exactly the regime this gauge exists to make visible.
 	obs.SetGauge(ctx, "ccdac_numeric_cov_cond_estimate", linalg.CondEstFromChol(chol))
 	out := make([][]float64, to-from)
+	scratch := newMCScratchPool(n)
 	if err := par.ForN(workers, to-from, func(i int) error {
 		s := from + i
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("variation: monte-carlo sample %d: %w", s, err)
 		}
-		rng := rand.New(rand.NewSource(mcStreamSeed(seed, s)))
-		z := make([]float64, n)
+		sc := scratch.get(seed, s)
+		defer scratch.put(sc)
+		z := sc.buf
 		for i := range z {
-			z[i] = rng.NormFloat64()
+			z[i] = sc.rng.NormFloat64()
 		}
-		// delta = L z.
+		// delta = L z, over the lower triangle of each factor row.
 		shifts := make([]float64, bits+1)
 		for i := 0; i < n; i++ {
 			d := 0.0
-			for j := 0; j <= i; j++ {
-				d += chol.At(i, j) * z[j]
+			for j, l := range chol.Data[i*n : i*n+i+1] {
+				d += l * z[j]
 			}
 			shifts[units[i].bit] += d
 		}

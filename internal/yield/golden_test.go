@@ -1,0 +1,91 @@
+package yield
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"ccdac/internal/ccmatrix"
+	"ccdac/internal/dacmodel"
+	"ccdac/internal/extract"
+	"ccdac/internal/place"
+	"ccdac/internal/route"
+	"ccdac/internal/tech"
+	"ccdac/internal/variation"
+)
+
+// TestGoldenTally pins the full tally — pass count, worst values and
+// the per-sample hash — of one small estimate per Monte-Carlo sampler:
+// the regular circulant embedding (placement grid), the row-spectral
+// separable embedding (routed positions) and the dense Cholesky path
+// (FFTOff). The sampling and NL kernels promise bit identity per seed;
+// checkpoints written by older binaries, coalesced-vs-solo agreement
+// and the benchmark's reference yields all rest on it, so any kernel
+// change that moves a single sample must fail here.
+func TestGoldenTally(t *testing.T) {
+	tch := tech.FinFET12()
+	ctx := context.Background()
+	spiral := func(bits int) *ccmatrix.Matrix {
+		m, err := place.NewSpiral(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	cases := []struct {
+		name    string
+		m       *ccmatrix.Matrix
+		routed  bool
+		fftOff  bool
+		spec    float64
+		samples int
+		seed    int64
+		want    Tally
+	}{
+		{"6-spiral-grid", spiral(6), false, false, 0.0015, 300, 42, Tally{
+			Samples: 300, Passed: 192,
+			WorstDNL: 0.004179840993169718, WorstINL: 0.0020899204965877456,
+			Hash: 1954081946454755213}},
+		{"8-spiral-routed", spiral(8), true, false, 0.01, 200, 43, Tally{
+			Samples: 200, Passed: 161,
+			WorstDNL: 0.024215097520394243, WorstINL: 0.012107548760198454,
+			Hash: 10220511296891500598}},
+		{"6-spiral-dense", spiral(6), false, true, 0.0015, 300, 42, Tally{
+			Samples: 300, Passed: 232,
+			WorstDNL: 0.004132579962207939, WorstINL: 0.0020662899811074113,
+			Hash: 17670791677573452147}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pos := variation.GridPositioner(tch)
+			var par dacmodel.Parasitics
+			if c.routed {
+				l, err := route.RouteContext(ctx, c.m, tch, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum, err := extract.ExtractContext(ctx, l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pos, par = l.CellCenter, dacmodel.Parasitics{CTSfF: sum.CTSfF}
+			}
+			cctx := ctx
+			if c.fftOff {
+				cctx = variation.WithFFTMode(ctx, variation.FFTOff)
+			}
+			a, err := variation.AnalyzeContext(cctx, c.m, pos, tch, math.Pi/4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got Tally
+			spec := Spec{MaxAbsDNL: c.spec, MaxAbsINL: c.spec}
+			if err := BlockContext(cctx, c.m, pos, tch, a, spec, par, 0, c.samples, c.seed, &got); err != nil {
+				t.Fatal(err)
+			}
+			if got != c.want {
+				t.Errorf("tally = %+v\nwant    %+v", got, c.want)
+			}
+		})
+	}
+}
