@@ -1,6 +1,7 @@
 // Benchmarks and the acceptance report for the analysis hot paths:
 // the memoized parallel covariance build, the binned coupling sweep,
-// and the parallel per-bit extraction. TestBenchAnalyze (gated on
+// the parallel per-bit extraction, the Elmore tree analysis and the
+// route→extract promotion loop. TestBenchAnalyze (gated on
 // BENCH_ANALYZE_OUT) regenerates BENCH_analyze.json, comparing each
 // optimized path against a seed-style serial reference in-process.
 package ccdac_test
@@ -97,6 +98,67 @@ func BenchmarkExtractBits(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkElmoreTree measures the tree analysis of the critical bit's
+// network of a routed 12-bit chessboard — the largest net the
+// promotion loop analyzes.
+func BenchmarkElmoreTree(b *testing.B) {
+	m, err := place.NewChessboard(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := route.Route(m, tech.FinFET12(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := extract.Extract(l)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bn := s.Bits[s.CriticalBit()]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bn.Net.ElmoreTree(bn.Root); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPromotionLoop measures the flow's route→extract loop on a
+// 12-bit chessboard at MaxParallel 2: route, extract, promote the
+// critical bit to two wires, until the critical bit is parallel.
+func BenchmarkPromotionLoop(b *testing.B) {
+	t := tech.FinFET12()
+	m, err := place.NewChessboard(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parOf := make([]int, m.Bits+1)
+		for k := range parOf {
+			parOf[k] = 1
+		}
+		for {
+			l, err := route.RouteContext(ctx, m, t, parOf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := extract.ExtractContext(ctx, l)
+			if err != nil {
+				b.Fatal(err)
+			}
+			crit := s.CriticalBit()
+			if parOf[crit] >= 2 {
+				break
+			}
+			parOf[crit] = 2
 		}
 	}
 }

@@ -113,9 +113,11 @@ func runStage(ctx context.Context, stage string, f func(context.Context) error) 
 		if r := recover(); r != nil {
 			err = &StageError{Stage: stage, Err: fmt.Errorf("recovered panic: %v\n%s", r, debug.Stack())}
 		}
+		// Record the stage's histogram before closing its span, so the
+		// span also covers the stage's own bookkeeping.
+		obs.ObserveDurationL(ctx, "ccdac_core_stage_seconds", obs.Labels{"stage": stage}, time.Since(start))
 		span.Fail(err)
 		span.End()
-		obs.ObserveDurationL(ctx, "ccdac_core_stage_seconds", obs.Labels{"stage": stage}, time.Since(start))
 	}()
 	if cerr := ctx.Err(); cerr != nil {
 		return &StageError{Stage: stage, Err: cerr}

@@ -174,7 +174,8 @@ func layoutBytes(l *route.Layout) int64 {
 }
 
 // summaryBytes estimates an extraction's cache charge: the per-bit RC
-// nets dominate (node names, adjacency, capacitances).
+// nets dominate (per node a label header and a capacitance, about one
+// resistor each, and the cell-node lists).
 func summaryBytes(s *extract.Summary) int64 {
 	n := int64(256)
 	for _, b := range s.Bits {

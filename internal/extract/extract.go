@@ -139,11 +139,13 @@ func ExtractContext(ctx context.Context, l *route.Layout) (*Summary, error) {
 	_, span = obs.StartSpan(ctx, "extract.bitnets")
 	s.Bits = make([]BitNet, l.M.Bits+1)
 	nets := make([]*BitNet, l.M.Bits+1)
+	wiresOf := byBit(l.Wires, l.M.Bits+1, func(w route.Wire) int { return w.Bit })
+	viasOf := byBit(l.Vias, l.M.Bits+1, func(v route.Via) int { return v.Bit })
 	if err := par.ForN(par.Workers(ctx), l.M.Bits+1, func(bit int) error {
 		if cerr := ctx.Err(); cerr != nil {
 			return fmt.Errorf("extract: bit %d: %w", bit, cerr)
 		}
-		bn, berr := buildBitNet(l, bit, wireCoupling)
+		bn, berr := buildBitNet(l, bit, wireCoupling, wiresOf[bit], viasOf[bit])
 		if berr != nil {
 			return fmt.Errorf("extract: bit %d: %w", bit, berr)
 		}
@@ -289,25 +291,58 @@ type nodeKey struct {
 
 func quant(v float64) int64 { return int64(math.Round(v * 1000)) }
 
+// byBit buckets the indices of items by capacitor, ascending within
+// each bit — the order a bit's network is stamped in. Items of no bit
+// (top-plate wires) are left out.
+func byBit[T any](items []T, bits int, bitOf func(T) int) [][]int {
+	counts := make([]int, bits)
+	total := 0
+	for _, it := range items {
+		if b := bitOf(it); b >= 0 && b < bits {
+			counts[b]++
+			total++
+		}
+	}
+	out := make([][]int, bits)
+	backing := make([]int, total)
+	off := 0
+	for b, c := range counts {
+		out[b] = backing[off : off : off+c]
+		off += c
+	}
+	for i, it := range items {
+		if b := bitOf(it); b >= 0 && b < bits {
+			out[b] = append(out[b], i)
+		}
+	}
+	return out
+}
+
 // buildBitNet assembles the RC charging network of one capacitor from
-// the routed wires and vias and runs the Elmore analysis.
-func buildBitNet(l *route.Layout, bit int, wireCoupling []float64) (*BitNet, error) {
-	bn := &BitNet{Bit: bit}
+// its routed wires and vias (indices into the layout's, ascending) and
+// runs the Elmore analysis.
+func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, wires, vias []int) (*BitNet, error) {
+	cells := l.M.CellsOf(bit)
 	net := rcnet.New()
-	bn.Net = net
-	nodes := map[nodeKey]int{}
+	// A routed bit network is a tree: every wire and via is one
+	// resistor, plus the driver's, and a tree has one node more than it
+	// has resistors.
+	nodeCount := max(len(cells), len(wires)+len(vias)) + 2
+	net.Grow(nodeCount, len(wires)+len(vias)+1)
+	bn := &BitNet{Bit: bit, Net: net, CellNodes: make([]int, 0, len(cells))}
 
 	// Bottom plates are reachable on every layer at the cell, so any
 	// wire endpoint landing on a cell center of this bit merges into
 	// the cell's single plate node.
-	cellAt := map[[2]int64]int{}
-	for _, c := range l.M.CellsOf(bit) {
+	cellAt := make(map[[2]int64]int, len(cells))
+	for _, c := range cells {
 		pt := l.CellCenter(c)
-		id := net.AddNode(fmt.Sprintf("cell:%d,%d", c.Row, c.Col))
+		id := net.AddNode("cell")
 		net.AddC(id, l.Tech.Unit.CfF)
 		cellAt[[2]int64{quant(pt.X), quant(pt.Y)}] = id
 		bn.CellNodes = append(bn.CellNodes, id)
 	}
+	nodes := make(map[nodeKey]int, nodeCount-len(cells))
 	nodeOf := func(p geom.Pt, layer int) int {
 		if id, ok := cellAt[[2]int64{quant(p.X), quant(p.Y)}]; ok {
 			return id
@@ -316,19 +351,18 @@ func buildBitNet(l *route.Layout, bit int, wireCoupling []float64) (*BitNet, err
 		if id, ok := nodes[k]; ok {
 			return id
 		}
-		id := net.AddNode(fmt.Sprintf("L%d:%.3f,%.3f", layer, p.X, p.Y))
+		id := net.AddNode("junction")
 		nodes[k] = id
 		return id
 	}
 
-	for i, w := range l.Wires {
-		if w.Bit != bit {
-			continue
-		}
+	for _, i := range wires {
+		w := l.Wires[i]
 		a := nodeOf(w.Seg.A, w.Layer)
 		b := nodeOf(w.Seg.B, w.Layer)
-		r := l.Tech.WireR(w.Layer, effLen(l, w), w.Par)
-		c := l.Tech.WireC(w.Layer, effLen(l, w), w.Par) + wireCoupling[i]
+		el := effLen(l, w)
+		r := l.Tech.WireR(w.Layer, el, w.Par)
+		c := l.Tech.WireC(w.Layer, el, w.Par) + wireCoupling[i]
 		net.AddR(a, b, r)
 		net.AddC(a, c/2)
 		net.AddC(b, c/2)
@@ -342,10 +376,8 @@ func buildBitNet(l *route.Layout, bit int, wireCoupling []float64) (*BitNet, err
 	driver := net.AddNode("driver")
 	net.AddR(root, driver, l.Tech.SwitchROhm)
 	bn.Root = root
-	for _, v := range l.Vias {
-		if v.Bit != bit {
-			continue
-		}
+	for _, i := range vias {
+		v := l.Vias[i]
 		r := l.Tech.ViaR(v.Par)
 		bn.RViaOhm += r
 		if v.Input {

@@ -19,15 +19,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ccdac/internal/linalg"
 )
 
 // Net is an RC network under construction. Node 0 does not exist until
-// added; callers name nodes for debuggability.
+// added; callers label nodes for debuggability.
 type Net struct {
 	names []string
-	// resistors, as adjacency: for each node, list of (other, conductance).
+	// res lists the resistors in insertion order; the analyses derive
+	// their adjacency from it, so the order fixes their summation order.
 	res []resistor
 	// capFF[i] is the grounded capacitance at node i in fF.
 	capFF []float64
@@ -88,7 +90,18 @@ type resistor struct {
 // New returns an empty network.
 func New() *Net { return &Net{} }
 
-// AddNode adds a named node and returns its index.
+// Grow reserves room for the given numbers of further nodes and
+// resistors, so a caller that knows the network's size builds it
+// without reallocating.
+func (n *Net) Grow(nodes, resistors int) {
+	n.names = slices.Grow(n.names, nodes)
+	n.capFF = slices.Grow(n.capFF, nodes)
+	n.res = slices.Grow(n.res, resistors)
+}
+
+// AddNode adds a named node and returns its index. Names are for
+// debugging only (netlist export numbers nodes), so callers building
+// large networks pass a fixed label per node kind.
 func (n *Net) AddNode(name string) int {
 	n.names = append(n.names, name)
 	n.capFF = append(n.capFF, 0)
@@ -165,15 +178,14 @@ var ErrNotTree = errors.New("rcnet: network is not a tree rooted at the driver")
 // treat ideal shorts as single electrical nodes. It returns the
 // representative for each node and the per-representative capacitance.
 func (n *Net) merged() (rep []int, capOf []float64) {
-	parent := make([]int, len(n.names))
-	for i := range parent {
-		parent[i] = i
+	rep = make([]int, len(n.names))
+	for i := range rep {
+		rep[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	find := func(x int) int {
+		for rep[x] != x {
+			rep[x] = rep[rep[x]]
+			x = rep[x]
 		}
 		return x
 	}
@@ -181,146 +193,190 @@ func (n *Net) merged() (rep []int, capOf []float64) {
 		if r.ohm == 0 {
 			ra, rb := find(r.a), find(r.b)
 			if ra != rb {
-				parent[ra] = rb
+				rep[ra] = rb
 			}
 		}
 	}
-	rep = make([]int, len(n.names))
-	capOf = make([]float64, len(n.names))
+	// Full path compression in place: every entry ends at its root.
 	for i := range rep {
 		rep[i] = find(i)
 	}
+	capOf = make([]float64, len(n.names))
 	for i, c := range n.capFF {
 		capOf[rep[i]] += c
 	}
 	return rep, capOf
 }
 
+// joins returns the representatives a resistor connects, and false
+// for a zero-ohm short or a resistor shorted by a parallel zero-ohm
+// path: neither joins two distinct electrical nodes.
+func joins(rep []int, e resistor) (a, b int, ok bool) {
+	if e.ohm == 0 {
+		return 0, 0, false
+	}
+	a, b = rep[e.a], rep[e.b]
+	return a, b, a != b
+}
+
 // ElmoreTree computes the Elmore delay in seconds from the driver node
 // (root) to every node, assuming the nonzero-resistance graph is a
 // tree. Capacitances are interpreted in fF, resistances in ohms.
 // It returns ErrNotTree for meshes or disconnected networks.
+//
+// All working state lives in slices indexed by node, so the analysis
+// makes the same handful of allocations at any network size. The
+// adjacency is a CSR array filled in resistor-insertion order, which
+// fixes the DFS visit order and with it every floating-point
+// accumulation below.
 func (n *Net) ElmoreTree(root int) ([]float64, error) {
 	rep, capOf := n.merged()
+	nn := len(rep)
 	r := rep[root]
 
-	adj := make(map[int][]resistor)
+	// A tree over the distinct representatives (union-find roots) has
+	// exactly one edge fewer than it has nodes.
+	reps := 0
+	for i, u := range rep {
+		if u == i {
+			reps++
+		}
+	}
+	// start[u]..start[u+1] will index u's neighbors in to/ohm.
+	start := make([]int, nn+1)
 	edges := 0
-	nodes := map[int]bool{r: true}
-	for i := range n.names {
-		nodes[rep[i]] = true
-	}
 	for _, e := range n.res {
-		if e.ohm == 0 {
-			continue
+		if a, b, ok := joins(rep, e); ok {
+			start[a+1]++
+			start[b+1]++
+			edges++
 		}
-		a, b := rep[e.a], rep[e.b]
-		if a == b {
-			// Resistor shorted by a parallel zero-ohm path: harmless for
-			// delay, skip.
-			continue
-		}
-		adj[a] = append(adj[a], resistor{a, b, e.ohm})
-		adj[b] = append(adj[b], resistor{b, a, e.ohm})
-		edges++
 	}
-	if edges != len(nodes)-1 {
+	if edges != reps-1 {
 		return nil, ErrNotTree
 	}
+	for u := 0; u < nn; u++ {
+		start[u+1] += start[u]
+	}
+	to := make([]int, 2*edges)
+	ohm := make([]float64, 2*edges)
+	// Fill using start[u] as u's cursor, then shift the advanced
+	// cursors (each now the next node's start) back into place.
+	for _, e := range n.res {
+		if a, b, ok := joins(rep, e); ok {
+			to[start[a]], ohm[start[a]] = b, e.ohm
+			start[a]++
+			to[start[b]], ohm[start[b]] = a, e.ohm
+			start[b]++
+		}
+	}
+	copy(start[1:], start[:nn])
+	start[0] = 0
 
 	// DFS from root: accumulate downstream capacitance, then delays.
-	parentOf := make(map[int]int, len(nodes))
-	parentR := make(map[int]float64, len(nodes))
-	order := make([]int, 0, len(nodes))
-	visited := map[int]bool{r: true}
-	stack := []int{r}
+	// parent[u] < 0 marks u unvisited.
+	parent := make([]int, nn)
+	for i := range parent {
+		parent[i] = -1
+	}
+	parentR := make([]float64, nn)
+	order := make([]int, 0, reps)
+	stack := make([]int, 1, reps)
+	stack[0] = r
+	parent[r] = r
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		order = append(order, u)
-		for _, e := range adj[u] {
-			if !visited[e.b] {
-				visited[e.b] = true
-				parentOf[e.b] = u
-				parentR[e.b] = e.ohm
-				stack = append(stack, e.b)
+		for k := start[u]; k < start[u+1]; k++ {
+			if v := to[k]; parent[v] < 0 {
+				parent[v] = u
+				parentR[v] = ohm[k]
+				stack = append(stack, v)
 			}
 		}
 	}
-	if len(order) != len(nodes) {
+	if len(order) != reps {
 		return nil, ErrNotTree
 	}
 	// Downstream capacitance: reverse DFS order.
-	down := make(map[int]float64, len(nodes))
+	down := make([]float64, nn)
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
 		down[u] += capOf[u]
 		if u != r {
-			down[parentOf[u]] += down[u]
+			down[parent[u]] += down[u]
 		}
 	}
 	// Delay: forward order. delay(child) = delay(parent) + R_edge * down(child).
-	delay := make(map[int]float64, len(nodes))
+	// Representatives get theirs first; every other node then copies
+	// its representative's.
+	out := make([]float64, nn)
 	for _, u := range order {
 		if u == r {
-			delay[u] = 0
 			continue
 		}
-		delay[u] = delay[parentOf[u]] + parentR[u]*down[u]*1e-15 // ohm*fF -> seconds
+		out[u] = out[parent[u]] + parentR[u]*down[u]*1e-15 // ohm*fF -> seconds
 	}
-	out := make([]float64, len(n.names))
-	for i := range out {
-		out[i] = delay[rep[i]]
+	for i, u := range rep {
+		out[i] = out[u]
 	}
 	return out, nil
 }
 
-// FirstMoment computes the first moment of the impulse response at
-// every node (the generalized Elmore delay, in seconds) for an
-// arbitrary connected RC network driven at root, by solving
-// G·tau = C·1 with the root grounded, using preconditioned CG.
-func (n *Net) FirstMoment(root int) ([]float64, error) {
+// reduced is a net's nodal system with the driver grounded and
+// zero-ohm shorts merged: the conductance matrix over the
+// representatives outside the root's group, one row each, numbered in
+// node order of first appearance.
+type reduced struct {
+	g      *linalg.Sparse
+	rep    []int     // union-find representative of each node
+	row    []int     // row of each representative in g; -1 for the root's group
+	capRow []float64 // grounded capacitance of each row's group, fF
+}
+
+// reduce stamps the reduced system of the net driven at root. A group
+// with no resistive path to the rest of the network makes the system
+// singular and is reported as unreachable. When every node is merged
+// into the root's group the system is empty and g is nil.
+func (n *Net) reduce(root int) (*reduced, error) {
 	rep, capOf := n.merged()
 	r := rep[root]
-
-	// Compact representative indices, excluding the root.
-	idx := map[int]int{}
-	for i := range n.names {
-		u := rep[i]
-		if u == r {
-			continue
-		}
-		if _, ok := idx[u]; !ok {
-			idx[u] = len(idx)
+	row := make([]int, len(rep))
+	for i := range row {
+		row[i] = -1
+	}
+	var capRow []float64
+	for _, u := range rep {
+		if u != r && row[u] < 0 {
+			row[u] = len(capRow)
+			capRow = append(capRow, capOf[u])
 		}
 	}
-	m := len(idx)
+	s := &reduced{rep: rep, row: row, capRow: capRow}
+	m := len(capRow)
 	if m == 0 {
-		return make([]float64, len(n.names)), nil
+		return s, nil
 	}
 	g := linalg.NewSparse(m)
 	connected := make([]bool, m)
 	for _, e := range n.res {
-		if e.ohm == 0 {
-			continue
-		}
-		a, b := rep[e.a], rep[e.b]
-		if a == b {
+		a, b, ok := joins(rep, e)
+		if !ok {
 			continue
 		}
 		cond := 1 / e.ohm
-		ia, aIn := idx[a]
-		ib, bIn := idx[b]
+		ia, ib := row[a], row[b]
 		switch {
-		case aIn && bIn:
+		case ia >= 0 && ib >= 0:
 			g.AddSym(ia, ib, -cond)
 			g.Add(ia, ia, cond)
 			g.Add(ib, ib, cond)
 			connected[ia], connected[ib] = true, true
-		case aIn:
+		case ia >= 0:
 			g.Add(ia, ia, cond)
 			connected[ia] = true
-		case bIn:
+		case ib >= 0:
 			g.Add(ib, ib, cond)
 			connected[ib] = true
 		}
@@ -330,24 +386,60 @@ func (n *Net) FirstMoment(root int) ([]float64, error) {
 			return nil, fmt.Errorf("rcnet: node group %d unreachable from driver", i)
 		}
 	}
-	rhs := make([]float64, m)
-	for u, i := range idx {
-		rhs[i] = capOf[u] * 1e-15 // fF -> F; tau in seconds
+	s.g = g
+	return s, nil
+}
+
+// capRHS returns C·w over the reduced rows in farads (C·1 for nil w).
+func (s *reduced) capRHS(w []float64) []float64 {
+	rhs := make([]float64, len(s.capRow))
+	for i, c := range s.capRow {
+		rhs[i] = c * 1e-15 // fF -> F; tau in seconds
+		if w != nil {
+			rhs[i] *= w[i]
+		}
 	}
-	tau, err := n.solveSPD(g, rhs, "first-moment")
+	return rhs
+}
+
+// expand maps a per-row solution back to every node; the root's group
+// is zero. A nil x (empty system) expands to all zeros.
+func (s *reduced) expand(x []float64) []float64 {
+	out := make([]float64, len(s.rep))
+	for i, u := range s.rep {
+		if k := s.row[u]; k >= 0 {
+			out[i] = x[k]
+		}
+	}
+	return out
+}
+
+// FirstMoment computes the first moment of the impulse response at
+// every node (the generalized Elmore delay, in seconds) for an
+// arbitrary connected RC network driven at root, by solving
+// G·tau = C·1 with the root grounded, using preconditioned CG.
+func (n *Net) FirstMoment(root int) ([]float64, error) {
+	s, err := n.reduce(root)
+	if err != nil {
+		return nil, err
+	}
+	tau, err := n.firstMoment(s)
+	if err != nil {
+		return nil, err
+	}
+	return s.expand(tau), nil
+}
+
+// firstMoment solves G·tau = C·1 on a reduced system (nil when empty).
+func (n *Net) firstMoment(s *reduced) ([]float64, error) {
+	if s.g == nil {
+		return nil, nil
+	}
+	tau, err := n.solveSPD(s.g, s.capRHS(nil), "first-moment")
 	if err != nil {
 		return nil, fmt.Errorf("rcnet: moment solve: %w", err)
 	}
-	out := make([]float64, len(n.names))
-	for i := range out {
-		u := rep[i]
-		if u == r {
-			out[i] = 0
-			continue
-		}
-		out[i] = tau[idx[u]]
-	}
-	return out, nil
+	return tau, nil
 }
 
 // solveSPD solves g·x = rhs, preferring the Jacobi-preconditioned CG
@@ -385,76 +477,24 @@ func (n *Net) solveSPD(g *linalg.Sparse, rhs []float64, what string) ([]float64,
 // (E[t²] ≥ E[t]²), the upper from m2 = Σaτ² ≤ τ_max·m1 — and is exact
 // for a single pole.
 func (n *Net) Moments(root int) (m1, m2 []float64, err error) {
-	m1, err = n.FirstMoment(root)
+	s, err := n.reduce(root)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, capOf := n.merged()
-	r := rep[root]
-	idx := map[int]int{}
-	for i := range n.names {
-		u := rep[i]
-		if u == r {
-			continue
-		}
-		if _, ok := idx[u]; !ok {
-			idx[u] = len(idx)
-		}
+	tau, err := n.firstMoment(s)
+	if err != nil {
+		return nil, nil, err
 	}
-	mm := len(idx)
-	if mm == 0 {
-		return m1, make([]float64, len(n.names)), nil
+	if s.g == nil {
+		return s.expand(nil), s.expand(nil), nil
 	}
-	g := linalg.NewSparse(mm)
-	for _, e := range n.res {
-		if e.ohm == 0 {
-			continue
-		}
-		a, b := rep[e.a], rep[e.b]
-		if a == b {
-			continue
-		}
-		cond := 1 / e.ohm
-		ia, aIn := idx[a]
-		ib, bIn := idx[b]
-		switch {
-		case aIn && bIn:
-			g.AddSym(ia, ib, -cond)
-			g.Add(ia, ia, cond)
-			g.Add(ib, ib, cond)
-		case aIn:
-			g.Add(ia, ia, cond)
-		case bIn:
-			g.Add(ib, ib, cond)
-		}
-	}
-	// C·m1 with per-representative capacitance; every original node
-	// mapped to a representative shares its m1, so one stamp per
-	// representative suffices.
-	m1rep := make(map[int]float64, mm)
-	for orig := range n.names {
-		u := rep[orig]
-		if u != r {
-			m1rep[u] = m1[orig]
-		}
-	}
-	rhs := make([]float64, mm)
-	for u, i := range idx {
-		rhs[i] = capOf[u] * 1e-15 * m1rep[u]
-	}
-	sol, err := n.solveSPD(g, rhs, "second-moment")
+	// C·m1 with per-representative capacitance: every node of a group
+	// shares its representative's m1, so one stamp per row suffices.
+	sol, err := n.solveSPD(s.g, s.capRHS(tau), "second-moment")
 	if err != nil {
 		return nil, nil, fmt.Errorf("rcnet: second moment solve: %w", err)
 	}
-	m2 = make([]float64, len(n.names))
-	for i := range m2 {
-		u := rep[i]
-		if u == r {
-			continue
-		}
-		m2[i] = sol[idx[u]]
-	}
-	return m1, m2, nil
+	return s.expand(tau), s.expand(sol), nil
 }
 
 // DominantTau returns the per-node dominant-pole time-constant

@@ -259,6 +259,9 @@ func (l *Layout) step(ctx context.Context, name string, f func()) {
 // span intersects theirs and whose connection cell lands in the
 // channel column window; the side with more candidates wins.
 func (l *Layout) formClusters() {
+	// load counts the slots committed to each channel so far; only the
+	// isolated-group side heuristic reads it.
+	load := make([]int, l.M.Cols+1)
 	for bit := 0; bit <= l.M.Bits; bit++ {
 		list := l.Groups[bit]
 		visited := make([]bool, len(list))
@@ -317,7 +320,7 @@ func (l *Layout) formClusters() {
 				// tie toward the left).
 				cl.AnchorCell = p.BottomCell()
 				left, right := cl.AnchorCell.Col, cl.AnchorCell.Col+1
-				if l.channelLoad(left) <= l.channelLoad(right) {
+				if load[left] <= load[right] {
 					cl.Channel = left
 				} else {
 					cl.Channel = right
@@ -338,6 +341,7 @@ func (l *Layout) formClusters() {
 				}
 			}
 			l.Clusters = append(l.Clusters, cl)
+			load[cl.Channel] += l.Par[bit]
 		}
 	}
 	l.shareTracks()
@@ -378,18 +382,6 @@ func markVisited(list []*groups.Group, visited []bool, g *groups.Group) {
 			return
 		}
 	}
-}
-
-// channelLoad counts slots already committed to a channel during
-// cluster formation (used only for the isolated-group side heuristic).
-func (l *Layout) channelLoad(ch int) int {
-	n := 0
-	for _, c := range l.Clusters {
-		if !c.Direct && c.Channel == ch {
-			n += l.Par[c.Bit]
-		}
-	}
-	return n
 }
 
 // assignTracks is Algorithm 1 Step 2: per channel, clusters take the
@@ -453,6 +445,28 @@ func (l *Layout) realizeWires() {
 	vl := l.Tech.VerticalLayer()
 	bl := l.bridgeLayer()
 	l.Terminals = make([]geom.Pt, l.M.Bits+1)
+
+	// Size the wire and via lists up front from what is emitted below:
+	// one abutment wire per group edge, per-cluster wires and vias (each
+	// cluster adds at most one bridge wire and via), an input via per
+	// bit, and the top-plate wires routeTopPlate appends.
+	nw, nv := 2*l.M.Cols, l.M.Bits+1
+	for _, list := range l.Groups {
+		for _, g := range list {
+			nw += len(g.Edges)
+		}
+	}
+	for _, c := range l.Clusters {
+		if c.Direct {
+			nw, nv = nw+2, nv+1 // stub, bridge
+			continue
+		}
+		taps := 1 + len(c.Partners)
+		nw += 2*taps + 1 // branches, trunk pieces, bridge
+		nv += taps + 1   // branch vias, bridge via
+	}
+	l.Wires = make([]Wire, 0, nw)
+	l.Vias = make([]Via, 0, nv)
 
 	// Intra-group abutment wires (via-free, cell-to-cell).
 	for bit, list := range l.Groups {
