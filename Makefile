@@ -57,7 +57,7 @@ bench-analyze:
 # still compile and run without paying full benchtime (used by CI).
 bench-smoke:
 	$(GO) test -run '^$$' -count=1 -benchtime 1x \
-		-bench '^(BenchmarkAnalyzeCov|BenchmarkCoupleSweep|BenchmarkExtractBits|BenchmarkElmoreTree|BenchmarkPromotionLoop)$$' .
+		-bench '^(BenchmarkAnalyzeCov|BenchmarkCoupleSweep|BenchmarkExtractBits|BenchmarkElmoreTree|BenchmarkPromotionLoop|BenchmarkThetaSweepRouted)$$' .
 
 # Serve-mode load benchmark: boots the daemon on a loopback listener,
 # drives it with concurrent clients and writes throughput plus latency

@@ -1,9 +1,10 @@
 // Benchmarks and the acceptance report for the analysis hot paths:
 // the memoized parallel covariance build, the binned coupling sweep,
-// the parallel per-bit extraction, the Elmore tree analysis and the
-// route→extract promotion loop. TestBenchAnalyze (gated on
-// BENCH_ANALYZE_OUT) regenerates BENCH_analyze.json, comparing each
-// optimized path against a seed-style serial reference in-process.
+// the parallel per-bit extraction, the Elmore tree analysis, the
+// route→extract promotion loop and the routed theta-sweep analysis.
+// TestBenchAnalyze (gated on BENCH_ANALYZE_OUT) regenerates
+// BENCH_analyze.json, comparing each optimized path against a
+// seed-style serial reference in-process.
 package ccdac_test
 
 import (
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"ccdac/internal/ccmatrix"
+	"ccdac/internal/dacmodel"
 	"ccdac/internal/extract"
 	"ccdac/internal/geom"
 	"ccdac/internal/par"
@@ -141,25 +143,62 @@ func BenchmarkPromotionLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parOf := make([]int, m.Bits+1)
-		for k := range parOf {
-			parOf[k] = 1
+		if _, _, err := promotionLoop(ctx, m, t); err != nil {
+			b.Fatal(err)
 		}
-		for {
-			l, err := route.RouteContext(ctx, m, t, parOf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := extract.ExtractContext(ctx, l)
-			if err != nil {
-				b.Fatal(err)
-			}
-			crit := s.CriticalBit()
-			if parOf[crit] >= 2 {
-				break
-			}
-			parOf[crit] = 2
+	}
+}
+
+// BenchmarkThetaSweepRouted measures the flow's analysis tail on the
+// promotion loop's final layout of a 12-bit chessboard: an 8-step
+// SweepThetaContext (separable-tier covariance over the routed cell
+// centers) and WorstOverThetaContext over it.
+func BenchmarkThetaSweepRouted(b *testing.B) {
+	t := tech.FinFET12()
+	m, err := place.NewChessboard(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	l, sum, err := promotionLoop(ctx, m, t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	par := dacmodel.Parasitics{CTSfF: sum.CTSfF}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		as, err := variation.SweepThetaContext(ctx, m, l.CellCenter, t, 8)
+		if err != nil {
+			b.Fatal(err)
 		}
+		if _, err := dacmodel.WorstOverThetaContext(ctx, as, par, t.VRef); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// promotionLoop runs the flow's route→extract loop at MaxParallel 2 and
+// returns the final layout and its extraction.
+func promotionLoop(ctx context.Context, m *ccmatrix.Matrix, t *tech.Technology) (*route.Layout, *extract.Summary, error) {
+	parOf := make([]int, m.Bits+1)
+	for k := range parOf {
+		parOf[k] = 1
+	}
+	for {
+		l, err := route.RouteContext(ctx, m, t, parOf)
+		if err != nil {
+			return nil, nil, err
+		}
+		s, err := extract.ExtractContext(ctx, l)
+		if err != nil {
+			return nil, nil, err
+		}
+		crit := s.CriticalBit()
+		if parOf[crit] >= 2 {
+			return l, s, nil
+		}
+		parOf[crit] = 2
 	}
 }
 

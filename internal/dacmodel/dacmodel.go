@@ -8,7 +8,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
+	"ccdac/internal/linalg"
 	"ccdac/internal/par"
 	"ccdac/internal/variation"
 )
@@ -80,9 +82,45 @@ func Nonlinearity(a *variation.Analysis, par Parasitics, vref float64) (*Result,
 	if vref <= 0 {
 		return nil, fmt.Errorf("dacmodel: vref must be positive, got %g", vref)
 	}
+	st, err := newSigmaTables(context.Background(), a, 1)
+	if err != nil {
+		return nil, err
+	}
+	return nonlinearity(a, st, par), nil
+}
+
+// sigmaTables holds the random-mismatch half of the 3σ analysis for
+// one (Bits, Cov, Counts, CuFF): sigma[i] = √(w(i)ᵀ Cov w(i)) and, for
+// i ≥ 1, sigmaD[i] = √((w(i) − w(i−1))ᵀ Cov (w(i) − w(i−1))), plus the
+// nominal C_ON table and C_T the weights come from. w(i) depends only
+// on the code, Counts and CuFF, and Cov not on the gradient angle, so
+// a theta sweep builds the tables once and each angle runs only the
+// O(2^N) systematic pass.
+type sigmaTables struct {
+	bits          int
+	cov           *linalg.Dense
+	counts        []int
+	cuFF          float64
+	cT            float64
+	cOn           []float64
+	sigma, sigmaD []float64
+}
+
+// fits reports whether the tables were built for a's random part.
+func (st *sigmaTables) fits(a *variation.Analysis) bool {
+	return a.Bits == st.bits && a.Cov == st.cov && a.CuFF == st.cuFF && slices.Equal(a.Counts, st.counts)
+}
+
+// sigmaChunk is the number of codes one table-building task covers.
+const sigmaChunk = 256
+
+// newSigmaTables builds the σ tables on up to workers goroutines. Each
+// chunk of codes seeds its previous weights from the code before it
+// and writes its entries by index, so every entry is bit-identical to
+// a serial sweep; cancellation is checked per chunk.
+func newSigmaTables(ctx context.Context, a *variation.Analysis, workers int) (*sigmaTables, error) {
 	n := a.Bits
 	codes := 1 << n
-
 	// Nominal capacitances from unit counts (chessboard doubling is
 	// already folded into Counts; ratios are unchanged).
 	cNom := make([]float64, n+1)
@@ -91,6 +129,81 @@ func Nonlinearity(a *variation.Analysis, par Parasitics, vref float64) (*Result,
 		cNom[k] = float64(a.Counts[k]) * a.CuFF
 		cT += cNom[k]
 	}
+	st := &sigmaTables{
+		bits:   n,
+		cov:    a.Cov,
+		counts: a.Counts,
+		cuFF:   a.CuFF,
+		cT:     cT,
+		cOn:    codeSums(make([]float64, codes), cNom, 0), // see codeSums
+		sigma:  make([]float64, codes),
+		sigmaD: make([]float64, codes),
+	}
+	chunks := (codes + sigmaChunk - 1) / sigmaChunk
+	err := par.ForN(workers, chunks, func(c int) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("dacmodel: sigma tables: %w", err)
+		}
+		lo, hi := c*sigmaChunk, min((c+1)*sigmaChunk, codes)
+		w := make([]float64, n+1)
+		prevW := make([]float64, n+1)
+		diff := make([]float64, n+1)
+		if lo > 0 {
+			st.weights(prevW, lo-1)
+		}
+		for i := lo; i < hi; i++ {
+			st.weights(w, i)
+			st.sigma[i] = math.Sqrt(quadForm(a.Cov, w))
+			if i > 0 {
+				for k := range diff {
+					diff[k] = w[k] - prevW[k]
+				}
+				st.sigmaD[i] = math.Sqrt(quadForm(a.Cov, diff))
+			}
+			w, prevW = prevW, w
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// weights fills w with the first-order ratio-error weights w_k(i).
+func (st *sigmaTables) weights(w []float64, i int) {
+	r0 := st.cOn[i] / st.cT
+	w[0] = -r0 / st.cT
+	for k := 1; k < len(w); k++ {
+		dk := 0.0
+		if i&(1<<(k-1)) != 0 {
+			dk = 1
+		}
+		w[k] = (dk - r0) / st.cT
+	}
+}
+
+// quadForm returns max(0, wᵀ Cov w), summing (w_j·w_k)·Cov_jk for j
+// then k ascending and skipping w_j == 0.
+func quadForm(cov *linalg.Dense, w []float64) float64 {
+	v := 0.0
+	for j, wj := range w {
+		if wj == 0 {
+			continue
+		}
+		row := cov.Data[j*cov.N : j*cov.N+len(w)]
+		for k, c := range row {
+			v += wj * w[k] * c
+		}
+	}
+	return math.Max(0, v)
+}
+
+// nonlinearity is the per-angle systematic pass of Nonlinearity over
+// prebuilt σ tables.
+func nonlinearity(a *variation.Analysis, st *sigmaTables, par Parasitics) *Result {
+	n := a.Bits
+	codes := 1 << n
 	dSys := make([]float64, n+1)
 	sysT := 0.0
 	for k := 0; k <= n; k++ {
@@ -98,62 +211,26 @@ func Nonlinearity(a *variation.Analysis, par Parasitics, vref float64) (*Result,
 		sysT += dSys[k]
 	}
 	parsT := par.CTBOnfF + par.CTBOfffF + par.CTSfF
-	// Per-code C_ON and ΣΔC_sys,ON tables (see codeSums).
-	cOnT := codeSums(make([]float64, codes), cNom, 0)
 	sysOnT := codeSums(make([]float64, codes), dSys, 0)
 
 	lsb := 1.0 / float64(codes) // LSB in V/V_REF ratio units
-	quadForm := func(w []float64) float64 {
-		v := 0.0
-		for j := 0; j <= n; j++ {
-			if w[j] == 0 {
-				continue
-			}
-			for k := 0; k <= n; k++ {
-				v += w[j] * w[k] * a.Cov.At(j, k)
-			}
-		}
-		return math.Max(0, v)
-	}
-
 	res := &Result{ThetaRad: a.ThetaRad}
 	prevSys := 0.0
-	w := make([]float64, n+1)
-	prevW := make([]float64, n+1)
-	diff := make([]float64, n+1)
 	for i := 0; i < codes; i++ {
-		cOn := cOnT[i]
-		r0 := cOn / cT
-		rSys := (cOn + sysOnT[i] + par.CTBOnfF) / (cT + sysT + parsT)
-
-		w[0] = -r0 / cT
-		for k := 1; k <= n; k++ {
-			dk := 0.0
-			if i&(1<<(k-1)) != 0 {
-				dk = 1
-			}
-			w[k] = (dk - r0) / cT
-		}
-		sigma := math.Sqrt(quadForm(w))
-
+		rSys := (st.cOn[i] + sysOnT[i] + par.CTBOnfF) / (st.cT + sysT + parsT)
 		if i > 0 {
-			inl := (math.Abs(rSys-IdealOut(n, i)) + 3*sigma) / lsb
+			inl := (math.Abs(rSys-IdealOut(n, i)) + 3*st.sigma[i]) / lsb
 			if inl > res.MaxAbsINL {
 				res.MaxAbsINL, res.WorstINLCode = inl, i
 			}
-			for k := 0; k <= n; k++ {
-				diff[k] = w[k] - prevW[k]
-			}
-			sigmaD := math.Sqrt(quadForm(diff))
-			dnl := (math.Abs(rSys-prevSys-lsb) + 3*sigmaD) / lsb
+			dnl := (math.Abs(rSys-prevSys-lsb) + 3*st.sigmaD[i]) / lsb
 			if dnl > res.MaxAbsDNL {
 				res.MaxAbsDNL, res.WorstDNLCode = dnl, i
 			}
 		}
 		prevSys = rSys
-		copy(prevW, w)
 	}
-	return res, nil
+	return res
 }
 
 // WorstOverTheta runs Nonlinearity for every analysis in the sweep and
@@ -163,26 +240,46 @@ func WorstOverTheta(as []*variation.Analysis, parasitics Parasitics, vref float6
 	return WorstOverThetaContext(context.Background(), as, parasitics, vref)
 }
 
-// WorstOverThetaContext is WorstOverTheta under a context: the
-// per-angle code sweeps run on the context's worker budget and
-// cancellation is checked before each angle. The worst-case reduction
-// happens serially in angle order afterwards, so the selected angle —
-// including the first-wins tie break — is identical at any worker
-// count.
+// WorstOverThetaContext is WorstOverTheta under a context. The σ
+// tables are built once per distinct (Cov, Counts, CuFF) — once for a
+// SweepTheta sweep, whose angles share all three — on the context's
+// worker budget; the per-angle systematic passes then run on the same
+// budget, with cancellation checked before each angle. The worst-case
+// reduction happens serially in angle order afterwards, so the
+// selected angle — including the first-wins tie break — is identical
+// at any worker count.
 func WorstOverThetaContext(ctx context.Context, as []*variation.Analysis, parasitics Parasitics, vref float64) (*Result, error) {
 	if len(as) == 0 {
 		return nil, fmt.Errorf("dacmodel: empty theta sweep")
 	}
+	if vref <= 0 {
+		return nil, fmt.Errorf("dacmodel: vref must be positive, got %g", vref)
+	}
+	workers := par.Workers(ctx)
+	tabs := make([]*sigmaTables, len(as))
+	var built []*sigmaTables
+	for i, a := range as {
+		for _, st := range built {
+			if st.fits(a) {
+				tabs[i] = st
+				break
+			}
+		}
+		if tabs[i] == nil {
+			st, err := newSigmaTables(ctx, a, workers)
+			if err != nil {
+				return nil, err
+			}
+			built = append(built, st)
+			tabs[i] = st
+		}
+	}
 	rs := make([]*Result, len(as))
-	if err := par.ForN(par.Workers(ctx), len(as), func(i int) error {
+	if err := par.ForN(workers, len(as), func(i int) error {
 		if cerr := ctx.Err(); cerr != nil {
 			return fmt.Errorf("dacmodel: theta step %d: %w", i, cerr)
 		}
-		r, err := Nonlinearity(as[i], parasitics, vref)
-		if err != nil {
-			return err
-		}
-		rs[i] = r
+		rs[i] = nonlinearity(as[i], tabs[i], parasitics)
 		return nil
 	}); err != nil {
 		return nil, err

@@ -1,13 +1,16 @@
 package dacmodel
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"ccdac/internal/linalg"
+	parpkg "ccdac/internal/par"
 	"ccdac/internal/place"
+	"ccdac/internal/tech"
 	"ccdac/internal/variation"
 )
 
@@ -269,4 +272,100 @@ func TestMonteCarloNLAllocsFlat(t *testing.T) {
 		}
 	}
 	t.Logf("allocs per call: %v", base)
+}
+
+// refWorst is WorstOverTheta's reduction over per-angle reference
+// results: max |INL|+|DNL|, first angle wins ties.
+func refWorst(as []*variation.Analysis, par Parasitics) *Result {
+	worst := refNonlinearity(as[0], par)
+	for _, a := range as[1:] {
+		if r := refNonlinearity(a, par); r.MaxAbsINL+r.MaxAbsDNL > worst.MaxAbsINL+worst.MaxAbsDNL {
+			worst = r
+		}
+	}
+	return worst
+}
+
+// angleOf returns a copy of a at another gradient angle: fresh
+// systematic shifts, the same Cov pointer, Counts and CuFF — the shape
+// of one SweepTheta step.
+func angleOf(a *variation.Analysis, rng *rand.Rand) *variation.Analysis {
+	b := *a
+	b.ThetaRad = rng.Float64() * math.Pi
+	b.CStar = make([]float64, len(a.CStar))
+	for k := range b.CStar {
+		b.CStar[k] = float64(a.Counts[k]) * a.CuFF * (1 + 1e-3*rng.NormFloat64())
+	}
+	return &b
+}
+
+// TestWorstOverThetaMatchesReference requires WorstOverThetaContext,
+// which builds the angle-independent σ tables once per distinct
+// (Cov, Counts, CuFF), to equal the worst per-angle refNonlinearity
+// bit for bit at 1, 2 and 4 workers: on shared-Cov sweeps at 1–12
+// bits, on slices mixing analyses whose Cov (by pointer, including an
+// equal-valued copy), Counts or CuFF differ, and on a placed sweep.
+func TestWorstOverThetaMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	type tc struct {
+		name string
+		as   []*variation.Analysis
+	}
+	var cases []tc
+	for bits := 1; bits <= 12; bits++ {
+		base := syntheticAnalysis(bits, rng)
+		sweep := []*variation.Analysis{base}
+		for i := 0; i < 7; i++ {
+			sweep = append(sweep, angleOf(base, rng))
+		}
+		cases = append(cases, tc{fmt.Sprintf("shared-%d", bits), sweep})
+
+		other := syntheticAnalysis(bits, rng) // its own Cov
+		sameVals := angleOf(base, rng)
+		sameVals.Cov = linalg.NewDense(bits + 1)
+		copy(sameVals.Cov.Data, base.Cov.Data)
+		counts := angleOf(base, rng)
+		counts.Counts = append([]int(nil), base.Counts...)
+		counts.Counts[0]++
+		cu := angleOf(base, rng)
+		cu.CuFF *= 1.25
+		mixed := []*variation.Analysis{base, angleOf(base, rng), other, angleOf(other, rng),
+			sameVals, counts, angleOf(base, rng), cu}
+		cases = append(cases, tc{fmt.Sprintf("mixed-%d", bits), mixed})
+		// The worst angle has the first's Counts and CuFF but a larger
+		// Cov, so tables reused across Covs change the winner.
+		big := angleOf(base, rng)
+		big.Cov = linalg.NewDense(bits + 1)
+		for i, v := range base.Cov.Data {
+			big.Cov.Data[i] = 50 * v
+		}
+		cases = append(cases, tc{fmt.Sprintf("mixed-big-%d", bits), []*variation.Analysis{base, big, angleOf(base, rng)}})
+	}
+	m, err := place.NewSpiral(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tch := tech.FinFET12()
+	placed, err := variation.SweepTheta(m, variation.GridPositioner(tch), tch, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, tc{"placed-spiral-8", placed})
+
+	pars := []Parasitics{{}, {CTSfF: 0.37, CTBOnfF: 0.011, CTBOfffF: 0.007}}
+	for _, c := range cases {
+		for pi, par := range pars {
+			want := refWorst(c.as, par)
+			for _, workers := range []int{1, 2, 4} {
+				ctx := parpkg.WithWorkers(context.Background(), workers)
+				got, err := WorstOverThetaContext(ctx, c.as, par, 1.0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *got != *want {
+					t.Errorf("%s/par%d/workers=%d: WorstOverTheta = %+v, reference %+v", c.name, pi, workers, *got, *want)
+				}
+			}
+		}
+	}
 }

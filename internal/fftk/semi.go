@@ -51,8 +51,11 @@ type SemiGrid struct {
 type SemiEmbedding struct {
 	g    SemiGrid
 	cols int
-	m    int         // row-torus length, pow2 ≥ 2·Rows−1
-	lamT [][]float64 // per frequency: packed symmetric S[m], len C(C+1)/2
+	m    int // row-torus length, pow2 ≥ 2·Rows−1
+	// S[f] is stored by distinct column separation: lam[f][sep[p]] is
+	// the packed entry p = cj(cj+1)/2 + ci (ci ≤ cj) of S[f].
+	lam  [][]float64 // per frequency: one entry per distinct Δx²
+	sep  []int32     // packed pair → index of its Δx² in lam[f]
 	plan *Plan
 	k0   float64
 	tol  float64
@@ -116,29 +119,51 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, opts EmbedOpt
 		k0:   k0,
 		tol:  tol,
 	}
-	e.lamT = make([][]float64, m)
-	for f := range e.lamT {
-		e.lamT[f] = make([]float64, cols*(cols+1)/2)
-	}
-	// One length-M FFT per column pair: the row-direction kernel
-	// k_cc'(Δr) = kernel(Δx² + (Δr·DY)²) wrapped onto the torus. The
-	// wrap min(s, M−s) makes it even, so every spectrum is real.
-	buf := make([]complex128, m)
+	// The row-direction kernel of a column pair, k_cc'(Δr) =
+	// kernel(Δx² + (Δr·DY)²) wrapped onto the torus, depends on the
+	// pair only through Δx²: pairs with bit-equal Δx² share one
+	// length-M FFT, run once per distinct separation. The wrap
+	// min(s, M−s) makes the kernel even — so every spectrum is real —
+	// and s and M−s share one evaluation per wrap distance. Inputs,
+	// and hence spectra, are bit-identical to one FFT per pair over M
+	// evaluations each.
+	e.sep = make([]int32, cols*(cols+1)/2)
+	index := make(map[uint64]int32, cols)
+	var dxs []float64 // the first pair's Δx per distinct Δx²
 	for cj := 0; cj < cols; cj++ {
 		for ci := 0; ci <= cj; ci++ {
 			dx := g.ColX[ci] - g.ColX[cj]
-			for s := 0; s < m; s++ {
-				wr := float64(min(s, m-s)) * g.DY
-				buf[s] = complex(kernel(dx*dx+wr*wr), 0)
+			key := math.Float64bits(dx * dx)
+			k, ok := index[key]
+			if !ok {
+				k = int32(len(dxs))
+				index[key] = k
+				dxs = append(dxs, dx)
 			}
-			e.KernelEvals += int64(m)
-			plan.Forward(buf)
-			pij := cj*(cj+1)/2 + ci
-			for f := 0; f < m; f++ {
-				e.lamT[f][pij] = real(buf[f])
-			}
+			e.sep[cj*(cj+1)/2+ci] = k
 		}
 	}
+	e.lam = make([][]float64, m)
+	for f := range e.lam {
+		e.lam[f] = make([]float64, len(dxs))
+	}
+	half := m/2 + 1
+	vals := make([]float64, half)
+	buf := make([]complex128, m)
+	for k, dx := range dxs {
+		for w := range vals {
+			wr := float64(w) * g.DY
+			vals[w] = kernel(dx*dx + wr*wr)
+		}
+		for s := range buf {
+			buf[s] = complex(vals[min(s, m-s)], 0)
+		}
+		plan.Forward(buf)
+		for f, lam := range e.lam {
+			lam[k] = real(buf[f])
+		}
+	}
+	e.KernelEvals = int64(len(dxs) * half)
 	e.pool.New = func() any {
 		return &semiScratch{
 			field: make([]complex128, cols*m),
@@ -157,10 +182,20 @@ func (e *SemiEmbedding) Points() int { return e.m }
 
 // QuadForms evaluates the full matrix of quadratic forms G[j][k] =
 // 1_jᵀ C 1_k for the indicator vectors of the given classes, each a
-// list of flat row-major cell indices r·Cols+c. The raw spectra make
-// this exact to FFT roundoff even when some S[m] is indefinite. The
-// contraction is serial and therefore deterministic.
-func (e *SemiEmbedding) QuadForms(classes [][]int) [][]float64 {
+// list of flat row-major cell indices r·Cols+c, on up to workers
+// goroutines. The raw spectra make this exact to FFT roundoff even
+// when some S[m] is indefinite.
+//
+// Per frequency f the packed S[f] is expanded to a dense C×C matrix,
+// and class j's spectral indicator a_j is nonzero only in the columns
+// holding its cells, so y_j = S[f]·a_j sums over those columns alone,
+// in ascending column order, with separate real and imaginary
+// products (S is real). The skipped terms are exact ±0 added to sums
+// that start at +0, which leaves every y_j[x] and every dot a_j·y_k
+// bit-identical to the full product. The per-frequency dots are
+// written by index and reduced serially in ascending f, so G is
+// identical at any worker count.
+func (e *SemiEmbedding) QuadForms(classes [][]int, workers int) [][]float64 {
 	R, C, M := e.g.Rows, e.cols, e.m
 	nc := len(classes)
 	// Spectral indicators: one FFT per (class, column) with cells.
@@ -177,51 +212,80 @@ func (e *SemiEmbedding) QuadForms(classes [][]int) [][]float64 {
 			spec[j*C+c][r] += 1
 		}
 	}
-	for _, v := range spec {
-		if v != nil {
-			e.plan.Forward(v)
+	// cols[j] lists class j's non-empty columns in ascending order.
+	cols := make([][]int, nc)
+	for j := range cols {
+		for c, v := range spec[j*C : j*C+C] {
+			if v != nil {
+				cols[j] = append(cols[j], c)
+			}
 		}
 	}
+	// The transforms and frequency blocks cannot fail, so ForN has no
+	// error to report.
+	_ = par.ForN(workers, len(spec), func(i int) error {
+		if spec[i] != nil {
+			e.plan.Forward(spec[i])
+		}
+		return nil
+	})
+
+	np := nc * (nc + 1) / 2
+	part := make([]float64, M*np) // per-frequency dots, pairs j ≤ k row-major
+	blocks := min(max(workers, 1), M)
+	_ = par.ForN(workers, blocks, func(b int) error {
+		s := make([]float64, C*C)
+		ar, ai := make([]float64, nc*C), make([]float64, nc*C)
+		yr, yi := make([]float64, nc*C), make([]float64, nc*C)
+		for f := b * M / blocks; f < (b+1)*M/blocks; f++ {
+			e.expand(s, f)
+			for j, cs := range cols {
+				for _, c := range cs {
+					v := spec[j*C+c][f]
+					ar[j*C+c], ai[j*C+c] = real(v), imag(v)
+				}
+			}
+			for j, cs := range cols {
+				aR, aI := ar[j*C:j*C+C], ai[j*C:j*C+C]
+				for x := 0; x < C; x++ {
+					row := s[x*C : x*C+C]
+					re, im := 0.0, 0.0
+					for _, c := range cs {
+						re += row[c] * aR[c]
+						im += row[c] * aI[c]
+					}
+					yr[j*C+x], yi[j*C+x] = re, im
+				}
+			}
+			p := part[f*np : f*np+np]
+			i := 0
+			for j, cs := range cols {
+				aR, aI := ar[j*C:j*C+C], ai[j*C:j*C+C]
+				for k := j; k < nc; k++ {
+					yR, yI := yr[k*C:k*C+C], yi[k*C:k*C+C]
+					dot := 0.0
+					for _, c := range cs {
+						dot += aR[c]*yR[c] + aI[c]*yI[c]
+					}
+					p[i] = dot
+					i++
+				}
+			}
+		}
+		return nil
+	})
 
 	G := make([][]float64, nc)
 	for j := range G {
 		G[j] = make([]float64, nc)
 	}
-	a := make([]complex128, nc*C)
-	y := make([]complex128, nc*C)
 	for f := 0; f < M; f++ {
-		for i, v := range spec {
-			if v == nil {
-				a[i] = 0
-			} else {
-				a[i] = v[f]
-			}
-		}
-		lam := e.lamT[f]
-		for j := 0; j < nc; j++ {
-			aj := a[j*C : j*C+C]
-			yj := y[j*C : j*C+C]
-			for i := range yj {
-				yj[i] = 0
-			}
-			for cj := 0; cj < C; cj++ {
-				base := cj * (cj + 1) / 2
-				for ci := 0; ci < cj; ci++ {
-					v := complex(lam[base+ci], 0)
-					yj[ci] += v * aj[cj]
-					yj[cj] += v * aj[ci]
-				}
-				yj[cj] += complex(lam[base+cj], 0) * aj[cj]
-			}
-		}
+		p := part[f*np : f*np+np]
+		i := 0
 		for j := 0; j < nc; j++ {
 			for k := j; k < nc; k++ {
-				dot := 0.0
-				for c := 0; c < C; c++ {
-					av, yv := a[j*C+c], y[k*C+c]
-					dot += real(av)*real(yv) + imag(av)*imag(yv)
-				}
-				G[j][k] += dot
+				G[j][k] += p[i]
+				i++
 			}
 		}
 	}
@@ -233,6 +297,19 @@ func (e *SemiEmbedding) QuadForms(classes [][]int) [][]float64 {
 		}
 	}
 	return G
+}
+
+// expand writes S[f] into s as a dense row-major C×C matrix.
+func (e *SemiEmbedding) expand(s []float64, f int) {
+	C, lam := e.cols, e.lam[f]
+	for cj := 0; cj < C; cj++ {
+		base := cj * (cj + 1) / 2
+		for ci, k := range e.sep[base : base+cj+1] {
+			v := lam[k]
+			s[ci*C+cj] = v
+			s[cj*C+ci] = v
+		}
+	}
 }
 
 // CanSample reports whether the clamped factorization's covariance
@@ -267,16 +344,8 @@ func (e *SemiEmbedding) factorize(workers int) {
 	inv := 1 / math.Sqrt(float64(M))
 	// The per-frequency work cannot fail, so ForN has no error to report.
 	_ = par.ForN(workers, M/2+1, func(d int) error {
-		lam := e.lamT[d]
 		s := make([]float64, C*C)
-		for cj := 0; cj < C; cj++ {
-			base := cj * (cj + 1) / 2
-			for ci := 0; ci <= cj; ci++ {
-				v := lam[base+ci]
-				s[ci*C+cj] = v
-				s[cj*C+ci] = v
-			}
-		}
+		e.expand(s, d)
 		f, lower, nf := factorPSD(s, C, e.k0)
 		for i := range f {
 			f[i] *= inv

@@ -47,7 +47,7 @@ func TestSemiQuadFormsMatchDense(t *testing.T) {
 		j := rng.Intn(nc)
 		classes[j] = append(classes[j], idx)
 	}
-	got := e.QuadForms(classes)
+	got := e.QuadForms(classes, 1)
 
 	dense := semiDense(g, semiKernel)
 	for j := 0; j < nc; j++ {
@@ -73,7 +73,7 @@ func TestSemiQuadFormsSingleRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := e.QuadForms([][]int{{0, 2}, {1}})
+	got := e.QuadForms([][]int{{0, 2}, {1}}, 1)
 	dense := semiDense(g, semiKernel)
 	want00 := dense[0][0] + dense[0][2] + dense[2][0] + dense[2][2]
 	want01 := dense[0][1] + dense[2][1]

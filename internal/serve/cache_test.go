@@ -181,7 +181,10 @@ func TestSingleflightLeaderCancelHandoff(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	body := `{"bits":10,"max_parallel":2,"theta_steps":360}` // hundreds of ms
+	// ~0.45 s cold on a 2-core host; ~40 ms once an earlier run has
+	// memoized its stages, still far longer than the follower takes to
+	// subscribe.
+	body := `{"bits":12,"max_parallel":2,"theta_steps":360,"fft":"off"}`
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	defer cancelLeader()
 	leaderDone := make(chan error, 1)

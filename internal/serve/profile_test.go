@@ -365,9 +365,10 @@ func TestSlowTraceTriggersProfileCapture(t *testing.T) {
 			t.Fatalf("warmup %d: status %d: %s", i, resp.StatusCode, data)
 		}
 	}
-	// One request an order of magnitude slower than the window: lands
-	// above the slow quantile and is retained for cause.
-	resp, data := postGenerate(t, ts.URL, `{"bits":10,"theta_steps":360,"cache":"bypass"}`)
+	// One request an order of magnitude slower than the window (~0.6 s
+	// on a 2-core host; the profile windows are 50ms): lands above the
+	// slow quantile and is retained for cause.
+	resp, data := postGenerate(t, ts.URL, `{"bits":12,"style":"block-chessboard","theta_steps":360,"fft":"off","cache":"bypass"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("slow request: status %d: %s", resp.StatusCode, data)
 	}

@@ -134,10 +134,10 @@ func TestRequestTimeoutCancelsMidRequest(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// A 10-bit run with a maxed-out theta sweep takes hundreds of
-	// milliseconds, so the 1ms deadline always fires mid-pipeline.
+	// A cold 12-bit run on the dense covariance engine takes ~0.4 s on
+	// a 2-core host, so the 1ms deadline always fires mid-pipeline.
 	start := time.Now()
-	resp, data := postGenerate(t, ts.URL, `{"bits":10,"theta_steps":360}`)
+	resp, data := postGenerate(t, ts.URL, `{"bits":12,"style":"chessboard","theta_steps":360,"fft":"off"}`)
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Errorf("canceled request took %v, want prompt return", elapsed)
 	}
@@ -186,11 +186,13 @@ func TestClientCancelMidRequest(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// 10 bits with a maxed-out theta sweep runs far longer than the
-	// cancel delay, so the cancellation always lands mid-pipeline.
+	// A cold 12-bit run on the dense covariance engine takes ~0.4 s on
+	// a 2-core host, far longer than the cancel delay, so the
+	// cancellation always lands mid-pipeline. No test here completes
+	// this configuration, so the stage memo never holds its covariance.
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/generate",
-		strings.NewReader(`{"bits":10,"max_parallel":2,"theta_steps":360}`))
+		strings.NewReader(`{"bits":12,"style":"chessboard","theta_steps":360,"fft":"off"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package tech
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -99,5 +100,45 @@ func TestRhoSqPathologicalInputs(t *testing.T) {
 	// And a sane value still works afterwards.
 	if got, want := rt.Rho(1), math.Pow(0.9, 1.0/1000.0); math.Abs(got-want) > 1e-9 {
 		t.Errorf("Rho(1) after pathological inputs = %g, want %g", got, want)
+	}
+}
+
+// TestRhoSqDirectMatchesRhoSq requires the memo-free evaluator to
+// return exactly what the memoized RhoSq returns — math.Float64bits
+// equal, cold and warm — on random separations, quantization
+// half-points and their neighbours, 0, negative, huge, infinite and
+// NaN inputs, and to leave the memo's counters and entries untouched.
+func TestRhoSqDirectMatchesRhoSq(t *testing.T) {
+	tch := FinFET12()
+	tch.Mis.LcUm = 811.375 // unique parameters -> fresh table
+	rt := tch.RhoTable()
+	rng := rand.New(rand.NewSource(17))
+	var in []float64
+	for i := 0; i < 2000; i++ {
+		in = append(in, rng.Float64()*4e4, rng.ExpFloat64())
+		half := (float64(rng.Int63n(1<<40)) + 0.5) / rhoQuantInv
+		in = append(in, half, math.Nextafter(half, 0), math.Nextafter(half, math.Inf(1)))
+	}
+	limit := float64(1<<62) / rhoQuantInv
+	in = append(in, 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0.5/rhoQuantInv,
+		-1e-12, -1, -math.MaxFloat64, 1e300, math.MaxFloat64, limit,
+		math.Nextafter(limit, 0), math.Nextafter(limit, math.Inf(1)),
+		math.Inf(1), math.Inf(-1), math.NaN())
+	h0, m0 := rt.Stats()
+	e0 := rt.entries.Load()
+	direct := make([]uint64, len(in))
+	for i, d2 := range in {
+		direct[i] = math.Float64bits(rt.RhoSqDirect(d2))
+	}
+	if h, m := rt.Stats(); h != h0 || m != m0 || rt.entries.Load() != e0 {
+		t.Fatalf("RhoSqDirect touched the memo: stats (%d,%d) -> (%d,%d), entries %d -> %d",
+			h0, m0, h, m, e0, rt.entries.Load())
+	}
+	for pass, name := range []string{"cold", "warm"} {
+		for i, d2 := range in {
+			if got := math.Float64bits(rt.RhoSq(d2)); got != direct[i] {
+				t.Fatalf("%s pass %d: RhoSq(%g) = %#x, RhoSqDirect %#x", name, pass, d2, got, direct[i])
+			}
+		}
 	}
 }

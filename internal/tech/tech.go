@@ -300,28 +300,58 @@ func (rt *RhoTable) Rho(dUm float64) float64 { return rt.RhoSq(dUm * dUm) }
 // microns. Hot loops call this form: it skips the per-pair hypot/sqrt
 // (the memo is keyed on quantized d²) as well as the pow.
 func (rt *RhoTable) RhoSq(d2Um float64) float64 {
-	q := d2Um * rhoQuantInv
-	if !(q >= 0 && q < 1<<62) {
-		// Out of quantization range (huge, negative, or NaN): compute
-		// directly, mirroring the un-memoized formula.
+	key, ok := rhoKeyOf(d2Um)
+	if !ok {
 		rt.misses.Add(1)
-		return math.Exp(math.Sqrt(d2Um) * rt.coef)
+		return rt.direct(d2Um)
 	}
-	key := int64(q + 0.5)
 	if v, ok := rt.table.Load(key); ok {
 		rt.hits.Add(1)
 		return v.(float64)
 	}
 	rt.misses.Add(1)
-	// Evaluate at the quantization point, so whichever goroutine
-	// computes a key first stores the same value any other would.
-	v := math.Exp(math.Sqrt(float64(key)/rhoQuantInv) * rt.coef)
+	v := rt.atKey(key)
 	if rt.entries.Load() < rhoMemoMaxEntries {
 		if _, loaded := rt.table.LoadOrStore(key, v); !loaded {
 			rt.entries.Add(1)
 		}
 	}
 	return v
+}
+
+// RhoSqDirect returns exactly what RhoSq returns for d² — the value
+// at the same quantization point, or the same direct formula out of
+// quantization range — without reading, growing or counting in the
+// memo. Callers that evaluate each distinct distance once anyway (the
+// separable covariance tier deduplicates its kernel arguments) use it
+// to keep the process-wide table and its counters bounded.
+func (rt *RhoTable) RhoSqDirect(d2Um float64) float64 {
+	if key, ok := rhoKeyOf(d2Um); ok {
+		return rt.atKey(key)
+	}
+	return rt.direct(d2Um)
+}
+
+// rhoKeyOf quantizes d² to its memo key; ok is false out of
+// quantization range (huge, negative, or NaN).
+func rhoKeyOf(d2Um float64) (key int64, ok bool) {
+	q := d2Um * rhoQuantInv
+	if !(q >= 0 && q < 1<<62) {
+		return 0, false
+	}
+	return int64(q + 0.5), true
+}
+
+// atKey evaluates rho at a quantization point, so whichever goroutine
+// computes a key first stores the same value any other would.
+func (rt *RhoTable) atKey(key int64) float64 {
+	return math.Exp(math.Sqrt(float64(key)/rhoQuantInv) * rt.coef)
+}
+
+// direct evaluates rho out of quantization range, mirroring the
+// un-memoized formula.
+func (rt *RhoTable) direct(d2Um float64) float64 {
+	return math.Exp(math.Sqrt(d2Um) * rt.coef)
 }
 
 // Stats reports the table's cumulative memo hits and misses.
@@ -351,12 +381,11 @@ func (rt *RhoTable) Local() *RhoLocal {
 // from the local cache and falling back to the shared table.
 func (l *RhoLocal) RhoSq(d2Um float64) float64 {
 	l.calls++
-	q := d2Um * rhoQuantInv
-	if !(q >= 0 && q < 1<<62) {
+	key, ok := rhoKeyOf(d2Um)
+	if !ok {
 		l.fetches++
 		return l.rt.RhoSq(d2Um)
 	}
-	key := int64(q + 0.5)
 	if v, ok := l.m[key]; ok {
 		return v
 	}

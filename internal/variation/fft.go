@@ -342,33 +342,31 @@ func covarianceFFT(ctx context.Context, g *cellGeom, t *tech.Technology, grid ff
 }
 
 // mismatchSemiEmbedding is the separable-lattice analog of
-// mismatchEmbedding, sharing the same quantized rho memo.
-func mismatchSemiEmbedding(t *tech.Technology, sg fftk.SemiGrid) (*fftk.SemiEmbedding, int64, int64, error) {
+// mismatchEmbedding. The embedding evaluates each distinct kernel
+// argument once (KernelEvals counts them), so it takes the memo-free
+// RhoSqDirect — the same values the quantized memo serves — and
+// leaves the process-wide table and its counters untouched.
+func mismatchSemiEmbedding(t *tech.Technology, sg fftk.SemiGrid) (*fftk.SemiEmbedding, error) {
 	sigmaU2 := t.SigmaU() * t.SigmaU()
-	local := t.RhoTable().Local()
-	emb, err := fftk.NewSemiEmbedding(sg, func(d2 float64) float64 {
-		return sigmaU2 * local.RhoSq(d2)
+	rt := t.RhoTable()
+	return fftk.NewSemiEmbedding(sg, func(d2 float64) float64 {
+		return sigmaU2 * rt.RhoSqDirect(d2)
 	}, fftk.EmbedOptions{})
-	calls, fetches := local.Stats()
-	if err != nil {
-		return nil, calls, fetches, err
-	}
-	return emb, calls, fetches, nil
 }
 
 // covarianceSemi evaluates the capacitor quadratic forms through the
 // row-spectral embedding: per row-frequency the operator is one
 // cols×cols cross-spectral matrix, so the full (N+1)² block of forms
 // contracts in O(M·(N·C² + N²·C)) — no n×n matrix and no O(n²) pair
-// sum. The contraction is serial, hence deterministic at any worker
-// count.
+// sum. The contraction runs on the context's worker budget and
+// reduces its per-frequency partials in frequency order, hence is
+// bit-identical at any worker count.
 func covarianceSemi(ctx context.Context, g *cellGeom, t *tech.Technology, sg fftk.SemiGrid) (*linalg.Dense, error) {
-	emb, calls, fetches, err := mismatchSemiEmbedding(t, sg)
+	emb, err := mismatchSemiEmbedding(t, sg)
 	if err != nil {
 		return nil, err
 	}
-	obs.Count(ctx, "ccdac_variation_rho_calls_total", calls)
-	obs.Count(ctx, "ccdac_variation_rho_memo_hits_total", calls-fetches)
+	obs.Count(ctx, "ccdac_variation_rho_calls_total", emb.KernelEvals)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("variation: covariance: %w", err)
 	}
@@ -380,7 +378,7 @@ func covarianceSemi(ctx context.Context, g *cellGeom, t *tech.Technology, sg fft
 			classes[k][i] = c.Row*g.cols + c.Col
 		}
 	}
-	forms := emb.QuadForms(classes)
+	forms := emb.QuadForms(classes, par.Workers(ctx))
 	cov := linalg.NewDense(bits + 1)
 	for j := 0; j <= bits; j++ {
 		for k := 0; k <= bits; k++ {
@@ -432,26 +430,24 @@ func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.T
 	var sampler interface {
 		Sample([]float64, *rand.Rand)
 	}
-	var calls, fetches int64
 	if regular {
-		emb, c, f, err := mismatchEmbedding(t, grid)
-		calls, fetches = c, f
+		emb, calls, fetches, err := mismatchEmbedding(t, grid)
 		if err != nil || !emb.CanSample() {
 			obs.CountL(ctx, "ccdac_numeric_fft_fallback_total", obs.Labels{"path": "mc"}, 1)
 			return nil, false
 		}
+		obs.Count(ctx, "ccdac_variation_rho_calls_total", calls)
+		obs.Count(ctx, "ccdac_variation_rho_memo_hits_total", calls-fetches)
 		sampler = emb
 	} else {
-		emb, c, f, err := mismatchSemiEmbedding(t, sg)
-		calls, fetches = c, f
+		emb, err := mismatchSemiEmbedding(t, sg)
 		if err != nil || !emb.Factorize(par.Workers(ctx)) {
 			obs.CountL(ctx, "ccdac_numeric_fft_fallback_total", obs.Labels{"path": "mc"}, 1)
 			return nil, false
 		}
+		obs.Count(ctx, "ccdac_variation_rho_calls_total", emb.KernelEvals)
 		sampler = emb
 	}
-	obs.Count(ctx, "ccdac_variation_rho_calls_total", calls)
-	obs.Count(ctx, "ccdac_variation_rho_memo_hits_total", calls-fetches)
 	obs.CountL(ctx, "ccdac_numeric_fft_structured_total", obs.Labels{"path": "mc"}, 1)
 	return &mcSampler{sampler: sampler, cols: cols, scratch: newMCScratchPool(rows * cols)}, true
 }
