@@ -29,23 +29,43 @@ import (
 )
 
 // BenchmarkAnalyzeCov measures the covariance-dominated variation
-// analysis, serial (workers = -1) and at the default worker budget.
+// analysis, serial (workers = -1) and at the default worker budget:
+// spiral placement grids at 6, 8, 10 and 12 bits (uniform columns),
+// plus the routed 11-bit spiral, whose dummy cells leave an
+// incomplete channel-shifted lattice.
 func BenchmarkAnalyzeCov(b *testing.B) {
 	t := tech.FinFET12()
-	for _, bits := range []int{6, 8, 10} {
+	type input struct {
+		name string
+		m    *ccmatrix.Matrix
+		pos  variation.Positioner
+	}
+	var inputs []input
+	for _, bits := range []int{6, 8, 10, 12} {
 		m, err := place.NewSpiral(bits)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pos := variation.GridPositioner(t)
+		inputs = append(inputs, input{fmt.Sprintf("N%d", bits), m, variation.GridPositioner(t)})
+	}
+	m, err := place.NewSpiral(11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := route.Route(m, t, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs = append(inputs, input{"N11-routed", m, l.CellCenter})
+	for _, in := range inputs {
 		for _, mode := range []struct {
 			name    string
 			workers int
 		}{{"serial", -1}, {"parallel", 0}} {
 			ctx := par.WithWorkers(context.Background(), mode.workers)
-			b.Run(fmt.Sprintf("N%d/%s", bits, mode.name), func(b *testing.B) {
+			b.Run(in.name+"/"+mode.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := variation.AnalyzeContext(ctx, m, pos, t, math.Pi/4); err != nil {
+					if _, err := variation.AnalyzeContext(ctx, in.m, in.pos, t, math.Pi/4); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -316,8 +336,9 @@ func TestBenchAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the shared rho memo first so the comparison measures the
-	// steady state a pipeline run sees, then time both formulations.
+	// One untimed run first so the comparison measures the steady
+	// state a pipeline run sees (warm allocator and caches), then time
+	// both formulations.
 	if _, err := variation.Analyze(m, pos, tch, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -135,8 +135,8 @@ func TestExtractSerialParallelEquivalent(t *testing.T) {
 
 // TestConcurrentExtractAndAnalyzeShareTechnology drives Extract and
 // the covariance analysis concurrently on one *tech.Technology, so the
-// race detector exercises the shared rho memo table and the parallel
-// hot loops together.
+// race detector exercises the shared technology and the parallel hot
+// loops together.
 func TestConcurrentExtractAndAnalyzeShareTechnology(t *testing.T) {
 	tch := tech.FinFET12()
 	pm, err := place.NewSpiral(6)

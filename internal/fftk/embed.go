@@ -1,22 +1,19 @@
 // Circulant embedding of a stationary correlation kernel on a regular
-// grid. The unit-cell covariance C[a][b] = k(d²(a,b)) of a rows×cols
-// lattice with uniform pitch is block-Toeplitz with Toeplitz blocks;
-// embedding it in the covariance of a P×Q torus (P ≥ 2·rows−1, Q ≥
-// 2·cols−1, rounded to powers of two) makes the operator circulant, so
-// its eigenvalues are one 2-D FFT of the first kernel row and every
-// matvec or correlated Gaussian draw costs O(M log M), M = P·Q —
-// never materializing the n×n matrix.
+// grid, for correlated Gaussian sampling. The unit-cell covariance
+// C[a][b] = k(d²(a,b)) of a rows×cols lattice with uniform pitch is
+// block-Toeplitz with Toeplitz blocks; embedding it in the covariance
+// of a P×Q torus (P ≥ 2·rows−1, Q ≥ 2·cols−1, rounded to powers of
+// two) makes the operator circulant, so its eigenvalues are one 2-D
+// FFT of the first kernel row and every draw costs O(M log M), M =
+// P·Q — never materializing the n×n matrix. (Quadratic forms of the
+// covariance, uniform grid or not, are SemiEmbedding.QuadForms' job.)
 //
-// Matvecs and sampling have different soundness conditions. The dense
-// covariance is exactly the torus circulant restricted to the lattice,
-// so MulVec with the raw (possibly negative) eigenvalues reproduces
-// the dense product to FFT roundoff unconditionally. Sampling needs a
-// nonnegative spectrum: negative eigenvalues are clamped to zero,
-// which perturbs every covariance entry by at most Σ|λ_neg|/M — the
-// construction measures that bound, retries on a padded torus when it
-// exceeds SampleTol, and disables sampling (CanSample false, the
-// caller's cue to fall back to dense Cholesky) when padding cannot fix
-// it either.
+// Sampling needs a nonnegative spectrum: negative eigenvalues are
+// clamped to zero, which perturbs every covariance entry by at most
+// Σ|λ_neg|/M — the construction measures that bound, retries once on
+// a doubled torus when it exceeds sampleTol, and disables sampling
+// (CanSample false, the caller's cue to fall back to dense Cholesky)
+// when padding cannot fix it either.
 package fftk
 
 import (
@@ -27,6 +24,16 @@ import (
 	"sync"
 )
 
+// sampleTol is the largest tolerated entrywise covariance error of a
+// clamped sampling spectrum, relative to the kernel's variance k(0).
+// The flow's long-range exp kernel sits near 3e-3 at 14-bit grids.
+const sampleTol = 1e-2
+
+// maxDoublings bounds how many times the torus may be doubled chasing
+// a sampleable spectrum: each doubling quadruples the spectral work,
+// so the chase must stay bounded.
+const maxDoublings = 1
+
 // Grid describes the regular lattice being embedded: dimensions in
 // cells and the uniform pitch (microns) along each axis.
 type Grid struct {
@@ -34,42 +41,22 @@ type Grid struct {
 	DX, DY     float64
 }
 
-// EmbedOptions tunes the embedding construction; the zero value gives
-// the defaults the flow uses.
-type EmbedOptions struct {
-	// SampleTol is the largest tolerated entrywise covariance error of
-	// the clamped sampling spectrum, relative to the kernel's variance
-	// k(0) (default 1e-2). The flow's long-range exp kernel sits near
-	// 3e-3 at 14-bit grids.
-	SampleTol float64
-	// MaxDoublings bounds how many times the torus may be doubled
-	// chasing a sampleable spectrum (default 1 — each doubling
-	// quadruples the spectral work, so the chase must stay bounded).
-	MaxDoublings int
-}
-
-// Embedding is the spectral form of one grid kernel: the torus
-// eigenvalues plus the 2-D plan that diagonalizes the circulant. It is
-// immutable after construction and safe for concurrent use; per-call
-// scratch comes from an internal pool.
+// Embedding is the sampling spectrum of one grid kernel plus the 2-D
+// plan that diagonalizes the circulant. It is immutable after
+// construction and safe for concurrent use; per-call scratch comes
+// from an internal pool.
 type Embedding struct {
 	grid Grid
 	p, q int // torus dims (pow2), p rows × q cols
 
-	lam     []float64 // raw circulant eigenvalues (matvec path)
 	sqrtLam []float64 // sqrt(max(λ,0)/M), the sampling spectrum
 	plan    *Plan2D
 	pool    sync.Pool
 
-	// KernelEvals counts kernel evaluations spent building the
-	// embedding (one torus row, P·Q, per padding attempt).
-	KernelEvals int64
-	// Doublings is how many padding rounds the accepted torus needed.
-	Doublings int
 	// SampleRelErr is Σ|λ_neg|/M relative to k(0): the entrywise
 	// covariance error bound of the clamped sampling spectrum.
 	SampleRelErr float64
-	// canSample records whether SampleRelErr passed SampleTol.
+	// canSample records whether SampleRelErr passed sampleTol.
 	canSample bool
 }
 
@@ -81,22 +68,12 @@ type embedScratch struct {
 // NewEmbedding builds the circulant embedding of kernel(d²) — d² in
 // µm² — over g. Construction only fails on degenerate arguments;
 // whether the spectrum supports sampling is reported by CanSample.
-func NewEmbedding(g Grid, kernel func(d2 float64) float64, opts EmbedOptions) (*Embedding, error) {
+func NewEmbedding(g Grid, kernel func(d2 float64) float64) (*Embedding, error) {
 	if g.Rows < 1 || g.Cols < 1 {
 		return nil, fmt.Errorf("fftk: embedding grid %dx%d, want >= 1", g.Rows, g.Cols)
 	}
 	if !(g.DX >= 0) || !(g.DY >= 0) {
 		return nil, fmt.Errorf("fftk: embedding pitch (%g, %g), want >= 0", g.DX, g.DY)
-	}
-	tol := opts.SampleTol
-	if tol <= 0 {
-		tol = 1e-2
-	}
-	maxDbl := opts.MaxDoublings
-	if maxDbl < 0 {
-		maxDbl = 0
-	} else if maxDbl == 0 {
-		maxDbl = 1
 	}
 	k0 := kernel(0)
 	if !(k0 > 0) || math.IsInf(k0, 0) || math.IsNaN(k0) {
@@ -121,31 +98,26 @@ func NewEmbedding(g Grid, kernel func(d2 float64) float64, opts EmbedOptions) (*
 				spec[r*q+c] = complex(kernel(wr*wr+wc*wc), 0)
 			}
 		}
-		e.KernelEvals += int64(p * q)
 		plan.Forward(spec, make([]complex128, p))
 
 		m := float64(p * q)
-		lam := make([]float64, p*q)
 		sumNeg := 0.0
-		for i, v := range spec {
-			lam[i] = real(v)
-			if lam[i] < 0 {
-				sumNeg -= lam[i]
+		for _, v := range spec {
+			if l := real(v); l < 0 {
+				sumNeg -= l
 			}
 		}
 		relErr := sumNeg / m / k0
-		if relErr > tol && dbl < maxDbl {
+		if relErr > sampleTol && dbl < maxDoublings {
 			continue // pad: a bigger torus may relax the wrap-around kink
 		}
 		e.p, e.q = p, q
 		e.plan = plan
-		e.Doublings = dbl
 		e.SampleRelErr = relErr
-		e.canSample = relErr <= tol
-		e.lam = lam
-		e.sqrtLam = make([]float64, len(lam))
-		for i, l := range lam {
-			if l > 0 {
+		e.canSample = relErr <= sampleTol
+		e.sqrtLam = make([]float64, len(spec))
+		for i, v := range spec {
+			if l := real(v); l > 0 {
 				e.sqrtLam[i] = math.Sqrt(l / m)
 			}
 		}
@@ -169,69 +141,9 @@ func torusDim(n int) int {
 	return 1 << uint(bits.Len(uint(need-1)))
 }
 
-// Grid returns the embedded lattice description.
-func (e *Embedding) Grid() Grid { return e.grid }
-
-// Points returns the torus size M = P·Q — the length of the spectral
-// work each matvec or sample performs.
-func (e *Embedding) Points() int { return e.p * e.q }
-
 // CanSample reports whether the clamped spectrum's covariance error
-// stayed within SampleTol — the precondition for Sample. MulVec is
-// sound either way.
+// stayed within sampleTol — the precondition for Sample.
 func (e *Embedding) CanSample() bool { return e.canSample }
-
-// MulVec computes dst = C·x for the grid covariance operator C, with x
-// and dst row-major over the rows×cols lattice (len Rows*Cols). dst
-// and x may alias. The raw spectrum makes this exact (to FFT
-// roundoff) even when the embedding is indefinite.
-func (e *Embedding) MulVec(dst, x []float64) {
-	e.mulVec(dst, nil, x, nil)
-}
-
-// MulVec2 computes dst1 = C·x1 and dst2 = C·x2 with a single complex
-// transform pair: the operator is real, so packing z = x1 + i·x2
-// keeps the two products in the real and imaginary parts. This is the
-// two-for-one real-to-complex trick; it halves the FFT count of the
-// indicator-vector sweeps in variation.
-func (e *Embedding) MulVec2(dst1, dst2, x1, x2 []float64) {
-	e.mulVec(dst1, dst2, x1, x2)
-}
-
-func (e *Embedding) mulVec(dst1, dst2, x1, x2 []float64) {
-	n := e.grid.Rows * e.grid.Cols
-	if len(x1) != n || len(dst1) != n || (x2 != nil && (len(x2) != n || len(dst2) != n)) {
-		panic(fmt.Sprintf("fftk: MulVec length, want %d", n))
-	}
-	s := e.pool.Get().(*embedScratch)
-	defer e.pool.Put(s)
-	for i := range s.buf {
-		s.buf[i] = 0
-	}
-	for r := 0; r < e.grid.Rows; r++ {
-		for c := 0; c < e.grid.Cols; c++ {
-			im := 0.0
-			if x2 != nil {
-				im = x2[r*e.grid.Cols+c]
-			}
-			s.buf[r*e.q+c] = complex(x1[r*e.grid.Cols+c], im)
-		}
-	}
-	e.plan.Forward(s.buf, s.col)
-	for i, l := range e.lam {
-		s.buf[i] *= complex(l, 0)
-	}
-	e.plan.Inverse(s.buf, s.col)
-	for r := 0; r < e.grid.Rows; r++ {
-		for c := 0; c < e.grid.Cols; c++ {
-			v := s.buf[r*e.q+c]
-			dst1[r*e.grid.Cols+c] = real(v)
-			if x2 != nil {
-				dst2[r*e.grid.Cols+c] = imag(v)
-			}
-		}
-	}
-}
 
 // Sample draws one zero-mean Gaussian field with covariance C into dst
 // (row-major over the lattice, len Rows*Cols): spectral noise ε_k =
@@ -256,7 +168,7 @@ func (e *Embedding) Sample(dst []float64, rng *rand.Rand) {
 		im := rng.NormFloat64()
 		s.buf[i] = complex(sl*re, sl*im)
 	}
-	e.plan.transform(s.buf, s.col, false, e.grid.Cols)
+	e.plan.transform(s.buf, s.col, e.grid.Cols)
 	for r := 0; r < e.grid.Rows; r++ {
 		for c := 0; c < e.grid.Cols; c++ {
 			dst[r*e.grid.Cols+c] = real(s.buf[r*e.q+c])

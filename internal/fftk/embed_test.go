@@ -30,69 +30,13 @@ func denseCov(g Grid, kernel func(float64) float64) [][]float64 {
 	return cov
 }
 
-// TestEmbeddingMatvecMatchesDense: the raw-spectrum matvec must match
-// the dense product to roundoff regardless of the embedding's
-// definiteness (the long-range kernel here is mildly indefinite).
-func TestEmbeddingMatvecMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	kernel := expKernel(1.3, 0.9, 1000)
-	for _, dims := range [][2]int{{1, 4}, {3, 3}, {4, 8}, {7, 5}} {
-		g := Grid{Rows: dims[0], Cols: dims[1], DX: 1.76, DY: 2.1}
-		e, err := NewEmbedding(g, kernel, EmbedOptions{})
-		if err != nil {
-			t.Fatalf("%dx%d: NewEmbedding: %v", g.Rows, g.Cols, err)
-		}
-		cov := denseCov(g, kernel)
-		n := g.Rows * g.Cols
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		got := make([]float64, n)
-		e.MulVec(got, x)
-		for i := 0; i < n; i++ {
-			want := 0.0
-			for j := 0; j < n; j++ {
-				want += cov[i][j] * x[j]
-			}
-			if math.Abs(got[i]-want) > 1e-10*math.Abs(want)+1e-12 {
-				t.Fatalf("%dx%d: MulVec[%d] = %g, want %g", g.Rows, g.Cols, i, got[i], want)
-			}
-		}
-	}
-}
-
-func TestEmbeddingMulVec2MatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	g := Grid{Rows: 5, Cols: 6, DX: 1, DY: 1}
-	e, err := NewEmbedding(g, expKernel(1, 0.8, 10), EmbedOptions{})
-	if err != nil {
-		t.Fatalf("NewEmbedding: %v", err)
-	}
-	n := g.Rows * g.Cols
-	x1, x2 := make([]float64, n), make([]float64, n)
-	for i := range x1 {
-		x1[i], x2[i] = rng.NormFloat64(), rng.NormFloat64()
-	}
-	w1, w2 := make([]float64, n), make([]float64, n)
-	e.MulVec(w1, x1)
-	e.MulVec(w2, x2)
-	g1, g2 := make([]float64, n), make([]float64, n)
-	e.MulVec2(g1, g2, x1, x2)
-	for i := 0; i < n; i++ {
-		if math.Abs(g1[i]-w1[i]) > 1e-10 || math.Abs(g2[i]-w2[i]) > 1e-10 {
-			t.Fatalf("MulVec2[%d] = (%g, %g), want (%g, %g)", i, g1[i], g2[i], w1[i], w2[i])
-		}
-	}
-}
-
 // TestSampleCovarianceConverges draws many fields and checks the
 // empirical covariance against the kernel (a statistical bound, hence
 // the loose tolerance at this sample count).
 func TestSampleCovarianceConverges(t *testing.T) {
 	g := Grid{Rows: 4, Cols: 4, DX: 1.76, DY: 1.76}
 	kernel := expKernel(1, 0.9, 1000)
-	e, err := NewEmbedding(g, kernel, EmbedOptions{})
+	e, err := NewEmbedding(g, kernel)
 	if err != nil {
 		t.Fatalf("NewEmbedding: %v", err)
 	}
@@ -130,7 +74,7 @@ func TestSampleCovarianceConverges(t *testing.T) {
 // TestSampleDeterministic: same rng seed, same field.
 func TestSampleDeterministic(t *testing.T) {
 	g := Grid{Rows: 3, Cols: 5, DX: 1, DY: 1}
-	e, err := NewEmbedding(g, expKernel(1, 0.9, 100), EmbedOptions{})
+	e, err := NewEmbedding(g, expKernel(1, 0.9, 100))
 	if err != nil {
 		t.Fatalf("NewEmbedding: %v", err)
 	}
@@ -146,48 +90,30 @@ func TestSampleDeterministic(t *testing.T) {
 }
 
 // TestEmbeddingNotSampleable: an oscillatory kernel keeps a strongly
-// indefinite spectrum no padding fixes, so sampling must be refused —
-// while the matvec stays exact.
+// indefinite spectrum no padding fixes, so sampling must be refused.
 func TestEmbeddingNotSampleable(t *testing.T) {
 	osc := func(d2 float64) float64 { return math.Cos(3 * math.Sqrt(d2)) }
 	g := Grid{Rows: 8, Cols: 8, DX: 1, DY: 1}
-	e, err := NewEmbedding(g, osc, EmbedOptions{SampleTol: 1e-3, MaxDoublings: 1})
+	e, err := NewEmbedding(g, osc)
 	if err != nil {
 		t.Fatalf("NewEmbedding: %v", err)
 	}
 	if e.CanSample() {
 		t.Fatalf("oscillatory kernel reported sampleable (rel err %g)", e.SampleRelErr)
 	}
-	cov := denseCov(g, osc)
-	n := g.Rows * g.Cols
-	x := make([]float64, n)
-	rng := rand.New(rand.NewSource(13))
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	got := make([]float64, n)
-	e.MulVec(got, x)
-	for i := 0; i < n; i++ {
-		want := 0.0
-		for j := 0; j < n; j++ {
-			want += cov[i][j] * x[j]
-		}
-		if math.Abs(got[i]-want) > 1e-9 {
-			t.Fatalf("indefinite matvec[%d] = %g, want %g", i, got[i], want)
-		}
-	}
+	t.Logf("clamp bound %.3g > tolerance %g", e.SampleRelErr, sampleTol)
 }
 
 func TestEmbeddingRejectsBadArgs(t *testing.T) {
 	k := expKernel(1, 0.9, 10)
-	if _, err := NewEmbedding(Grid{Rows: 0, Cols: 4, DX: 1, DY: 1}, k, EmbedOptions{}); err == nil {
+	if _, err := NewEmbedding(Grid{Rows: 0, Cols: 4, DX: 1, DY: 1}, k); err == nil {
 		t.Error("zero-row grid accepted")
 	}
-	if _, err := NewEmbedding(Grid{Rows: 2, Cols: 2, DX: math.NaN(), DY: 1}, k, EmbedOptions{}); err == nil {
+	if _, err := NewEmbedding(Grid{Rows: 2, Cols: 2, DX: math.NaN(), DY: 1}, k); err == nil {
 		t.Error("NaN pitch accepted")
 	}
 	bad := func(d2 float64) float64 { return 0 }
-	if _, err := NewEmbedding(Grid{Rows: 2, Cols: 2, DX: 1, DY: 1}, bad, EmbedOptions{}); err == nil {
+	if _, err := NewEmbedding(Grid{Rows: 2, Cols: 2, DX: 1, DY: 1}, bad); err == nil {
 		t.Error("zero-variance kernel accepted")
 	}
 }

@@ -1,19 +1,19 @@
 // Package fftk provides the FFT kernels behind the flow's structured-
 // covariance paths (docs/PERFORMANCE.md, "Structured covariance"): an
 // iterative radix-2 complex FFT with a Bluestein fallback for general
-// lengths, separable 2-D plans, and the circulant embedding of a
-// stationary correlation kernel on a regular grid (embed.go). Together
-// they turn the analysis covariance matvec and the Monte-Carlo
-// correlated-sampling step from O(n²)/O(n³) dense operations into
-// O(n log n) spectral ones.
+// lengths, separable 2-D plans, and two embeddings of a stationary
+// correlation kernel. The row-spectral SemiEmbedding (semi.go) spans a
+// lattice with uniform row pitch and arbitrary column positions; its
+// QuadForms is the one structured analysis engine, turning the
+// capacitor-level covariance's O(n²) pair sum into a per-frequency
+// contraction, and its factorized draw samples routed layouts. The
+// 2-D circulant Embedding (embed.go) is a sampler only: on a fully
+// uniform grid it draws a correlated field in O(n log n).
 //
 // Plans are immutable after construction and safe for concurrent use;
-// all mutable state lives in caller-supplied scratch (or, for
-// Embedding, in its internal sync.Pool), so par.ForN fan-out composes
-// without locks. Real-valued transforms are served by the classical
-// two-for-one packing — two real vectors ride one complex transform —
-// implemented where it is used, in Embedding.MulVec2 and
-// Embedding.Sample.
+// all mutable state lives in caller-supplied scratch (or, for the
+// embeddings, in an internal sync.Pool), so par.ForN fan-out composes
+// without locks.
 //
 // The evaluation environment has no external numeric libraries, so the
 // transforms are implemented from scratch on complex128 slices.
@@ -166,7 +166,7 @@ func (p *Plan) bluestein(x []complex128) {
 	}
 }
 
-// Plan2D is a separable 2-D DFT over a rows×cols row-major grid:
+// Plan2D is a separable forward 2-D DFT over a rows×cols row-major grid:
 // a length-cols transform of every row followed by a length-rows
 // transform of every column. Like Plan, it is immutable and
 // concurrency-safe; the column gather/scatter buffer is caller scratch.
@@ -194,19 +194,14 @@ func NewPlan2D(rows, cols int) (*Plan2D, error) {
 // Forward transforms x (row-major, len Rows*Cols) in place. colBuf is
 // scratch of length Rows for the strided column passes.
 func (p *Plan2D) Forward(x, colBuf []complex128) {
-	p.transform(x, colBuf, false, p.Cols)
+	p.transform(x, colBuf, p.Cols)
 }
 
-// Inverse applies the normalized inverse 2-D transform in place.
-func (p *Plan2D) Inverse(x, colBuf []complex128) {
-	p.transform(x, colBuf, true, p.Cols)
-}
-
-// transform runs the row pass over every row and the column pass over
-// the first cols columns only. Column transforms are independent, so
-// the columns it does transform are bit-identical to a full
-// transform's; the rest are left after the row pass.
-func (p *Plan2D) transform(x, colBuf []complex128, inverse bool, cols int) {
+// transform runs the forward row pass over every row and the column
+// pass over the first cols columns only. Column transforms are
+// independent, so the columns it does transform are bit-identical to
+// a full transform's; the rest are left after the row pass.
+func (p *Plan2D) transform(x, colBuf []complex128, cols int) {
 	if len(x) != p.Rows*p.Cols {
 		panic(fmt.Sprintf("fftk: 2-D transform length %d, want %d", len(x), p.Rows*p.Cols))
 	}
@@ -214,23 +209,14 @@ func (p *Plan2D) transform(x, colBuf []complex128, inverse bool, cols int) {
 		panic(fmt.Sprintf("fftk: 2-D column scratch length %d, want >= %d", len(colBuf), p.Rows))
 	}
 	for r := 0; r < p.Rows; r++ {
-		row := x[r*p.Cols : (r+1)*p.Cols]
-		if inverse {
-			p.row.Inverse(row)
-		} else {
-			p.row.Forward(row)
-		}
+		p.row.Forward(x[r*p.Cols : (r+1)*p.Cols])
 	}
 	cb := colBuf[:p.Rows]
 	for c := 0; c < cols; c++ {
 		for r := 0; r < p.Rows; r++ {
 			cb[r] = x[r*p.Cols+c]
 		}
-		if inverse {
-			p.col.Inverse(cb)
-		} else {
-			p.col.Forward(cb)
-		}
+		p.col.Forward(cb)
 		for r := 0; r < p.Rows; r++ {
 			x[r*p.Cols+c] = cb[r]
 		}

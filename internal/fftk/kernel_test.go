@@ -16,7 +16,7 @@ import (
 // for bit.
 func TestEmbeddingSamplePrunedColumnsExact(t *testing.T) {
 	g := Grid{Rows: 5, Cols: 7, DX: 1.3, DY: 0.9}
-	e, err := NewEmbedding(g, expKernel(1, 0.9, 100), EmbedOptions{})
+	e, err := NewEmbedding(g, expKernel(1, 0.9, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func longSemi(t *testing.T) *SemiEmbedding {
 	t.Helper()
 	longKernel := func(d2 float64) float64 { return math.Exp(-math.Sqrt(d2) / 200) }
 	g := SemiGrid{Rows: 32, DY: 1, ColX: []float64{0, 1.7, 3.1, 4.9, 7.2, 8.8}}
-	e, err := NewSemiEmbedding(g, longKernel, EmbedOptions{})
+	e, err := NewSemiEmbedding(g, longKernel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,10 @@
 // rows, arbitrary column positions. Routed layouts have exactly this
 // shape — cell rows stay on the placement pitch while channel
 // insertions of varying width push the columns off any uniform
-// lattice — so the full 2-D embedding of embed.go never fits them.
-// The covariance is still block-Toeplitz over rows (the kernel depends
-// on the row separation only through Δr·DY) with full, non-Toeplitz
+// lattice — and a uniform grid is the special case of evenly spaced
+// columns, so this one embedding carries every structured analysis.
+// The covariance is block-Toeplitz over rows (the kernel depends on
+// the row separation only through Δr·DY) with full, non-Toeplitz
 // cols×cols blocks. Embedding the row axis alone in a circulant of
 // length M ≥ 2·Rows−1 block-diagonalizes the operator into M
 // cross-spectral cols×cols matrices S[m] = {λ_cc'[m]}: quadratic
@@ -13,18 +14,18 @@
 // versus O(n²) per quadratic form and an impossible O(n³) Cholesky
 // for the dense path.
 //
-// Soundness mirrors embed.go: quadratic forms use the raw spectra and
-// are exact to FFT roundoff unconditionally. Sampling needs every
-// S[m] PSD; the min-wrap kink of the long-range mismatch kernel makes
-// a band of them mildly indefinite (a few percent of k(0) in clamped
-// mass, and padding only worsens the kink — as it does for the 2-D
-// embedding). The sampler clamps the negative eigenvalues and gates
-// on the EXACT covariance perturbation the clamp induces: the clamped
-// parts N[m] are inverse-transformed back to row lags, where their
-// oscillating contributions largely cancel — measured ~7e-4 relative
-// on routed 12-bit arrays whose nuclear-mass bound (the embed.go
-// gate) says 4e-2. Factorization tries Cholesky per frequency first
-// and falls back to a Jacobi eigen-clamp on the indefinite ones.
+// Quadratic forms use the raw spectra and are exact to FFT roundoff
+// unconditionally. Sampling needs every S[m] PSD; the min-wrap kink
+// of the long-range mismatch kernel makes a band of them mildly
+// indefinite (a few percent of k(0) in clamped mass, and padding only
+// worsens the kink — as it does for the 2-D embedding). The sampler
+// clamps the negative eigenvalues and gates on the EXACT covariance
+// perturbation the clamp induces: the clamped parts N[m] are
+// inverse-transformed back to row lags, where their oscillating
+// contributions largely cancel — measured ~7e-4 relative on routed
+// 12-bit arrays whose nuclear-mass bound (the 2-D embedding's gate)
+// says 4e-2. Factorization tries Cholesky per frequency first and
+// falls back to a Jacobi eigen-clamp on the indefinite ones.
 package fftk
 
 import (
@@ -58,7 +59,6 @@ type SemiEmbedding struct {
 	sep  []int32     // packed pair → index of its Δx² in lam[f]
 	plan *Plan
 	k0   float64
-	tol  float64
 
 	// KernelEvals counts kernel evaluations spent building the spectra.
 	KernelEvals int64
@@ -89,17 +89,13 @@ type semiScratch struct {
 // d² in µm² — over g. Construction only fails on degenerate
 // arguments; whether the spectra support sampling is reported by
 // CanSample.
-func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, opts EmbedOptions) (*SemiEmbedding, error) {
+func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64) (*SemiEmbedding, error) {
 	cols := len(g.ColX)
 	if g.Rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("fftk: semi embedding %dx%d, want >= 1", g.Rows, cols)
 	}
 	if !(g.DY >= 0) {
 		return nil, fmt.Errorf("fftk: semi embedding row pitch %g, want >= 0", g.DY)
-	}
-	tol := opts.SampleTol
-	if tol <= 0 {
-		tol = 1e-2
 	}
 	k0 := kernel(0)
 	if !(k0 > 0) || math.IsInf(k0, 0) || math.IsNaN(k0) {
@@ -117,7 +113,6 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, opts EmbedOpt
 		m:    m,
 		plan: plan,
 		k0:   k0,
-		tol:  tol,
 	}
 	// The row-direction kernel of a column pair, k_cc'(Δr) =
 	// kernel(Δx² + (Δr·DY)²) wrapped onto the torus, depends on the
@@ -172,13 +167,6 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, opts EmbedOpt
 	}
 	return e, nil
 }
-
-// Grid returns the embedded lattice description.
-func (e *SemiEmbedding) Grid() SemiGrid { return e.g }
-
-// Points returns the row-torus length M — together with the column
-// count it bounds the spectral work per sample, O(M·C²).
-func (e *SemiEmbedding) Points() int { return e.m }
 
 // QuadForms evaluates the full matrix of quadratic forms G[j][k] =
 // 1_jᵀ C 1_k for the indicator vectors of the given classes, each a
@@ -313,7 +301,7 @@ func (e *SemiEmbedding) expand(s []float64, f int) {
 }
 
 // CanSample reports whether the clamped factorization's covariance
-// error stayed within SampleTol, running the one-time factorization
+// error stayed within sampleTol, running the one-time factorization
 // serially if needed. QuadForms is sound either way.
 func (e *SemiEmbedding) CanSample() bool { return e.Factorize(1) }
 
@@ -387,7 +375,7 @@ func (e *SemiEmbedding) factorize(workers int) {
 		}
 	}
 	e.SampleRelErr = worst / e.k0
-	e.canSample = e.SampleRelErr <= e.tol
+	e.canSample = e.SampleRelErr <= sampleTol
 }
 
 // factorPSD returns F with F·Fᵀ = clamp(s) for the symmetric C×C

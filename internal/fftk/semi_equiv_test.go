@@ -160,7 +160,7 @@ var equivKernels = map[string]func(float64) float64{
 func TestSemiSpectraMatchReference(t *testing.T) {
 	for gname, g := range equivGrids() {
 		for kname, kernel := range equivKernels {
-			e, err := NewSemiEmbedding(g, kernel, EmbedOptions{})
+			e, err := NewSemiEmbedding(g, kernel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +189,7 @@ func TestSemiQuadFormsMatchReference(t *testing.T) {
 		C := len(g.ColX)
 		n := g.Rows * C
 		for kname, kernel := range equivKernels {
-			e, err := NewSemiEmbedding(g, kernel, EmbedOptions{})
+			e, err := NewSemiEmbedding(g, kernel)
 			if err != nil {
 				t.Fatal(err)
 			}

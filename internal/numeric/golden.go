@@ -12,11 +12,13 @@ import (
 
 // DefaultChecks returns the stock golden-reference probes covering the
 // kernels the analysis pipeline leans on: the sparse CG solver, dense
-// Cholesky, dense LU, the process-wide rho memo table, and the FFT
-// structured-covariance kernels (transform round trip, circulant
-// matvec against the direct sum, spectral-sampler covariance). Each
-// problem has an analytically known answer, so drift measures the
-// kernel itself, not a reference implementation.
+// Cholesky, dense LU, the rho evaluator, and the FFT
+// structured-covariance kernels (transform round trip, the
+// row-spectral quadratic forms against the direct sum, spectral-sampler
+// covariance). Each problem has an analytically known answer, so
+// drift measures the kernel itself, not a reference implementation.
+// Check names are stable metric labels: a check re-pointed at a new
+// kernel keeps its name.
 func DefaultChecks() []Check {
 	return []Check{
 		{Name: "cg_solve", Run: checkCG},
@@ -126,17 +128,15 @@ func checkLU() (float64, error) {
 	return relErr(x, want), nil
 }
 
-// checkRhoMemo compares the process-wide quantized rho table against
-// the closed form ρ_u^(d/L_c) it memoizes. The table is shared state
-// mutated from every request; this is the one check probing live
-// process state rather than a pure kernel, so it would catch a
-// corrupted or mis-keyed entry that bitwise-identical kernels cannot.
+// checkRhoMemo compares the quantized rho evaluator every covariance
+// engine reads, tech.RhoTable.RhoSq, against the closed form
+// ρ_u^(d/L_c).
 func checkRhoMemo() (float64, error) {
 	t := tech.FinFET12()
 	rt := t.RhoTable()
 	worst := 0.0
 	for _, d := range []float64{0, 0.35, 1.7, 12.5, 140, 977} {
-		got := rt.Rho(d)
+		got := rt.RhoSq(d * d)
 		want := math.Pow(t.Mis.RhoU, d/t.Mis.LcUm)
 		if want == 0 {
 			continue
@@ -179,40 +179,56 @@ func checkFFTRoundTrip() (float64, error) {
 	return worst, nil
 }
 
-// checkCirculantMatvec compares the embedding's spectral matvec of the
-// stock mismatch kernel against the direct O(n²) covariance sum on a
-// 4×6 grid — the identity the structured analysis path rests on.
+// checkCirculantMatvec compares the row-spectral quadratic forms
+// 1_jᵀ C 1_k of the stock mismatch kernel against the direct O(n²)
+// pair sum on a 4×6 lattice, once with uniform and once with
+// non-uniform column positions, over three interleaved classes that
+// leave two sites empty — the identity the structured analysis path
+// rests on.
 func checkCirculantMatvec() (float64, error) {
 	t := tech.FinFET12()
 	sigmaU2 := t.SigmaU() * t.SigmaU()
 	kernel := func(d2 float64) float64 {
 		return sigmaU2 * math.Pow(t.Mis.RhoU, math.Sqrt(d2)/t.Mis.LcUm)
 	}
-	g := fftk.Grid{Rows: 4, Cols: 6, DX: t.Unit.W, DY: t.Unit.H}
-	e, err := fftk.NewEmbedding(g, kernel, fftk.EmbedOptions{})
-	if err != nil {
-		return math.Inf(1), fmt.Errorf("fft golden embedding: %w", err)
+	const rows, cols = 4, 6
+	classes := make([][]int, 3)
+	for i := 0; i < rows*cols-2; i++ {
+		classes[(i*7)%3] = append(classes[(i*7)%3], i)
 	}
-	n := g.Rows * g.Cols
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64((i*7)%5) - 2
-	}
-	got := make([]float64, n)
-	e.MulVec(got, x)
-	want := make([]float64, n)
-	for a := 0; a < n; a++ {
-		ra, ca := a/g.Cols, a%g.Cols
-		s := 0.0
-		for b := 0; b < n; b++ {
-			rb, cb := b/g.Cols, b%g.Cols
-			dx := float64(ca-cb) * g.DX
-			dy := float64(ra-rb) * g.DY
-			s += kernel(dx*dx+dy*dy) * x[b]
+	worst := 0.0
+	for _, colX := range [][]float64{
+		{0, 1, 2, 3, 4, 5},
+		{0, 1.3, 2.9, 3.6, 5.8, 6.5},
+	} {
+		g := fftk.SemiGrid{Rows: rows, DY: t.Unit.H, ColX: make([]float64, cols)}
+		for c, x := range colX {
+			g.ColX[c] = x * t.Unit.W
 		}
-		want[a] = s
+		e, err := fftk.NewSemiEmbedding(g, kernel)
+		if err != nil {
+			return math.Inf(1), fmt.Errorf("fft golden embedding: %w", err)
+		}
+		forms := e.QuadForms(classes, 1)
+		var got, want []float64
+		for j, cj := range classes {
+			for k, ck := range classes {
+				s := 0.0
+				for _, a := range cj {
+					for _, b := range ck {
+						dx := g.ColX[a%cols] - g.ColX[b%cols]
+						dy := float64(a/cols-b/cols) * g.DY
+						s += kernel(dx*dx + dy*dy)
+					}
+				}
+				got, want = append(got, forms[j][k]), append(want, s)
+			}
+		}
+		if e := relErr(got, want); e > worst {
+			worst = e
+		}
 	}
-	return relErr(got, want), nil
+	return worst, nil
 }
 
 // checkEmbedSampleCov draws a fixed-seed batch of spectral samples on
@@ -227,7 +243,7 @@ func checkEmbedSampleCov() (float64, error) {
 		return sigmaU2 * math.Pow(t.Mis.RhoU, math.Sqrt(d2)/t.Mis.LcUm)
 	}
 	g := fftk.Grid{Rows: 4, Cols: 4, DX: t.Unit.W, DY: t.Unit.H}
-	e, err := fftk.NewEmbedding(g, kernel, fftk.EmbedOptions{})
+	e, err := fftk.NewEmbedding(g, kernel)
 	if err != nil {
 		return math.Inf(1), fmt.Errorf("fft golden sampler embedding: %w", err)
 	}

@@ -99,8 +99,10 @@ func cacheKey(req GenerateRequest) string {
 		n.FFT = "auto" // pipeline default
 	}
 	// v2: the fft directive joined the key — the engines agree only to
-	// tolerance, so their results must not share cache entries.
-	return memo.NewKey("serve/generate/v2").
+	// tolerance, so their results must not share cache entries. v3:
+	// grid and odd-bit routed covariances moved to the row-spectral
+	// engine, up to ~2e-12 from what older binaries stored.
+	return memo.NewKey("serve/generate/v3").
 		Int(n.Bits).Str(n.Style).Int(n.CoreBits).Int(n.BlockCells).
 		Int(n.MaxParallel).I64(n.AnnealSeed).Int(n.AnnealMoves).
 		Int(n.ThetaSteps).Bool(n.SkipNonlinearity).Str(n.TechNode).

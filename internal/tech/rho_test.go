@@ -24,47 +24,8 @@ func TestRhoMatchesPowReference(t *testing.T) {
 	}
 }
 
-// TestRhoTableSharedByParams: technologies with equal mismatch
-// parameters — including by-value copies, as parameter sweeps make —
-// share one memo table; changing (RhoU, LcUm) selects another.
-func TestRhoTableSharedByParams(t *testing.T) {
-	a, b := FinFET12(), FinFET12()
-	if a.RhoTable() != b.RhoTable() {
-		t.Error("equal-parameter technologies got distinct rho tables")
-	}
-	c := *a // the copy a sweep's ScaledTech makes
-	if c.RhoTable() != a.RhoTable() {
-		t.Error("by-value copy with unchanged parameters got a distinct table")
-	}
-	c.Mis.LcUm *= 2
-	if c.RhoTable() == a.RhoTable() {
-		t.Error("changed LcUm still mapped to the old table")
-	}
-	if got, want := c.Rho(100), math.Pow(c.Mis.RhoU, 100/c.Mis.LcUm); math.Abs(got-want) > 1e-9 {
-		t.Errorf("scaled-Lc Rho(100) = %g, want %g", got, want)
-	}
-}
-
-// TestRhoTableStats: a repeated distance is served from the memo.
-func TestRhoTableStats(t *testing.T) {
-	tch := FinFET12()
-	tch.Mis.LcUm = 977.125 // unique parameters -> fresh table
-	rt := tch.RhoTable()
-	h0, m0 := rt.Stats()
-	rt.Rho(1.25)
-	rt.Rho(1.25)
-	rt.Rho(1.25)
-	h1, m1 := rt.Stats()
-	if m1-m0 != 1 {
-		t.Errorf("misses grew by %d, want 1 (first evaluation only)", m1-m0)
-	}
-	if h1-h0 != 2 {
-		t.Errorf("hits grew by %d, want 2 (repeat evaluations)", h1-h0)
-	}
-}
-
-// TestRhoLocalServesSharedValues: the goroutine-local view returns
-// bitwise the values of the shared table and accounts its traffic.
+// TestRhoLocalServesSharedValues: the goroutine-local memo returns
+// bitwise the values of the table it fronts and accounts its traffic.
 func TestRhoLocalServesSharedValues(t *testing.T) {
 	rt := FinFET12().RhoTable()
 	local := rt.Local()
@@ -84,8 +45,7 @@ func TestRhoLocalServesSharedValues(t *testing.T) {
 }
 
 // TestRhoSqPathologicalInputs: values outside the quantization range
-// fall back to direct evaluation without panicking or poisoning the
-// memo.
+// fall back to direct evaluation without panicking.
 func TestRhoSqPathologicalInputs(t *testing.T) {
 	rt := FinFET12().RhoTable()
 	if got := rt.RhoSq(math.Inf(1)); got != 0 {
@@ -103,15 +63,24 @@ func TestRhoSqPathologicalInputs(t *testing.T) {
 	}
 }
 
-// TestRhoSqDirectMatchesRhoSq requires the memo-free evaluator to
-// return exactly what the memoized RhoSq returns — math.Float64bits
-// equal, cold and warm — on random separations, quantization
-// half-points and their neighbours, 0, negative, huge, infinite and
-// NaN inputs, and to leave the memo's counters and entries untouched.
+// TestRhoSqDirectMatchesRhoSq pins RhoSq to the direct quantized
+// formula — exp(√(round(d²·1e6)/1e6)·ln(ρ_u)/L_c) in quantization
+// range, exp(√d²·ln(ρ_u)/L_c) out of it — math.Float64bits equal, and
+// requires a RhoLocal memo to serve the same bits cold and warm. Every
+// structured and dense covariance value rests on this one evaluation
+// point; random separations, quantization half-points and their
+// neighbours, 0, negative, huge, infinite and NaN inputs are covered.
 func TestRhoSqDirectMatchesRhoSq(t *testing.T) {
 	tch := FinFET12()
-	tch.Mis.LcUm = 811.375 // unique parameters -> fresh table
+	tch.Mis.LcUm = 811.375
 	rt := tch.RhoTable()
+	coef := math.Log(tch.Mis.RhoU) / tch.Mis.LcUm
+	direct := func(d2 float64) float64 {
+		if q := d2 * 1e6; q >= 0 && q < 1<<62 {
+			return math.Exp(math.Sqrt(float64(int64(q+0.5))/1e6) * coef)
+		}
+		return math.Exp(math.Sqrt(d2) * coef)
+	}
 	rng := rand.New(rand.NewSource(17))
 	var in []float64
 	for i := 0; i < 2000; i++ {
@@ -124,20 +93,15 @@ func TestRhoSqDirectMatchesRhoSq(t *testing.T) {
 		-1e-12, -1, -math.MaxFloat64, 1e300, math.MaxFloat64, limit,
 		math.Nextafter(limit, 0), math.Nextafter(limit, math.Inf(1)),
 		math.Inf(1), math.Inf(-1), math.NaN())
-	h0, m0 := rt.Stats()
-	e0 := rt.entries.Load()
-	direct := make([]uint64, len(in))
-	for i, d2 := range in {
-		direct[i] = math.Float64bits(rt.RhoSqDirect(d2))
-	}
-	if h, m := rt.Stats(); h != h0 || m != m0 || rt.entries.Load() != e0 {
-		t.Fatalf("RhoSqDirect touched the memo: stats (%d,%d) -> (%d,%d), entries %d -> %d",
-			h0, m0, h, m, e0, rt.entries.Load())
-	}
+	local := rt.Local()
 	for pass, name := range []string{"cold", "warm"} {
-		for i, d2 := range in {
-			if got := math.Float64bits(rt.RhoSq(d2)); got != direct[i] {
-				t.Fatalf("%s pass %d: RhoSq(%g) = %#x, RhoSqDirect %#x", name, pass, d2, got, direct[i])
+		for _, d2 := range in {
+			want := math.Float64bits(direct(d2))
+			if got := math.Float64bits(rt.RhoSq(d2)); got != want {
+				t.Fatalf("%s pass %d: RhoSq(%g) = %#x, direct formula %#x", name, pass, d2, got, want)
+			}
+			if got := math.Float64bits(local.RhoSq(d2)); got != want {
+				t.Fatalf("%s pass %d: RhoLocal.RhoSq(%g) = %#x, direct formula %#x", name, pass, d2, got, want)
 			}
 		}
 	}

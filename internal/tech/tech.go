@@ -18,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"ccdac/internal/geom"
 )
@@ -261,75 +259,37 @@ func (t *Technology) SigmaU() float64 {
 	return rel * t.Unit.CfF
 }
 
-// rhoQuantInv quantizes squared distances for the correlation memo:
-// d² is keyed in units of 1e-6 um² (1e-3 um in d near d = 1 um). With
-// Lc in the hundreds of microns, the rho error this introduces is
-// below 1e-10 relative — far under the covariance equivalence budget.
+// rhoQuantInv is the quantization of squared distances in rho
+// evaluations: d² is rounded to units of 1e-6 um² (1e-3 um in d near
+// d = 1 um) before the exp, so equal-in-quantum distances — and the
+// RhoLocal memo keys — give bit-identical values. With Lc in the
+// hundreds of microns, the rho error this introduces is below 1e-10
+// relative — far under the covariance equivalence budget.
 const rhoQuantInv = 1e6
 
-// rhoMemoMaxEntries bounds the memo table. Grid layouts repeat a tiny
-// set of pairwise distances (hundreds to a few thousand per layout),
-// so the cap exists only to keep adversarial inputs from growing the
-// table without bound; past it, values are computed directly.
-const rhoMemoMaxEntries = 1 << 20
-
-// RhoTable is the memoized spatial-correlation evaluator of one
-// (RhoU, LcUm) parameter pair: rho(d) = exp(d · ln(rho_u)/Lc). The
-// exp form replaces the seed's per-pair math.Pow, and the quantized
-// squared-distance memo collapses the ~n²/2 evaluations of a
-// covariance build onto the few hundred distinct pairwise distances a
-// grid layout actually has. Safe for concurrent use; analyses running
-// on the same *Technology share one table.
+// RhoTable is the spatial-correlation evaluator of one (RhoU, LcUm)
+// parameter pair: rho(d) = exp(d · ln(rho_u)/Lc), evaluated at the
+// quantized d². The exp form replaces the seed's per-pair math.Pow.
+// It holds no state beyond its coefficient, so it is safe for
+// concurrent use; the dense pair sums put a goroutine-local RhoLocal
+// memo in front of it.
 type RhoTable struct {
-	rhoU, lcUm float64
 	// coef is ln(rho_u)/Lc: rho(d) = exp(coef·d).
 	coef float64
-	// table maps quantized d² to rho; entries counts them (approximately
-	// under concurrent insertion, used only to honor the size cap).
-	table   sync.Map
-	entries atomic.Int64
-	// hits and misses count memo lookups for observability
-	// (ccdac_variation_rho_memo_hits_total is derived from these).
-	hits, misses atomic.Int64
 }
 
 // Rho returns rho_u^(d/Lc) for a separation of d microns.
 func (rt *RhoTable) Rho(dUm float64) float64 { return rt.RhoSq(dUm * dUm) }
 
 // RhoSq returns rho_u^(d/Lc) given the squared separation d² in square
-// microns. Hot loops call this form: it skips the per-pair hypot/sqrt
-// (the memo is keyed on quantized d²) as well as the pow.
+// microns — at d²'s quantization point, or by the unquantized formula
+// out of quantization range (huge, negative or NaN d²). Hot loops call
+// this form: it skips the per-pair hypot as well as the pow.
 func (rt *RhoTable) RhoSq(d2Um float64) float64 {
-	key, ok := rhoKeyOf(d2Um)
-	if !ok {
-		rt.misses.Add(1)
-		return rt.direct(d2Um)
-	}
-	if v, ok := rt.table.Load(key); ok {
-		rt.hits.Add(1)
-		return v.(float64)
-	}
-	rt.misses.Add(1)
-	v := rt.atKey(key)
-	if rt.entries.Load() < rhoMemoMaxEntries {
-		if _, loaded := rt.table.LoadOrStore(key, v); !loaded {
-			rt.entries.Add(1)
-		}
-	}
-	return v
-}
-
-// RhoSqDirect returns exactly what RhoSq returns for d² — the value
-// at the same quantization point, or the same direct formula out of
-// quantization range — without reading, growing or counting in the
-// memo. Callers that evaluate each distinct distance once anyway (the
-// separable covariance tier deduplicates its kernel arguments) use it
-// to keep the process-wide table and its counters bounded.
-func (rt *RhoTable) RhoSqDirect(d2Um float64) float64 {
 	if key, ok := rhoKeyOf(d2Um); ok {
 		return rt.atKey(key)
 	}
-	return rt.direct(d2Um)
+	return math.Exp(math.Sqrt(d2Um) * rt.coef)
 }
 
 // rhoKeyOf quantizes d² to its memo key; ok is false out of
@@ -342,29 +302,18 @@ func rhoKeyOf(d2Um float64) (key int64, ok bool) {
 	return int64(q + 0.5), true
 }
 
-// atKey evaluates rho at a quantization point, so whichever goroutine
-// computes a key first stores the same value any other would.
+// atKey evaluates rho at a quantization point.
 func (rt *RhoTable) atKey(key int64) float64 {
 	return math.Exp(math.Sqrt(float64(key)/rhoQuantInv) * rt.coef)
 }
 
-// direct evaluates rho out of quantization range, mirroring the
-// un-memoized formula.
-func (rt *RhoTable) direct(d2Um float64) float64 {
-	return math.Exp(math.Sqrt(d2Um) * rt.coef)
-}
-
-// Stats reports the table's cumulative memo hits and misses.
-func (rt *RhoTable) Stats() (hits, misses int64) {
-	return rt.hits.Load(), rt.misses.Load()
-}
-
-// RhoLocal is a goroutine-local view of a RhoTable: a plain-map cache
-// over the shared table for hot loops where even sync.Map's read-path
-// overhead counts. Values are key-derived, so a local cache serves
-// exactly what the shared table would — results do not depend on which
-// goroutine (or how many) evaluated them. Not safe for concurrent use;
-// create one per worker with Local.
+// RhoLocal is a goroutine-local memo over a RhoTable: a plain map from
+// quantized d² to rho for the dense pair sums, whose ~n²/2 evaluations
+// collapse onto the few hundred to few thousand distinct distances a
+// layout has. Values are key-derived, so a local memo serves exactly
+// what the table computes — results do not depend on which goroutine
+// (or how many) evaluated them. Not safe for concurrent use; create
+// one per worker with Local.
 type RhoLocal struct {
 	rt      *RhoTable
 	m       map[int64]float64
@@ -372,13 +321,13 @@ type RhoLocal struct {
 	fetches int64
 }
 
-// Local returns a fresh goroutine-local view of the table.
+// Local returns a fresh goroutine-local memo over the table.
 func (rt *RhoTable) Local() *RhoLocal {
 	return &RhoLocal{rt: rt, m: make(map[int64]float64, 256)}
 }
 
 // RhoSq returns rho_u^(d/Lc) given the squared separation d², serving
-// from the local cache and falling back to the shared table.
+// from the local memo and evaluating on a miss.
 func (l *RhoLocal) RhoSq(d2Um float64) float64 {
 	l.calls++
 	key, ok := rhoKeyOf(d2Um)
@@ -390,65 +339,26 @@ func (l *RhoLocal) RhoSq(d2Um float64) float64 {
 		return v
 	}
 	l.fetches++
-	v := l.rt.RhoSq(d2Um)
+	v := l.rt.atKey(key)
 	l.m[key] = v
 	return v
 }
 
-// Stats reports the view's evaluation count and how many of those had
-// to reach past the local cache (to the shared table or a direct
-// computation); calls - fetches is the local memo hit count.
+// Stats reports the memo's evaluation count and how many of those had
+// to be computed; calls - fetches is the local memo hit count.
 func (l *RhoLocal) Stats() (calls, fetches int64) {
 	return l.calls, l.fetches
 }
 
-// RhoTable returns the shared correlation table for the technology's
-// current mismatch parameters, building it on first use. Tables are
-// keyed by (RhoU, LcUm) in a process-wide cache, so technologies with
-// equal parameters — including by-value copies made by parameter
-// sweeps — share one table, and a parameter change simply selects a
-// different one. Concurrent callers may race to build; one table wins,
-// so every caller observes values consistent with its parameters.
+// RhoTable returns the correlation evaluator for the technology's
+// current mismatch parameters.
 func (t *Technology) RhoTable() *RhoTable {
-	k := rhoKey{rhoU: t.Mis.RhoU, lcUm: t.Mis.LcUm}
-	if v, ok := rhoTables.Load(k); ok {
-		return v.(*RhoTable)
-	}
-	rt := &RhoTable{
-		rhoU: k.rhoU,
-		lcUm: k.lcUm,
-		coef: math.Log(k.rhoU) / k.lcUm,
-	}
-	if rhoTableCount.Load() < rhoTableCacheMax {
-		if v, loaded := rhoTables.LoadOrStore(k, rt); loaded {
-			return v.(*RhoTable)
-		}
-		rhoTableCount.Add(1)
-	}
-	return rt
+	return &RhoTable{coef: math.Log(t.Mis.RhoU) / t.Mis.LcUm}
 }
-
-// rhoKey identifies one correlation table by the only parameters the
-// table depends on.
-type rhoKey struct{ rhoU, lcUm float64 }
-
-// rhoTables caches correlation tables across Technology values, so
-// Technology stays a plain copyable struct (parameter sweeps clone it
-// by value) while concurrent analyses on technologies with the same
-// mismatch parameters still share one memo table. Bounded: past
-// rhoTableCacheMax distinct parameter pairs, tables are built uncached
-// — still memoized within a run, since callers hold the *RhoTable for
-// the whole analysis.
-var (
-	rhoTables     sync.Map // rhoKey -> *RhoTable
-	rhoTableCount atomic.Int64
-)
-
-const rhoTableCacheMax = 64
 
 // Rho returns the spatial correlation coefficient rho_u^(d/Lc) between
 // two unit capacitors separated by d microns (Eqs. 4-5), via the
-// memoized exp-form table (see RhoTable).
+// exp-form evaluator (see RhoTable).
 func (t *Technology) Rho(dUm float64) float64 {
 	return t.RhoTable().Rho(dUm)
 }

@@ -11,6 +11,7 @@ import (
 	"ccdac/internal/fault"
 	"ccdac/internal/geom"
 	"ccdac/internal/obs"
+	"ccdac/internal/par"
 	"ccdac/internal/place"
 	"ccdac/internal/route"
 	"ccdac/internal/tech"
@@ -29,9 +30,9 @@ func tracedCtx(t *testing.T) (context.Context, *obs.Trace) {
 // TestStructuredCovarianceMatchesDense is the engine-equivalence
 // property: over spiral, chessboard and randomized symmetric layouts
 // on the regular grid, the FFT path must reproduce the dense pair-sum
-// covariance to near round-off. Both paths read the same quantized rho
-// memo, so the only daylight is transform arithmetic; the trace
-// counter proves the structured engine actually ran.
+// covariance to near round-off. Both paths evaluate rho at the same
+// quantization points, so the only daylight is transform arithmetic;
+// the trace counter proves the structured engine actually ran.
 func TestStructuredCovarianceMatchesDense(t *testing.T) {
 	tch := tech.FinFET12()
 	pos := GridPositioner(tch)
@@ -254,31 +255,44 @@ func routedLayout(t *testing.T, m *ccmatrix.Matrix, tch *tech.Technology) Positi
 	return l.CellCenter
 }
 
-// TestRoutedLayoutStructuredCovariance: the separable tier must engage
-// on real routed layouts — the product flow serve and cmd/yield drive
-// — and reproduce the dense covariance to near round-off. The test
-// first proves the geometry does NOT fit the uniform lattice, so the
-// equivalence exercises the row-spectral path, not the 2-D one.
+// TestRoutedLayoutStructuredCovariance: the structured engine must
+// engage on real routed layouts — the product flow serve and cmd/yield
+// drive — and reproduce the dense covariance to near round-off. The
+// odd-bit spiral and block-chessboard arrays, routed through the
+// flow's promotion loop, carry dummy cells: their lattice is
+// incomplete, which the fit must accept. The test first proves the
+// geometry does NOT fit the uniform lattice, so the equivalence
+// exercises channel-shifted columns.
 func TestRoutedLayoutStructuredCovariance(t *testing.T) {
 	tch := tech.FinFET12()
+	routed := func(t *testing.T, m *ccmatrix.Matrix) Positioner { return routedLayout(t, m, tch) }
+	promoted := func(t *testing.T, m *ccmatrix.Matrix) Positioner {
+		return routedPromoted(par.WithWorkers(context.Background(), 2), t, m, tch).CellCenter
+	}
 	for _, tc := range []struct {
-		name string
-		mk   func() (*ccmatrix.Matrix, error)
+		name   string
+		mk     func() (*ccmatrix.Matrix, error)
+		layout func(*testing.T, *ccmatrix.Matrix) Positioner
 	}{
-		{"spiral8", func() (*ccmatrix.Matrix, error) { return place.NewSpiral(8) }},
-		{"chessboard6", func() (*ccmatrix.Matrix, error) { return place.NewChessboard(6) }},
+		{"spiral8", func() (*ccmatrix.Matrix, error) { return place.NewSpiral(8) }, routed},
+		{"chessboard6", func() (*ccmatrix.Matrix, error) { return place.NewChessboard(6) }, routed},
+		{"block-chessboard9", func() (*ccmatrix.Matrix, error) {
+			return place.NewBlockChessboard(9, place.BCParams{CoreBits: 4, BlockCells: 2})
+		}, promoted},
+		{"spiral11", func() (*ccmatrix.Matrix, error) { return place.NewSpiral(11) }, promoted},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := tc.mk()
 			if err != nil {
 				t.Fatal(err)
 			}
-			pos := routedLayout(t, m, tch)
+			pos := tc.layout(t, m)
 			g := gatherCells(m, pos)
-			if _, uniform := fitRegularGrid(g.flat, g.rows, g.cols); uniform {
-				t.Fatal("routed layout fits the uniform lattice — test would not cover the separable tier")
+			lat := fitLattice(g.flat, g.rows, g.cols)
+			if lat.uniform {
+				t.Fatal("routed layout fits the uniform lattice — test would not cover shifted columns")
 			}
-			if _, ok := fitSeparableGrid(g.flat, g.rows, g.cols); !ok {
+			if !lat.ok {
 				t.Fatal("routed layout does not fit the separable lattice")
 			}
 			ctx, tr := tracedCtx(t)
@@ -305,7 +319,7 @@ func TestRoutedLayoutStructuredCovariance(t *testing.T) {
 			if worst > 1e-10 {
 				t.Errorf("separable vs dense covariance rel err = %g, want <= 1e-10", worst)
 			}
-			t.Logf("separable vs dense covariance rel err = %.3g", worst)
+			t.Logf("separable vs dense covariance rel err = %.3g (complete lattice: %v)", worst, lat.complete)
 		})
 	}
 }

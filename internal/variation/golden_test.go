@@ -12,7 +12,6 @@ import (
 
 	"ccdac/internal/ccmatrix"
 	"ccdac/internal/extract"
-	"ccdac/internal/fftk"
 	"ccdac/internal/obs"
 	"ccdac/internal/par"
 	"ccdac/internal/place"
@@ -328,10 +327,9 @@ var goldenRoutedSweep = map[string]goldenSweep{
 
 // TestSeparableTierLeavesRhoMemo requires the separable tier — a
 // routed SweepThetaContext and a NewSharedContext whose spectral
-// sampler is set up — to leave the process-wide rho memo's counters
-// unchanged: the row-spectral build evaluates each distinct kernel
-// argument once through the memo-free RhoSqDirect. The trace counts
-// those evaluations and no memo hits.
+// sampler is set up — to evaluate each distinct kernel argument once,
+// through no memo: the trace counts exactly the embedding's
+// evaluations and no memo hits.
 func TestSeparableTierLeavesRhoMemo(t *testing.T) {
 	tch := tech.FinFET12()
 	m, err := place.NewChessboard(8)
@@ -341,8 +339,6 @@ func TestSeparableTierLeavesRhoMemo(t *testing.T) {
 	l := routedPromoted(par.WithWorkers(context.Background(), 2), t, m, tch)
 	ctx, tr := tracedCtx(t)
 	ctx = par.WithWorkers(ctx, 2)
-	rt := tch.RhoTable()
-	h0, m0 := rt.Stats()
 	as, err := SweepThetaContext(ctx, m, l.CellCenter, tch, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -360,14 +356,16 @@ func TestSeparableTierLeavesRhoMemo(t *testing.T) {
 	if !sh.mcOK {
 		t.Fatal("spectral sampler was not set up")
 	}
-	if h, ms := rt.Stats(); h != h0 || ms != m0 {
-		t.Errorf("rho memo stats moved: hits %d -> %d, misses %d -> %d", h0, h, m0, ms)
-	}
 	snap := tr.Registry().Snapshot()
 	if got := snap.Counter("ccdac_numeric_fft_structured_total", obs.Labels{"path": "analyze"}); got != 2 {
 		t.Errorf("structured analyze builds = %d, want 2", got)
 	}
-	emb, err := mismatchSemiEmbedding(tch, mustSeparable(t, m, l.CellCenter))
+	g := gatherCells(m, l.CellCenter)
+	lat := fitLattice(g.flat, g.rows, g.cols)
+	if !lat.complete || lat.uniform {
+		t.Fatal("routed layout does not fit a complete non-uniform lattice")
+	}
+	emb, err := mismatchSemiEmbedding(tch, lat.sg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,15 +377,4 @@ func TestSeparableTierLeavesRhoMemo(t *testing.T) {
 	if got := snap.Counter("ccdac_variation_rho_memo_hits_total", nil); got != 0 {
 		t.Errorf("rho memo hits counted %d, want 0", got)
 	}
-}
-
-// mustSeparable fits the routed positions to the separable lattice.
-func mustSeparable(t *testing.T, m *ccmatrix.Matrix, pos Positioner) fftk.SemiGrid {
-	t.Helper()
-	g := gatherCells(m, pos)
-	sg, ok := fitSeparableGrid(g.flat, g.rows, g.cols)
-	if !ok {
-		t.Fatal("routed layout does not fit a separable lattice")
-	}
-	return sg
 }

@@ -9,9 +9,9 @@
 // Analyze and the unit-level one of MonteCarlo) are the analysis hot
 // loops — quadratic in unit cells. They run on a bounded worker pool
 // (one covariance row per work item; see internal/par for the worker
-// budget plumbing) over the memoized exp-form correlation table of
-// tech.RhoTable, and every parallel result is written by index, so a
-// run's output is bit-identical at any worker count. See
+// budget plumbing) over per-row memos of the exp-form correlation
+// evaluator tech.RhoTable, and every parallel result is written by
+// index, so a run's output is bit-identical at any worker count. See
 // docs/PERFORMANCE.md.
 package variation
 
@@ -83,9 +83,11 @@ func mismatchKey(k *memo.Key, t *tech.Technology) *memo.Key {
 // position grouped by capacitor, the mismatch parameters, and the
 // kernel-family mode (the structured and dense builds agree only to
 // tolerance, so a memo entry must never cross modes — that would make
-// a memoized run byte-different from a cold one).
+// a memoized run byte-different from a cold one). The version moves
+// with the engines: v3 entries come from the single row-spectral
+// engine, so a v2 entry revived from the spill tier cannot stand in.
 func covKeyOf(g *cellGeom, t *tech.Technology, mode FFTMode) string {
-	k := memo.NewKey("variation/cov/v2").Int(int(mode)).Int(len(g.cells))
+	k := memo.NewKey("variation/cov/v3").Int(int(mode)).Int(len(g.cells))
 	for _, cells := range g.cells {
 		k.Int(len(cells))
 		for _, p := range cells {
@@ -259,10 +261,10 @@ func gradientCStar(g *cellGeom, t *tech.Technology, thetaRad float64) []float64 
 // covariance builds the capacitor-level covariance matrix (Eqs. 4-6)
 // on the context's worker budget: one covariance row per work item,
 // entries written by index, cancellation checked once per row. Each
-// row keeps a local memo over the shared tech.RhoTable, so the
-// ~n²/2 correlation evaluations collapse onto the layout's distinct
-// quantized distances; the caller receives the evaluation and memo-hit
-// counts for the run's observability record.
+// row keeps a local memo (tech.RhoLocal) over the correlation
+// evaluator, so the ~n²/2 evaluations collapse onto the layout's
+// distinct quantized distances; the caller receives the evaluation and
+// memo-fetch counts for the run's observability record.
 func covariance(ctx context.Context, g *cellGeom, t *tech.Technology) (*linalg.Dense, int64, int64, error) {
 	bits := len(g.cells) - 1
 	sigmaU2 := t.SigmaU() * t.SigmaU()
@@ -439,12 +441,17 @@ type mcUnit struct {
 // count: sample s draws from its own RNG stream derived from (seed, s)
 // by a splitmix64 mix, and results are written by sample index.
 //
-// On a regular grid (unless the context selects FFTOff) samples come
-// from the spectral circulant-embedding sampler — O(n log n) per
-// sample, no n×n matrix and no Cholesky — which preserves the
-// per-stream determinism but consumes its streams differently than
-// the dense sampler, so the two paths draw different (equally
-// distributed) samples for one seed.
+// On a uniform grid or a complete routed lattice (unless the context
+// selects FFTOff) samples come from a spectral sampler — no n×n
+// matrix and no Cholesky — which preserves the per-stream determinism
+// but consumes its streams differently than the dense sampler, so the
+// two paths draw different samples for one seed. They are not equally
+// distributed: on the 6-bit spiral grid (24k samples, 3 seeds) the
+// yield is 0.649–0.655 from the 2-D sampler and 0.763–0.767 from
+// dense, and on 6-, 8- and 10-bit spiral routed layouts the separable
+// sampler reads 5–6 points below dense. Yield sign-off should take
+// FFTOff as the unbiased reference (docs/PERFORMANCE.md, "Agreement
+// tolerance").
 func MonteCarloContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, a *Analysis, samples int, seed int64) ([][]float64, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("variation: need at least 1 sample")
@@ -589,7 +596,7 @@ type Shared struct {
 	warns []string
 
 	// units is the flattened placement the Monte-Carlo samplers fold;
-	// the spectral sampler's fixed setup (grid fit + embedding) is
+	// the spectral sampler's fixed setup (lattice fit + embedding) is
 	// geometry- and technology-only, so it is built at most once per
 	// Shared and reused by every sample block.
 	units  []mcUnit
@@ -633,8 +640,8 @@ func (sh *Shared) Tech() *tech.Technology { return sh.t }
 // of the shared layout's per-sample streams — byte-identical to the
 // package-level MonteCarloRangeContext over the same placement, seed
 // and FFT mode — while paying the spectral sampler's fixed setup
-// (grid fit, circulant embedding, spectrum factorization) at most
-// once per Shared. Checkpointed block loops and coalesced batch tails
+// (lattice fit, embedding, spectrum factorization) at most once per
+// Shared. Checkpointed block loops and coalesced batch tails
 // reuse the sampler instead of rebuilding it per call, which is what
 // keeps the per-request tail cheap relative to the shared prefix.
 func (sh *Shared) MonteCarloRangeContext(ctx context.Context, a *Analysis, from, to int, seed int64) ([][]float64, error) {

@@ -16,17 +16,28 @@ import (
 
 // TestGoldenTally pins the full tally — pass count, worst values and
 // the per-sample hash — of one small estimate per Monte-Carlo sampler:
-// the regular circulant embedding (placement grid), the row-spectral
+// the 2-D circulant embedding (placement grid), the row-spectral
 // separable embedding (routed positions) and the dense Cholesky path
-// (FFTOff). The sampling and NL kernels promise bit identity per seed;
-// checkpoints written by older binaries, coalesced-vs-solo agreement
-// and the benchmark's reference yields all rest on it, so any kernel
-// change that moves a single sample must fail here.
+// (FFTOff). Two more pin the sampler choice on incomplete lattices:
+// the 7-bit spiral grid, whose dummy cells still leave a uniform
+// lattice (2-D sampler), and the 9-bit block-chessboard routed array,
+// whose dummy cells rule out the separable sampler (dense). The
+// sampling and NL kernels promise bit identity per seed; checkpoints
+// written by older binaries, coalesced-vs-solo agreement and the
+// benchmark's reference yields all rest on it, so any kernel or
+// selection change that moves a single sample must fail here.
 func TestGoldenTally(t *testing.T) {
 	tch := tech.FinFET12()
 	ctx := context.Background()
 	spiral := func(bits int) *ccmatrix.Matrix {
 		m, err := place.NewSpiral(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	bc := func(bits int) *ccmatrix.Matrix {
+		m, err := place.NewBlockChessboard(bits, place.BCParams{CoreBits: 4, BlockCells: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,6 +65,14 @@ func TestGoldenTally(t *testing.T) {
 			Samples: 300, Passed: 232,
 			WorstDNL: 0.004132579962207939, WorstINL: 0.0020662899811074113,
 			Hash: 17670791677573452147}},
+		{"7-spiral-grid", spiral(7), false, false, 0.003, 200, 44, Tally{
+			Samples: 200, Passed: 103,
+			WorstDNL: 0.015644729348325965, WorstINL: 0.00782236467416487,
+			Hash: 14809624840660259646}},
+		{"9-block-chessboard-routed", bc(9), true, false, 0.005, 150, 45, Tally{
+			Samples: 150, Passed: 107,
+			WorstDNL: 0.012710193311857137, WorstINL: 0.007555356899603034,
+			Hash: 2347788558694459536}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
