@@ -1,5 +1,5 @@
 // Benchmarks and the acceptance report for the analysis hot paths:
-// the memoized parallel covariance build, the binned coupling sweep,
+// the memoized parallel covariance build, the track-grouped coupling sweep,
 // the parallel per-bit extraction, the Elmore tree analysis, the
 // route→extract promotion loop and the routed theta-sweep analysis.
 // TestBenchAnalyze (gated on BENCH_ANALYZE_OUT) regenerates
@@ -75,19 +75,40 @@ func BenchmarkAnalyzeCov(b *testing.B) {
 }
 
 // BenchmarkCoupleSweep measures just the inter-bit coupling sweep of a
-// routed layout (the binned interval-index pass).
+// routed layout (the track-grouped pass): spiral 6/8/10, whose few
+// coupled pairs leave the grouping itself as the cost, and the routed
+// 12-bit chessboard (about 13k coupled pairs on crowded tracks) and
+// block chessboard, the sweeps the flow pays for.
 func BenchmarkCoupleSweep(b *testing.B) {
 	t := tech.FinFET12()
+	type input struct {
+		name string
+		m    *ccmatrix.Matrix
+	}
+	var inputs []input
 	for _, bits := range []int{6, 8, 10} {
 		m, err := place.NewSpiral(bits)
 		if err != nil {
 			b.Fatal(err)
 		}
-		l, err := route.Route(m, t, nil)
+		inputs = append(inputs, input{fmt.Sprintf("N%d", bits), m})
+	}
+	cb, err := place.NewChessboard(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bc, err := place.NewBlockChessboard(12, place.BCParams{CoreBits: 4, BlockCells: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs = append(inputs, input{"N12-chessboard", cb}, input{"N12-block-chessboard", bc})
+	for _, in := range inputs {
+		l, err := route.Route(in.m, t, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("N%d", bits), func(b *testing.B) {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				extract.Coupling(l)
 			}
@@ -255,7 +276,8 @@ func naiveCovarianceBuild(m *ccmatrix.Matrix, pos variation.Positioner, t *tech.
 }
 
 // quadraticCoupleSweep is the seed's O(W²) all-pairs coupling scan,
-// the reference the binned sweep's scaling is measured against.
+// the reference the track-grouped sweep (reported as binned_seconds)
+// is measured against.
 func quadraticCoupleSweep(l *route.Layout) (cbb float64, pairs int) {
 	const couplingReach = 6.0
 	for i := 0; i < len(l.Wires); i++ {
@@ -354,6 +376,7 @@ func TestBenchAnalyze(t *testing.T) {
 	}
 
 	type couplingPoint struct {
+		Style            string  `json:"style"`
 		Bits             int     `json:"bits"`
 		Wires            int     `json:"wires"`
 		Pairs            int     `json:"pairs"`
@@ -361,13 +384,33 @@ func TestBenchAnalyze(t *testing.T) {
 		QuadraticSeconds float64 `json:"quadratic_seconds"`
 		Speedup          float64 `json:"speedup"`
 	}
-	var coupling []couplingPoint
+	// Spiral 6/8/10 carry the scaling exponent; the routed 12-bit
+	// chessboard and block chessboard are the crowded-track sweeps the
+	// flow pays for.
+	cb12, err := place.NewChessboard(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc12, err := place.NewBlockChessboard(12, place.BCParams{CoreBits: 4, BlockCells: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type couplingInput struct {
+		style string
+		m     *ccmatrix.Matrix
+	}
+	var couplingInputs []couplingInput
 	for _, bits := range []int{6, 8, 10} {
 		pm, err := place.NewSpiral(bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := route.Route(pm, tch, nil)
+		couplingInputs = append(couplingInputs, couplingInput{"spiral", pm})
+	}
+	couplingInputs = append(couplingInputs, couplingInput{"chessboard", cb12}, couplingInput{"block-chessboard", bc12})
+	var coupling []couplingPoint
+	for _, in := range couplingInputs {
+		l, err := route.Route(in.m, tch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,11 +421,12 @@ func TestBenchAnalyze(t *testing.T) {
 		var refPairs int
 		quadratic := bestOf(5, func() { refCBB, refPairs = quadraticCoupleSweep(l) })
 		if pairs != refPairs || math.Abs(cbb-refCBB) > 1e-9*math.Max(1, refCBB) {
-			t.Fatalf("N%d: binned sweep (%g fF, %d pairs) disagrees with quadratic reference (%g fF, %d pairs)",
-				bits, cbb, pairs, refCBB, refPairs)
+			t.Fatalf("%s N%d: binned sweep (%g fF, %d pairs) disagrees with quadratic reference (%g fF, %d pairs)",
+				in.style, in.m.Bits, cbb, pairs, refCBB, refPairs)
 		}
 		coupling = append(coupling, couplingPoint{
-			Bits:             bits,
+			Style:            in.style,
+			Bits:             in.m.Bits,
 			Wires:            len(l.Wires),
 			Pairs:            pairs,
 			BinnedSeconds:    binned.Seconds(),
@@ -390,9 +434,9 @@ func TestBenchAnalyze(t *testing.T) {
 			Speedup:          quadratic.Seconds() / binned.Seconds(),
 		})
 	}
-	first, last := coupling[0], coupling[len(coupling)-1]
-	// Empirical scaling exponent of the binned sweep in wire count; the
-	// quadratic reference sits at ~2 by construction.
+	first, last := coupling[0], coupling[2]
+	// Empirical scaling exponent of the track-grouped sweep in wire
+	// count; the quadratic reference sits at ~2 by construction.
 	binnedExp := math.Log(last.BinnedSeconds/first.BinnedSeconds) /
 		math.Log(float64(last.Wires)/float64(first.Wires))
 	quadExp := math.Log(last.QuadraticSeconds/first.QuadraticSeconds) /

@@ -14,7 +14,7 @@ import (
 )
 
 // quadraticCouple is the seed's O(W²) all-pairs coupling sweep, kept
-// here as the reference the binned interval-index sweep must match.
+// here as the reference the track-grouped sweep must match.
 func quadraticCouple(l *route.Layout) (share []float64, cbb float64, pairs int) {
 	share = make([]float64, len(l.Wires))
 	for i := 0; i < len(l.Wires); i++ {
@@ -48,7 +48,7 @@ func quadraticCouple(l *route.Layout) (share []float64, cbb float64, pairs int) 
 	return share, cbb, pairs
 }
 
-// TestCoupleMatchesQuadraticReference: the binned sweep finds exactly
+// TestCoupleMatchesQuadraticReference: the track-grouped sweep finds exactly
 // the seed's pair set on every style; totals and per-wire shares agree
 // to accumulation-order rounding.
 func TestCoupleMatchesQuadraticReference(t *testing.T) {

@@ -11,10 +11,11 @@
 package extract
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ccdac/internal/fault"
 	"ccdac/internal/geom"
@@ -135,17 +136,25 @@ func ExtractContext(ctx context.Context, l *route.Layout) (*Summary, error) {
 	// its own rcnet from the shared read-only layout), so they fan out
 	// across the context's worker budget; results land by bit index and
 	// warnings/solver stats are folded in bit order afterwards, keeping
-	// the summary identical at any worker count.
+	// the summary identical at any worker count. Bits are claimed
+	// MSB-first: ForN hands out ascending indices, and the largest net
+	// (half the cells) should start first, not last.
 	_, span = obs.StartSpan(ctx, "extract.bitnets")
-	s.Bits = make([]BitNet, l.M.Bits+1)
-	nets := make([]*BitNet, l.M.Bits+1)
-	wiresOf := byBit(l.Wires, l.M.Bits+1, func(w route.Wire) int { return w.Bit })
-	viasOf := byBit(l.Vias, l.M.Bits+1, func(v route.Via) int { return v.Bit })
-	if err := par.ForN(par.Workers(ctx), l.M.Bits+1, func(bit int) error {
+	nBits := l.M.Bits + 1
+	s.Bits = make([]BitNet, nBits)
+	nets := make([]*BitNet, nBits)
+	// Cells are bucketed as row-major indices, so each bit's cells come
+	// in m.CellsOf order.
+	cols := l.M.Cols
+	cellsOf := byBit(l.M.Rows*cols, nBits, func(i int) int { return l.M.At(geom.Cell{Row: i / cols, Col: i % cols}) })
+	wiresOf := byBit(len(l.Wires), nBits, func(i int) int { return l.Wires[i].Bit })
+	viasOf := byBit(len(l.Vias), nBits, func(i int) int { return l.Vias[i].Bit })
+	if err := par.ForN(par.Workers(ctx), nBits, func(i int) error {
+		bit := nBits - 1 - i
 		if cerr := ctx.Err(); cerr != nil {
 			return fmt.Errorf("extract: bit %d: %w", bit, cerr)
 		}
-		bn, berr := buildBitNet(l, bit, wireCoupling, wiresOf[bit], viasOf[bit])
+		bn, berr := buildBitNet(l, bit, wireCoupling, cellsOf[bit], wiresOf[bit], viasOf[bit])
 		if berr != nil {
 			return fmt.Errorf("extract: bit %d: %w", bit, berr)
 		}
@@ -195,12 +204,28 @@ func Coupling(l *route.Layout) (cbbFF float64, pairs int) {
 	return s.CBBfF, p
 }
 
-// coupleEntry is one bottom-plate wire in the coupling interval index:
-// its original wire slot and its perpendicular track coordinate (y for
-// horizontal wires, x for vertical ones).
+// couplingTrack is one track of the coupling sweep: the bottom-plate
+// wires of one (layer, direction) bucket that share an exact
+// perpendicular coordinate (y for horizontal wires, x for vertical
+// ones). Its wires are entries[start:end], in wire order.
+type couplingTrack struct {
+	bucket     int
+	perp       float64
+	start, end int
+}
+
+// coupleEntry is one swept wire: its slot in the layout, its capacitor
+// and its extent along the track.
 type coupleEntry struct {
-	idx  int
-	perp float64
+	idx, bit int
+	lo, hi   float64
+}
+
+// couplingWindow is one track within reach of the track being swept,
+// with its sidewall coupling per µm of overlap.
+type couplingWindow struct {
+	entries []coupleEntry
+	cPerUm  float64
 }
 
 // couple extracts pairwise sidewall coupling between bottom-plate wires
@@ -209,21 +234,34 @@ type coupleEntry struct {
 // the number of coupled wire pairs found.
 //
 // Only parallel same-layer wires within couplingReach spacings couple,
-// so instead of the seed's O(W²) all-pairs scan the wires are bucketed
-// per (layer, direction) and sorted by their perpendicular coordinate;
-// each wire is then compared only against the neighbors inside its
-// reach window — O(W log W + W·k) for k wires per window. The pair set
-// is exactly the seed's (the window bound is the same separation
-// cutoff), only the accumulation order differs.
+// and wires on one track abut rather than couple. So instead of the
+// seed's O(W²) all-pairs scan the wires are grouped by track — one
+// counting pass, then a sort of only the distinct tracks by (bucket,
+// coordinate) — and each wire is compared only against the wires of
+// the later tracks inside its reach window. Wires on a track keep
+// their layout order, so pairs are visited in (track, wire index)
+// order, and the overlap is OverlapLen's max(0, min(hi) − max(lo)).
+// Non-Manhattan segments overlap nothing and are left out. The pair
+// set is exactly the seed's (the window bound is the same separation
+// cutoff); only the accumulation order differs.
 func couple(l *route.Layout, s *Summary) ([]float64, int) {
 	pairs := 0
 	share := make([]float64, len(l.Wires))
 	nLayers := len(l.Tech.Layers)
-	// Bucket index: layer × direction. geom.Seg classifies zero-length
-	// segments as horizontal, matching Separation's pairing rules.
-	buckets := make([][]coupleEntry, 2*nLayers)
+	// Pass 1: find each swept wire's track and count the tracks'
+	// wires. geom.Seg classifies zero-length segments as horizontal,
+	// matching Separation's pairing rules. Map keys compare floats
+	// with ==, so +0 and −0 are one track.
+	type trackKey struct {
+		bucket int
+		perp   float64
+	}
+	var tracks []couplingTrack
+	index := make(map[trackKey]int)
+	trackOf := make([]int32, len(l.Wires)) // track + 1; 0 = not swept
+	swept := 0
 	for i, w := range l.Wires {
-		if w.Bit == route.TopPlateBit || w.Layer < 0 || w.Layer >= nLayers {
+		if w.Bit == route.TopPlateBit || w.Layer < 0 || w.Layer >= nLayers || !w.Seg.IsManhattan() {
 			continue
 		}
 		perp := w.Seg.A.Y
@@ -232,37 +270,75 @@ func couple(l *route.Layout, s *Summary) ([]float64, int) {
 			perp = w.Seg.A.X
 			b++
 		}
-		buckets[b] = append(buckets[b], coupleEntry{idx: i, perp: perp})
+		k := trackKey{b, perp}
+		t, ok := index[k]
+		if !ok {
+			t = len(tracks)
+			index[k] = t
+			tracks = append(tracks, couplingTrack{bucket: b, perp: perp})
+		}
+		tracks[t].end++
+		trackOf[i] = int32(t + 1)
+		swept++
 	}
+	order := make([]int, len(tracks))
+	for t := range order {
+		order[t] = t
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(tracks[a].bucket, tracks[b].bucket), cmp.Compare(tracks[a].perp, tracks[b].perp))
+	})
+	off := 0
+	for _, t := range order {
+		n := tracks[t].end
+		tracks[t].start, tracks[t].end = off, off
+		off += n
+	}
+	// Pass 2: lay the wires out track by track, in wire order.
+	entries := make([]coupleEntry, swept)
+	for i, t := range trackOf {
+		if t == 0 {
+			continue
+		}
+		w := l.Wires[i]
+		lo, hi := min(w.Seg.A.X, w.Seg.B.X), max(w.Seg.A.X, w.Seg.B.X)
+		if w.Seg.Dir() == geom.Vertical {
+			lo, hi = min(w.Seg.A.Y, w.Seg.B.Y), max(w.Seg.A.Y, w.Seg.B.Y)
+		}
+		tr := &tracks[t-1]
+		entries[tr.end] = coupleEntry{idx: i, bit: w.Bit, lo: lo, hi: hi}
+		tr.end++
+	}
+
 	reach := couplingReach * l.Tech.SMinUm
-	for _, es := range buckets {
-		sort.Slice(es, func(a, b int) bool {
-			if es[a].perp != es[b].perp {
-				return es[a].perp < es[b].perp
+	var win []couplingWindow
+	for k, t := range order {
+		tt := tracks[t]
+		win = win[:0]
+		for _, u := range order[k+1:] {
+			tu := tracks[u]
+			sep := tu.perp - tt.perp
+			if tu.bucket != tt.bucket || !(sep <= reach) {
+				break
 			}
-			return es[a].idx < es[b].idx
-		})
-		for i := 0; i < len(es); i++ {
-			wi := l.Wires[es[i].idx]
-			for j := i + 1; j < len(es) && es[j].perp-es[i].perp <= reach; j++ {
-				sep := es[j].perp - es[i].perp
-				if sep == 0 {
-					// Same track: abutting, not sidewall-coupled.
-					continue
+			win = append(win, couplingWindow{entries: entries[tu.start:tu.end], cPerUm: l.Tech.CouplingfFPerUm(sep)})
+		}
+		for _, ei := range entries[tt.start:tt.end] {
+			for _, w := range win {
+				for _, ej := range w.entries {
+					if ej.bit == ei.bit {
+						continue
+					}
+					ov := min(ei.hi, ej.hi) - max(ei.lo, ej.lo)
+					if ov <= 0 {
+						continue
+					}
+					c := w.cPerUm * ov
+					s.CBBfF += c
+					share[ei.idx] += c / 2
+					share[ej.idx] += c / 2
+					pairs++
 				}
-				wj := l.Wires[es[j].idx]
-				if wj.Bit == wi.Bit {
-					continue
-				}
-				ov := wi.Seg.OverlapLen(wj.Seg)
-				if ov <= 0 {
-					continue
-				}
-				c := l.Tech.CouplingfFPerUm(sep) * ov
-				s.CBBfF += c
-				share[es[i].idx] += c / 2
-				share[es[j].idx] += c / 2
-				pairs++
 			}
 		}
 	}
@@ -282,23 +358,16 @@ func effLen(l *route.Layout, w route.Wire) float64 {
 	return w.Seg.Len()
 }
 
-// nodeKey quantizes a point to 1 nm so float arithmetic cannot split
-// electrically-identical junctions into distinct nodes.
-type nodeKey struct {
-	layer int // -1 for cell plate nodes (all layers tied at the cell)
-	x, y  int64
-}
-
 func quant(v float64) int64 { return int64(math.Round(v * 1000)) }
 
-// byBit buckets the indices of items by capacitor, ascending within
-// each bit — the order a bit's network is stamped in. Items of no bit
-// (top-plate wires) are left out.
-func byBit[T any](items []T, bits int, bitOf func(T) int) [][]int {
+// byBit buckets the indices 0..n-1 of items by capacitor, ascending
+// within each bit — the order a bit's network is stamped in. Items of
+// no bit (top-plate wires, dummy cells) are left out.
+func byBit(n, bits int, bitOf func(i int) int) [][]int {
 	counts := make([]int, bits)
 	total := 0
-	for _, it := range items {
-		if b := bitOf(it); b >= 0 && b < bits {
+	for i := 0; i < n; i++ {
+		if b := bitOf(i); b >= 0 && b < bits {
 			counts[b]++
 			total++
 		}
@@ -310,19 +379,67 @@ func byBit[T any](items []T, bits int, bitOf func(T) int) [][]int {
 		out[b] = backing[off : off : off+c]
 		off += c
 	}
-	for i, it := range items {
-		if b := bitOf(it); b >= 0 && b < bits {
+	for i := 0; i < n; i++ {
+		if b := bitOf(i); b >= 0 && b < bits {
 			out[b] = append(out[b], i)
 		}
 	}
 	return out
 }
 
+// bitNodes numbers the nodes of one bit network by point, quantized to
+// 1 nm so float arithmetic cannot split electrically-identical
+// junctions into distinct nodes. A point at one of the bit's cell
+// centers is that cell's plate node on every layer (bottom plates are
+// reachable on every layer at the cell); any other point holds one
+// junction node per layer, created on first sight.
+type bitNodes struct {
+	net  *rcnet.Net
+	at   map[[2]int64]pointNodes
+	junc []junctionNode
+}
+
+// pointNodes is one point's cell node (-1 if none) and the head of its
+// junction list in bitNodes.junc (-1 if empty).
+type pointNodes struct{ cell, junc int32 }
+
+// junctionNode is one layer's junction at a point; next links the
+// point's other junctions.
+type junctionNode struct {
+	layer      int
+	node, next int32
+}
+
+func pointKey(p geom.Pt) [2]int64 { return [2]int64{quant(p.X), quant(p.Y)} }
+
+// nodeOf returns the node at p on layer, creating a junction if the
+// point has neither a cell nor a junction on that layer yet.
+func (b *bitNodes) nodeOf(p geom.Pt, layer int) int {
+	k := pointKey(p)
+	pn, ok := b.at[k]
+	if !ok {
+		pn = pointNodes{cell: -1, junc: -1}
+	}
+	if pn.cell >= 0 {
+		return int(pn.cell)
+	}
+	for j := pn.junc; j >= 0; j = b.junc[j].next {
+		if b.junc[j].layer == layer {
+			return int(b.junc[j].node)
+		}
+	}
+	id := b.net.AddNode("junction")
+	b.junc = append(b.junc, junctionNode{layer: layer, node: int32(id), next: pn.junc})
+	pn.junc = int32(len(b.junc) - 1)
+	b.at[k] = pn
+	return id
+}
+
 // buildBitNet assembles the RC charging network of one capacitor from
-// its routed wires and vias (indices into the layout's, ascending) and
-// runs the Elmore analysis.
-func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, wires, vias []int) (*BitNet, error) {
-	cells := l.M.CellsOf(bit)
+// its cells (row-major cell indices) and its routed wires and vias
+// (indices into the layout's), each ascending, and runs the Elmore
+// analysis.
+func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, cells, wires, vias []int) (*BitNet, error) {
 	net := rcnet.New()
 	// A routed bit network is a tree: every wire and via is one
 	// resistor, plus the driver's, and a tree has one node more than it
@@ -331,35 +448,22 @@ func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, wires, vias [
 	net.Grow(nodeCount, len(wires)+len(vias)+1)
 	bn := &BitNet{Bit: bit, Net: net, CellNodes: make([]int, 0, len(cells))}
 
-	// Bottom plates are reachable on every layer at the cell, so any
-	// wire endpoint landing on a cell center of this bit merges into
-	// the cell's single plate node.
-	cellAt := make(map[[2]int64]int, len(cells))
-	for _, c := range cells {
-		pt := l.CellCenter(c)
+	nodes := &bitNodes{
+		net:  net,
+		at:   make(map[[2]int64]pointNodes, nodeCount),
+		junc: make([]junctionNode, 0, nodeCount-len(cells)),
+	}
+	for _, i := range cells {
 		id := net.AddNode("cell")
 		net.AddC(id, l.Tech.Unit.CfF)
-		cellAt[[2]int64{quant(pt.X), quant(pt.Y)}] = id
+		nodes.at[pointKey(l.CellCenter(geom.Cell{Row: i / l.M.Cols, Col: i % l.M.Cols}))] = pointNodes{cell: int32(id), junc: -1}
 		bn.CellNodes = append(bn.CellNodes, id)
-	}
-	nodes := make(map[nodeKey]int, nodeCount-len(cells))
-	nodeOf := func(p geom.Pt, layer int) int {
-		if id, ok := cellAt[[2]int64{quant(p.X), quant(p.Y)}]; ok {
-			return id
-		}
-		k := nodeKey{layer: layer, x: quant(p.X), y: quant(p.Y)}
-		if id, ok := nodes[k]; ok {
-			return id
-		}
-		id := net.AddNode("junction")
-		nodes[k] = id
-		return id
 	}
 
 	for _, i := range wires {
 		w := l.Wires[i]
-		a := nodeOf(w.Seg.A, w.Layer)
-		b := nodeOf(w.Seg.B, w.Layer)
+		a := nodes.nodeOf(w.Seg.A, w.Layer)
+		b := nodes.nodeOf(w.Seg.B, w.Layer)
 		el := effLen(l, w)
 		r := l.Tech.WireR(w.Layer, el, w.Par)
 		c := l.Tech.WireC(w.Layer, el, w.Par) + wireCoupling[i]
@@ -381,10 +485,10 @@ func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, wires, vias [
 		r := l.Tech.ViaR(v.Par)
 		bn.RViaOhm += r
 		if v.Input {
-			net.AddR(driver, nodeOf(v.At, v.LayerA), r)
+			net.AddR(driver, nodes.nodeOf(v.At, v.LayerA), r)
 			continue
 		}
-		net.AddR(nodeOf(v.At, v.LayerA), nodeOf(v.At, v.LayerB), r)
+		net.AddR(nodes.nodeOf(v.At, v.LayerA), nodes.nodeOf(v.At, v.LayerB), r)
 	}
 	delays, err := bn.Net.Delay(root)
 	if err != nil {

@@ -86,10 +86,11 @@ type semiScratch struct {
 }
 
 // NewSemiEmbedding builds the row-spectral embedding of kernel(d²) —
-// d² in µm² — over g. Construction only fails on degenerate
-// arguments; whether the spectra support sampling is reported by
-// CanSample.
-func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64) (*SemiEmbedding, error) {
+// d² in µm² — over g, running the per-separation transforms on up to
+// workers goroutines; kernel must be safe for concurrent calls.
+// Construction only fails on degenerate arguments; whether the spectra
+// support sampling is reported by CanSample.
+func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, workers int) (*SemiEmbedding, error) {
 	cols := len(g.ColX)
 	if g.Rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("fftk: semi embedding %dx%d, want >= 1", g.Rows, cols)
@@ -142,22 +143,32 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64) (*SemiEmbeddi
 	for f := range e.lam {
 		e.lam[f] = make([]float64, len(dxs))
 	}
+	// The separations' transforms are independent and each writes only
+	// its own column of lam, so they run in contiguous blocks, one set
+	// of buffers per block; every spectrum is the serial one at any
+	// worker count. The transforms cannot fail, so ForN has no error
+	// to report.
 	half := m/2 + 1
-	vals := make([]float64, half)
-	buf := make([]complex128, m)
-	for k, dx := range dxs {
-		for w := range vals {
-			wr := float64(w) * g.DY
-			vals[w] = kernel(dx*dx + wr*wr)
+	blocks := min(max(workers, 1), len(dxs))
+	_ = par.ForN(workers, blocks, func(b int) error {
+		vals := make([]float64, half)
+		buf := make([]complex128, m)
+		for k := b * len(dxs) / blocks; k < (b+1)*len(dxs)/blocks; k++ {
+			dx := dxs[k]
+			for w := range vals {
+				wr := float64(w) * g.DY
+				vals[w] = kernel(dx*dx + wr*wr)
+			}
+			for s := range buf {
+				buf[s] = complex(vals[min(s, m-s)], 0)
+			}
+			plan.Forward(buf)
+			for f, lam := range e.lam {
+				lam[k] = real(buf[f])
+			}
 		}
-		for s := range buf {
-			buf[s] = complex(vals[min(s, m-s)], 0)
-		}
-		plan.Forward(buf)
-		for f, lam := range e.lam {
-			lam[k] = real(buf[f])
-		}
-	}
+		return nil
+	})
 	e.KernelEvals = int64(len(dxs) * half)
 	e.pool.New = func() any {
 		return &semiScratch{

@@ -155,23 +155,26 @@ var equivKernels = map[string]func(float64) float64{
 }
 
 // TestSemiSpectraMatchReference requires every cross-spectral entry of
-// the deduplicated build to equal the per-pair reference's, compared
-// with ==.
+// the deduplicated build, at 1, 2 and 4 workers, to equal the per-pair
+// reference's, compared with ==.
 func TestSemiSpectraMatchReference(t *testing.T) {
 	for gname, g := range equivGrids() {
 		for kname, kernel := range equivKernels {
-			e, err := NewSemiEmbedding(g, kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want := refSemiSpectra(g, kernel)
-			if len(e.lam) != len(want) {
-				t.Fatalf("%s/%s: %d frequencies, reference %d", gname, kname, len(e.lam), len(want))
-			}
-			for f := range want {
-				for p := range want[f] {
-					if got := e.lam[f][e.sep[p]]; got != want[f][p] {
-						t.Fatalf("%s/%s: S[%d] packed %d = %.17g, reference %.17g", gname, kname, f, p, got, want[f][p])
+			for _, workers := range []int{1, 2, 4} {
+				name := fmt.Sprintf("%s/%s/workers=%d", gname, kname, workers)
+				e, err := NewSemiEmbedding(g, kernel, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(e.lam) != len(want) {
+					t.Fatalf("%s: %d frequencies, reference %d", name, len(e.lam), len(want))
+				}
+				for f := range want {
+					for p := range want[f] {
+						if got := e.lam[f][e.sep[p]]; got != want[f][p] {
+							t.Fatalf("%s: S[%d] packed %d = %.17g, reference %.17g", name, f, p, got, want[f][p])
+						}
 					}
 				}
 			}
@@ -189,7 +192,7 @@ func TestSemiQuadFormsMatchReference(t *testing.T) {
 		C := len(g.ColX)
 		n := g.Rows * C
 		for kname, kernel := range equivKernels {
-			e, err := NewSemiEmbedding(g, kernel)
+			e, err := NewSemiEmbedding(g, kernel, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ package groups
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ccdac/internal/ccmatrix"
@@ -119,11 +120,19 @@ func (g *Group) ClosestCells(o *Group) (u, v geom.Cell) {
 // the placement, indexed by capacitor: result[k] lists the groups of
 // C_k ordered by their bottom-left-most cell. Dummy cells form no
 // groups (they are tied to ground outside the signal routing).
+//
+// The BFS queue is the group's own Cells list, and each cell's
+// neighbors are checked inline in Neighbors4 order. Every group's
+// Cells is a capped window of one backing shared by the placement,
+// sized so it never reallocates; its Edges are gathered in a reused
+// buffer and copied out at their exact length.
 func Find(m *ccmatrix.Matrix) ([][]*Group, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("groups: %w", err)
 	}
 	visited := make([]bool, m.Rows*m.Cols)
+	cells := make([]geom.Cell, 0, m.Rows*m.Cols)
+	var edges []Edge
 	out := make([][]*Group, m.Bits+1)
 	for r := 0; r < m.Rows; r++ {
 		for c := 0; c < m.Cols; c++ {
@@ -133,22 +142,29 @@ func Find(m *ccmatrix.Matrix) ([][]*Group, error) {
 			if visited[idx] || bit < 0 {
 				continue
 			}
-			g := &Group{Bit: bit}
-			queue := []geom.Cell{start}
+			first := len(cells)
+			cells = append(cells, start)
+			edges = edges[:0]
 			visited[idx] = true
-			for len(queue) > 0 {
-				cur := queue[0]
-				queue = queue[1:]
-				g.Cells = append(g.Cells, cur)
-				for _, n := range cur.Neighbors4(m.Rows, m.Cols) {
+			for head := first; head < len(cells); head++ {
+				cur := cells[head]
+				for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, -1}, {0, 1}} {
+					n := cur.Add(d[0], d[1])
+					if !n.In(m.Rows, m.Cols) {
+						continue
+					}
 					ni := n.Row*m.Cols + n.Col
 					if visited[ni] || m.At(n) != bit {
 						continue
 					}
 					visited[ni] = true
-					g.Edges = append(g.Edges, Edge{A: cur, B: n})
-					queue = append(queue, n)
+					edges = append(edges, Edge{A: cur, B: n})
+					cells = append(cells, n)
 				}
+			}
+			g := &Group{Bit: bit, Cells: cells[first:len(cells):len(cells)]}
+			if len(edges) > 0 {
+				g.Edges = slices.Clone(edges)
 			}
 			out[bit] = append(out[bit], g)
 		}

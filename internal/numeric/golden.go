@@ -205,7 +205,7 @@ func checkCirculantMatvec() (float64, error) {
 		for c, x := range colX {
 			g.ColX[c] = x * t.Unit.W
 		}
-		e, err := fftk.NewSemiEmbedding(g, kernel)
+		e, err := fftk.NewSemiEmbedding(g, kernel, 1)
 		if err != nil {
 			return math.Inf(1), fmt.Errorf("fft golden embedding: %w", err)
 		}

@@ -1,9 +1,10 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ccdac/internal/ccmatrix"
 	"ccdac/internal/geom"
@@ -137,56 +138,53 @@ func NewBlockChessboard(bits int, p BCParams) (*ccmatrix.Matrix, error) {
 	// Outer corridor: concentric rings around the core, walked by
 	// angle, filled with g-cell blocks dealt largest-remaining-fraction
 	// across C_(k+1)..C_N and the leftover dummies, each placement
-	// mirrored through the center.
-	var outer []geom.Cell
+	// mirrored through the center. Each corridor cell's ring and angle
+	// are computed once and sorted with it; (ring, angle, row, col) is
+	// a total order, so the walk does not depend on the sort algorithm.
+	type corridorCell struct {
+		ring  int
+		angle float64
+		cell  geom.Cell
+	}
+	cy, cx := float64(rows-1)/2, float64(cols-1)/2
+	corridor := make([]corridorCell, 0, rows*cols-coreR*coreC)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			cell := geom.Cell{Row: r, Col: c}
-			if !inCore(cell) {
-				outer = append(outer, cell)
+			if inCore(cell) {
+				continue
 			}
+			dr := 0
+			if r < r0 {
+				dr = r0 - r
+			} else if r >= r0+coreR {
+				dr = r - (r0 + coreR - 1)
+			}
+			dc := 0
+			if c < c0 {
+				dc = c0 - c
+			} else if c >= c0+coreC {
+				dc = c - (c0 + coreC - 1)
+			}
+			a := math.Atan2(float64(r)-cy, float64(c)-cx)
+			if a < 0 {
+				a += 2 * math.Pi
+			}
+			corridor = append(corridor, corridorCell{ring: max(dr, dc), angle: a, cell: cell})
 		}
 	}
-	cy, cx := float64(rows-1)/2, float64(cols-1)/2
-	ring := func(c geom.Cell) int {
-		dr := 0
-		if c.Row < r0 {
-			dr = r0 - c.Row
-		} else if c.Row >= r0+coreR {
-			dr = c.Row - (r0 + coreR - 1)
-		}
-		dc := 0
-		if c.Col < c0 {
-			dc = c0 - c.Col
-		} else if c.Col >= c0+coreC {
-			dc = c.Col - (c0 + coreC - 1)
-		}
-		if dr > dc {
-			return dr
-		}
-		return dc
-	}
-	angle := func(c geom.Cell) float64 {
-		a := math.Atan2(float64(c.Row)-cy, float64(c.Col)-cx)
-		if a < 0 {
-			a += 2 * math.Pi
-		}
-		return a
-	}
-	sort.Slice(outer, func(a, b int) bool {
-		ra, rb := ring(outer[a]), ring(outer[b])
-		if ra != rb {
-			return ra < rb
-		}
-		aa, ab := angle(outer[a]), angle(outer[b])
-		if aa != ab {
-			return aa < ab
-		}
-		if outer[a].Row != outer[b].Row {
-			return outer[a].Row < outer[b].Row
-		}
-		return outer[a].Col < outer[b].Col
+	slices.SortFunc(corridor, func(a, b corridorCell) int {
+		return cmp.Or(
+			cmp.Compare(a.ring, b.ring),
+			cmp.Compare(a.angle, b.angle),
+			cmp.Compare(a.cell.Row, b.cell.Row),
+			cmp.Compare(a.cell.Col, b.cell.Col),
+		)
 	})
+	outer := make([]geom.Cell, len(corridor))
+	for i, cc := range corridor {
+		outer[i] = cc.cell
+	}
 
 	outerDummies := dummies - coreDummies
 	demands := make([]pairDemand, 0, bits-p.CoreBits+1)

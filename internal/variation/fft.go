@@ -269,14 +269,15 @@ func covarianceDense(ctx context.Context, g *cellGeom, t *tech.Technology) (*lin
 }
 
 // mismatchSemiEmbedding is the separable-lattice analog of
-// mismatchEmbedding. The embedding evaluates each distinct kernel
-// argument once (KernelEvals counts them).
-func mismatchSemiEmbedding(t *tech.Technology, sg fftk.SemiGrid) (*fftk.SemiEmbedding, error) {
+// mismatchEmbedding, built on up to workers goroutines. The embedding
+// evaluates each distinct kernel argument once (KernelEvals counts
+// them).
+func mismatchSemiEmbedding(t *tech.Technology, sg fftk.SemiGrid, workers int) (*fftk.SemiEmbedding, error) {
 	sigmaU2 := t.SigmaU() * t.SigmaU()
 	rt := t.RhoTable()
 	return fftk.NewSemiEmbedding(sg, func(d2 float64) float64 {
 		return sigmaU2 * rt.RhoSq(d2)
-	})
+	}, workers)
 }
 
 // covarianceSemi evaluates the capacitor quadratic forms through the
@@ -287,7 +288,7 @@ func mismatchSemiEmbedding(t *tech.Technology, sg fftk.SemiGrid) (*fftk.SemiEmbe
 // reduces its per-frequency partials in frequency order, hence is
 // bit-identical at any worker count.
 func covarianceSemi(ctx context.Context, g *cellGeom, t *tech.Technology, sg fftk.SemiGrid) (*linalg.Dense, error) {
-	emb, err := mismatchSemiEmbedding(t, sg)
+	emb, err := mismatchSemiEmbedding(t, sg, par.Workers(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +363,7 @@ func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.T
 		obs.Count(ctx, "ccdac_variation_rho_calls_total", evals)
 		sampler = emb
 	} else {
-		emb, err := mismatchSemiEmbedding(t, lat.sg)
+		emb, err := mismatchSemiEmbedding(t, lat.sg, par.Workers(ctx))
 		if err != nil || !emb.Factorize(par.Workers(ctx)) {
 			obs.CountL(ctx, "ccdac_numeric_fft_fallback_total", obs.Labels{"path": "mc"}, 1)
 			return nil, false

@@ -365,7 +365,7 @@ func TestSeparableTierLeavesRhoMemo(t *testing.T) {
 	if !lat.complete || lat.uniform {
 		t.Fatal("routed layout does not fit a complete non-uniform lattice")
 	}
-	emb, err := mismatchSemiEmbedding(tch, lat.sg)
+	emb, err := mismatchSemiEmbedding(tch, lat.sg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
