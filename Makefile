@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X ccdac.Version=$(VERSION)"
 
-.PHONY: check fmt vet build test race fuzz bench bench-obs bench-analyze bench-smoke serve-bench bench-cache bench-store store-smoke bench-jobs jobs-smoke bench-diff bench-update install
+.PHONY: check fmt vet build test race fuzz bench bench-obs bench-analyze bench-smoke bench-cache bench-store store-smoke bench-jobs jobs-smoke bench-diff bench-update install
 
 check: fmt vet build race
 
@@ -58,14 +58,6 @@ bench-analyze:
 bench-smoke:
 	$(GO) test -run '^$$' -count=1 -benchtime 1x \
 		-bench '^(BenchmarkAnalyzeCov|BenchmarkCoupleSweep|BenchmarkExtractBits|BenchmarkElmoreTree|BenchmarkPromotionLoop|BenchmarkThetaSweepRouted)$$' .
-
-# Serve-mode load benchmark: boots the daemon on a loopback listener,
-# drives it with concurrent clients and writes throughput plus latency
-# percentiles (and the server's counter deltas) to BENCH_serve.json.
-# Knobs: BENCH_SERVE_CLIENTS, BENCH_SERVE_REQUESTS, BENCH_SERVE_BITS.
-serve-bench:
-	BENCH_SERVE_OUT=$(CURDIR)/BENCH_serve.json $(GO) test \
-		-run '^TestBenchServe$$' -count=1 -v ./internal/serve
 
 # Caching benchmark: serve cold-vs-warm, memoized sensitivity sweep,
 # singleflight dedup factor, and CG solver allocations, written to

@@ -29,7 +29,6 @@ import (
 	"ccdac/internal/obs"
 	"ccdac/internal/place"
 	"ccdac/internal/render"
-	"ccdac/internal/store"
 	"ccdac/internal/tech"
 )
 
@@ -177,23 +176,6 @@ type Result struct {
 	res *core.Result
 }
 
-// EnableMemoSpill backs the process-wide stage caches (Config.Memo)
-// with a durable spill tier rooted at dir: entries evicted under
-// memory pressure — annealed placements, covariance matrices, Cholesky
-// factors — are persisted content-addressed and restored on a later
-// miss instead of being recomputed, so long sweeps survive cache
-// eviction across both memory pressure and process restarts. Call once
-// at startup; spilled entries are verified by content hash on the way
-// back in (a corrupt spill is a miss, never a wrong result).
-func EnableMemoSpill(dir string) error {
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		return err
-	}
-	core.EnableMemoSpill(store.Spiller{S: st})
-	return nil
-}
-
 // Generate runs the full constructive flow for one configuration.
 //
 // Errors are always *PipelineError values matching one of the stage
@@ -209,7 +191,7 @@ func Generate(cfg Config) (*Result, error) {
 // parallel-wire promotion iterations. A canceled run returns a
 // *PipelineError whose cause matches ctx.Err() under errors.Is.
 func GenerateContext(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ccfg, err := toCoreConfig(cfg)
@@ -262,7 +244,7 @@ func GenerateBestBC(cfg Config) (*Result, []*Result, error) {
 // GenerateBestBCContext is GenerateBestBC under a context.
 func GenerateBestBCContext(ctx context.Context, cfg Config) (*Result, []*Result, error) {
 	cfg.Style = BlockChessboard
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	ccfg, err := toCoreConfig(cfg)

@@ -31,7 +31,6 @@ func main() {
 	workers := flag.Int("workers", 0, "analysis worker budget (0 = GOMAXPROCS, negative = serial)")
 	memoize := flag.Bool("memo", false, "memoize pipeline stages in the process-wide cache (see docs/PERFORMANCE.md)")
 	fftMode := flag.String("fft", "auto", "covariance engine: auto (FFT when the grid allows) or off (always dense)")
-	spillDir := flag.String("memo-spill-dir", "", "with -memo, spill evicted stage-cache entries to a durable store at this directory (restored on later misses)")
 	svgOut := flag.String("svg", "", "write the routed layout SVG to this file")
 	placeOut := flag.String("placement-svg", "", "write the placement SVG to this file")
 	gdsOut := flag.String("gds", "", "write the layout as a GDSII stream to this file")
@@ -51,13 +50,6 @@ func main() {
 		return
 	}
 
-	if *spillDir != "" {
-		if err := ccdac.EnableMemoSpill(*spillDir); err != nil {
-			// Degrade, don't fail: the run is still correct without the
-			// spill tier, just slower on re-misses.
-			fmt.Fprintln(os.Stderr, "ccdac: warning: memo spill disabled:", err)
-		}
-	}
 	cfg := ccdac.Config{
 		Bits:             *bits,
 		Style:            ccdac.Style(*style),

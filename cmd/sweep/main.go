@@ -36,7 +36,6 @@ func main() {
 	parallel := flag.Int("parallel", 2, "parallel wires")
 	withNL := flag.Bool("nl", false, "include INL/DNL in knob sweeps (slower)")
 	memoize := flag.Bool("memo", false, "memoize pipeline stages across sweep points (see docs/PERFORMANCE.md)")
-	spillDir := flag.String("memo-spill-dir", "", "with -memo, spill evicted stage-cache entries to a durable store at this directory (restored on later misses)")
 	traceOut := flag.String("trace", "", "record an observability trace and write its spans as JSONL to this file")
 	otlpOut := flag.String("trace-otlp", "", "record an observability trace and write it as OTLP/JSON to this file (importable into Jaeger/Tempo)")
 	metricsOut := flag.String("metrics", "", "record study metrics and write them in Prometheus text format to this file")
@@ -45,15 +44,6 @@ func main() {
 	factors, err := parseFactors(*factorsFlag)
 	if err != nil {
 		fatal(err)
-	}
-	if *spillDir != "" {
-		if st, err := store.Open(*spillDir, store.Options{}); err != nil {
-			// Degrade, don't fail: the sweep is still correct without the
-			// spill tier, just slower on re-misses.
-			fmt.Fprintln(os.Stderr, "sweep: warning: memo spill disabled:", err)
-		} else {
-			core.EnableMemoSpill(store.Spiller{S: st})
-		}
 	}
 	ctx := context.Background()
 	var tr *obs.Trace

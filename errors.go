@@ -119,9 +119,11 @@ func configErr(cfg Config, field, format string, args ...any) error {
 	}
 }
 
-// validate rejects malformed configurations before any flow stage
+// Validate rejects malformed configurations before any flow stage
 // runs, naming the offending field. Every error matches ErrConfig.
-func (cfg Config) validate() error {
+// Generate and GenerateBestBC call it on entry; front ends call it to
+// refuse a bad request before queueing or caching it.
+func (cfg Config) Validate() error {
 	if cfg.Bits < MinBits || cfg.Bits > MaxBits {
 		return configErr(cfg, "Bits", "%d outside supported range %d..%d", cfg.Bits, MinBits, MaxBits)
 	}

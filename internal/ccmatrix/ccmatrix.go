@@ -9,7 +9,6 @@
 package ccmatrix
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -275,41 +274,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := &Matrix{Rows: m.Rows, Cols: m.Cols, Bits: m.Bits, Scale: m.Scale, cells: make([]int, len(m.cells))}
 	copy(c.cells, m.cells)
 	return c
-}
-
-// MarshalBinary encodes the matrix for the memo spill tier: four
-// little-endian int64 header fields followed by the cell assignments.
-func (m *Matrix) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 32+8*len(m.cells))
-	for _, v := range []int{m.Rows, m.Cols, m.Bits, m.Scale} {
-		out = binary.LittleEndian.AppendUint64(out, uint64(v))
-	}
-	for _, v := range m.cells {
-		out = binary.LittleEndian.AppendUint64(out, uint64(int64(v)))
-	}
-	return out, nil
-}
-
-// UnmarshalBinary reverses MarshalBinary, validating dimensions.
-func (m *Matrix) UnmarshalBinary(data []byte) error {
-	if len(data) < 32 || len(data)%8 != 0 {
-		return fmt.Errorf("ccmatrix: truncated encoding (%d bytes)", len(data))
-	}
-	var hdr [4]int
-	for i := range hdr {
-		hdr[i] = int(int64(binary.LittleEndian.Uint64(data[i*8:])))
-	}
-	rows, cols, bits, scale := hdr[0], hdr[1], hdr[2], hdr[3]
-	n := (len(data) - 32) / 8
-	if rows <= 0 || cols <= 0 || bits < 2 || scale < 1 || rows*cols != n {
-		return fmt.Errorf("ccmatrix: inconsistent encoding %dx%d (%d cells)", rows, cols, n)
-	}
-	cells := make([]int, n)
-	for i := range cells {
-		cells[i] = int(int64(binary.LittleEndian.Uint64(data[32+i*8:])))
-	}
-	*m = Matrix{Rows: rows, Cols: cols, Bits: bits, Scale: scale, cells: cells}
-	return nil
 }
 
 // SwapCells exchanges the assignments of two cells.

@@ -241,22 +241,9 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		pKey = placeKey(cfg)
 	}
 	if err := runStage(ctx, fault.StagePlace, func(sctx context.Context) error {
-		if useMemo {
-			if v, ok := placeCache.Get(pKey); ok {
-				// Fault injection stays observable on a hit.
-				if ferr := fault.Check(fault.StagePlace); ferr != nil {
-					return ferr
-				}
-				obs.CurrentSpan(sctx).SetAttr("memo", "hit")
-				m = v.(*ccmatrix.Matrix)
-				return nil
-			}
-		}
 		var perr error
-		m, perr = Place(cfg)
-		if perr == nil && useMemo {
-			placeCache.Put(pKey, m, matrixBytes(m))
-		}
+		m, perr = stageMemo(sctx, useMemo, placeCache, pKey, fault.StagePlace,
+			func(context.Context) (*ccmatrix.Matrix, error) { return Place(cfg) }, matrixBytes)
 		return perr
 	}); err != nil {
 		return nil, err
@@ -295,41 +282,25 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		}
 		err := runStage(ctx, fault.StageRoute, func(sctx context.Context) error {
 			obs.CurrentSpan(sctx).SetAttr("iter", iterAttr)
-			if useMemo {
-				if v, ok := layoutCache.Get(rKey); ok {
-					if ferr := fault.Check(fault.StageRoute); ferr != nil {
-						return ferr
-					}
-					obs.CurrentSpan(sctx).SetAttr("memo", "hit")
-					stepL = layoutForTech(v.(*route.Layout), t)
-					return nil
-				}
-			}
-			var rerr error
-			stepL, rerr = route.RouteContext(sctx, m, t, par)
-			if rerr == nil && useMemo {
-				layoutCache.Put(rKey, stepL, layoutBytes(stepL))
+			l, rerr := stageMemo(sctx, useMemo, layoutCache, rKey, fault.StageRoute,
+				func(rctx context.Context) (*route.Layout, error) { return route.RouteContext(rctx, m, t, par) },
+				layoutBytes)
+			if rerr == nil {
+				stepL = layoutForTech(l, t)
 			}
 			return rerr
 		})
 		if err == nil {
 			err = runStage(ctx, fault.StageExtract, func(sctx context.Context) error {
 				obs.CurrentSpan(sctx).SetAttr("iter", iterAttr)
+				xKey := ""
 				if useMemo {
-					if v, ok := extractCache.Get(extractKey(rKey, t)); ok {
-						if ferr := fault.Check(fault.StageExtract); ferr != nil {
-							return ferr
-						}
-						obs.CurrentSpan(sctx).SetAttr("memo", "hit")
-						stepSum = v.(*extract.Summary)
-						return nil
-					}
+					xKey = extractKey(rKey, t)
 				}
 				var xerr error
-				stepSum, xerr = extract.ExtractContext(sctx, stepL)
-				if xerr == nil && useMemo {
-					extractCache.Put(extractKey(rKey, t), stepSum, summaryBytes(stepSum))
-				}
+				stepSum, xerr = stageMemo(sctx, useMemo, extractCache, xKey, fault.StageExtract,
+					func(xctx context.Context) (*extract.Summary, error) { return extract.ExtractContext(xctx, stepL) },
+					summaryBytes)
 				return xerr
 			})
 		}

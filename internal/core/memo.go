@@ -19,18 +19,22 @@
 // Cached values are treated as immutable by the whole pipeline (they
 // are shared between concurrent runs on a hit), and cold runs are
 // deterministic, so cached and uncached runs produce bitwise-identical
-// results. Stages still consult fault injection points on a hit, so
-// fault-injection tests and drills see identical behavior either way.
+// results. Stages still consult fault injection points on a hit or a
+// shared pending entry, so fault-injection tests and drills see
+// identical behavior either way.
 package core
 
 import (
+	"context"
+
 	"ccdac/internal/ccmatrix"
 	"ccdac/internal/extract"
+	"ccdac/internal/fault"
 	"ccdac/internal/memo"
+	"ccdac/internal/obs"
 	"ccdac/internal/place"
 	"ccdac/internal/route"
 	"ccdac/internal/tech"
-	"ccdac/internal/variation"
 )
 
 // Process-global stage caches, registered for /metrics exposition.
@@ -42,35 +46,36 @@ var (
 	extractCache = memo.Register(memo.New("core_extract", 64<<20, 0))
 )
 
-// placeCodec spills placement matrices — the flat-encodable stage
-// value. Layouts and extractions hold deep pointer graphs (wire
-// geometry, RC networks) and are cheap relative to the annealed
-// placements and Cholesky factors, so they stay memory-only.
-var placeCodec = memo.Codec{
-	Encode: func(v any) ([]byte, bool) {
-		m, ok := v.(*ccmatrix.Matrix)
-		if !ok {
-			return nil, false
+// stageMemo runs one stage body through its memo cache when the run
+// has memoization armed, and directly otherwise. Concurrent runs that
+// need the same entry share one computation. A value this run did not
+// compute (a hit, or a pending entry another run opened) still passes
+// the stage's fault injection point, so fault-injection tests and
+// drills see identical behavior either way, and tags the stage span
+// memo=hit|shared.
+func stageMemo[T any](sctx context.Context, on bool, c *memo.Cache, key, stage string,
+	compute func(context.Context) (T, error), size func(T) int64) (T, error) {
+	if !on {
+		return compute(sctx)
+	}
+	var zero T
+	v, st, err := c.Do(sctx, key, func(ctx context.Context) (any, int64, error) {
+		out, err := compute(ctx)
+		if err != nil {
+			return nil, 0, err
 		}
-		data, err := m.MarshalBinary()
-		return data, err == nil
-	},
-	Decode: func(data []byte) (any, int64, bool) {
-		m := new(ccmatrix.Matrix)
-		if m.UnmarshalBinary(data) != nil {
-			return nil, 0, false
+		return out, size(out), nil
+	})
+	if err != nil {
+		return zero, err
+	}
+	if st != memo.Cold {
+		if ferr := fault.Check(stage); ferr != nil {
+			return zero, ferr
 		}
-		return m, matrixBytes(m), true
-	},
-}
-
-// EnableMemoSpill attaches a durable spill tier (flag-gated by the
-// CLIs; see internal/store.Spiller) to the spillable stage caches here
-// and in internal/variation, so long sweeps survive memory pressure
-// without recomputing placements or refactoring covariances.
-func EnableMemoSpill(sp memo.Spill) {
-	placeCache.SetSpill(sp, placeCodec)
-	variation.EnableMemoSpill(sp)
+		obs.CurrentSpan(sctx).SetAttr("memo", st.String())
+	}
+	return v.(T), nil
 }
 
 // effectiveBC resolves the block-chessboard parameters Place actually

@@ -1,7 +1,7 @@
 // Compatibility micro-batching: a time- and size-bounded coalescer.
 // Submitted jobs sharing a prefix key wait up to maxWait for company;
 // a group flushes early when it reaches maxBatch. This generalizes the
-// serve cache's singleflight — which only merges a request with an
+// memo's shared pending entries — which only merge a request with an
 // already-running identical one — to merging *queued* work that is
 // merely compatible: same expensive prefix, different cheap tails.
 package jobs

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"ccdac"
+	"ccdac/internal/keycheck"
 	"ccdac/internal/leakcheck"
 )
 
@@ -546,6 +548,41 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOutOfRangeConfig: both job kinds are held to the
+// public ccdac.Config bounds at submission — an out-of-range field is
+// a config error before the job is queued, never a failure (or a
+// silently accepted run) later.
+func TestSubmitRejectsOutOfRangeConfig(t *testing.T) {
+	m := New(Options{})
+	defer m.Close()
+	bad := map[string]Spec{
+		"bits":            {Bits: 99},
+		"bits low":        {Bits: 1},
+		"max_parallel":    {Bits: 6, MaxParallel: ccdac.MaxParallelWires + 1},
+		"core_bits":       {Bits: 6, Style: string(ccdac.BlockChessboard), CoreBits: 3, BlockCells: 2},
+		"block_cells":     {Bits: 6, Style: string(ccdac.BlockChessboard), CoreBits: 2, BlockCells: 65},
+		"anneal_moves":    {Bits: 6, Style: string(ccdac.Annealed), AnnealMoves: -1},
+		"anneal_moves hi": {Bits: 6, Style: string(ccdac.Annealed), AnnealMoves: ccdac.MaxAnnealMoves + 1},
+		"tech_node":       {Bits: 6, TechNode: "bulk7"},
+		"fft":             {Bits: 6, FFT: "sideways"},
+	}
+	for _, kind := range []string{KindGenerate, KindYield} {
+		for name, spec := range bad {
+			spec.Kind = kind
+			if kind == KindYield {
+				spec.Samples, spec.SpecINL = 10, 0.05
+			}
+			_, err := m.Submit(spec)
+			if !errors.Is(err, ccdac.ErrConfig) {
+				t.Errorf("%s job, bad %s: Submit err = %v, want a config error", kind, name, err)
+			}
+		}
+	}
+	if st := m.Stats(); st.Submitted != 0 {
+		t.Fatalf("out-of-range specs were queued: %+v", st)
+	}
+}
+
 // TestPrefixKeyTailIndependence: tail fields must not split groups;
 // prefix fields must.
 func TestPrefixKeyTailIndependence(t *testing.T) {
@@ -568,4 +605,29 @@ func TestPrefixKeyTailIndependence(t *testing.T) {
 	if styleVariant.prefixKey() == k {
 		t.Fatal("style change did not change the prefix key")
 	}
+}
+
+// TestPrefixKeyCompleteness: every Spec field moves the coalescing
+// prefix key of a yield job under some style, or is excluded here with
+// a reason.
+func TestPrefixKeyCompleteness(t *testing.T) {
+	yieldTail := "yield tail: a per-job Monte-Carlo knob the group fans out"
+	generateTail := "generate tail: zeroed for yield jobs, and generate jobs never coalesce"
+	keycheck.Fields(t, []Spec{
+		{Kind: KindYield, Bits: 8, SpecINL: 0.01},
+		{Kind: KindYield, Bits: 8, SpecINL: 0.01, Style: string(ccdac.BlockChessboard)},
+		{Kind: KindYield, Bits: 8, SpecINL: 0.01, Style: string(ccdac.Annealed)},
+	}, func(s Spec) string { return s.withDefaults().prefixKey() }, map[string]string{
+		"Kind":             "only yield jobs are keyed; the key is never built for other kinds",
+		"Priority":         "a scheduling class, not an input of the computation",
+		"ThetaSteps":       generateTail,
+		"SkipNonlinearity": generateTail,
+		"BestBC":           generateTail,
+		"Samples":          yieldTail,
+		"Seed":             yieldTail,
+		"SpecINL":          yieldTail,
+		"SpecDNL":          yieldTail,
+		"ThetaDeg":         yieldTail,
+		"CheckpointEvery":  "checkpoint cadence; outputs are identical at any cadence",
+	})
 }

@@ -464,8 +464,9 @@ func (m *Manager) beginRun(g *group) []*jobState {
 // runYieldGroup is micro-batching's payoff: one expensive prefix —
 // place, route, extract, covariance — shared by every job in the
 // group, then per-job Monte-Carlo tails. The prefix runs detached
-// from any single job's context (mirroring the serve cache's flight
-// detachment): cancelling one rider must not kill the others' work.
+// from any single job's context (mirroring how a memo.Cache.Do
+// computation outlives a caller that leaves): cancelling one rider must
+// not kill the others' work.
 func (m *Manager) runYieldGroup(live []*jobState) {
 	leader := live[0]
 	spec := leader.snapshot().Spec

@@ -139,7 +139,10 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Validate rejects specs the runner could not execute. It assumes
-// withDefaults already ran (Manager.Submit applies both).
+// withDefaults already ran (Manager.Submit applies both). Both kinds
+// are held to the public ccdac.Config bounds, so an out-of-range field
+// is refused at submission instead of failing (or silently running)
+// later.
 func (s Spec) Validate() error {
 	switch s.Kind {
 	case KindGenerate:
@@ -159,10 +162,7 @@ func (s Spec) Validate() error {
 	if _, err := s.class(); err != nil {
 		return err
 	}
-	if s.FFT != "auto" && s.FFT != "off" {
-		return fmt.Errorf("jobs: unknown fft directive %q (want \"auto\" or \"off\")", s.FFT)
-	}
-	return nil
+	return s.generateConfig(0, false).Validate()
 }
 
 // class resolves the priority class.

@@ -10,7 +10,6 @@
 package linalg
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -41,35 +40,6 @@ func (m *Dense) Clone() *Dense {
 	c := NewDense(m.N)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// MarshalBinary encodes the matrix for the memo spill tier: N as a
-// little-endian int64 followed by the row-major float64 bit patterns.
-func (m *Dense) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 8+8*len(m.Data))
-	out = binary.LittleEndian.AppendUint64(out, uint64(m.N))
-	for _, v := range m.Data {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-	}
-	return out, nil
-}
-
-// UnmarshalBinary reverses MarshalBinary, validating the element count
-// against N so a truncated blob cannot yield a silently-short matrix.
-func (m *Dense) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 || len(data)%8 != 0 {
-		return fmt.Errorf("linalg: truncated Dense encoding (%d bytes)", len(data))
-	}
-	n := int(int64(binary.LittleEndian.Uint64(data)))
-	if n < 0 || n*n != (len(data)-8)/8 {
-		return fmt.Errorf("linalg: inconsistent Dense encoding: n=%d, %d elements", n, (len(data)-8)/8)
-	}
-	d := make([]float64, n*n)
-	for i := range d {
-		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8+i*8:]))
-	}
-	*m = Dense{N: n, Data: d}
-	return nil
 }
 
 // MulVec computes y = M·x, allocating the result. Hot paths that

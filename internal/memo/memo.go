@@ -7,7 +7,10 @@
 // after construction, so a hit hands out the cached pointer directly.
 // Every key is derived through Key, which length- and type-prefixes
 // each field before hashing (FNV-1a 128), so two different field
-// sequences can never collide by concatenation.
+// sequences can never collide by concatenation. Do is the one
+// get-or-compute call: concurrent callers of a key share one pending
+// computation, so in-flight work is deduplicated by the same entry
+// that later serves hits.
 //
 // Memoization is opt-in per run: stages consult their caches only when
 // the context carries the enable mark (Enabled). Library calls default
@@ -23,16 +26,18 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ctxEnable marks a context (sub)tree as memo-enabled or -bypassed.
+// ctxEnable marks a context (sub)tree as memo-enabled.
 type ctxEnable struct{}
 
 // WithEnabled returns a context under which pipeline stages consult
@@ -41,63 +46,30 @@ func WithEnabled(ctx context.Context) context.Context {
 	return context.WithValue(ctx, ctxEnable{}, true)
 }
 
-// WithBypass returns a context under which stages skip their caches
-// even inside an enabled tree — full recomputation, no lookups, no
-// stores.
-func WithBypass(ctx context.Context) context.Context {
-	return context.WithValue(ctx, ctxEnable{}, false)
-}
-
 // Enabled reports whether stages under ctx should use their caches.
 func Enabled(ctx context.Context) bool {
 	v, _ := ctx.Value(ctxEnable{}).(bool)
 	return v
 }
 
-// Spill persists evicted cache entries and restores them on a miss —
-// the second tier behind the in-memory LRU. internal/store.Spiller is
-// the durable implementation; spilling is always best-effort (a failed
-// restore is just a miss).
-type Spill interface {
-	// SpillPut stores the encoded entry evicted from the named cache.
-	SpillPut(cache, key string, data []byte)
-	// SpillGet returns the encoded entry previously spilled under key,
-	// if it is still available and intact.
-	SpillGet(cache, key string) ([]byte, bool)
-}
-
-// Codec translates a cache's values to and from spillable bytes. Both
-// directions report ok=false for values the codec does not cover
-// (those entries simply don't spill).
-type Codec struct {
-	// Encode serializes a cache value.
-	Encode func(v any) ([]byte, bool)
-	// Decode reverses Encode, also reporting the restored value's cache
-	// charge in bytes.
-	Decode func(data []byte) (v any, size int64, ok bool)
-}
-
 // Cache is a named, byte-bounded, concurrency-safe LRU cache with
-// optional TTL expiry, hit/miss/eviction accounting, and an optional
-// spill tier for evicted entries.
+// optional TTL expiry and hit/miss/eviction accounting. Its Do call
+// shares one pending computation among concurrent callers of a key.
 type Cache struct {
 	name string
 	max  int64
 	ttl  time.Duration
 
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	index map[string]*list.Element
-	bytes int64
+	mu      sync.Mutex
+	ll      *list.List // front = most recently used
+	index   map[string]*list.Element
+	pending map[string]*call
+	bytes   int64
 
-	hits, misses, evictions atomic.Int64
-	spillPuts, spillHits    atomic.Int64
-
-	// spill/codec, when set via SetSpill, persist evicted entries and
-	// revive them on a miss. Guarded by mu for writes; reads take the
-	// pointer under mu and use it outside (IO never runs locked).
-	spill Spill
-	codec Codec
+	hits, misses, evictions, shared atomic.Int64
+	// waiters is the number of Do callers currently blocked on a
+	// pending entry, leaders included.
+	waiters atomic.Int64
 
 	// now is the clock; replaced by TTL tests.
 	now func() time.Time
@@ -110,38 +82,36 @@ type entry struct {
 	at   time.Time
 }
 
+// call is one pending Do computation. val and err are written before
+// done closes; subs is guarded by Cache.mu.
+type call struct {
+	done   chan struct{}
+	cancel context.CancelFunc
+	subs   int
+	val    any
+	err    error
+}
+
 // New returns an empty cache bounded to maxBytes of caller-estimated
 // entry sizes (maxBytes <= 0 disables storage entirely: every Get
-// misses and Put is a no-op). A non-zero ttl expires entries that old
-// at lookup time. The cache is not registered for metrics exposition;
-// call Register for process-global caches that /metrics should report.
+// misses, Put is a no-op and Do computes inline). A non-zero ttl
+// expires entries that old at lookup time. The cache is not registered
+// for metrics exposition; call Register for process-global caches that
+// /metrics should report.
 func New(name string, maxBytes int64, ttl time.Duration) *Cache {
 	return &Cache{
-		name:  name,
-		max:   maxBytes,
-		ttl:   ttl,
-		ll:    list.New(),
-		index: map[string]*list.Element{},
-		now:   time.Now,
+		name:    name,
+		max:     maxBytes,
+		ttl:     ttl,
+		ll:      list.New(),
+		index:   map[string]*list.Element{},
+		pending: map[string]*call{},
+		now:     time.Now,
 	}
 }
 
 // Name returns the cache's registered name.
 func (c *Cache) Name() string { return c.name }
-
-// SetSpill attaches a spill tier: entries evicted by the byte bound
-// are encoded with codec and handed to s, and a Get miss consults s
-// before reporting absence. Spilling is disabled for TTL caches (a
-// revived entry would dodge expiry) and is always best-effort. Call
-// before the cache sees traffic.
-func (c *Cache) SetSpill(s Spill, codec Codec) {
-	if c == nil || c.ttl > 0 {
-		return
-	}
-	c.mu.Lock()
-	c.spill, c.codec = s, codec
-	c.mu.Unlock()
-}
 
 // Get returns the value stored under key and marks it most recently
 // used. An expired entry counts as both an eviction and a miss.
@@ -150,39 +120,31 @@ func (c *Cache) Get(key string) (any, bool) {
 		return nil, false
 	}
 	c.mu.Lock()
+	v, ok := c.lookupLocked(key)
+	c.mu.Unlock()
+	if !ok {
+		c.misses.Add(1)
+		return nil, false
+	}
+	c.hits.Add(1)
+	return v, true
+}
+
+// lookupLocked returns the live entry under key, touching it, and
+// drops it instead when its TTL has passed. The caller holds c.mu.
+func (c *Cache) lookupLocked(key string) (any, bool) {
 	el, ok := c.index[key]
 	if !ok {
-		spill, codec := c.spill, c.codec
-		c.mu.Unlock()
-		c.misses.Add(1)
-		if spill == nil {
-			return nil, false
-		}
-		data, ok := spill.SpillGet(c.name, key)
-		if !ok {
-			return nil, false
-		}
-		v, size, ok := codec.Decode(data)
-		if !ok {
-			return nil, false
-		}
-		c.spillHits.Add(1)
-		c.Put(key, v, size)
-		return v, true
+		return nil, false
 	}
 	e := el.Value.(*entry)
 	if c.ttl > 0 && c.now().Sub(e.at) > c.ttl {
 		c.removeLocked(el)
-		c.mu.Unlock()
 		c.evictions.Add(1)
-		c.misses.Add(1)
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	v := e.val
-	c.mu.Unlock()
-	c.hits.Add(1)
-	return v, true
+	return e.val, true
 }
 
 // Put stores val under key, charging size bytes against the bound
@@ -192,13 +154,18 @@ func (c *Cache) Put(key string, val any, size int64) {
 	if c == nil || c.max <= 0 {
 		return
 	}
+	c.mu.Lock()
+	c.putLocked(key, val, size)
+	c.mu.Unlock()
+}
+
+func (c *Cache) putLocked(key string, val any, size int64) {
 	if size < 1 {
 		size = 1
 	}
 	if size > c.max {
 		return
 	}
-	c.mu.Lock()
 	if el, ok := c.index[key]; ok {
 		e := el.Value.(*entry)
 		c.bytes += size - e.size
@@ -208,47 +175,133 @@ func (c *Cache) Put(key string, val any, size int64) {
 		c.index[key] = c.ll.PushFront(&entry{key: key, val: val, size: size, at: c.now()})
 		c.bytes += size
 	}
-	var spilled []*entry
 	for c.bytes > c.max {
 		back := c.ll.Back()
 		if back == nil {
 			break
 		}
-		if c.spill != nil {
-			spilled = append(spilled, back.Value.(*entry))
-		}
 		c.removeLocked(back)
 		c.evictions.Add(1)
 	}
-	spill, codec := c.spill, c.codec
+}
+
+// Status reports how Do produced its value.
+type Status int
+
+const (
+	// Cold: this caller opened the pending entry; its compute ran.
+	Cold Status = iota
+	// Hit: the value was already stored.
+	Hit
+	// Shared: this caller joined another caller's pending entry.
+	Shared
+)
+
+// String returns "cold", "hit" or "shared".
+func (s Status) String() string {
+	switch s {
+	case Hit:
+		return "hit"
+	case Shared:
+		return "shared"
+	}
+	return "cold"
+}
+
+// Do returns the value stored under key, computing it on a miss. A hit
+// is one locked lookup. On a miss the caller opens a pending entry and
+// compute runs in its own goroutine on a context detached from the
+// caller's cancellation; concurrent callers of the same key join that
+// entry instead of computing again. A caller whose ctx ends first
+// unsubscribes and gets ctx.Err(); the compute's context is cancelled
+// only when its last waiter leaves, so a cancelled leader hands the
+// work to the callers still waiting. A successful value is stored
+// under the size compute reports; errors are not stored, and a panic
+// in compute reaches every waiter as an error carrying the panic value
+// and stack. A disabled cache (maxBytes <= 0) runs compute inline with
+// no sharing and no storage.
+func (c *Cache) Do(ctx context.Context, key string, compute func(context.Context) (any, int64, error)) (any, Status, error) {
+	if c == nil || c.max <= 0 {
+		v, _, err := compute(ctx)
+		return v, Cold, err
+	}
+	c.mu.Lock()
+	if v, ok := c.lookupLocked(key); ok {
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return v, Hit, nil
+	}
+	if p, ok := c.pending[key]; ok {
+		p.subs++
+		c.mu.Unlock()
+		c.shared.Add(1)
+		return c.wait(ctx, key, p, Shared)
+	}
+	cctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	p := &call{done: make(chan struct{}), cancel: cancel, subs: 1}
+	c.pending[key] = p
 	c.mu.Unlock()
-	// Spill outside the lock: eviction IO must not serialize the cache.
-	for _, e := range spilled {
-		if data, ok := codec.Encode(e.val); ok {
-			c.spillPuts.Add(1)
-			spill.SpillPut(c.name, e.key, data)
+	c.misses.Add(1)
+	go c.run(cctx, key, p, compute)
+	return c.wait(ctx, key, p, Cold)
+}
+
+// wait blocks one subscriber of p until the computation finishes or
+// the subscriber's own ctx ends. The last subscriber to leave cancels
+// the computation and frees the key for a fresh one.
+func (c *Cache) wait(ctx context.Context, key string, p *call, st Status) (any, Status, error) {
+	c.waiters.Add(1)
+	defer c.waiters.Add(-1)
+	select {
+	case <-p.done:
+		return p.val, st, p.err
+	case <-ctx.Done():
+		c.mu.Lock()
+		p.subs--
+		if p.subs == 0 {
+			if c.pending[key] == p {
+				delete(c.pending, key)
+			}
+			p.cancel()
 		}
+		c.mu.Unlock()
+		return nil, st, ctx.Err()
 	}
 }
 
-// Invalidate removes the entry stored under key, reporting whether one
-// existed. Explicit invalidation does not count as an eviction.
-func (c *Cache) Invalidate(key string) bool {
-	if c == nil || c.max <= 0 {
-		return false
-	}
+// run executes one pending computation. Completion order matters: the
+// value is stored and the pending entry removed under one lock (a
+// caller arriving meanwhile finds one or the other, never neither),
+// and only then is done closed (a waiter that saw done never races a
+// half-finished entry).
+func (c *Cache) run(ctx context.Context, key string, p *call, compute func(context.Context) (any, int64, error)) {
+	defer p.cancel()
+	v, size, err := protect(ctx, compute)
+	p.val, p.err = v, err
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.index[key]
-	if !ok {
-		return false
+	if err == nil {
+		c.putLocked(key, v, size)
 	}
-	c.removeLocked(el)
-	return true
+	if c.pending[key] == p {
+		delete(c.pending, key)
+	}
+	c.mu.Unlock()
+	close(p.done)
+}
+
+// protect runs compute, converting a panic into an error: the compute
+// goroutine has no caller to unwind into.
+func protect(ctx context.Context, compute func(context.Context) (any, int64, error)) (v any, size int64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, size, err = nil, 0, fmt.Errorf("recovered panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return compute(ctx)
 }
 
 // Purge empties the cache. Counters are preserved (they are lifetime
-// totals, not occupancy).
+// totals, not occupancy); pending computations are unaffected.
 func (c *Cache) Purge() {
 	if c == nil {
 		return
@@ -272,11 +325,12 @@ func (c *Cache) removeLocked(el *list.Element) {
 type Stats struct {
 	Name                    string
 	Hits, Misses, Evictions int64
-	Bytes, Entries          int64
-	MaxBytes                int64
-	// SpillPuts counts evicted entries persisted to the spill tier;
-	// SpillHits counts misses answered from it (both 0 without SetSpill).
-	SpillPuts, SpillHits int64
+	// Shared counts Do calls that joined a pending entry instead of
+	// computing; Waiters is the number of Do callers blocked on a
+	// pending entry right now.
+	Shared, Waiters int64
+	Bytes, Entries  int64
+	MaxBytes        int64
 }
 
 // Stats returns the cache's current accounting.
@@ -289,11 +343,11 @@ func (c *Cache) Stats() Stats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
+		Shared:    c.shared.Load(),
+		Waiters:   c.waiters.Load(),
 		Bytes:     bytes,
 		Entries:   entries,
 		MaxBytes:  c.max,
-		SpillPuts: c.spillPuts.Load(),
-		SpillHits: c.spillHits.Load(),
 	}
 }
 

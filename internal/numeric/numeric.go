@@ -3,8 +3,8 @@
 // produced when they were verified. The linalg kernels are hand-rolled
 // (no external BLAS), the rho correlation table is a process-wide memo,
 // and the caching tiers replay stored results — so a silent corruption
-// in any of them (a bad cache entry, a broken revive from the spill
-// tier, an ill-conditioned input pushing a kernel past its accuracy)
+// in any of them (a bad cache entry, a corrupt store revive, an
+// ill-conditioned input pushing a kernel past its accuracy)
 // would flow straight into reported yields without tripping any error
 // path. The watchdog runs small golden-reference problems with known
 // exact answers on a fixed cadence and surfaces the measured drift in

@@ -31,7 +31,7 @@ type BatchResponse struct {
 	Items          []BatchItem `json:"items"`
 }
 
-// handleBatch fans a batch through the same cache, singleflight and
+// handleBatch fans a batch through the same validation, cache and
 // generation path as /v1/generate. The batch occupies one admission
 // slot; its sub-requests run under the async job tier's shared worker
 // budget (jobs.Manager.Do), so batch fan-out, queued jobs and other
@@ -39,8 +39,8 @@ type BatchResponse struct {
 // batch privately fanning MaxInFlight-wide — the oversubscription the
 // old scheme allowed (one slot held, MaxInFlight more goroutines).
 // Items with identical canonical bodies still collapse into one
-// generation via singleflight, which is the point of batching
-// duplicate-heavy workloads.
+// generation by sharing its pending cache entry, which is the point of
+// batching duplicate-heavy workloads.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var batch BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
@@ -71,27 +71,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func(i int) {
 			defer wg.Done()
 			req := batch.Requests[i]
-			if !validCacheDirective(req.Cache) {
-				items[i] = BatchItem{
-					Status: http.StatusBadRequest,
-					Error:  fmt.Sprintf("serve: unknown cache directive %q (want \"default\" or \"bypass\")", req.Cache),
-				}
+			cfg, err := s.requestConfig(req)
+			if err != nil {
+				items[i] = BatchItem{Status: statusOf(err), Error: err.Error()}
 				return
-			}
-			if !validFFTDirective(req.FFT) {
-				items[i] = BatchItem{
-					Status: http.StatusBadRequest,
-					Error:  fmt.Sprintf("serve: unknown fft directive %q (want \"auto\" or \"off\")", req.FFT),
-				}
-				return
-			}
-			cfg := req.config()
-			cfg.Workers = s.opts.Workers
-			if req.Workers != 0 && req.Workers < cfg.Workers {
-				cfg.Workers = req.Workers
 			}
 			itemStart := time.Now()
-			err := s.jobs.Do(r.Context(), func() error {
+			err = s.jobs.Do(r.Context(), func() error {
 				out, err := s.generate(r.Context(), req, cfg, ri)
 				if err != nil {
 					return err

@@ -1,12 +1,12 @@
 // Serve-side result caching (docs/PERFORMANCE.md, "Serve-side result
-// cache"): a byte-bounded LRU of finished generate results keyed by the
-// canonicalized request, fronted by a singleflight layer that collapses
-// concurrent identical requests into one generation.
+// cache"): a byte-bounded memo of finished generate results keyed by
+// the canonicalized request. Concurrent identical requests share the
+// entry's pending generation (memo.Cache.Do), so they collapse into one.
 //
 // Cancellation semantics: the generation runs detached from any single
 // request's context, bounded only by the server's RequestTimeout. A
-// client that gives up merely unsubscribes; the flight is aborted only
-// when its last subscriber leaves, so a canceled leader hands the work
+// client that gives up merely unsubscribes; the generation is aborted
+// only when its last waiter leaves, so a canceled leader hands the work
 // off to the followers instead of poisoning them with its cancellation.
 package serve
 
@@ -44,20 +44,10 @@ type genOutcome struct {
 	warnings []string
 	// counters is the run's private counter snapshot, nil when no
 	// generation ran on behalf of this request (cache hit, shared
-	// flight) — responses must not report counters that were merged
-	// into the global registry by some other request's run.
+	// generation) — responses must not report counters that were
+	// merged into the global registry by some other request's run.
 	counters map[string]int64
 	status   string // "" | "cold" | "hit" | "shared" | "bypass"
-}
-
-// flight is one in-progress generation shared by every concurrent
-// request for the same canonical key.
-type flight struct {
-	done   chan struct{} // closed after out/err are set and the flight left the map
-	cancel context.CancelFunc
-	subs   int // subscriber count, guarded by Server.flightMu
-	out    *genOutcome
-	err    error
 }
 
 // cacheKey canonicalizes a generate request into a content-addressed
@@ -109,109 +99,63 @@ func cacheKey(req GenerateRequest) string {
 		Bool(n.BestBC).Str(n.FFT).Sum()
 }
 
-// generate routes one request through the cache and singleflight
-// layers. ri (may be nil) receives the root span ID of whatever run
-// this request observes, for access-log correlation.
+// generate routes one request through the result cache. ri (may be
+// nil) receives the root span ID of whatever run this request
+// observes, for access-log correlation.
 func (s *Server) generate(ctx context.Context, req GenerateRequest, cfg ccdac.Config, ri *reqInfo) (*genOutcome, error) {
-	if s.cache == nil {
-		// Caching disabled server-wide: the pre-cache behavior, verbatim.
+	if s.cache == nil || cfg.Validate() != nil {
+		// Caching disabled server-wide (the pre-cache behavior,
+		// verbatim), or a config the pipeline refuses on entry: it never
+		// reaches the cache, and its run still leaves an error trace.
 		return s.run(ctx, req, cfg, "", ri)
 	}
 	if req.Cache == "bypass" {
 		// An explicit bypass recomputes for real: no result cache, no
-		// flight sharing, no stage memoization.
+		// shared generation, no stage memoization.
 		return s.run(ctx, req, cfg, "bypass", ri)
 	}
 	key := cacheKey(req)
-	if v, ok := s.cache.Get(key); ok {
-		cr := v.(*cachedResult)
-		return &genOutcome{metrics: cr.Metrics, warnings: cr.Warnings, status: "hit"}, nil
-	}
-	if out, ok := s.storeLookup(key); ok {
-		// Warm restart: the durable tier has this result from a previous
-		// process. It re-enters the memory cache on the way out.
-		return out, nil
-	}
-
-	s.flightMu.Lock()
-	if f, ok := s.flights[key]; ok {
-		f.subs++
-		s.flightMu.Unlock()
-		select {
-		case <-f.done:
-			if f.err != nil {
-				return nil, f.err
-			}
-			s.reg.Counter("ccdac_serve_singleflight_shared_total", nil).Inc()
-			return &genOutcome{metrics: f.out.metrics, warnings: f.out.warnings, status: "shared"}, nil
-		case <-ctx.Done():
-			s.leave(key, f)
-			return nil, ctx.Err()
+	// own is the outcome of the computation this request opened, if
+	// any; only that request reports the run's counters.
+	var own *genOutcome
+	v, st, err := s.cache.Do(ctx, key, func(ctx context.Context) (any, int64, error) {
+		if cr, ok := s.storeLookup(key); ok {
+			// Warm restart: the durable tier has this result from a
+			// previous process.
+			own = &genOutcome{metrics: cr.Metrics, warnings: cr.Warnings, status: "hit"}
+			return cr, cr.bytes(), nil
 		}
-	}
-	f := &flight{done: make(chan struct{}), subs: 1}
-	// The flight is deliberately detached from the leader's context: it
-	// must survive the leader canceling while followers still wait. The
-	// server's per-request timeout bounds it instead.
-	fctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
-	f.cancel = cancel
-	s.flights[key] = f
-	s.flightMu.Unlock()
-
-	go s.runFlight(fctx, key, f, req, cfg, ri)
-
-	select {
-	case <-f.done:
-		return f.out, f.err
-	case <-ctx.Done():
-		s.leave(key, f)
-		return nil, ctx.Err()
-	}
-}
-
-// leave unsubscribes one waiter from a flight; the last one out aborts
-// the generation and frees the key for future requests.
-func (s *Server) leave(key string, f *flight) {
-	s.flightMu.Lock()
-	f.subs--
-	if f.subs == 0 {
-		if s.flights[key] == f {
-			delete(s.flights, key)
+		// The server's per-request timeout bounds the detached compute.
+		ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
+		defer cancel()
+		// Cold generations arm the stage caches: overlapping
+		// configurations (same placement under different theta counts,
+		// same layout under a different tech node) reuse intermediates.
+		cfg.Memo = true
+		out, err := s.run(ctx, req, cfg, "cold", ri)
+		if err != nil {
+			return nil, 0, err
 		}
-		f.cancel()
-	}
-	s.flightMu.Unlock()
-}
-
-// runFlight executes the shared generation. Completion order matters:
-// the result is cached before the flight leaves the map (a request
-// arriving in between finds the cache entry), and the flight leaves
-// the map before done is closed (a waiter that saw done closed never
-// races a half-finished map entry).
-func (s *Server) runFlight(ctx context.Context, key string, f *flight, req GenerateRequest, cfg ccdac.Config, ri *reqInfo) {
-	defer f.cancel()
-	// Cold flights arm the stage caches: overlapping configurations
-	// (same placement under different theta counts, same layout under a
-	// different tech node) reuse intermediates across flights.
-	cfg.Memo = true
-	out, err := s.run(ctx, req, cfg, "cold", ri)
-	if err == nil {
 		cr := &cachedResult{Metrics: out.metrics, Warnings: out.warnings}
-		s.cache.Put(key, cr, cr.bytes())
 		if s.persist != nil {
 			// Write-behind: durability happens off the request path; a
 			// full queue or a down disk costs persistence, never latency
 			// or the request itself.
 			s.persist.enqueue(persistJob{key: key, req: req, cr: cr})
 		}
+		own = out
+		return cr, cr.bytes(), nil
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case st == memo.Cold:
+		return own, nil
+	case st == memo.Shared:
+		s.reg.Counter("ccdac_serve_singleflight_shared_total", nil).Inc()
 	}
-	f.out, f.err = out, err
-	s.flightMu.Lock()
-	if s.flights[key] == f {
-		delete(s.flights, key)
-	}
-	s.flightMu.Unlock()
-	close(f.done)
+	cr := v.(*cachedResult)
+	return &genOutcome{metrics: cr.Metrics, warnings: cr.Warnings, status: st.String()}, nil
 }
 
 // run executes one generation under its own request-private trace and
@@ -312,8 +256,8 @@ func (s *Server) record(tr *obs.Trace, req GenerateRequest, start time.Time, err
 	}
 }
 
-// cacheStats surfaces the result cache and singleflight state for
-// /metrics injection and tests.
+// cacheStats surfaces the result cache's accounting, pending waiters
+// included, for /metrics injection and tests.
 func (s *Server) cacheStats() (memo.Stats, bool) {
 	if s.cache == nil {
 		return memo.Stats{}, false
@@ -326,7 +270,7 @@ func (s *Server) cacheStats() (memo.Stats, bool) {
 // Any failure — missing, corrupt (the store quarantines it), or
 // unparseable — reports a miss and the pipeline recomputes; the store
 // can lose data safely, it can only never serve bad data.
-func (s *Server) storeLookup(key string) (*genOutcome, bool) {
+func (s *Server) storeLookup(key string) (*cachedResult, bool) {
 	if s.store == nil {
 		return nil, false
 	}
@@ -342,6 +286,5 @@ func (s *Server) storeLookup(key string) (*genOutcome, bool) {
 	if json.Unmarshal(data, cr) != nil {
 		return nil, false
 	}
-	s.cache.Put(key, cr, cr.bytes())
-	return &genOutcome{metrics: cr.Metrics, warnings: cr.Warnings, status: "hit"}, true
+	return cr, true
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ccdac/internal/keycheck"
 	"ccdac/internal/leakcheck"
 )
 
@@ -107,7 +108,8 @@ func TestCacheBypass(t *testing.T) {
 
 // TestSingleflightCollapse is the dedup acceptance bar: 8 concurrent
 // identical requests produce exactly one generation — one cold
-// response, the rest shared or served from the cache the flight filled.
+// response, the rest shared or served from the cache the generation
+// filled.
 func TestSingleflightCollapse(t *testing.T) {
 	const clients = 8
 	srv := New(Options{MaxInFlight: clients, Logger: quietLogger()})
@@ -115,7 +117,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	defer ts.Close()
 
 	// Slow enough (~hundreds of ms) that the stragglers arrive while
-	// the flight is still running.
+	// the generation is still running.
 	body := `{"bits":9,"max_parallel":2,"theta_steps":64}`
 	start := make(chan struct{})
 	statuses := make([]string, clients)
@@ -202,21 +204,18 @@ func TestSingleflightLeaderCancelHandoff(t *testing.T) {
 		leaderDone <- nil
 	}()
 
-	// Wait until the leader's flight is registered.
-	var fl *flight
+	// Wait until the leader's pending generation is registered: the
+	// leader is the result cache's one waiter.
+	waiters := func() int64 {
+		st, _ := srv.cacheStats()
+		return st.Waiters
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for fl == nil {
-		srv.flightMu.Lock()
-		for _, f := range srv.flights {
-			fl = f
+	for waiters() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("leader generation never registered")
 		}
-		srv.flightMu.Unlock()
-		if fl == nil {
-			if time.Now().After(deadline) {
-				t.Fatal("leader flight never registered")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		time.Sleep(time.Millisecond)
 	}
 
 	followerDone := make(chan GenerateResponse, 1)
@@ -242,17 +241,12 @@ func TestSingleflightLeaderCancelHandoff(t *testing.T) {
 	}()
 
 	// Wait for the follower's subscription to land, then kill the
-	// leader mid-generation: subs drops 2 -> 1, the flight survives.
+	// leader mid-generation: waiters drop 2 -> 1, the generation
+	// survives.
 	deadline = time.Now().Add(10 * time.Second)
-	for {
-		srv.flightMu.Lock()
-		subs := fl.subs
-		srv.flightMu.Unlock()
-		if subs >= 2 {
-			break
-		}
+	for waiters() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("follower never subscribed to the flight")
+			t.Fatal("follower never subscribed to the pending generation")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -278,7 +272,7 @@ func TestSingleflightLeaderCancelHandoff(t *testing.T) {
 }
 
 // TestBatchDedupAndErrors: a batch fans through the same cache and
-// singleflight path — duplicate items collapse, invalid items fail
+// shared-generation path — duplicate items collapse, invalid items fail
 // alone, and the batch itself still returns 200.
 func TestBatchDedupAndErrors(t *testing.T) {
 	srv := New(Options{MaxInFlight: 8, Logger: quietLogger()})
@@ -393,4 +387,17 @@ func TestServeCacheEvictionBounded(t *testing.T) {
 	if got := series["ccdac_serve_cache_evictions_total"]; got == 0 {
 		t.Error("/metrics reports zero serve-cache evictions")
 	}
+}
+
+// TestCacheKeyCompleteness: every GenerateRequest field moves the
+// result-cache key under some style, or is excluded here with a reason.
+func TestCacheKeyCompleteness(t *testing.T) {
+	keycheck.Fields(t, []GenerateRequest{
+		{Bits: 8},
+		{Bits: 8, Style: "block-chessboard"},
+		{Bits: 8, Style: "annealed"},
+	}, cacheKey, map[string]string{
+		"Workers": "results are bit-identical at any worker count",
+		"Cache":   "a per-request directive, not an input of the result",
+	})
 }

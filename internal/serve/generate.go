@@ -34,10 +34,10 @@ type GenerateRequest struct {
 	// best candidate (GenerateBestBC) instead of one fixed structure.
 	BestBC bool `json:"best_bc,omitempty"`
 	// Cache selects the result-cache policy for this request: "" or
-	// "default" uses the server cache and singleflight; "bypass" forces
-	// a full recomputation (no cache read, no flight sharing, no stage
-	// memoization) — the knob for "I changed the binary, show me fresh
-	// numbers". Anything else is a 400.
+	// "default" uses the server cache and shares pending generations;
+	// "bypass" forces a full recomputation (no cache read, no shared
+	// generation, no stage memoization) — the knob for "I changed the
+	// binary, show me fresh numbers". Anything else is a 400.
 	Cache string `json:"cache,omitempty"`
 	// FFT selects the covariance engine: "" or "auto" (default) uses
 	// the structured FFT path when the layout geometry allows, "off"
@@ -48,7 +48,7 @@ type GenerateRequest struct {
 }
 
 func (g GenerateRequest) config() ccdac.Config {
-	return ccdac.Config{
+	cfg := ccdac.Config{
 		Bits:             g.Bits,
 		Style:            ccdac.Style(g.Style),
 		CoreBits:         g.CoreBits,
@@ -61,6 +61,11 @@ func (g GenerateRequest) config() ccdac.Config {
 		TechNode:         g.TechNode,
 		FFT:              g.FFT,
 	}
+	if g.BestBC {
+		// GenerateBestBC forces the style; validate what it will run.
+		cfg.Style = ccdac.BlockChessboard
+	}
+	return cfg
 }
 
 // GenerateResponse is the JSON body of a successful generate request:
@@ -82,20 +87,27 @@ type GenerateResponse struct {
 	Counters    map[string]int64 `json:"counters,omitempty"`
 }
 
-// validCacheDirective reports whether a request's cache field is one of
-// the accepted values.
-func validCacheDirective(c string) bool {
-	return c == "" || c == "default" || c == "bypass"
+// requestConfig checks one request's cache directive and maps it onto
+// the pipeline config under the server's worker cap. An unknown
+// directive is the client's fault: the error maps to 400 through
+// statusOf. Field bounds are checked by generate, before the cache.
+func (s *Server) requestConfig(req GenerateRequest) (ccdac.Config, error) {
+	if req.Cache != "" && req.Cache != "default" && req.Cache != "bypass" {
+		return ccdac.Config{}, fmt.Errorf("serve: %w: unknown cache directive %q (want \"default\" or \"bypass\")",
+			ccdac.ErrConfig, req.Cache)
+	}
+	cfg := req.config()
+	// Per-request worker budget: the server's cap, unless the request
+	// asked for less (a negative ask means serial analysis).
+	cfg.Workers = s.opts.Workers
+	if req.Workers != 0 && req.Workers < cfg.Workers {
+		cfg.Workers = req.Workers
+	}
+	return cfg, nil
 }
 
-// validFFTDirective reports whether a request's fft field is one of the
-// accepted covariance-engine selectors.
-func validFFTDirective(f string) bool {
-	return f == "" || f == "auto" || f == "off"
-}
-
-// handleGenerate decodes one request and routes it through the cache
-// and singleflight layers (see cache.go); the generation itself runs
+// handleGenerate decodes and validates one request and routes it
+// through the result cache (see cache.go); the generation itself runs
 // under a request-private trace whose metrics fold into the process
 // registry.
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -106,22 +118,10 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("serve: decoding request body: %w", err))
 		return
 	}
-	if !validCacheDirective(req.Cache) {
-		s.writeError(w, r, http.StatusBadRequest,
-			fmt.Errorf("serve: unknown cache directive %q (want \"default\" or \"bypass\")", req.Cache))
+	cfg, err := s.requestConfig(req)
+	if err != nil {
+		s.writeError(w, r, statusOf(err), err)
 		return
-	}
-	if !validFFTDirective(req.FFT) {
-		s.writeError(w, r, http.StatusBadRequest,
-			fmt.Errorf("serve: unknown fft directive %q (want \"auto\" or \"off\")", req.FFT))
-		return
-	}
-	cfg := req.config()
-	// Per-request worker budget: the server's cap, unless the request
-	// asked for less (a negative ask means serial analysis).
-	cfg.Workers = s.opts.Workers
-	if req.Workers != 0 && req.Workers < cfg.Workers {
-		cfg.Workers = req.Workers
 	}
 
 	start := time.Now()

@@ -39,6 +39,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		snap.Counters[obs.SeriesKey("ccdac_memo_hits_total", labels)] = st.Hits
 		snap.Counters[obs.SeriesKey("ccdac_memo_misses_total", labels)] = st.Misses
 		snap.Counters[obs.SeriesKey("ccdac_memo_evictions_total", labels)] = st.Evictions
+		snap.Counters[obs.SeriesKey("ccdac_memo_shared_total", labels)] = st.Shared
+		snap.Gauges[obs.SeriesKey("ccdac_memo_waiters", labels)] = float64(st.Waiters)
 		snap.Gauges[obs.SeriesKey("ccdac_memo_bytes", labels)] = float64(st.Bytes)
 		snap.Gauges[obs.SeriesKey("ccdac_memo_entries", labels)] = float64(st.Entries)
 		snap.Gauges[obs.SeriesKey("ccdac_memo_hit_ratio", labels)] = hitRatio(st.Hits, st.Misses)
@@ -49,6 +51,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		snap.Counters["ccdac_serve_cache_evictions_total"] = st.Evictions
 		snap.Gauges["ccdac_serve_cache_bytes"] = float64(st.Bytes)
 		snap.Gauges["ccdac_serve_cache_entries"] = float64(st.Entries)
+		snap.Gauges["ccdac_serve_cache_waiters"] = float64(st.Waiters)
 		snap.Gauges["ccdac_serve_cache_hit_ratio"] = hitRatio(st.Hits, st.Misses)
 	}
 	if st, ok := s.StoreStats(); ok {

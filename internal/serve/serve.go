@@ -76,9 +76,9 @@ type Options struct {
 	Logger *slog.Logger
 	// CacheMaxBytes bounds the server's result cache: identical
 	// canonicalized generate requests are answered from memory, and
-	// concurrent identical requests collapse into one generation
+	// concurrent identical requests share one pending generation
 	// (singleflight). 0 selects the 64 MiB default; negative disables
-	// both the cache and singleflight (every request recomputes, as for
+	// both the cache and the sharing (every request recomputes, as for
 	// cache:"bypass"). See docs/PERFORMANCE.md.
 	CacheMaxBytes int64
 	// CacheTTL expires result-cache entries after this duration (0 =
@@ -170,12 +170,10 @@ type Server struct {
 	ready    atomic.Bool
 	start    time.Time
 
-	// cache answers repeat generate requests from memory (nil when
-	// Options.CacheMaxBytes < 0); flights collapses concurrent identical
-	// requests into one generation (see cache.go).
-	cache    *memo.Cache
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	// cache answers repeat generate requests from memory and collapses
+	// concurrent identical requests into one generation (nil when
+	// Options.CacheMaxBytes < 0; see cache.go).
+	cache *memo.Cache
 
 	// store is the durable artifact tier behind the result cache (nil
 	// without Options.StoreDir); persist is its write-behind queue.
@@ -249,13 +247,12 @@ func New(opts Options) *Server {
 		opts.MaxBatch = 64
 	}
 	s := &Server{
-		opts:    opts,
-		log:     opts.Logger,
-		reg:     obs.NewRegistry(),
-		mux:     http.NewServeMux(),
-		sem:     make(chan struct{}, opts.MaxInFlight),
-		start:   time.Now(),
-		flights: map[string]*flight{},
+		opts:  opts,
+		log:   opts.Logger,
+		reg:   obs.NewRegistry(),
+		mux:   http.NewServeMux(),
+		sem:   make(chan struct{}, opts.MaxInFlight),
+		start: time.Now(),
 	}
 	if opts.CacheMaxBytes > 0 {
 		// Per-server, not globally registered: stats are injected into

@@ -44,34 +44,19 @@ var (
 	cholCache = memo.Register(memo.New("variation_chol", 256<<20, 0))
 )
 
-// denseCodec spills *linalg.Dense values (covariances and Cholesky
-// factors — the entries whose recomputation is the O(n²)/O(n³) cost
-// the caches exist to avoid).
-var denseCodec = memo.Codec{
-	Encode: func(v any) ([]byte, bool) {
-		m, ok := v.(*linalg.Dense)
-		if !ok {
-			return nil, false
-		}
-		data, err := m.MarshalBinary()
-		return data, err == nil
-	},
-	Decode: func(data []byte) (any, int64, bool) {
-		m := new(linalg.Dense)
-		if m.UnmarshalBinary(data) != nil {
-			return nil, 0, false
-		}
-		return m, int64(len(m.Data))*8 + 64, true
-	},
-}
+// denseBytes estimates a covariance or Cholesky factor's cache charge.
+func denseBytes(m *linalg.Dense) int64 { return int64(len(m.Data))*8 + 64 }
 
-// EnableMemoSpill attaches a spill tier to the variation stage caches:
-// Cholesky factors and covariances evicted under memory pressure are
-// persisted through sp and restored on a later miss instead of being
-// refactored at O(n³). Call once at startup, before traffic.
-func EnableMemoSpill(sp memo.Spill) {
-	covCache.SetSpill(sp, denseCodec)
-	cholCache.SetSpill(sp, denseCodec)
+// cached runs compute through c's get-or-compute call when the context
+// opts into memoization, sharing a build another run already has
+// pending, and runs it directly otherwise.
+func cached(ctx context.Context, c *memo.Cache, key func() string, compute func(context.Context) (any, int64, error)) (any, error) {
+	if !memo.Enabled(ctx) {
+		v, _, err := compute(ctx)
+		return v, err
+	}
+	v, _, err := c.Do(ctx, key(), compute)
+	return v, err
 }
 
 // mismatchKey appends the mismatch parameters a covariance consumes.
@@ -85,7 +70,7 @@ func mismatchKey(k *memo.Key, t *tech.Technology) *memo.Key {
 // tolerance, so a memo entry must never cross modes — that would make
 // a memoized run byte-different from a cold one). The version moves
 // with the engines: v3 entries come from the single row-spectral
-// engine, so a v2 entry revived from the spill tier cannot stand in.
+// engine.
 func covKeyOf(g *cellGeom, t *tech.Technology, mode FFTMode) string {
 	k := memo.NewKey("variation/cov/v3").Int(int(mode)).Int(len(g.cells))
 	for _, cells := range g.cells {
@@ -98,27 +83,26 @@ func covKeyOf(g *cellGeom, t *tech.Technology, mode FFTMode) string {
 }
 
 // covarianceMemo is the covariance build behind the memo cache: a hit
-// returns the shared (immutable) matrix; a miss builds — structured or
-// dense per covarianceAuto — and populates the cache when the context
-// opts in. Degradation warnings accompany a fresh build only; they
+// or a build another run already has pending returns the shared
+// (immutable) matrix; a miss builds — structured or dense per
+// covarianceAuto — and populates the cache when the context opts in.
+// Degradation warnings accompany this run's own build only; they
 // describe a run's own path, not a cache donor's.
 func covarianceMemo(ctx context.Context, g *cellGeom, t *tech.Technology) (*linalg.Dense, []string, error) {
 	mode := FFTModeOf(ctx)
-	key := ""
-	if memo.Enabled(ctx) {
-		key = covKeyOf(g, t, mode)
-		if v, ok := covCache.Get(key); ok {
-			return v.(*linalg.Dense), nil, nil
+	var warns []string
+	v, err := cached(ctx, covCache, func() string { return covKeyOf(g, t, mode) }, func(ctx context.Context) (any, int64, error) {
+		cov, w, err := covarianceAuto(ctx, g, t, mode)
+		if err != nil {
+			return nil, 0, err
 		}
-	}
-	cov, warns, err := covarianceAuto(ctx, g, t, mode)
+		warns = w
+		return cov, denseBytes(cov), nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if key != "" {
-		covCache.Put(key, cov, int64(len(cov.Data))*8+64)
-	}
-	return cov, warns, nil
+	return v.(*linalg.Dense), warns, nil
 }
 
 // Positioner maps a placement cell to its physical center in microns;
@@ -501,19 +485,14 @@ func monteCarloDense(ctx context.Context, units []mcUnit, bits int, t *tech.Tech
 	// the mismatch parameters — not on samples, seed, angle or gradient
 	// — so memo-enabled yield/spec sweeps over one geometry factor the
 	// O(n³) decomposition exactly once.
-	cholKey := ""
-	var chol *linalg.Dense
-	if memo.Enabled(ctx) {
+	key := func() string {
 		k := memo.NewKey("variation/chol/v1").Int(n)
 		for _, u := range units {
 			k.F64(u.p.X).F64(u.p.Y)
 		}
-		cholKey = mismatchKey(k, t).Sum()
-		if v, ok := cholCache.Get(cholKey); ok {
-			chol = v.(*linalg.Dense)
-		}
+		return mismatchKey(k, t).Sum()
 	}
-	if chol == nil {
+	v, err := cached(ctx, cholCache, key, func(ctx context.Context) (any, int64, error) {
 		cov := linalg.NewDense(n)
 		rt := t.RhoTable()
 		if err := par.ForN(workers, n, func(i int) error {
@@ -532,17 +511,18 @@ func monteCarloDense(ctx context.Context, units []mcUnit, bits int, t *tech.Tech
 			cov.Add(i, i, sigmaU2*1e-9)
 			return nil
 		}); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		var err error
-		chol, err = linalg.Cholesky(cov)
+		chol, err := linalg.Cholesky(cov)
 		if err != nil {
-			return nil, fmt.Errorf("variation: unit covariance: %w", err)
+			return nil, 0, fmt.Errorf("variation: unit covariance: %w", err)
 		}
-		if cholKey != "" {
-			cholCache.Put(cholKey, chol, int64(len(chol.Data))*8+64)
-		}
+		return chol, denseBytes(chol), nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	chol := v.(*linalg.Dense)
 	// Conditioning of the unit covariance, estimated from the factor
 	// diagonal: the high-correlation regime that needs the 1e-9 jitter
 	// above is exactly the regime this gauge exists to make visible.
