@@ -59,9 +59,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -count=1 -benchtime 1x \
 		-bench '^(BenchmarkAnalyzeCov|BenchmarkCoupleSweep|BenchmarkExtractBits|BenchmarkElmoreTree|BenchmarkPromotionLoop|BenchmarkThetaSweepRouted)$$' .
 
-# Caching benchmark: serve cold-vs-warm, memoized sensitivity sweep,
-# singleflight dedup factor, and CG solver allocations, written to
-# BENCH_cache.json. Asserts warm-hit speedup > 1, one generation for 8
+# Caching benchmark: serve cold-vs-warm, memoized sensitivity sweep
+# (medians of repeated requests and sweeps), singleflight dedup factor,
+# and CG solver allocations, written to BENCH_cache.json. Asserts
+# warm-hit speedup > 1, one generation for 8
 # concurrent identical requests, and pooled-scratch solver allocs;
 # doubles as CI's cache-correctness smoke (see docs/PERFORMANCE.md).
 bench-cache:

@@ -48,14 +48,11 @@ func main() {
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline for /v1/generate")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result-cache byte bound (0 = 64MiB default, negative = disable caching and singleflight)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "result-cache entry TTL (0 = no expiry, LRU eviction only)")
 	maxBatch := flag.Int("max-batch", 0, "max sub-requests per /v1/batch call (0 = 64)")
 	storeDir := flag.String("store-dir", "", "durable artifact store directory: persists the result cache across restarts and serves /v1/artifacts/{hash} (empty = memory only)")
-	storeQueue := flag.Int("store-queue", 0, "write-behind queue depth for store persists (0 = 256)")
 	traceCap := flag.Int("trace-capacity", 0, "flight-recorder traces kept per retention class (0 = 32, negative = disable /debug/traces)")
 	traceSlowQ := flag.Float64("trace-slow-quantile", 0, "latency quantile above which healthy traces are tail-sampled as slow (0 = 0.99)")
 	slowRequest := flag.Duration("slow-request", 0, "log WARN with trace correlation for requests slower than this (0 = disabled)")
-	eventBuffer := flag.Int("event-buffer", 0, "per-subscriber buffer for /v1/events SSE streams (0 = 256)")
 	profileWindow := flag.Duration("profile-window", 0, "CPU-profile window for triggered/manual captures (0 = 2s, negative = disable profile capture)")
 	profileCooldown := flag.Duration("profile-cooldown", 0, "minimum gap between triggered profile captures (0 = 60s)")
 	numericInterval := flag.Duration("numeric-interval", 0, "minimum gap between numeric-health golden-check sweeps (0 = 1m, negative = disable)")
@@ -88,14 +85,11 @@ func main() {
 		RequestTimeout:     *timeout,
 		DrainTimeout:       *drain,
 		CacheMaxBytes:      *cacheBytes,
-		CacheTTL:           *cacheTTL,
 		MaxBatch:           *maxBatch,
 		StoreDir:           *storeDir,
-		StoreQueue:         *storeQueue,
 		TraceCapacity:      *traceCap,
 		TraceSlowQuantile:  *traceSlowQ,
 		SlowRequest:        *slowRequest,
-		EventBuffer:        *eventBuffer,
 		ProfileWindow:      *profileWindow,
 		ProfileCooldown:    *profileCooldown,
 		NumericInterval:    *numericInterval,

@@ -41,9 +41,9 @@ import (
 // Bounds are deliberate: placements are tiny int grids, layouts and
 // extractions are the bulky ones.
 var (
-	placeCache   = memo.Register(memo.New("core_place", 16<<20, 0))
-	layoutCache  = memo.Register(memo.New("core_route", 128<<20, 0))
-	extractCache = memo.Register(memo.New("core_extract", 64<<20, 0))
+	placeCache   = memo.Register(memo.New("core_place", 16<<20))
+	layoutCache  = memo.Register(memo.New("core_route", 128<<20))
+	extractCache = memo.Register(memo.New("core_extract", 64<<20))
 )
 
 // stageMemo runs one stage body through its memo cache when the run

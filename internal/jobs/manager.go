@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"ccdac"
 	"ccdac/internal/core"
 	"ccdac/internal/dacmodel"
 	"ccdac/internal/memo"
@@ -597,14 +596,7 @@ func (m *Manager) runGenerate(st *jobState) {
 	tr := m.newTrace(st.job.ID)
 	ctx := obs.WithTrace(st.ctx, tr)
 	ctx, root := obs.StartSpan(ctx, "jobs.generate")
-	cfg := spec.generateConfig(m.opts.ComputeWorkers, m.opts.Memo)
-	var res *ccdac.Result
-	var err error
-	if spec.BestBC {
-		res, _, err = ccdac.GenerateBestBCContext(ctx, cfg)
-	} else {
-		res, err = ccdac.GenerateContext(ctx, cfg)
-	}
+	res, err := spec.Generate(ctx, spec.Config(m.opts.ComputeWorkers, m.opts.Memo))
 	root.Fail(err)
 	root.End()
 	tr.Finish()

@@ -20,6 +20,7 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -88,8 +89,9 @@ type Spec struct {
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
 
-// withDefaults fills the documented defaults so records, prefix keys
-// and equality checks all see one canonical form.
+// withDefaults fills the documented defaults so records, keys and
+// equality checks all see one canonical form: fields the selected style
+// ignores are zeroed, and so are the other kind's tail fields.
 func (s Spec) withDefaults() Spec {
 	if s.Priority == "" {
 		s.Priority = "batch"
@@ -162,7 +164,7 @@ func (s Spec) Validate() error {
 	if _, err := s.class(); err != nil {
 		return err
 	}
-	return s.generateConfig(0, false).Validate()
+	return s.Config(0, false).Validate()
 }
 
 // class resolves the priority class.
@@ -178,16 +180,44 @@ func (s Spec) class() (int, error) {
 	return 0, fmt.Errorf("jobs: unknown priority %q (want \"interactive\", \"batch\" or \"background\")", s.Priority)
 }
 
-// prefixKey identifies the expensive shared prefix of a yield job:
-// two jobs with equal keys place, route, extract and build covariance
-// identically, so the coalescer may run that work once for both. Tail
-// fields (seed, samples, specs, theta) are deliberately absent.
-func (s Spec) prefixKey() string {
-	return memo.NewKey("jobs/prefix/v1").
+// key is the one key builder: it hashes every field of a canonical
+// (withDefaults) spec that can change a generate result, in a fixed
+// order, under domain. ThetaSteps is keyed as the sweep the pipeline
+// actually runs — none under SkipNonlinearity, 8 when unset. That rule
+// lives here rather than in withDefaults so that job records keep the
+// spec as submitted.
+func (s Spec) key(domain string) string {
+	theta := s.ThetaSteps
+	if s.SkipNonlinearity {
+		theta = 0
+	} else if theta == 0 {
+		theta = 8
+	}
+	return memo.NewKey(domain).
 		Int(s.Bits).Str(s.Style).Int(s.CoreBits).Int(s.BlockCells).
 		Int(s.MaxParallel).I64(s.AnnealSeed).Int(s.AnnealMoves).
-		Str(s.TechNode).Str(s.FFT).Sum()
+		Int(theta).Bool(s.SkipNonlinearity).Str(s.TechNode).
+		Bool(s.BestBC).Str(s.FFT).Sum()
 }
+
+// GenerateKey is the result identity of a generate spec: serve's result
+// cache and the artifact store index its result under this key. The
+// domain keeps the name and version every stored key was built with.
+// v2 added the fft directive: the engines agree only to tolerance, so
+// their results must not share entries. v3 marked the move of grid and
+// odd-bit routed covariances to the row-spectral engine, up to ~2e-12
+// from what older binaries stored.
+func (s Spec) GenerateKey() string {
+	return s.withDefaults().key("serve/generate/v3")
+}
+
+// prefixKey identifies the expensive shared prefix of a canonical
+// yield job: two jobs with equal keys place, route, extract and build
+// covariance identically, so the coalescer may run that work once for
+// both. withDefaults zeroes a yield job's generate tail, so only the
+// prefix fields vary the key; the yield tail (seed, samples, specs,
+// theta) is not keyed at all.
+func (s Spec) prefixKey() string { return s.key("jobs/prefix/v2") }
 
 // coreConfig maps the prefix fields onto the internal flow config (the
 // same mapping ccdac.Config undergoes) plus the resolved technology.
@@ -239,9 +269,11 @@ func (s Spec) coreConfig(workers int, useMemo bool) (core.Config, *tech.Technolo
 	return out, t, nil
 }
 
-// generateConfig maps a generate job onto the public API config.
-func (s Spec) generateConfig(workers int, useMemo bool) ccdac.Config {
-	return ccdac.Config{
+// Config maps the spec onto the public API config under a worker budget
+// and memo switch. A best-BC spec validates and runs as block
+// chessboard, the style GenerateBestBC forces.
+func (s Spec) Config(workers int, useMemo bool) ccdac.Config {
+	cfg := ccdac.Config{
 		Bits:             s.Bits,
 		Style:            ccdac.Style(s.Style),
 		CoreBits:         s.CoreBits,
@@ -256,6 +288,22 @@ func (s Spec) generateConfig(workers int, useMemo bool) ccdac.Config {
 		Workers:          workers,
 		Memo:             useMemo,
 	}
+	if s.BestBC {
+		cfg.Style = ccdac.BlockChessboard
+	}
+	return cfg
+}
+
+// Generate runs the flow a generate spec selects under cfg, the spec's
+// Config as the caller armed it: the best-BC sweep when BestBC is set,
+// one fixed structure otherwise. The job runner and serve's result
+// cache both run generate work through it.
+func (s Spec) Generate(ctx context.Context, cfg ccdac.Config) (*ccdac.Result, error) {
+	if s.BestBC {
+		res, _, err := ccdac.GenerateBestBCContext(ctx, cfg)
+		return res, err
+	}
+	return ccdac.GenerateContext(ctx, cfg)
 }
 
 // State is a job's lifecycle phase.

@@ -40,7 +40,7 @@ func gated(runs *atomic.Int64, release <-chan struct{}, val any) func(context.Co
 // of the same key join its pending entry (Shared), and later callers
 // hit the stored value (Hit) — one computation in total.
 func TestDoStatuses(t *testing.T) {
-	c := New("t", 100, 0)
+	c := New("t", 100)
 	var runs atomic.Int64
 	release := make(chan struct{})
 	const callers = 4
@@ -102,7 +102,7 @@ func TestDoStatuses(t *testing.T) {
 // while another waits; the computation keeps running for the waiter
 // and runs exactly once.
 func TestDoLeaderCancelHandoff(t *testing.T) {
-	c := New("t", 100, 0)
+	c := New("t", 100)
 	var runs atomic.Int64
 	release := make(chan struct{})
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -137,7 +137,7 @@ func TestDoLeaderCancelHandoff(t *testing.T) {
 	if n := runs.Load(); n != 1 {
 		t.Errorf("compute ran %d times, want 1 (handoff, not restart)", n)
 	}
-	if _, ok := c.Get("k"); !ok {
+	if _, ok := lookup(c, "k"); !ok {
 		t.Error("handed-off value was not stored")
 	}
 }
@@ -145,7 +145,7 @@ func TestDoLeaderCancelHandoff(t *testing.T) {
 // TestDoLastWaiterCancels: when every waiter leaves, the computation's
 // context is cancelled and the key is free for a fresh computation.
 func TestDoLastWaiterCancels(t *testing.T) {
-	c := New("t", 100, 0)
+	c := New("t", 100)
 	computeErr := make(chan error, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -186,7 +186,7 @@ func TestDoLastWaiterCancels(t *testing.T) {
 // TestDoErrorNotStored: a failed computation reaches every waiter and
 // leaves nothing behind; the next call recomputes.
 func TestDoErrorNotStored(t *testing.T) {
-	c := New("t", 100, 0)
+	c := New("t", 100)
 	boom := errors.New("boom")
 	release := make(chan struct{})
 	var runs atomic.Int64
@@ -224,7 +224,7 @@ func TestDoErrorNotStored(t *testing.T) {
 // TestDoPanic: a panicking computation reaches every waiter as an
 // error carrying the panic value and stack, and stores nothing.
 func TestDoPanic(t *testing.T) {
-	c := New("t", 100, 0)
+	c := New("t", 100)
 	release := make(chan struct{})
 	explode := func(context.Context) (any, int64, error) {
 		<-release
@@ -252,34 +252,10 @@ func TestDoPanic(t *testing.T) {
 	}
 }
 
-// TestDoTTL: an expired entry is evicted on lookup and recomputed.
-func TestDoTTL(t *testing.T) {
-	c := New("t", 100, time.Minute)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	var runs atomic.Int64
-	compute := func(context.Context) (any, int64, error) {
-		return runs.Add(1), 8, nil
-	}
-	if v, st, _ := c.Do(context.Background(), "k", compute); st != Cold || v != int64(1) {
-		t.Fatalf("first = %v, %v; want 1, cold", v, st)
-	}
-	if v, st, _ := c.Do(context.Background(), "k", compute); st != Hit || v != int64(1) {
-		t.Fatalf("fresh = %v, %v; want 1, hit", v, st)
-	}
-	now = now.Add(2 * time.Minute)
-	if v, st, _ := c.Do(context.Background(), "k", compute); st != Cold || v != int64(2) {
-		t.Fatalf("expired = %v, %v; want 2, cold", v, st)
-	}
-	if s := c.Stats(); s.Evictions != 1 || s.Hits != 1 || s.Misses != 2 {
-		t.Errorf("stats = %+v, want 1 eviction, 1 hit, 2 misses", s)
-	}
-}
-
 // TestDoDisabled: a zero-bound cache computes inline on every call,
 // with no sharing and no storage.
 func TestDoDisabled(t *testing.T) {
-	c := New("t", 0, 0)
+	c := New("t", 0)
 	var runs atomic.Int64
 	for i := 0; i < 3; i++ {
 		v, st, err := c.Do(context.Background(), "k", func(context.Context) (any, int64, error) {

@@ -34,7 +34,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ctxEnable marks a context (sub)tree as memo-enabled.
@@ -53,12 +52,11 @@ func Enabled(ctx context.Context) bool {
 }
 
 // Cache is a named, byte-bounded, concurrency-safe LRU cache with
-// optional TTL expiry and hit/miss/eviction accounting. Its Do call
-// shares one pending computation among concurrent callers of a key.
+// hit/miss/eviction accounting. Its Do call shares one pending
+// computation among concurrent callers of a key.
 type Cache struct {
 	name string
 	max  int64
-	ttl  time.Duration
 
 	mu      sync.Mutex
 	ll      *list.List // front = most recently used
@@ -70,16 +68,12 @@ type Cache struct {
 	// waiters is the number of Do callers currently blocked on a
 	// pending entry, leaders included.
 	waiters atomic.Int64
-
-	// now is the clock; replaced by TTL tests.
-	now func() time.Time
 }
 
 type entry struct {
 	key  string
 	val  any
 	size int64
-	at   time.Time
 }
 
 // call is one pending Do computation. val and err are written before
@@ -93,72 +87,27 @@ type call struct {
 }
 
 // New returns an empty cache bounded to maxBytes of caller-estimated
-// entry sizes (maxBytes <= 0 disables storage entirely: every Get
-// misses, Put is a no-op and Do computes inline). A non-zero ttl
-// expires entries that old at lookup time. The cache is not registered
-// for metrics exposition; call Register for process-global caches that
-// /metrics should report.
-func New(name string, maxBytes int64, ttl time.Duration) *Cache {
+// entry sizes (maxBytes <= 0 disables storage entirely: Do computes
+// inline). Entries live until the byte bound evicts them. The cache is
+// not registered for metrics exposition; call Register for
+// process-global caches that /metrics should report.
+func New(name string, maxBytes int64) *Cache {
 	return &Cache{
 		name:    name,
 		max:     maxBytes,
-		ttl:     ttl,
 		ll:      list.New(),
 		index:   map[string]*list.Element{},
 		pending: map[string]*call{},
-		now:     time.Now,
 	}
 }
 
 // Name returns the cache's registered name.
 func (c *Cache) Name() string { return c.name }
 
-// Get returns the value stored under key and marks it most recently
-// used. An expired entry counts as both an eviction and a miss.
-func (c *Cache) Get(key string) (any, bool) {
-	if c == nil || c.max <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	v, ok := c.lookupLocked(key)
-	c.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return v, true
-}
-
-// lookupLocked returns the live entry under key, touching it, and
-// drops it instead when its TTL has passed. The caller holds c.mu.
-func (c *Cache) lookupLocked(key string) (any, bool) {
-	el, ok := c.index[key]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*entry)
-	if c.ttl > 0 && c.now().Sub(e.at) > c.ttl {
-		c.removeLocked(el)
-		c.evictions.Add(1)
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return e.val, true
-}
-
-// Put stores val under key, charging size bytes against the bound
-// (sizes < 1 are clamped to 1) and evicting least-recently-used
+// putLocked stores val under key, charging size bytes against the
+// bound (sizes < 1 are clamped to 1) and evicting least-recently-used
 // entries to fit. A value larger than the whole bound is not stored.
-func (c *Cache) Put(key string, val any, size int64) {
-	if c == nil || c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.putLocked(key, val, size)
-	c.mu.Unlock()
-}
-
+// The caller holds c.mu.
 func (c *Cache) putLocked(key string, val any, size int64) {
 	if size < 1 {
 		size = 1
@@ -169,10 +118,10 @@ func (c *Cache) putLocked(key string, val any, size int64) {
 	if el, ok := c.index[key]; ok {
 		e := el.Value.(*entry)
 		c.bytes += size - e.size
-		e.val, e.size, e.at = val, size, c.now()
+		e.val, e.size = val, size
 		c.ll.MoveToFront(el)
 	} else {
-		c.index[key] = c.ll.PushFront(&entry{key: key, val: val, size: size, at: c.now()})
+		c.index[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
 		c.bytes += size
 	}
 	for c.bytes > c.max {
@@ -226,7 +175,9 @@ func (c *Cache) Do(ctx context.Context, key string, compute func(context.Context
 		return v, Cold, err
 	}
 	c.mu.Lock()
-	if v, ok := c.lookupLocked(key); ok {
+	if el, ok := c.index[key]; ok {
+		c.ll.MoveToFront(el)
+		v := el.Value.(*entry).val
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return v, Hit, nil
@@ -455,15 +406,6 @@ func (k *Key) F64(v float64) *Key {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 	return k.tagged(tagFloat, b[:])
-}
-
-// F64s appends a float-slice field (length included).
-func (k *Key) F64s(vs []float64) *Key {
-	k.I64(int64(len(vs)))
-	for _, v := range vs {
-		k.F64(v)
-	}
-	return k
 }
 
 // Bool appends a boolean field.

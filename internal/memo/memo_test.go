@@ -2,29 +2,60 @@ package memo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
-func TestGetPutLRUOrder(t *testing.T) {
-	c := New("t", 30, 0)
-	c.Put("a", 1, 10)
-	c.Put("b", 2, 10)
-	c.Put("c", 3, 10)
-	// Touch "a" so "b" is now least recently used.
-	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
-		t.Fatalf("Get(a) = %v, %v", v, ok)
+// put stores val under key through Do (a cold compute that reports
+// size), the only way a value enters the cache.
+func put(t *testing.T, c *Cache, key string, val any, size int64) {
+	t.Helper()
+	if _, _, err := c.Do(context.Background(), key, func(context.Context) (any, int64, error) {
+		return val, size, nil
+	}); err != nil {
+		t.Fatalf("put %s: %v", key, err)
 	}
-	c.Put("d", 4, 10) // exceeds 30 bytes: evicts "b"
-	if _, ok := c.Get("b"); ok {
+}
+
+// errAbsent is what lookup's compute returns, so probing an absent key
+// stores nothing.
+var errAbsent = errors.New("absent")
+
+// lookup reports the value stored under key. It stands in for a plain
+// get: a Do whose compute records that it ran means the key was not
+// stored, and the compute's error keeps the probe from storing it.
+func lookup(c *Cache, key string) (any, bool) {
+	var ran atomic.Bool
+	v, _, _ := c.Do(context.Background(), key, func(context.Context) (any, int64, error) {
+		ran.Store(true)
+		return nil, 0, errAbsent
+	})
+	return v, !ran.Load()
+}
+
+// TestGetPutLRUOrder: a hit (the get) marks its entry most recently
+// used, and a completed compute (the put) evicts the least recently
+// used entries beyond the byte bound.
+func TestGetPutLRUOrder(t *testing.T) {
+	c := New("t", 30)
+	put(t, c, "a", 1, 10)
+	put(t, c, "b", 2, 10)
+	put(t, c, "c", 3, 10)
+	// Touch "a" so "b" is now least recently used.
+	if v, ok := lookup(c, "a"); !ok || v.(int) != 1 {
+		t.Fatalf("lookup(a) = %v, %v", v, ok)
+	}
+	put(t, c, "d", 4, 10) // exceeds 30 bytes: evicts "b"
+	if _, ok := lookup(c, "b"); ok {
 		t.Fatal("b should have been evicted as LRU")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := lookup(c, k); !ok {
 			t.Fatalf("%s should have survived", k)
 		}
 	}
@@ -37,23 +68,47 @@ func TestGetPutLRUOrder(t *testing.T) {
 	}
 }
 
+// TestPutReplaceAdjustsBytes: a compute abandoned by its last waiter
+// can still finish after a fresh compute stored the key; its value
+// replaces the entry and the byte charge follows the new size.
 func TestPutReplaceAdjustsBytes(t *testing.T) {
-	c := New("t", 100, 0)
-	c.Put("a", 1, 10)
-	c.Put("a", 2, 30)
-	st := c.Stats()
-	if st.Bytes != 30 || st.Entries != 1 {
+	c := New("t", 100)
+	gate := make(chan struct{})
+	finished := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	left := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, "a", func(context.Context) (any, int64, error) {
+			defer close(finished)
+			<-gate // ignores its cancellation, as a non-cooperative stage may
+			return 1, 10, nil
+		})
+		left <- err
+	}()
+	waitFor(t, "the first compute to open the entry", func() bool { return c.Stats().Waiters == 1 })
+	cancel()
+	if err := <-left; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned Do err = %v, want context.Canceled", err)
+	}
+	put(t, c, "a", 2, 30)
+	if st := c.Stats(); st.Bytes != 30 || st.Entries != 1 {
 		t.Fatalf("bytes/entries = %d/%d, want 30/1", st.Bytes, st.Entries)
 	}
-	if v, _ := c.Get("a"); v.(int) != 2 {
+	close(gate)
+	<-finished
+	waitFor(t, "the late compute to replace the entry", func() bool { return c.Stats().Bytes == 10 })
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("entries = %d, want 1", st.Entries)
+	}
+	if v, _ := lookup(c, "a"); v.(int) != 1 {
 		t.Fatalf("replace did not take: %v", v)
 	}
 }
 
 func TestOversizedValueNotStored(t *testing.T) {
-	c := New("t", 10, 0)
-	c.Put("big", 1, 11)
-	if _, ok := c.Get("big"); ok {
+	c := New("t", 10)
+	put(t, c, "big", 1, 11)
+	if _, ok := lookup(c, "big"); ok {
 		t.Fatal("oversized value must not be stored")
 	}
 	if st := c.Stats(); st.Bytes != 0 {
@@ -62,49 +117,31 @@ func TestOversizedValueNotStored(t *testing.T) {
 }
 
 func TestDisabledCache(t *testing.T) {
-	c := New("t", 0, 0)
-	c.Put("a", 1, 1)
-	if _, ok := c.Get("a"); ok {
+	c := New("t", 0)
+	put(t, c, "a", 1, 1)
+	if _, ok := lookup(c, "a"); ok {
 		t.Fatal("maxBytes <= 0 must disable storage")
 	}
 	var nilCache *Cache
-	nilCache.Put("a", 1, 1) // must not panic
-	if _, ok := nilCache.Get("a"); ok {
-		t.Fatal("nil cache Get must miss")
+	put(t, nilCache, "a", 1, 1) // must not panic
+	if _, ok := lookup(nilCache, "a"); ok {
+		t.Fatal("nil cache lookup must miss")
 	}
 }
 
 func TestPurge(t *testing.T) {
-	c := New("t", 100, 0)
-	c.Put("a", 1, 10)
-	c.Put("b", 2, 10)
+	c := New("t", 100)
+	put(t, c, "a", 1, 10)
+	put(t, c, "b", 2, 10)
 	c.Purge()
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("a should be gone")
-	}
 	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
 		t.Fatalf("purge left bytes/entries = %d/%d", st.Bytes, st.Entries)
 	}
+	if _, ok := lookup(c, "a"); ok {
+		t.Fatal("a should be gone")
+	}
 	if st := c.Stats(); st.Evictions != 0 {
 		t.Fatalf("purge must not count as evictions, got %d", st.Evictions)
-	}
-}
-
-func TestTTLExpiry(t *testing.T) {
-	c := New("t", 100, time.Minute)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	c.Put("a", 1, 10)
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("fresh entry should hit")
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("expired entry should miss")
-	}
-	st := c.Stats()
-	if st.Evictions != 1 || st.Entries != 0 {
-		t.Fatalf("expiry accounting: evictions=%d entries=%d", st.Evictions, st.Entries)
 	}
 }
 
@@ -114,7 +151,7 @@ func TestTTLExpiry(t *testing.T) {
 // consistent. Run with -race.
 func TestByteBoundUnderConcurrentLoad(t *testing.T) {
 	const maxBytes = 1 << 10
-	c := New("t", maxBytes, 0)
+	c := New("t", maxBytes)
 	stop := make(chan struct{})
 	samplerDone := make(chan struct{})
 	// Sampler: the bound must hold mid-flight, not just at quiescence.
@@ -140,17 +177,14 @@ func TestByteBoundUnderConcurrentLoad(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 2000; i++ {
 				k := fmt.Sprintf("k%d", rng.Intn(64))
-				switch rng.Intn(4) {
-				case 0:
-					c.Put(k, i, int64(1+rng.Intn(200)))
-				case 1:
-					size := int64(1 + rng.Intn(200))
-					c.Do(context.Background(), k, func(context.Context) (any, int64, error) {
-						return i, size, nil
-					})
-				default:
-					c.Get(k)
+				if rng.Intn(2) == 0 {
+					lookup(c, k)
+					continue
 				}
+				size := int64(1 + rng.Intn(200))
+				c.Do(context.Background(), k, func(context.Context) (any, int64, error) {
+					return i, size, nil
+				})
 			}
 		}(g)
 	}
@@ -207,11 +241,11 @@ func TestContextEnable(t *testing.T) {
 }
 
 func TestRegistrySnapshot(t *testing.T) {
-	c1 := Register(New("zz_test_b", 100, 0))
-	c2 := Register(New("zz_test_a", 100, 0))
-	c1.Put("x", 1, 10)
-	c2.Put("y", 2, 20)
-	c2.Get("y")
+	c1 := Register(New("zz_test_b", 100))
+	c2 := Register(New("zz_test_a", 100))
+	put(t, c1, "x", 1, 10)
+	put(t, c2, "y", 2, 20)
+	lookup(c2, "y")
 	snap := Snapshot()
 	var sawA, sawB bool
 	lastName := ""

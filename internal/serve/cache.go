@@ -50,54 +50,11 @@ type genOutcome struct {
 	status   string // "" | "cold" | "hit" | "shared" | "bypass"
 }
 
-// cacheKey canonicalizes a generate request into a content-addressed
-// key: defaults are made explicit, fields the selected style ignores
-// are zeroed, and fields that cannot change the result (worker budget,
-// cache directive) are excluded — so bodies that differ only in JSON
-// field order, omitted defaults, or irrelevant knobs share one entry.
-func cacheKey(req GenerateRequest) string {
-	n := req
-	n.Workers = 0 // results are identical at any worker count
-	n.Cache = ""
-	if n.Style == "" {
-		n.Style = string(ccdac.Spiral)
-	}
-	if n.TechNode == "" {
-		n.TechNode = "finfet12"
-	}
-	if n.SkipNonlinearity {
-		n.ThetaSteps = 0 // theta sweep never runs
-	} else if n.ThetaSteps == 0 {
-		n.ThetaSteps = 8 // pipeline default
-	}
-	if n.MaxParallel <= 1 {
-		n.MaxParallel = 0 // both mean "parallel routing off"
-	}
-	if n.BestBC {
-		// GenerateBestBC forces the style and sweeps the structure grid
-		// itself; the request's style and BC fields are ignored.
-		n.Style = string(ccdac.BlockChessboard)
-		n.CoreBits, n.BlockCells = 0, 0
-	}
-	if n.Style != string(ccdac.BlockChessboard) {
-		n.CoreBits, n.BlockCells = 0, 0
-	}
-	if n.Style != string(ccdac.Annealed) {
-		n.AnnealSeed, n.AnnealMoves = 0, 0
-	}
-	if n.FFT == "" {
-		n.FFT = "auto" // pipeline default
-	}
-	// v2: the fft directive joined the key — the engines agree only to
-	// tolerance, so their results must not share cache entries. v3:
-	// grid and odd-bit routed covariances moved to the row-spectral
-	// engine, up to ~2e-12 from what older binaries stored.
-	return memo.NewKey("serve/generate/v3").
-		Int(n.Bits).Str(n.Style).Int(n.CoreBits).Int(n.BlockCells).
-		Int(n.MaxParallel).I64(n.AnnealSeed).Int(n.AnnealMoves).
-		Int(n.ThetaSteps).Bool(n.SkipNonlinearity).Str(n.TechNode).
-		Bool(n.BestBC).Str(n.FFT).Sum()
-}
+// cacheKey is the request's result identity: the job tier's generate
+// key over the same fields, so bodies that differ only in JSON field
+// order, omitted defaults or knobs that cannot change the result
+// (worker budget, cache directive) share one entry.
+func cacheKey(req GenerateRequest) string { return req.spec().GenerateKey() }
 
 // generate routes one request through the result cache. ri (may be
 // nil) receives the root span ID of whatever run this request
@@ -119,7 +76,7 @@ func (s *Server) generate(ctx context.Context, req GenerateRequest, cfg ccdac.Co
 	// any; only that request reports the run's counters.
 	var own *genOutcome
 	v, st, err := s.cache.Do(ctx, key, func(ctx context.Context) (any, int64, error) {
-		if cr, ok := s.storeLookup(key); ok {
+		if cr := new(cachedResult); s.loadJSON(key, cr) {
 			// Warm restart: the durable tier has this result from a
 			// previous process.
 			own = &genOutcome{metrics: cr.Metrics, warnings: cr.Warnings, status: "hit"}
@@ -141,7 +98,7 @@ func (s *Server) generate(ctx context.Context, req GenerateRequest, cfg ccdac.Co
 			// Write-behind: durability happens off the request path; a
 			// full queue or a down disk costs persistence, never latency
 			// or the request itself.
-			s.persist.enqueue(persistJob{key: key, req: req, cr: cr})
+			s.persist.enqueue(persistJob{key: key, payload: cr, config: req, seed: req.AnnealSeed})
 		}
 		own = out
 		return cr, cr.bytes(), nil
@@ -183,13 +140,7 @@ func (s *Server) run(ctx context.Context, req GenerateRequest, cfg ccdac.Config,
 		root.SetAttr("cache", status)
 	}
 
-	var res *ccdac.Result
-	var err error
-	if req.BestBC {
-		res, _, err = ccdac.GenerateBestBCContext(ctx, cfg)
-	} else {
-		res, err = ccdac.GenerateContext(ctx, cfg)
-	}
+	res, err := req.spec().Generate(ctx, cfg)
 
 	root.Fail(err)
 	root.End()
@@ -240,7 +191,7 @@ func (s *Server) record(tr *obs.Trace, req GenerateRequest, start time.Time, err
 	if s.persist != nil && reason != obs.ReasonRecent {
 		var buf bytes.Buffer
 		if obs.WriteOTLP(&buf, "ccdacd", rt.ID, rt.Spans) == nil {
-			s.persist.enqueue(persistJob{traceID: rt.ID, trace: buf.Bytes(), req: req})
+			s.persist.enqueue(persistJob{key: traceIndexKey(rt.ID), payload: buf.Bytes(), config: req, seed: req.AnnealSeed})
 		}
 	}
 	// A for-cause retention also arms a triggered profile capture: the
@@ -265,26 +216,15 @@ func (s *Server) cacheStats() (memo.Stats, bool) {
 	return s.cache.Stats(), true
 }
 
-// storeLookup consults the durable tier for a previously persisted
-// result: index key → artifact hash → verified blob → cachedResult.
-// Any failure — missing, corrupt (the store quarantines it), or
-// unparseable — reports a miss and the pipeline recomputes; the store
-// can lose data safely, it can only never serve bad data.
-func (s *Server) storeLookup(key string) (*cachedResult, bool) {
+// loadJSON decodes the JSON artifact indexed under key into v, reporting
+// whether it could. Without a store, and for a missing, corrupt (the
+// store quarantines it) or undecodable artifact, it reports false and
+// the caller recomputes or skips: the store can lose data safely, it
+// can only never serve bad data.
+func (s *Server) loadJSON(key string, v any) bool {
 	if s.store == nil {
-		return nil, false
+		return false
 	}
-	hash, ok := s.store.LookupIndex(key)
-	if !ok {
-		return nil, false
-	}
-	data, err := s.store.Get(hash)
-	if err != nil {
-		return nil, false
-	}
-	cr := new(cachedResult)
-	if json.Unmarshal(data, cr) != nil {
-		return nil, false
-	}
-	return cr, true
+	data, err := s.store.Load(key)
+	return err == nil && json.Unmarshal(data, v) == nil
 }

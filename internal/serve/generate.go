@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ccdac"
+	"ccdac/internal/jobs"
 )
 
 // GenerateRequest is the JSON body of POST /v1/generate, mirroring
@@ -47,25 +48,25 @@ type GenerateRequest struct {
 	FFT string `json:"fft,omitempty"`
 }
 
-func (g GenerateRequest) config() ccdac.Config {
-	cfg := ccdac.Config{
+// spec maps the request onto a generate job spec, field for field: the
+// one mapping through which serve takes the job tier's config, result
+// key and generate dispatch. Workers and Cache are serve's own knobs.
+func (g GenerateRequest) spec() jobs.Spec {
+	return jobs.Spec{
+		Kind:             jobs.KindGenerate,
 		Bits:             g.Bits,
-		Style:            ccdac.Style(g.Style),
+		Style:            g.Style,
 		CoreBits:         g.CoreBits,
 		BlockCells:       g.BlockCells,
 		MaxParallel:      g.MaxParallel,
 		AnnealSeed:       g.AnnealSeed,
 		AnnealMoves:      g.AnnealMoves,
-		ThetaSteps:       g.ThetaSteps,
-		SkipNonlinearity: g.SkipNonlinearity,
 		TechNode:         g.TechNode,
 		FFT:              g.FFT,
+		ThetaSteps:       g.ThetaSteps,
+		SkipNonlinearity: g.SkipNonlinearity,
+		BestBC:           g.BestBC,
 	}
-	if g.BestBC {
-		// GenerateBestBC forces the style; validate what it will run.
-		cfg.Style = ccdac.BlockChessboard
-	}
-	return cfg
 }
 
 // GenerateResponse is the JSON body of a successful generate request:
@@ -96,14 +97,13 @@ func (s *Server) requestConfig(req GenerateRequest) (ccdac.Config, error) {
 		return ccdac.Config{}, fmt.Errorf("serve: %w: unknown cache directive %q (want \"default\" or \"bypass\")",
 			ccdac.ErrConfig, req.Cache)
 	}
-	cfg := req.config()
 	// Per-request worker budget: the server's cap, unless the request
 	// asked for less (a negative ask means serial analysis).
-	cfg.Workers = s.opts.Workers
-	if req.Workers != 0 && req.Workers < cfg.Workers {
-		cfg.Workers = req.Workers
+	workers := s.opts.Workers
+	if req.Workers != 0 && req.Workers < workers {
+		workers = req.Workers
 	}
-	return cfg, nil
+	return req.spec().Config(workers, false), nil
 }
 
 // handleGenerate decodes and validates one request and routes it

@@ -8,18 +8,16 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"time"
 
 	"ccdac/internal/jobs"
-	"ccdac/internal/obs"
-	"ccdac/internal/store"
 )
 
 // jobIndexKey/jobCkKey/jobManifestKey are the artifact-store index
@@ -88,83 +86,15 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // the stream: one job emits several traces (prefix + tail, or one per
 // checkpointed block run).
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.writeError(w, r, http.StatusInternalServerError, fmt.Errorf("serve: streaming unsupported"))
-		return
-	}
 	id := r.PathValue("id")
 	if _, ok := s.jobs.Get(id); !ok {
 		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("serve: no job %q", id))
 		return
 	}
-	sub := s.bus.Subscribe(id, s.opts.EventBuffer)
-	defer sub.Close()
-
-	done := make(chan jobs.Job, 1)
-	go func() {
-		if j, err := s.jobs.Wait(r.Context(), id); err == nil {
-			done <- j
-		}
-	}()
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	writeEvent := func(ev obs.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return true
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-
-	heartbeat := time.NewTicker(sseHeartbeat)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-heartbeat.C:
-			if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {
-				return
-			}
-			fl.Flush()
-		case ev, ok := <-sub.Events():
-			if !ok {
-				return
-			}
-			if !writeEvent(ev) {
-				return
-			}
-		case j := <-done:
-			// Drain events already buffered before announcing the end.
-			for {
-				select {
-				case ev := <-sub.Events():
-					if !writeEvent(ev) {
-						return
-					}
-					continue
-				default:
-				}
-				break
-			}
-			if data, err := json.Marshal(j); err == nil {
-				fmt.Fprintf(w, "event: job_done\ndata: %s\n\n", data)
-				fl.Flush()
-			}
-			return
-		}
-	}
+	s.serveSSE(w, r, id, nil, func(ctx context.Context) (sseFinal, bool) {
+		j, err := s.jobs.Wait(ctx, id)
+		return sseFinal{event: "job_done", data: j}, err == nil
+	})
 }
 
 // retryAfterSeconds renders a duration as a whole-second Retry-After
@@ -186,19 +116,13 @@ type jobStore struct{ s *Server }
 // the spec and the last checkpoint.
 func (p *jobStore) SaveJob(j jobs.Job) {
 	p.s.noteJobID(j.ID)
-	data, err := json.Marshal(j)
-	if err != nil {
-		return
-	}
-	var meta string
+	job := persistJob{key: jobIndexKey(j.ID), payload: j}
 	if j.State.Terminal() {
 		// Terminal records join the provenance chain: the final result
 		// is tied to the spec that produced it, like cached generates.
-		if cfg, err := json.Marshal(j.Spec); err == nil {
-			meta = string(cfg)
-		}
+		job.config = j.Spec
 	}
-	p.s.persist.enqueue(persistJob{blobKey: jobIndexKey(j.ID), blob: data, blobMeta: meta})
+	p.s.persist.enqueue(job)
 }
 
 // SaveCheckpoint persists synchronously — the worker blocks until the
@@ -206,31 +130,10 @@ func (p *jobStore) SaveJob(j jobs.Job) {
 // degraded (memory-only) store cannot promise durability, so the job
 // proceeds checkpoint-less rather than failing outright.
 func (p *jobStore) SaveCheckpoint(j jobs.Job, ck jobs.Checkpoint) error {
-	st := p.s.store
-	if degraded, _ := st.Degraded(); degraded {
+	if degraded, _ := p.s.store.Degraded(); degraded {
 		return nil
 	}
-	data, err := json.Marshal(ck)
-	if err != nil {
-		return err
-	}
-	hash, err := st.Put(data)
-	if err != nil {
-		return err
-	}
-	if err := st.SetIndex(jobCkKey(j.ID), hash); err != nil {
-		return err
-	}
-	cfg, _ := json.Marshal(j.Spec)
-	_, _ = st.AppendProvenance(store.ProvenanceRecord{
-		Key:        jobCkKey(j.ID),
-		Artifact:   hash,
-		ConfigJSON: string(cfg),
-		Seed:       j.Spec.Seed,
-		GoVersion:  runtime.Version(),
-		CodeHash:   codeHash(),
-	})
-	return nil
+	return p.s.persist.save(persistJob{key: jobCkKey(j.ID), payload: ck, config: j.Spec, seed: j.Spec.Seed})
 }
 
 // noteJobID keeps the durable job-ID manifest current. The store index
@@ -252,11 +155,7 @@ func (s *Server) noteJobID(id string) {
 	}
 	s.jobIDMu.Unlock()
 	sort.Strings(ids)
-	data, err := json.Marshal(ids)
-	if err != nil {
-		return
-	}
-	s.persist.enqueue(persistJob{blobKey: jobManifestKey, blob: data})
+	s.persist.enqueue(persistJob{key: jobManifestKey, payload: ids})
 }
 
 // recoverJobs reloads persisted job records at boot: terminal jobs
@@ -264,11 +163,10 @@ func (s *Server) noteJobID(id string) {
 // from their last checkpoint — the other half of the crash-safety
 // contract (SIGKILL mid-run, restart, identical final output).
 func (s *Server) recoverJobs() {
-	hash, ok := s.store.LookupIndex(jobManifestKey)
-	if !ok {
-		return
+	if _, ok := s.store.LookupIndex(jobManifestKey); !ok {
+		return // no job was ever recorded here
 	}
-	blob, err := s.store.Get(hash)
+	blob, err := s.store.Load(jobManifestKey)
 	if err != nil {
 		s.log.Warn("job manifest unreadable, starting empty", "err", err)
 		return
@@ -286,26 +184,13 @@ func (s *Server) recoverJobs() {
 	s.jobIDMu.Unlock()
 	restored, resumed := 0, 0
 	for _, id := range ids {
-		jh, ok := s.store.LookupIndex(jobIndexKey(id))
-		if !ok {
-			continue
-		}
-		jb, err := s.store.Get(jh)
-		if err != nil {
-			continue
-		}
 		var j jobs.Job
-		if err := json.Unmarshal(jb, &j); err != nil || j.ID == "" {
+		if !s.loadJSON(jobIndexKey(id), &j) || j.ID == "" {
 			continue
 		}
 		var ck *jobs.Checkpoint
-		if ch, ok := s.store.LookupIndex(jobCkKey(id)); ok {
-			if cb, err := s.store.Get(ch); err == nil {
-				var c jobs.Checkpoint
-				if err := json.Unmarshal(cb, &c); err == nil && c.JobID == id {
-					ck = &c
-				}
-			}
+		if c := new(jobs.Checkpoint); s.loadJSON(jobCkKey(id), c) && c.JobID == id {
+			ck = c
 		}
 		if !j.State.Terminal() {
 			resumed++

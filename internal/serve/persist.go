@@ -9,31 +9,28 @@ package serve
 
 import (
 	"encoding/json"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"ccdac/internal/store"
 )
 
-// persistJob is one finished cold generation — or one tail-sampled
-// trace (traceID set, key empty) — awaiting durability.
+// persistJob is one artifact awaiting durability: a cold generate
+// result, a tail-sampled trace, a profile, a job record or checkpoint,
+// or the job manifest.
 type persistJob struct {
+	// key is the store index key the artifact is saved under.
 	key string
-	req GenerateRequest
-	cr  *cachedResult
-
-	// traceID/trace carry a retained trace's OTLP blob instead of a
-	// result.
-	traceID string
-	trace   []byte
-
-	// blobKey/blob carry an arbitrary indexed artifact (e.g. a captured
-	// profile) instead of a result; blobMeta is its provenance config.
-	blobKey  string
-	blob     []byte
-	blobMeta string
+	// payload is the artifact: []byte is stored as is, anything else
+	// is JSON-encoded by the persister, so results are encoded off the
+	// request path.
+	payload any
+	// config is the provenance record's ConfigJSON, encoded the same
+	// way; nil appends no record (the high-churn manifest and
+	// non-terminal job records stay off the chain). seed is the
+	// record's Seed.
+	config any
+	seed   int64
 }
 
 // persister drains persist jobs through one background goroutine into
@@ -50,11 +47,13 @@ type persister struct {
 	dropped atomic.Int64
 }
 
-func newPersister(st *store.Store, queue int) *persister {
-	if queue <= 0 {
-		queue = 256
-	}
-	p := &persister{st: st, ch: make(chan persistJob, queue), done: make(chan struct{})}
+// persistQueue bounds the write-behind queue: when the disk cannot
+// keep up, further artifacts stay memory-only and the drop counter
+// ticks rather than any request blocking.
+const persistQueue = 256
+
+func newPersister(st *store.Store) *persister {
+	p := &persister{st: st, ch: make(chan persistJob, persistQueue), done: make(chan struct{})}
 	go p.loop()
 	return p
 }
@@ -62,91 +61,39 @@ func newPersister(st *store.Store, queue int) *persister {
 func (p *persister) loop() {
 	defer close(p.done)
 	for job := range p.ch {
-		p.persist(job)
+		_ = p.save(job)
 		p.pending.Done()
 	}
 }
 
-// persist makes one result durable: artifact blob, index entry, and
-// provenance link. Store-level failures degrade inside the store (it
-// flips memory-only); nothing here can fail a request.
-func (p *persister) persist(job persistJob) {
-	if job.blobKey != "" {
-		p.persistBlob(job)
-		return
-	}
-	if job.traceID != "" {
-		p.persistTrace(job)
-		return
-	}
-	data, err := json.Marshal(job.cr)
+// save makes one artifact durable through store.Save: blob, index entry
+// and, when job carries a config, a provenance link. Store-level
+// failures degrade inside the store (it flips memory-only); the error
+// is an encoding failure, which the write-behind path drops and the
+// synchronous checkpoint path returns.
+func (p *persister) save(job persistJob) error {
+	blob, err := encode(job.payload)
 	if err != nil {
-		return
+		return err
 	}
-	hash, err := p.st.Put(data)
-	if err != nil {
-		return
+	var prov *store.ProvenanceRecord
+	if job.config != nil {
+		cfg, err := encode(job.config)
+		if err != nil {
+			return err
+		}
+		prov = &store.ProvenanceRecord{ConfigJSON: string(cfg), Seed: job.seed}
 	}
-	if err := p.st.SetIndex(job.key, hash); err != nil {
-		return
-	}
-	cfg, _ := json.Marshal(job.req)
-	_, _ = p.st.AppendProvenance(store.ProvenanceRecord{
-		Key:        job.key,
-		Artifact:   hash,
-		ConfigJSON: string(cfg),
-		Seed:       job.req.AnnealSeed,
-		GoVersion:  runtime.Version(),
-		CodeHash:   codeHash(),
-	})
+	return p.st.Save(job.key, blob, prov)
 }
 
-// persistTrace stores one tail-sampled trace's OTLP export: blob,
-// trace/<id> index entry, and a provenance record tying the trace to
-// the request config that produced it.
-func (p *persister) persistTrace(job persistJob) {
-	hash, err := p.st.Put(job.trace)
-	if err != nil {
-		return
+// encode returns v's stored bytes: v itself when it already is bytes,
+// its JSON encoding otherwise.
+func encode(v any) ([]byte, error) {
+	if b, ok := v.([]byte); ok {
+		return b, nil
 	}
-	key := traceIndexKey(job.traceID)
-	if err := p.st.SetIndex(key, hash); err != nil {
-		return
-	}
-	cfg, _ := json.Marshal(job.req)
-	_, _ = p.st.AppendProvenance(store.ProvenanceRecord{
-		Key:        key,
-		Artifact:   hash,
-		ConfigJSON: string(cfg),
-		Seed:       job.req.AnnealSeed,
-		GoVersion:  runtime.Version(),
-		CodeHash:   codeHash(),
-	})
-}
-
-// persistBlob stores one generic indexed artifact — captured profiles
-// under profile/<traceID>/<kind>, job records and the job manifest —
-// with a provenance record when metadata accompanies it. Blobs with
-// empty blobMeta (high-churn records like the job manifest) skip the
-// provenance chain.
-func (p *persister) persistBlob(job persistJob) {
-	hash, err := p.st.Put(job.blob)
-	if err != nil {
-		return
-	}
-	if err := p.st.SetIndex(job.blobKey, hash); err != nil {
-		return
-	}
-	if job.blobMeta == "" {
-		return
-	}
-	_, _ = p.st.AppendProvenance(store.ProvenanceRecord{
-		Key:        job.blobKey,
-		Artifact:   hash,
-		ConfigJSON: job.blobMeta,
-		GoVersion:  runtime.Version(),
-		CodeHash:   codeHash(),
-	})
+	return json.Marshal(v)
 }
 
 // enqueue queues one job, dropping (and counting) when the queue is
@@ -184,22 +131,4 @@ func (p *persister) close() {
 	p.flush()
 	close(p.ch)
 	<-p.done
-}
-
-// codeHash identifies the running code revision from build info (VCS
-// stamp when built from a checkout, module version otherwise).
-func codeHash() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "unknown"
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "vcs.revision" {
-			return s.Value
-		}
-	}
-	if bi.Main.Version != "" && bi.Main.Version != "(devel)" {
-		return bi.Main.Version
-	}
-	return "unknown"
 }

@@ -42,11 +42,7 @@ func (s *Server) persistCapture(c profcap.Capture) {
 		if len(blob) == 0 {
 			continue
 		}
-		s.persist.enqueue(persistJob{
-			blobKey:  profileIndexKey(c.TraceID, kind),
-			blob:     blob,
-			blobMeta: meta,
-		})
+		s.persist.enqueue(persistJob{key: profileIndexKey(c.TraceID, kind), payload: blob, config: []byte(meta)})
 	}
 }
 

@@ -365,15 +365,38 @@ func TestSlowTraceTriggersProfileCapture(t *testing.T) {
 			t.Fatalf("warmup %d: status %d: %s", i, resp.StatusCode, data)
 		}
 	}
+	// Under CPU contention a warm-up can itself be retained for cause,
+	// and its capture would keep the capturer busy — dropping the
+	// outlier's trigger. Let any such capture finish first.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.profcap.Busy() {
+		if time.Now().After(deadline) {
+			t.Fatal("a warm-up's profile capture never finished")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	// One request an order of magnitude slower than the window (~0.6 s
 	// on a 2-core host; the profile windows are 50ms): lands above the
 	// slow quantile and is retained for cause.
-	resp, data := postGenerate(t, ts.URL, `{"bits":12,"style":"block-chessboard","theta_steps":360,"fft":"off","cache":"bypass"}`)
+	const outlier = "slow-outlier"
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/generate",
+		strings.NewReader(`{"bits":12,"style":"block-chessboard","theta_steps":360,"fft":"off","cache":"bypass"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-ID", outlier)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("slow request: status %d: %s", resp.StatusCode, data)
 	}
 
-	// Find the for-cause retention.
+	// Find the outlier's for-cause retention by its request ID (the
+	// trace's tag): a warm-up may hold a slow row of its own.
 	var slowID string
 	var idx traceIndexResponse
 	iresp, err := http.Get(ts.URL + "/debug/traces")
@@ -386,20 +409,20 @@ func TestSlowTraceTriggersProfileCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range idx.Traces {
-		if tr.Reason == "slow" {
+		if tr.Tag == outlier && tr.Reason == "slow" {
 			slowID = tr.ID
 			break
 		}
 	}
 	if slowID == "" {
-		t.Fatalf("no slow-retained trace after outlier request: %s", idata)
+		t.Fatalf("the outlier request was not retained as slow: %s", idata)
 	}
 
 	// The capture runs asynchronously (50ms window + write-behind
 	// persist, one artifact at a time); poll the trace view until every
 	// artifact asserted below has linked up, not just the first.
 	var tv traceResponse
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		tresp, err := http.Get(ts.URL + "/debug/traces/" + slowID)
 		if err != nil {

@@ -81,9 +81,6 @@ type Options struct {
 	// both the cache and the sharing (every request recomputes, as for
 	// cache:"bypass"). See docs/PERFORMANCE.md.
 	CacheMaxBytes int64
-	// CacheTTL expires result-cache entries after this duration (0 =
-	// entries live until evicted by the byte bound).
-	CacheTTL time.Duration
 	// MaxBatch caps the number of sub-requests one POST /v1/batch may
 	// carry (default 64); larger batches are rejected with 400.
 	MaxBatch int
@@ -95,10 +92,6 @@ type Options struct {
 	// starts, degraded to memory-only, and says so in response
 	// warnings. See docs/ROBUSTNESS.md.
 	StoreDir string
-	// StoreQueue bounds the write-behind queue (default 256); when the
-	// disk cannot keep up, further results stay memory-only and a drop
-	// counter ticks rather than any request blocking.
-	StoreQueue int
 	// TraceCapacity bounds each retention class of the flight recorder
 	// (error / degraded / slow / recent rings; see internal/obs): 0
 	// selects the default (32 per class), negative disables trace
@@ -112,10 +105,6 @@ type Options struct {
 	// root span ID and the retained trace ID for follow-up via
 	// /debug/traces/{id}.
 	SlowRequest time.Duration
-	// EventBuffer is the per-subscriber channel depth for GET /v1/events
-	// SSE streams (default 256). A subscriber that cannot keep up loses
-	// events — publishing never blocks the pipeline.
-	EventBuffer int
 	// ProfileWindow is the CPU-profile duration captured when the
 	// flight recorder retains a trace for cause (slow/error/degraded):
 	// 0 selects 2s, negative disables triggered capture. Captures are
@@ -257,7 +246,7 @@ func New(opts Options) *Server {
 	if opts.CacheMaxBytes > 0 {
 		// Per-server, not globally registered: stats are injected into
 		// this server's /metrics by handleMetrics.
-		s.cache = memo.New("serve_results", opts.CacheMaxBytes, opts.CacheTTL)
+		s.cache = memo.New("serve_results", opts.CacheMaxBytes)
 	}
 	if opts.StoreDir != "" {
 		st, err := store.Open(opts.StoreDir, store.Options{})
@@ -270,7 +259,7 @@ func New(opts Options) *Server {
 			st = store.Degrade(err)
 		}
 		s.store = st
-		s.persist = newPersister(st, opts.StoreQueue)
+		s.persist = newPersister(st)
 		if n := st.IndexLen(); n > 0 {
 			s.log.Info("artifact store opened", "dir", opts.StoreDir, "indexed_results", n)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"ccdac/internal/jobs"
 	"ccdac/internal/leakcheck"
+	"ccdac/internal/obs/profcap"
 	"ccdac/internal/store"
 )
 
@@ -313,10 +316,100 @@ func TestPersisterShutdownNoLeak(t *testing.T) {
 	srv.Close()
 
 	dropped := srv.persist.dropped.Load()
-	srv.persist.enqueue(persistJob{blobKey: "profile/late/cpu", blob: []byte("late")})
+	srv.persist.enqueue(persistJob{key: "profile/late/cpu", payload: []byte("late")})
 	if got := srv.persist.dropped.Load(); got != dropped+1 {
 		t.Errorf("post-close enqueue dropped count %d, want %d", got, dropped+1)
 	}
 	// Close is idempotent.
 	srv.Close()
+}
+
+// TestProvenanceRecordFields pins the provenance record each kind of
+// durable artifact appends — a cached result, an error-retained trace,
+// a profile, terminal job records and a checkpoint — to the Key,
+// ConfigJSON and Seed the chain has always carried for it, so a stored
+// chain reads the same whichever write path produced it.
+func TestProvenanceRecordFields(t *testing.T) {
+	srv := New(Options{Logger: quietLogger(), StoreDir: t.TempDir(), ProfileWindow: -1, JobMaxBatch: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	result := `{"bits":4,"style":"annealed","anneal_seed":7,"anneal_moves":200,"skip_nonlinearity":true}`
+	if resp, data := postGenerate(t, ts.URL, result); resp.StatusCode != http.StatusOK {
+		t.Fatalf("generate status %d: %s", resp.StatusCode, data)
+	}
+	// A refused request still runs, fails and is retained for cause.
+	if resp, data := postGenerate(t, ts.URL, `{"bits":99,"anneal_seed":3}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("out-of-range generate status %d, want 400: %s", resp.StatusCode, data)
+	}
+	srv.persistCapture(profcap.Capture{Reason: "slow", TraceID: "t1", Duration: 2 * time.Second, CPU: []byte("cpu")})
+	gen := submitJobOK(t, ts.URL, `{"kind":"generate","bits":5,"skip_nonlinearity":true}`)
+	yld := submitJobOK(t, ts.URL, `{"kind":"yield","bits":5,"samples":40,"seed":9,"spec_inl":0.5,"checkpoint_every":20}`)
+	for _, id := range []string{gen.ID, yld.ID} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		j, err := srv.Jobs().Wait(ctx, id)
+		cancel()
+		if err != nil || j.State != jobs.StateDone {
+			t.Fatalf("job %s: state %s (%s), err %v", id, j.State, j.Error, err)
+		}
+	}
+	srv.FlushStore()
+
+	var errored string
+	for _, tr := range srv.recorder.List() {
+		if tr.Err != "" {
+			errored = tr.ID
+		}
+	}
+	if errored == "" {
+		t.Fatal("the refused request left no error trace")
+	}
+	if n, err := srv.store.VerifyProvenance(); err != nil {
+		t.Fatalf("VerifyProvenance = %d, %v", n, err)
+	}
+	recs, err := srv.store.Provenance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := map[string]store.ProvenanceRecord{}
+	for _, r := range recs {
+		if _, dup := byKey[r.Key]; dup {
+			t.Errorf("two provenance records for key %s", r.Key)
+		}
+		byKey[r.Key] = r
+		if r.GoVersion == "" || r.CodeHash == "" || r.Artifact == "" {
+			t.Errorf("record %d (%s) lacks its stamp: %+v", r.Seq, r.Key, r)
+		}
+		if h, ok := srv.store.LookupIndex(r.Key); !ok || h != r.Artifact {
+			t.Errorf("record %d artifact %s not resolvable via its key %s", r.Seq, r.Artifact, r.Key)
+		}
+	}
+	genSpec := `{"kind":"generate","priority":"batch","bits":5,"style":"spiral","tech_node":"finfet12","fft":"auto","skip_nonlinearity":true}`
+	yieldSpec := `{"kind":"yield","priority":"batch","bits":5,"style":"spiral","tech_node":"finfet12","fft":"auto",` +
+		`"samples":40,"seed":9,"spec_inl":0.5,"spec_dnl":0.5,"theta_deg":45,"checkpoint_every":20}`
+	want := []struct {
+		what, key, config string
+		seed              int64
+	}{
+		{"cached result", "683790ad71b84ae730d52c4ed5d219fd", result, 7},
+		{"error-retained trace", "trace/" + errored, `{"bits":99,"anneal_seed":3}`, 3},
+		{"profile", "profile/t1/cpu", `{"reason":"slow","trace_id":"t1","window_seconds":2}`, 0},
+		{"terminal generate job", "job/" + gen.ID, genSpec, 0},
+		{"terminal yield job", "job/" + yld.ID, yieldSpec, 0},
+		{"checkpoint", "jobck/" + yld.ID, yieldSpec, 9},
+	}
+	if len(recs) != len(want) {
+		t.Errorf("%d provenance records, want %d: %+v", len(recs), len(want), recs)
+	}
+	for _, w := range want {
+		r, ok := byKey[w.key]
+		if !ok {
+			t.Errorf("%s: no provenance record under %s", w.what, w.key)
+			continue
+		}
+		if r.ConfigJSON != w.config || r.Seed != w.seed {
+			t.Errorf("%s: ConfigJSON %s seed %d, want %s seed %d", w.what, r.ConfigJSON, r.Seed, w.config, w.seed)
+		}
+	}
 }

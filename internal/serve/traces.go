@@ -8,6 +8,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -19,6 +20,11 @@ import (
 // sseHeartbeat keeps idle event streams alive through proxies that
 // time out silent connections.
 const sseHeartbeat = 10 * time.Second
+
+// sseBuffer is each SSE subscriber's event channel depth. A subscriber
+// that cannot keep up loses events; publishing never blocks the
+// pipeline.
+const sseBuffer = 256
 
 // traceIndexResponse is the JSON body of GET /debug/traces.
 type traceIndexResponse struct {
@@ -119,22 +125,49 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 //
 //	curl -N 'http://localhost:8080/v1/events?request_id=abc123'
 //
-// Each event carries the bus sequence number as the SSE id (gaps mean
-// the stream fell behind and events were dropped — the bus never
-// blocks a request on a slow consumer), the event type (span_start,
-// span_end, counter, trace_finish) as the SSE event name, and the
-// obs.Event JSON as data. With a request_id filter the stream closes
-// itself after that trace's trace_finish; unfiltered streams run until
-// the client disconnects.
+// With a request_id filter the stream closes itself after that trace's
+// trace_finish; unfiltered streams run until the client disconnects.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	filter := r.URL.Query().Get("request_id")
+	s.serveSSE(w, r, filter, func(ev obs.Event) bool {
+		// The subscribed request is done; nothing more will match.
+		return filter != "" && ev.Type == obs.EventTraceFinish
+	}, nil)
+}
+
+// sseFinal is the closing frame of a stream that follows one subject.
+type sseFinal struct {
+	event string
+	data  any
+}
+
+// serveSSE streams the bus events matching filter as Server-Sent
+// Events. Each event carries the bus sequence number as the SSE id
+// (gaps mean the stream fell behind and events were dropped — the bus
+// never blocks a request on a slow consumer), the event type (span_start,
+// span_end, counter, trace_finish) as the SSE event name, and the
+// obs.Event JSON as data; a comment heartbeat keeps idle streams alive.
+// The stream ends when the client leaves or a write fails, after an
+// event for which last (may be nil) reports true, or when finished (may
+// be nil; run on its own goroutine once subscribed) returns ok: the
+// events already buffered drain first, then its final frame goes out.
+func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, filter string,
+	last func(obs.Event) bool, finished func(context.Context) (sseFinal, bool)) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		s.writeError(w, r, http.StatusInternalServerError, fmt.Errorf("serve: streaming unsupported"))
 		return
 	}
-	filter := r.URL.Query().Get("request_id")
-	sub := s.bus.Subscribe(filter, s.opts.EventBuffer)
+	sub := s.bus.Subscribe(filter, sseBuffer)
 	defer sub.Close()
+	done := make(chan sseFinal, 1)
+	if finished != nil {
+		go func() {
+			if f, ok := finished(r.Context()); ok {
+				done <- f
+			}
+		}()
+	}
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -143,6 +176,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
+	// write sends one event frame and reports whether the stream goes on.
+	write := func(ev obs.Event) bool {
+		data, err := json.Marshal(ev)
+		if err != nil {
+			return true
+		}
+		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
+			return false
+		}
+		fl.Flush()
+		return last == nil || !last(ev)
+	}
 	heartbeat := time.NewTicker(sseHeartbeat)
 	defer heartbeat.Stop()
 	for {
@@ -155,21 +200,21 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			fl.Flush()
 		case ev, ok := <-sub.Events():
-			if !ok {
+			if !ok || !write(ev) {
 				return
 			}
-			data, err := json.Marshal(ev)
-			if err != nil {
-				continue
+		case f := <-done:
+			// Drain events already buffered before announcing the end.
+			for len(sub.Events()) > 0 {
+				if !write(<-sub.Events()) {
+					return
+				}
 			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-				return
+			if data, err := json.Marshal(f.data); err == nil {
+				fmt.Fprintf(w, "event: %s\ndata: %s\n\n", f.event, data)
+				fl.Flush()
 			}
-			fl.Flush()
-			if filter != "" && ev.Type == obs.EventTraceFinish {
-				// The subscribed request is done; nothing more will match.
-				return
-			}
+			return
 		}
 	}
 }

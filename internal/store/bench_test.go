@@ -61,12 +61,12 @@ func TestBenchStore(t *testing.T) {
 	hashes := make([]string, n)
 	start := time.Now()
 	for i, b := range blobs {
-		h, err := s.Put(b)
+		h, err := s.put(b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hashes[i] = h
-		if err := s.SetIndex(fmt.Sprintf("bench-key-%d", i), h); err != nil {
+		if err := s.setIndex(fmt.Sprintf("bench-key-%d", i), h); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -105,16 +105,16 @@ func crashChild(dir string) {
 	}
 	for i := 0; ; i++ {
 		data := []byte(strings.Repeat(fmt.Sprintf("artifact %d ", i), 50))
-		hash, err := s.Put(data)
+		hash, err := s.put(data)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "crash child put:", err)
 			os.Exit(1)
 		}
-		if err := s.SetIndex(fmt.Sprintf("crash-key-%d", i), hash); err != nil {
+		if err := s.setIndex(fmt.Sprintf("crash-key-%d", i), hash); err != nil {
 			fmt.Fprintln(os.Stderr, "crash child index:", err)
 			os.Exit(1)
 		}
-		if _, err := s.AppendProvenance(ProvenanceRecord{
+		if _, err := s.appendProvenance(ProvenanceRecord{
 			Key: fmt.Sprintf("crash-key-%d", i), Artifact: hash,
 			ConfigJSON: `{"bits":8}`, GoVersion: "go-test", CodeHash: "crash",
 		}); err != nil {

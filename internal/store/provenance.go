@@ -105,11 +105,11 @@ func (p *provenance) len() int64 {
 	return p.nextSeq
 }
 
-// AppendProvenance links rec onto the chain and persists it. Seq,
+// appendProvenance links rec onto the chain and persists it. Seq,
 // Prev and Hash are assigned here; the caller fills the descriptive
 // fields. Under a degraded backend the record is linked in memory
 // only, preserving chain integrity for the process's lifetime.
-func (s *Store) AppendProvenance(rec ProvenanceRecord) (ProvenanceRecord, error) {
+func (s *Store) appendProvenance(rec ProvenanceRecord) (ProvenanceRecord, error) {
 	s.prov.mu.Lock()
 	defer s.prov.mu.Unlock()
 	rec.Seq = s.prov.nextSeq

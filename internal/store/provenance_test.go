@@ -13,11 +13,11 @@ func appendRuns(t *testing.T, s *Store, n int) []ProvenanceRecord {
 	out := make([]ProvenanceRecord, 0, n)
 	for i := 0; i < n; i++ {
 		data := []byte(strings.Repeat("r", i+1))
-		hash, err := s.Put(data)
+		hash, err := s.put(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := s.AppendProvenance(ProvenanceRecord{
+		rec, err := s.appendProvenance(ProvenanceRecord{
 			Key:        "run-" + string(rune('a'+i)),
 			Artifact:   hash,
 			ConfigJSON: `{"bits":8}`,
@@ -57,7 +57,7 @@ func TestProvenanceChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := s2.AppendProvenance(ProvenanceRecord{Key: "run-d", Artifact: Hash([]byte("d"))})
+	rec, err := s2.appendProvenance(ProvenanceRecord{Key: "run-d", Artifact: Hash([]byte("d"))})
 	if err != nil {
 		t.Fatal(err)
 	}

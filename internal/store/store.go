@@ -18,7 +18,9 @@
 //     and heals back when the backend recovers.
 //   - An index maps canonical request keys (internal/memo keying) to
 //     artifact hashes, and a hash-chained provenance log makes runs
-//     tamper-evident (provenance.go).
+//     tamper-evident (provenance.go). Save (blob → index → provenance)
+//     and Load (index → verified blob) are the one write and read path
+//     for indexed artifacts.
 //
 // Every IO edge carries an internal/fault checkpoint (store.write,
 // store.fsync, store.rename, store.read, store.verify), and Stats
@@ -33,6 +35,8 @@ import (
 	"fmt"
 	"io/fs"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -206,13 +210,65 @@ func (s *Store) retry(op func() error) error {
 	}
 }
 
-// Put stores data and returns its content hash. Backend failure is
+// Save makes one artifact durable under an index key: it stores blob
+// (put), maps key to the blob's hash (setIndex) and, when prov is
+// non-nil, appends a provenance record built from prov's ConfigJSON and
+// Seed, stamped with the key, the artifact hash, the Go version and the
+// code revision. Backend failure degrades the store rather than failing
+// the save; the returned error is reserved for programmer errors.
+func (s *Store) Save(key string, blob []byte, prov *ProvenanceRecord) error {
+	hash, err := s.put(blob)
+	if err != nil {
+		return err
+	}
+	if err := s.setIndex(key, hash); err != nil {
+		return err
+	}
+	if prov == nil {
+		return nil
+	}
+	rec := *prov
+	rec.Key, rec.Artifact, rec.GoVersion, rec.CodeHash = key, hash, runtime.Version(), codeHash()
+	_, err = s.appendProvenance(rec)
+	return err
+}
+
+// Load returns the verified artifact indexed under key: ErrNotFound
+// when the key is not indexed, otherwise whatever Get reports for its
+// hash (a corrupt blob is quarantined and reads as ErrCorrupt).
+func (s *Store) Load(key string) ([]byte, error) {
+	hash, ok := s.LookupIndex(key)
+	if !ok {
+		return nil, fmt.Errorf("%w: index key %q", ErrNotFound, key)
+	}
+	return s.Get(hash)
+}
+
+// codeHash identifies the running code revision from build info (VCS
+// stamp when built from a checkout, module version otherwise).
+var codeHash = sync.OnceValue(func() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "vcs.revision" {
+			return s.Value
+		}
+	}
+	if bi.Main.Version != "" && bi.Main.Version != "(devel)" {
+		return bi.Main.Version
+	}
+	return "unknown"
+})
+
+// put stores data and returns its content hash. Backend failure is
 // absorbed: after the retry ladder is exhausted the blob is kept in the
 // bounded memory overlay, the store flips degraded, and the caller
 // still gets the hash — requests keep working while the disk is down.
 // The returned error is reserved for programmer errors (nil is the
 // norm even when degraded; check Degraded or Stats for health).
-func (s *Store) Put(data []byte) (string, error) {
+func (s *Store) put(data []byte) (string, error) {
 	hash := Hash(data)
 	s.writes.Add(1)
 	if s.b == nil || s.degraded.Load() {
@@ -304,11 +360,11 @@ func (s *Store) Quarantined() ([]string, error) {
 	return out, nil
 }
 
-// SetIndex durably maps a canonical request key to an artifact hash.
+// setIndex durably maps a canonical request key to an artifact hash.
 // The in-memory index is always updated (lookups work even while the
 // backend is down); persistence follows the same degrade-don't-fail
-// contract as Put.
-func (s *Store) SetIndex(key, hash string) error {
+// contract as put.
+func (s *Store) setIndex(key, hash string) error {
 	s.mu.Lock()
 	s.idx[key] = hash
 	s.idxDirty[key] = struct{}{}
@@ -470,7 +526,7 @@ func (s *Store) Degraded() (bool, error) {
 // Stats is a point-in-time view of store health, the source of the
 // ccdac_store_* metric set (docs/OBSERVABILITY.md).
 type Stats struct {
-	Writes                 int64 // artifacts stored (Put calls)
+	Writes                 int64 // artifacts stored (put calls)
 	Reads                  int64 // Get calls
 	Hits                   int64 // Gets that returned a verified artifact
 	Retries                int64 // backend retries taken by the backoff ladder

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -143,7 +144,7 @@ func TestFSBackend(t *testing.T) {
 func TestPutGetRoundTrip(t *testing.T) {
 	s, _ := openTest(t)
 	data := []byte("routed layout artifact")
-	hash, err := s.Put(data)
+	hash, err := s.put(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 // reported, never served — and stays unavailable afterward.
 func TestCorruptBlobQuarantine(t *testing.T) {
 	s, b := openTest(t)
-	hash, err := s.Put([]byte("good artifact"))
+	hash, err := s.put([]byte("good artifact"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestCorruptBlobQuarantine(t *testing.T) {
 func TestVerifyFaultInjection(t *testing.T) {
 	defer fault.Reset()
 	s, _ := openTest(t)
-	hash, err := s.Put([]byte("verified artifact"))
+	hash, err := s.put([]byte("verified artifact"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestRetryLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := s.Put([]byte("persisted on third attempt"))
+	hash, err := s.put([]byte("persisted on third attempt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,12 +329,12 @@ func TestDegradedModeAndRecovery(t *testing.T) {
 	}
 
 	// Writes while down: absorbed, not failed.
-	hash, err := s.Put([]byte("computed while the disk was full"))
+	hash, err := s.put([]byte("computed while the disk was full"))
 	if err != nil {
 		t.Fatalf("Put with backend down: %v, want nil (degrade, don't fail)", err)
 	}
-	if err := s.SetIndex("req-key", hash); err != nil {
-		t.Fatalf("SetIndex with backend down: %v", err)
+	if err := s.setIndex("req-key", hash); err != nil {
+		t.Fatalf("setIndex with backend down: %v", err)
 	}
 	deg, cause := s.Degraded()
 	if !deg || cause == nil || !strings.Contains(cause.Error(), "no space") {
@@ -352,7 +353,7 @@ func TestDegradedModeAndRecovery(t *testing.T) {
 
 	// Heal the backend: the next write probes, recovers, and flushes.
 	db.heal()
-	hash2, err := s.Put([]byte("written after recovery"))
+	hash2, err := s.put([]byte("written after recovery"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,17 +382,17 @@ func TestDegradeConstructor(t *testing.T) {
 	if deg, err := s.Degraded(); !deg || err != cause {
 		t.Fatalf("Degraded = %v, %v, want true with the constructor's cause", deg, err)
 	}
-	hash, err := s.Put([]byte("memory only"))
+	hash, err := s.put([]byte("memory only"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, err := s.Get(hash); err != nil || string(got) != "memory only" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	if err := s.SetIndex("k", hash); err != nil {
+	if err := s.setIndex("k", hash); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AppendProvenance(ProvenanceRecord{Key: "k", Artifact: hash}); err != nil {
+	if _, err := s.appendProvenance(ProvenanceRecord{Key: "k", Artifact: hash}); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.Stats().ProvenanceRecords; n != 1 {
@@ -406,7 +407,7 @@ func TestMemOverlayBound(t *testing.T) {
 	s.opts.MemMaxBytes = 64
 	var hashes []string
 	for i := 0; i < 8; i++ {
-		h, err := s.Put([]byte(strings.Repeat(fmt.Sprintf("%d", i), 16)))
+		h, err := s.put([]byte(strings.Repeat(fmt.Sprintf("%d", i), 16)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,8 +440,8 @@ func TestIndexDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, _ := s.Put([]byte("indexed artifact"))
-	if err := s.SetIndex("serve/generate/v1/abc", hash); err != nil {
+	hash, _ := s.put([]byte("indexed artifact"))
+	if err := s.setIndex("serve/generate/v1/abc", hash); err != nil {
 		t.Fatal(err)
 	}
 	// A torn index entry, as a crash mid-write on a non-atomic backend
@@ -476,13 +477,13 @@ func TestStoreConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				data := []byte(fmt.Sprintf("worker %d artifact %d", w, i))
-				hash, err := s.Put(data)
+				hash, err := s.put(data)
 				if err != nil {
 					t.Errorf("Put: %v", err)
 					return
 				}
-				if err := s.SetIndex(fmt.Sprintf("key-%d-%d", w, i), hash); err != nil {
-					t.Errorf("SetIndex: %v", err)
+				if err := s.setIndex(fmt.Sprintf("key-%d-%d", w, i), hash); err != nil {
+					t.Errorf("setIndex: %v", err)
 					return
 				}
 				got, err := s.Get(hash)
@@ -490,8 +491,8 @@ func TestStoreConcurrency(t *testing.T) {
 					t.Errorf("Get = %q, %v", got, err)
 					return
 				}
-				if _, err := s.AppendProvenance(ProvenanceRecord{Key: "k", Artifact: hash}); err != nil {
-					t.Errorf("AppendProvenance: %v", err)
+				if _, err := s.appendProvenance(ProvenanceRecord{Key: "k", Artifact: hash}); err != nil {
+					t.Errorf("appendProvenance: %v", err)
 					return
 				}
 				s.Stats()
@@ -501,5 +502,100 @@ func TestStoreConcurrency(t *testing.T) {
 	wg.Wait()
 	if n, err := s.VerifyProvenance(); err != nil || n != workers*20 {
 		t.Errorf("VerifyProvenance = %d, %v, want %d records clean", n, err, workers*20)
+	}
+}
+
+// TestSaveLoadRoundTrip: Save stores, indexes and chains one artifact,
+// stamping its provenance record; Load reads it back by key, in this
+// process and after a reopen. A nil provenance appends no record, and
+// an unindexed key reads as ErrNotFound.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	s, b := openTest(t)
+	if err := s.Save("result/a", []byte("artifact a"), &ProvenanceRecord{ConfigJSON: `{"bits":8}`, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save("manifest", []byte("no provenance"), nil); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{"result/a": "artifact a", "manifest": "no provenance"} {
+		if got, err := s.Load(key); err != nil || string(got) != want {
+			t.Errorf("Load(%s) = %q, %v, want %q", key, got, err, want)
+		}
+	}
+	if _, err := s.Load("never-saved"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Load(unindexed) err = %v, want ErrNotFound", err)
+	}
+	recs, err := s.Provenance()
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("Provenance = %d records, %v, want 1", len(recs), err)
+	}
+	r := recs[0]
+	if r.Key != "result/a" || r.Artifact != Hash([]byte("artifact a")) || r.ConfigJSON != `{"bits":8}` ||
+		r.Seed != 7 || r.GoVersion != runtime.Version() || r.CodeHash == "" {
+		t.Errorf("provenance record = %+v", r)
+	}
+	if n, err := s.VerifyProvenance(); n != 1 || err != nil {
+		t.Errorf("VerifyProvenance = %d, %v", n, err)
+	}
+
+	s2, err := New(b, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Load("result/a"); err != nil || string(got) != "artifact a" {
+		t.Errorf("reopened Load = %q, %v", got, err)
+	}
+}
+
+// TestLoadCorruptIsQuarantinedMiss: a saved blob whose bytes no longer
+// match its hash is never served by Load: the first read quarantines
+// it and reports ErrCorrupt, later reads find nothing.
+func TestLoadCorruptIsQuarantinedMiss(t *testing.T) {
+	s, b := openTest(t)
+	if err := s.Save("k", []byte("good artifact"), nil); err != nil {
+		t.Fatal(err)
+	}
+	hash := Hash([]byte("good artifact"))
+	path := filepath.Join(b.Root(), filepath.FromSlash(blobKey(hash)))
+	if err := os.WriteFile(path, []byte("tampered artifact"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Load("k"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Load(corrupt) err = %v, want ErrCorrupt", err)
+	}
+	if q, err := s.Quarantined(); err != nil || len(q) != 1 || q[0] != hash {
+		t.Fatalf("Quarantined = %v, %v, want [%s]", q, err, hash)
+	}
+	if _, err := s.Load("k"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Load after quarantine err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestSaveLoadDegraded: with the backend down, Save still succeeds —
+// blob, index entry and provenance link held in memory — and Load
+// serves the artifact from the overlay; the same holds for a store
+// built degraded.
+func TestSaveLoadDegraded(t *testing.T) {
+	inner, err := NewFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing, err := New(&down{inner: inner}, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Store{"backend down": failing, "built degraded": Degrade(errors.New("no root"))} {
+		if err := s.Save("k", []byte("kept in memory"), &ProvenanceRecord{ConfigJSON: "{}"}); err != nil {
+			t.Fatalf("%s: Save = %v, want nil (degrade, don't fail)", name, err)
+		}
+		if deg, _ := s.Degraded(); !deg {
+			t.Errorf("%s: store not degraded", name)
+		}
+		if got, err := s.Load("k"); err != nil || string(got) != "kept in memory" {
+			t.Errorf("%s: Load = %q, %v", name, got, err)
+		}
+		if n := s.Stats().ProvenanceRecords; n != 1 {
+			t.Errorf("%s: ProvenanceRecords = %d, want 1 (linked in memory)", name, n)
+		}
 	}
 }

@@ -40,8 +40,8 @@ import (
 // evaluations to build; the unit-level Cholesky factor is O(n³) to
 // compute and n² floats to keep, hence the larger bound.
 var (
-	covCache  = memo.Register(memo.New("variation_cov", 8<<20, 0))
-	cholCache = memo.Register(memo.New("variation_chol", 256<<20, 0))
+	covCache  = memo.Register(memo.New("variation_cov", 8<<20))
+	cholCache = memo.Register(memo.New("variation_chol", 256<<20))
 )
 
 // denseBytes estimates a covariance or Cholesky factor's cache charge.
