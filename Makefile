@@ -57,7 +57,7 @@ bench-analyze:
 # still compile and run without paying full benchtime (used by CI).
 bench-smoke:
 	$(GO) test -run '^$$' -count=1 -benchtime 1x \
-		-bench '^(BenchmarkAnalyzeCov|BenchmarkCoupleSweep|BenchmarkExtractBits|BenchmarkElmoreTree|BenchmarkPromotionLoop|BenchmarkThetaSweepRouted)$$' .
+		-bench '^(BenchmarkAnalyzeCov|BenchmarkCoupleSweep|BenchmarkExtractBits|BenchmarkElmoreTree|BenchmarkPromotionLoop|BenchmarkThetaSweepRouted|BenchmarkMonteCarlo)$$' .
 
 # Caching benchmark: serve cold-vs-warm, memoized sensitivity sweep
 # (medians of repeated requests and sweeps), singleflight dedup factor,

@@ -338,22 +338,46 @@ func BenchmarkBestBC(b *testing.B) {
 	}
 }
 
+// BenchmarkMonteCarlo times one sample block per sampler: the 2-D
+// spectral sampler on the 6-bit placement grid, and the exact
+// capacitor-level sampler (FFTOff) on the routed 11-bit spiral, whose
+// dummy cells would send an auto run there too.
 func BenchmarkMonteCarlo(b *testing.B) {
 	t := tech.FinFET12()
-	m, err := place.NewSpiral(6)
+	m6, err := place.NewSpiral(6)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pos := variation.GridPositioner(t)
-	a, err := variation.Analyze(m, pos, t, 0)
+	m11, err := place.NewSpiral(11)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := variation.MonteCarlo(m, pos, t, a, 10, 1); err != nil {
+	l11, err := route.Route(m11, t, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	off := variation.WithFFTMode(context.Background(), variation.FFTOff)
+	for _, c := range []struct {
+		name    string
+		ctx     context.Context
+		m       *ccmatrix.Matrix
+		pos     variation.Positioner
+		samples int
+	}{
+		{"grid6", context.Background(), m6, variation.GridPositioner(t), 10},
+		{"routed11-fftoff", off, m11, l11.CellCenter, 100},
+	} {
+		a, err := variation.AnalyzeContext(c.ctx, c.m, c.pos, t, 0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := variation.MonteCarloContext(c.ctx, c.m, c.pos, t, a, c.samples, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -110,19 +110,21 @@ type Config struct {
 	// unless Trace is set.
 	TraceMemStats bool
 	// Memo arms the process-wide stage caches: placements, routed
-	// layouts, extracted RC summaries, covariance matrices and Cholesky
-	// factors are memoized by content-addressed keys over exactly the
-	// inputs each stage consumes. Repeated or overlapping runs (sweeps,
+	// layouts, extracted RC summaries and covariance matrices are
+	// memoized by content-addressed keys over exactly the inputs each
+	// stage consumes. (Monte-Carlo sampling keeps no cache: the exact
+	// sampler factors the small capacitor covariance per call.) Repeated or overlapping runs (sweeps,
 	// calibration, servers) reuse intermediates; results are bitwise
 	// identical to Memo-off runs. See docs/PERFORMANCE.md.
 	Memo bool
 	// FFT selects the covariance engine behind the variation analysis:
 	// "" or "auto" (the default) uses the FFT-accelerated structured
 	// path whenever the layout sits on a regular grid, falling back to
-	// the dense path otherwise; "off" forces dense everywhere. The two
-	// engines agree to the tolerance documented in docs/PERFORMANCE.md,
-	// not bitwise, so "off" is the A/B escape hatch when auditing a
-	// result. Fallbacks are surfaced on Result.Warnings and the
+	// the dense path otherwise; "off" forces dense everywhere, and
+	// Monte-Carlo runs then take the exact capacitor-level sampler.
+	// The two engines agree to the tolerance documented in
+	// docs/PERFORMANCE.md, not bitwise, so "off" is the A/B escape
+	// hatch when auditing a result. Fallbacks are surfaced on Result.Warnings and the
 	// ccdac_numeric_fft_* metrics.
 	FFT string
 }

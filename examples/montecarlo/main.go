@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	bits := flag.Int("bits", 6, "DAC resolution (keep small: the unit covariance is (2^N)^2)")
+	bits := flag.Int("bits", 6, "DAC resolution (each sample sweeps all 2^N codes)")
 	samples := flag.Int("samples", 500, "Monte-Carlo sample count")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()

@@ -65,9 +65,10 @@ type Config struct {
 	// changes.
 	Workers int
 	// Memo enables content-addressed memoization of stage
-	// intermediates (placement, routed layout, extraction, covariance)
-	// in process-global caches, so repeated or overlapping
-	// configurations reuse work across runs. Results are bitwise
+	// intermediates (placement, routed layout, extraction, covariance;
+	// Monte-Carlo sampling has no cache of its own) in process-global
+	// caches, so repeated or overlapping configurations reuse work
+	// across runs. Results are bitwise
 	// identical with or without it; the knob trades memory for wall
 	// time. Callers may equivalently enable it for a whole call tree
 	// via memo.WithEnabled on the context.
@@ -75,7 +76,8 @@ type Config struct {
 	// FFT selects the covariance kernel family for the analysis
 	// stages: "" or "auto" engages the structured FFT path whenever
 	// the layout geometry allows (the default), "off" forces the
-	// dense path everywhere — the A/B escape hatch. The two paths
+	// dense path everywhere, exact capacitor-level Monte-Carlo
+	// sampling included — the A/B escape hatch. The two paths
 	// agree to documented tolerance (docs/PERFORMANCE.md), not
 	// bitwise.
 	FFT string

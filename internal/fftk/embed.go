@@ -12,7 +12,7 @@
 // clamped to zero, which perturbs every covariance entry by at most
 // Σ|λ_neg|/M — the construction measures that bound, retries once on
 // a doubled torus when it exceeds sampleTol, and disables sampling
-// (CanSample false, the caller's cue to fall back to dense Cholesky)
+// (CanSample false, the caller's cue to fall back to exact sampling)
 // when padding cannot fix it either.
 package fftk
 

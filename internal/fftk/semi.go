@@ -11,8 +11,8 @@
 // cross-spectral cols×cols matrices S[m] = {λ_cc'[m]}: quadratic
 // forms contract per frequency in O(M·(K·C² + K²·C)) and correlated
 // sampling factors each S[m] once and then costs O(M·C²) per draw —
-// versus O(n²) per quadratic form and an impossible O(n³) Cholesky
-// for the dense path.
+// versus O(n²) per dense quadratic form and O(n³) for a dense
+// unit-level Cholesky.
 //
 // Quadratic forms use the raw spectra and are exact to FFT roundoff
 // unconditionally. Sampling needs every S[m] PSD; the min-wrap kink

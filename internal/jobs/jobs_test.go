@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"ccdac"
 	"ccdac/internal/keycheck"
 	"ccdac/internal/leakcheck"
+	"ccdac/internal/variation"
 )
 
 // memPersist records every SaveJob/SaveCheckpoint call in order — the
@@ -396,6 +399,100 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 	if st := m2.Stats(); st.Resumed != 1 {
 		t.Fatalf("stats.Resumed = %d, want 1", st.Resumed)
+	}
+}
+
+// TestCheckpointStreamVersion: a restored job resumes only from a
+// checkpoint drawn on this build's variation.SampleStream. One from
+// another stream — or an older record with no stream field — is
+// logged and dropped: the job restarts at sample 0 with its progress
+// reset and still ends with the solo run's sample hash. A matching
+// checkpoint resumes mid-stream.
+func TestCheckpointStreamVersion(t *testing.T) {
+	defer leakcheck.Check(t)()
+	spec := Spec{Kind: KindYield, Bits: 5, Samples: 120, Seed: 3, SpecINL: 0.05, CheckpointEvery: 25}
+	mp := &memPersist{}
+	m1 := New(Options{Workers: 1, MaxBatch: 1, Persist: mp})
+	j1, err := m1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := waitJob(t, m1, j1.ID)
+	m1.Close()
+	if solo.State != StateDone {
+		t.Fatalf("solo run finished %s (%s), want done", solo.State, solo.Error)
+	}
+	var soloYR YieldResult
+	if err := json.Unmarshal(solo.Result, &soloYR); err != nil {
+		t.Fatal(err)
+	}
+	ck := mp.checkpoints()[1] // samples [0, 50) done
+	if ck.Stream != variation.SampleStream || ck.Done != 50 {
+		t.Fatalf("checkpoint = stream %d done %d, want stream %d done 50", ck.Stream, ck.Done, variation.SampleStream)
+	}
+	other := ck
+	other.Stream = variation.SampleStream - 1
+	// An older daemon's record: the same checkpoint without the field.
+	var fields map[string]json.RawMessage
+	raw, _ := json.Marshal(ck)
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "stream")
+	raw, _ = json.Marshal(fields)
+	var legacy Checkpoint
+	if err := json.Unmarshal(raw, &legacy); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		ck     Checkpoint
+		resume bool
+	}{
+		{"matching", ck, true},
+		{"other stream", other, false},
+		{"no stream field", legacy, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logs bytes.Buffer
+			mp2 := &memPersist{}
+			m2 := New(Options{Workers: 1, MaxBatch: 1, Persist: mp2, Logger: log.New(&logs, "", 0)})
+			defer m2.Close()
+			ck := tc.ck
+			// The persisted record is ahead of its checkpoint, as after a
+			// crash between a block's record and the next checkpoint.
+			m2.Restore(Job{ID: solo.ID, Spec: solo.Spec, State: StateRunning, CreatedMS: solo.CreatedMS,
+				DoneSamples: 75, Checkpoints: 3}, &ck)
+			mp2.mu.Lock()
+			restored := mp2.records[0]
+			mp2.mu.Unlock()
+			wantDone, wantCks, wantSaved := 0, 0, 4 // restart: 25, 50, 75, 100
+			if tc.resume {
+				wantDone, wantCks, wantSaved = 50, 2, 2 // resume: 75, 100
+			}
+			if restored.DoneSamples != wantDone || restored.Checkpoints != wantCks {
+				t.Errorf("restored record = done %d, checkpoints %d; want %d, %d",
+					restored.DoneSamples, restored.Checkpoints, wantDone, wantCks)
+			}
+			j := waitJob(t, m2, solo.ID)
+			if j.State != StateDone {
+				t.Fatalf("restored run finished %s (%s), want done", j.State, j.Error)
+			}
+			var yr YieldResult
+			if err := json.Unmarshal(j.Result, &yr); err != nil {
+				t.Fatal(err)
+			}
+			if yr.SampleHash != soloYR.SampleHash || !bytes.Equal(j.Result, solo.Result) {
+				t.Errorf("restored result differs from the solo run:\nsolo:     %s\nrestored: %s", solo.Result, j.Result)
+			}
+			if got := len(mp2.checkpoints()); got != wantSaved {
+				t.Errorf("restored run saved %d checkpoints, want %d", got, wantSaved)
+			}
+			if restarted := strings.Contains(logs.String(), "restarting at sample 0"); restarted == tc.resume {
+				t.Errorf("restart logged = %v, want %v (log %q)", restarted, !tc.resume, logs.String())
+			}
+		})
 	}
 }
 

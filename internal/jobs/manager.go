@@ -247,7 +247,6 @@ func (m *Manager) Cancel(id string) (Job, bool) {
 		if st.job.State == StateQueued {
 			st.job.State = StateCanceled
 			st.job.FinishedMS = nowMS()
-			close(st.done)
 			canceledNow = true
 		}
 	}
@@ -255,9 +254,7 @@ func (m *Manager) Cancel(id string) (Job, bool) {
 	st.mu.Unlock()
 	st.cancel()
 	if canceledNow {
-		m.mu.Lock()
-		m.stats.Canceled++
-		m.mu.Unlock()
+		m.countFinished(st, StateCanceled)
 		m.persistJob(j)
 	}
 	return j, true
@@ -296,7 +293,9 @@ func (m *Manager) Do(ctx context.Context, f func() error) error {
 
 // Restore re-installs a persisted job record at boot. Terminal jobs
 // become read-only history; non-terminal ones re-enqueue, resuming
-// from ck when given (the crash-recovery path).
+// from ck when given and resumable (the crash-recovery path). Any
+// other checkpoint — one drawn on another sample stream included —
+// is logged and dropped, and the job restarts at sample 0.
 func (m *Manager) Restore(j Job, ck *Checkpoint) {
 	j.Spec = j.Spec.withDefaults()
 	if j.State.Terminal() {
@@ -315,6 +314,14 @@ func (m *Manager) Restore(j Job, ck *Checkpoint) {
 	j.State = StateQueued
 	j.Resumed = true
 	j.StartedMS, j.Error = 0, ""
+	if ck != nil && !ck.resumable(j) {
+		if m.opts.Logger != nil {
+			m.opts.Logger.Printf("jobs: %s: not resuming from checkpoint %d (job %q, stream %d, %d samples done); restarting at sample 0 on stream %d",
+				j.ID, ck.Seq, ck.JobID, ck.Stream, ck.Done, variation.SampleStream)
+		}
+		ck = nil
+		j.DoneSamples, j.Checkpoints = 0, 0
+	}
 	if ck != nil {
 		j.DoneSamples = ck.Done
 		j.Checkpoints = ck.Seq
@@ -533,8 +540,7 @@ func (m *Manager) yieldLoop(ctx context.Context, st *jobState, spec Spec,
 
 	var tally yield.Tally
 	from, seq := 0, 0
-	if ck := st.resumeCk; ck != nil && ck.JobID == st.job.ID &&
-		ck.Done > 0 && ck.Done <= spec.Samples {
+	if ck := st.resumeCk; ck != nil { // resumable: Restore checked it
 		tally, from, seq = ck.Tally, ck.Done, ck.Seq
 	}
 	for from < spec.Samples {
@@ -563,7 +569,7 @@ func (m *Manager) yieldLoop(ctx context.Context, st *jobState, spec Spec,
 		j := st.job
 		st.mu.Unlock()
 		if checkpointed && m.opts.Persist != nil {
-			ck := Checkpoint{JobID: j.ID, Done: from, Seq: seq, Tally: tally}
+			ck := Checkpoint{JobID: j.ID, Stream: variation.SampleStream, Done: from, Seq: seq, Tally: tally}
 			if err := m.opts.Persist.SaveCheckpoint(j, ck); err != nil {
 				return fmt.Errorf("jobs: checkpoint %d: %w", seq, err)
 			}
@@ -652,11 +658,8 @@ func (m *Manager) finishOK(st *jobState, result json.RawMessage) {
 	st.job.Result = result
 	st.job.FinishedMS = nowMS()
 	j := st.job
-	close(st.done)
 	st.mu.Unlock()
-	m.mu.Lock()
-	m.stats.Done++
-	m.mu.Unlock()
+	m.countFinished(st, j.State)
 	m.persistJob(j)
 }
 
@@ -688,16 +691,27 @@ func (m *Manager) finishErr(st *jobState, err error) {
 	st.job.Error = err.Error()
 	st.job.FinishedMS = nowMS()
 	j := st.job
-	close(st.done)
 	st.mu.Unlock()
+	m.countFinished(st, j.State)
+	m.persistJob(j)
+}
+
+// countFinished counts a job that just reached terminal state, then
+// releases its waiters: the stats already include a job by the time
+// Wait returns it. Only the goroutine that made the transition (under
+// st.mu) calls it, so done closes once.
+func (m *Manager) countFinished(st *jobState, s State) {
 	m.mu.Lock()
-	if j.State == StateCanceled {
+	switch s {
+	case StateDone:
+		m.stats.Done++
+	case StateCanceled:
 		m.stats.Canceled++
-	} else {
+	default:
 		m.stats.Failed++
 	}
 	m.mu.Unlock()
-	m.persistJob(j)
+	close(st.done)
 }
 
 func (m *Manager) persistJob(j Job) {

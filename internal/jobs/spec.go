@@ -30,6 +30,7 @@ import (
 	"ccdac/internal/memo"
 	"ccdac/internal/place"
 	"ccdac/internal/tech"
+	"ccdac/internal/variation"
 	"ccdac/internal/yield"
 )
 
@@ -377,10 +378,21 @@ type GenerateResult struct {
 // path, so blocking on fsync is the point — a checkpoint that is not
 // durable is not a checkpoint).
 type Checkpoint struct {
-	JobID string      `json:"job_id"`
-	Done  int         `json:"done"`
-	Seq   int         `json:"seq"`
-	Tally yield.Tally `json:"tally"`
+	JobID string `json:"job_id"`
+	// Stream is the variation.SampleStream the tally was drawn on; a
+	// record without one predates the field.
+	Stream int         `json:"stream"`
+	Done   int         `json:"done"`
+	Seq    int         `json:"seq"`
+	Tally  yield.Tally `json:"tally"`
+}
+
+// resumable reports whether j may continue from ck: ck must be j's
+// own, inside its sample range, and drawn on this build's sample
+// stream — a tally of other draws must not be continued with these.
+func (ck *Checkpoint) resumable(j Job) bool {
+	return ck.Stream == variation.SampleStream && ck.JobID == j.ID &&
+		ck.Done > 0 && ck.Done <= j.Spec.Samples
 }
 
 // nowMS is the record timestamp base.

@@ -42,9 +42,10 @@ type GenerateRequest struct {
 	Cache string `json:"cache,omitempty"`
 	// FFT selects the covariance engine: "" or "auto" (default) uses
 	// the structured FFT path when the layout geometry allows, "off"
-	// forces the dense path — the A/B audit knob. Anything else is a
-	// 400. The two engines agree only to documented tolerance, so the
-	// directive is part of the result-cache key.
+	// forces the dense covariance build and the exact Monte-Carlo
+	// sampler — the A/B audit knob. Anything else is a 400. The two
+	// engines agree only to documented tolerance, so the directive is
+	// part of the result-cache key.
 	FFT string `json:"fft,omitempty"`
 }
 

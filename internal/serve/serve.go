@@ -285,10 +285,10 @@ func New(opts Options) *Server {
 		s.opts.NumericInterval = interval
 		s.watchdog = numeric.New(interval, numeric.DefaultChecks()...)
 	}
-	// The job tier shares the server's bus (SSE), registry (metrics)
-	// and — when a store is configured — its durability path. Its
-	// intra-job compute budget is the same per-request Workers cap;
-	// its worker count is the job-level concurrency knob.
+	// The job tier shares the server's bus (SSE), registry (metrics),
+	// log (at WARN) and — when a store is configured — its durability
+	// path. Its intra-job compute budget is the same per-request
+	// Workers cap; its worker count is the job-level concurrency knob.
 	var jp jobs.Persist
 	if s.store != nil {
 		jp = &jobStore{s: s}
@@ -304,6 +304,7 @@ func New(opts Options) *Server {
 		Bus:             s.bus,
 		Registry:        s.reg,
 		Persist:         jp,
+		Logger:          slog.NewLogLogger(s.log.Handler(), slog.LevelWarn),
 	})
 	if s.store != nil {
 		s.recoverJobs()

@@ -3,25 +3,25 @@
 // depends only on the separation — so on a lattice with a shared x
 // per column and a uniform row pitch the unit-cell covariance is
 // block-Toeplitz over rows and the row axis embeds in a circulant
-// (fftk.SemiEmbedding). That turns the two hot dense objects into
-// spectral ones:
+// (fftk.SemiEmbedding). That gives both unit-level computations a
+// spectral form:
 //
 //   - the capacitor-level covariance of Analyze/SweepTheta becomes
 //     (N+1)² quadratic forms 1_jᵀ C 1_k, contracted per row frequency
 //     instead of ~n²/2 pair sums — one engine for placement grids
 //     (uniform columns) and routed layouts (channel-shifted columns),
 //     complete or with dummy cells;
-//   - the Monte-Carlo draw becomes spectral sampling with no O(n³)
-//     Cholesky and no n×n matrix: the 2-D circulant fftk.Embedding
-//     on uniform grids, the factorized row-spectral draw on complete
-//     non-uniform lattices.
+//   - the Monte-Carlo draw becomes spectral sampling of the unit-cell
+//     field: the 2-D circulant fftk.Embedding on uniform grids, the
+//     factorized row-spectral draw on complete non-uniform lattices.
 //
 // Selection is automatic: one lattice fit (fitLattice) decides both.
 // For sampling the engaged embedding's clamped spectrum must
 // additionally stay within tolerance. Anything else falls back to the
-// dense path; a degradation is counted by
-// ccdac_numeric_fft_fallback_total and surfaced through
-// Analysis.Warnings, mirroring the CG→Cholesky ladder.
+// dense covariance build or the exact capacitor-level sampler; a
+// degradation is counted by ccdac_numeric_fft_fallback_total and
+// surfaced through Analysis.Warnings, mirroring the CG→Cholesky
+// ladder.
 package variation
 
 import (
@@ -42,9 +42,9 @@ import (
 
 // mcScratch is one worker's reusable per-sample state: an RNG that is
 // reseeded onto each sample's private stream (see mcStreamSeed) and a
-// float buffer — the spectral sampler's lattice field or the dense
-// sampler's normal draws. Reseeding a *rand.Rand yields exactly the
-// stream rand.New(rand.NewSource(seed)) would, without allocating a
+// float buffer — the spectral sampler's lattice field or the exact
+// sampler's N+1 normal draws. Reseeding a *rand.Rand yields exactly
+// the stream rand.New(rand.NewSource(seed)) would, without allocating a
 // fresh ~5 KB source per sample, so a million-sample run's steady
 // state allocates only its results.
 type mcScratch struct {
@@ -79,10 +79,12 @@ type FFTMode int
 
 const (
 	// FFTAuto (the default) takes the structured FFT path whenever the
-	// geometry allows and falls back to dense otherwise.
+	// geometry allows and falls back to the dense build or the exact
+	// sampler otherwise.
 	FFTAuto FFTMode = iota
-	// FFTOff always uses the dense path — the pre-FFT behavior, kept
-	// reachable for A/B verification and as an operational escape
+	// FFTOff always uses the dense covariance build and the exact
+	// capacitor-level sampler — kept reachable for A/B verification,
+	// as the exact Monte-Carlo reference, and as an operational escape
 	// hatch.
 	FFTOff
 )
@@ -213,7 +215,7 @@ func fitLattice(pts []cellPt, rows, cols int) lattice {
 
 // mismatchEmbedding builds the 2-D circulant sampling embedding of the
 // unit-cell mismatch covariance sigma_u²·rho(d) over grid, evaluating
-// the kernel at the same quantization points as the dense path.
+// the kernel at the same quantization points as the dense pair sum.
 // Returns the embedding plus the number of kernel evaluations.
 func mismatchEmbedding(t *tech.Technology, grid fftk.Grid) (*fftk.Embedding, int64, error) {
 	sigmaU2 := t.SigmaU() * t.SigmaU()
@@ -334,7 +336,7 @@ type mcSampler struct {
 // construction — the 2-D circulant on a uniform grid, the
 // row-spectral factorization on a complete non-uniform lattice. ok
 // reports whether the placement supports the spectral path (false →
-// caller takes the dense Cholesky path).
+// caller takes the exact sampler).
 func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.Technology) (*mcSampler, bool) {
 	flat := make([]cellPt, len(units))
 	for i, u := range units {
@@ -377,13 +379,12 @@ func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.T
 
 // run draws the sample block [from, to). The per-sample splitmix64
 // streams and index-addressed writes keep the output byte-stable at
-// any worker count and any block partition, exactly like the dense
-// sampler. The two samplers consume their streams differently, so
-// they draw different samples for one seed — and not equally
-// distributed ones: both spectral samplers are measured biased against
-// dense Cholesky (docs/PERFORMANCE.md, "Agreement tolerance"), so
-// yield sign-off takes the dense path (FFTOff) as its unbiased
-// reference.
+// any worker count and any block partition, exactly like the exact
+// sampler. The two consume their streams differently, so they draw
+// different samples for one seed — and not equally distributed ones:
+// both spectral samplers are measured biased against the exact one
+// (docs/PERFORMANCE.md, "Agreement tolerance"), so yield sign-off
+// takes FFTOff as its exact reference.
 func (ms *mcSampler) run(ctx context.Context, units []mcUnit, a *Analysis, from, to int, seed int64) ([][]float64, error) {
 	out := make([][]float64, to-from)
 	err := par.ForN(par.Workers(ctx), to-from, func(i int) error {
@@ -421,7 +422,7 @@ func (ms *mcSampler) draw(shifts []float64, units []mcUnit, a *Analysis, seed in
 }
 
 // monteCarloFFT attempts the spectral sampling path: ok reports
-// whether it ran (false → caller takes the dense Cholesky path).
+// whether it ran (false → caller takes the exact sampler).
 func monteCarloFFT(ctx context.Context, units []mcUnit, rows, cols int, t *tech.Technology, a *Analysis, from, to int, seed int64) (out [][]float64, ok bool, err error) {
 	ms, ok := newMCSampler(ctx, units, rows, cols, t)
 	if !ok {

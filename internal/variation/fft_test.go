@@ -180,8 +180,8 @@ func TestFFTFaultFallsBackDense(t *testing.T) {
 	}
 
 	// Same ladder for the sampler: the fault pushes Monte Carlo onto the
-	// dense Cholesky path, whose fixed-seed output is byte-identical to
-	// an explicit FFTOff run.
+	// exact capacitor-level sampler, whose fixed-seed output is
+	// byte-identical to an explicit FFTOff run.
 	fault.Reset()
 	fault.Enable(fault.StageFFT, 0, errors.New("injected fft fault"))
 	const samples, seed = 16, 99

@@ -2,17 +2,17 @@
 // (Sec. II-C): the deterministic linear oxide-gradient model (Eq. 3)
 // and the spatially-correlated random mismatch model (Eqs. 4-6), whose
 // per-capacitor covariance matrix drives the 3σ INL/DNL analysis, plus
-// a Cholesky-based correlated Monte-Carlo sampler as a cross-check
-// extension.
+// correlated Monte-Carlo samplers as a cross-check extension: an exact
+// one at capacitor level (Cholesky of that (N+1)×(N+1) covariance) and
+// two spectral ones over the unit-cell lattice.
 //
-// Performance: the covariance builds (both the capacitor-level one of
-// Analyze and the unit-level one of MonteCarlo) are the analysis hot
-// loops — quadratic in unit cells. They run on a bounded worker pool
-// (one covariance row per work item; see internal/par for the worker
-// budget plumbing) over per-row memos of the exp-form correlation
-// evaluator tech.RhoTable, and every parallel result is written by
-// index, so a run's output is bit-identical at any worker count. See
-// docs/PERFORMANCE.md.
+// Performance: the capacitor-level covariance build of Analyze is the
+// analysis hot loop — quadratic in unit cells. It runs on a bounded
+// worker pool (one covariance row per work item; see internal/par for
+// the worker budget plumbing) over per-row memos of the exp-form
+// correlation evaluator tech.RhoTable, and every parallel result is
+// written by index, so a run's output is bit-identical at any worker
+// count. See docs/PERFORMANCE.md.
 package variation
 
 import (
@@ -32,32 +32,12 @@ import (
 )
 
 // Memoization (opt-in via memo.WithEnabled / core.Config.Memo): the
-// covariance matrices depend only on unit-cell geometry and the
+// covariance matrix depends only on unit-cell geometry and the
 // (sigma_u, rho_u, L_c) mismatch parameters — not on resistances,
 // gradients or angles — so theta sweeps, Monte-Carlo/yield runs and
 // electrical-knob sweeps over one geometry share a single build. The
-// capacitor-level matrix is tiny ((N+1)²) but costs ~n² pair
-// evaluations to build; the unit-level Cholesky factor is O(n³) to
-// compute and n² floats to keep, hence the larger bound.
-var (
-	covCache  = memo.Register(memo.New("variation_cov", 8<<20))
-	cholCache = memo.Register(memo.New("variation_chol", 256<<20))
-)
-
-// denseBytes estimates a covariance or Cholesky factor's cache charge.
-func denseBytes(m *linalg.Dense) int64 { return int64(len(m.Data))*8 + 64 }
-
-// cached runs compute through c's get-or-compute call when the context
-// opts into memoization, sharing a build another run already has
-// pending, and runs it directly otherwise.
-func cached(ctx context.Context, c *memo.Cache, key func() string, compute func(context.Context) (any, int64, error)) (any, error) {
-	if !memo.Enabled(ctx) {
-		v, _, err := compute(ctx)
-		return v, err
-	}
-	v, _, err := c.Do(ctx, key(), compute)
-	return v, err
-}
+// matrix is tiny ((N+1)²) but costs ~n² pair evaluations to build.
+var covCache = memo.Register(memo.New("variation_cov", 8<<20))
 
 // mismatchKey appends the mismatch parameters a covariance consumes.
 func mismatchKey(k *memo.Key, t *tech.Technology) *memo.Key {
@@ -90,14 +70,17 @@ func covKeyOf(g *cellGeom, t *tech.Technology, mode FFTMode) string {
 // describe a run's own path, not a cache donor's.
 func covarianceMemo(ctx context.Context, g *cellGeom, t *tech.Technology) (*linalg.Dense, []string, error) {
 	mode := FFTModeOf(ctx)
+	if !memo.Enabled(ctx) {
+		return covarianceAuto(ctx, g, t, mode)
+	}
 	var warns []string
-	v, err := cached(ctx, covCache, func() string { return covKeyOf(g, t, mode) }, func(ctx context.Context) (any, int64, error) {
+	v, _, err := covCache.Do(ctx, covKeyOf(g, t, mode), func(ctx context.Context) (any, int64, error) {
 		cov, w, err := covarianceAuto(ctx, g, t, mode)
 		if err != nil {
 			return nil, 0, err
 		}
 		warns = w
-		return cov, denseBytes(cov), nil
+		return cov, int64(len(cov.Data))*8 + 64, nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -400,42 +383,51 @@ func SweepThetaContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, 
 	return out, nil
 }
 
-// MonteCarlo draws correlated random-mismatch samples at the unit-cell
-// level (covariance sigma_u^2 rho_u^(d/Lc), sampled via Cholesky) and
-// returns per-sample capacitor shifts DeltaC[sample][k] in fF, with the
-// systematic gradient shift of the supplied analysis added in. It
-// cross-checks the closed-form 3σ model.
+// MonteCarlo draws correlated random-mismatch samples and returns
+// per-sample capacitor shifts DeltaC[sample][k] in fF, with the
+// systematic gradient shift of the supplied analysis added in. The
+// exact sampler draws from a.Cov itself, so it cross-checks the 3σ
+// model's nonlinearity arithmetic, not the covariance behind it; the
+// package tests check that against a unit-level oracle.
 func MonteCarlo(m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, a *Analysis, samples int, seed int64) ([][]float64, error) {
 	return MonteCarloContext(context.Background(), m, pos, t, a, samples, seed)
 }
 
-// mcUnit is one positioned unit cell of the Monte-Carlo sampler.
+// mcUnit is one positioned unit cell of the spectral samplers.
 type mcUnit struct {
 	bit int
 	c   geom.Cell
 	p   geom.Pt
 }
 
+// SampleStream versions the Monte-Carlo sample streams: the draws that
+// a (seed, sample index) pair yields on every sampling path. It moves
+// whenever any path's draws move, so a partial tally persisted under
+// another version is never continued with different draws. Version 2
+// moved the dense path from the unit-level Cholesky sampler onto the
+// exact capacitor-level one; every spectral draw stayed.
+const SampleStream = 2
+
 // MonteCarloContext is MonteCarlo under a context: cancellation is
-// checked once per unit-covariance row and once per sample, mirroring
-// AnalyzeContext, so a canceled run stops within one row's (or one
-// sample's) work per worker instead of finishing every sample.
+// checked once per sample, so a canceled run stops within one
+// sample's work per worker instead of finishing every sample.
 //
 // Sampling is deterministic for a fixed seed independent of the worker
 // count: sample s draws from its own RNG stream derived from (seed, s)
 // by a splitmix64 mix, and results are written by sample index.
 //
-// On a uniform grid or a complete routed lattice (unless the context
-// selects FFTOff) samples come from a spectral sampler — no n×n
-// matrix and no Cholesky — which preserves the per-stream determinism
-// but consumes its streams differently than the dense sampler, so the
-// two paths draw different samples for one seed. They are not equally
-// distributed: on the 6-bit spiral grid (24k samples, 3 seeds) the
-// yield is 0.649–0.655 from the 2-D sampler and 0.763–0.767 from
-// dense, and on 6-, 8- and 10-bit spiral routed layouts the separable
-// sampler reads 5–6 points below dense. Yield sign-off should take
-// FFTOff as the unbiased reference (docs/PERFORMANCE.md, "Agreement
-// tolerance").
+// The exact sampler (monteCarloExact) serves FFTOff, layouts no
+// spectral sampler fits, and every spectral fallback. On a uniform
+// grid or a complete routed lattice (unless the context selects
+// FFTOff) samples come from a spectral sampler instead — no matrix
+// factor at all — which preserves the per-stream determinism but
+// consumes its streams differently, so the two paths draw different
+// samples for one seed. They are not equally distributed: on the 6-bit
+// spiral grid (24k samples, 3 seeds) the yield is 0.649–0.655 from the
+// 2-D sampler and 0.763–0.767 from the exact one, and on 6-, 8- and
+// 10-bit spiral routed layouts the separable sampler reads 5–6 points
+// below exact. Yield sign-off should take FFTOff as the exact
+// reference (docs/PERFORMANCE.md, "Agreement tolerance").
 func MonteCarloContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, a *Analysis, samples int, seed int64) ([][]float64, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("variation: need at least 1 sample")
@@ -453,17 +445,16 @@ func MonteCarloRangeContext(ctx context.Context, m *ccmatrix.Matrix, pos Positio
 	if from < 0 || to <= from {
 		return nil, fmt.Errorf("variation: bad sample range [%d,%d)", from, to)
 	}
-	units := gatherUnits(m, pos)
 	if FFTModeOf(ctx) != FFTOff {
-		if out, ok, err := monteCarloFFT(ctx, units, m.Rows, m.Cols, t, a, from, to, seed); ok || err != nil {
+		if out, ok, err := monteCarloFFT(ctx, gatherUnits(m, pos), m.Rows, m.Cols, t, a, from, to, seed); ok || err != nil {
 			return out, err
 		}
 	}
-	return monteCarloDense(ctx, units, m.Bits, t, a, from, to, seed)
+	return monteCarloExact(ctx, t, a, from, to, seed)
 }
 
 // gatherUnits flattens the placement into bit-tagged unit cells, in
-// the canonical bit-major order every Monte-Carlo sampler folds in.
+// the canonical bit-major order the spectral samplers fold in.
 func gatherUnits(m *ccmatrix.Matrix, pos Positioner) []mcUnit {
 	var units []mcUnit
 	for k := 0; k <= m.Bits; k++ {
@@ -474,62 +465,40 @@ func gatherUnits(m *ccmatrix.Matrix, pos Positioner) []mcUnit {
 	return units
 }
 
-// monteCarloDense is the dense-Cholesky sampling path over flattened
-// units: the fallback when the placement fits no spectral lattice (or
-// the context forces FFTOff).
-func monteCarloDense(ctx context.Context, units []mcUnit, bits int, t *tech.Technology, a *Analysis, from, to int, seed int64) ([][]float64, error) {
-	n := len(units)
-	sigmaU2 := t.SigmaU() * t.SigmaU()
-	workers := par.Workers(ctx)
-	// The unit-level Cholesky factor depends only on unit positions and
-	// the mismatch parameters — not on samples, seed, angle or gradient
-	// — so memo-enabled yield/spec sweeps over one geometry factor the
-	// O(n³) decomposition exactly once.
-	key := func() string {
-		k := memo.NewKey("variation/chol/v1").Int(n)
-		for _, u := range units {
-			k.F64(u.p.X).F64(u.p.Y)
-		}
-		return mismatchKey(k, t).Sum()
+// samplerCov is the matrix the exact sampler factors: a copy of a.Cov
+// plus σ_u²·1e-9 per unit cell on the diagonal. That is the exact
+// capacitor-level image of a σ_u²·1e-9 jitter on every unit cell,
+// which keeps near-singular high-correlation matrices numerically
+// positive definite. a.Cov itself is never written: the covariance
+// memo and a theta sweep share it.
+func samplerCov(t *tech.Technology, a *Analysis) *linalg.Dense {
+	cov := a.Cov.Clone()
+	jitter := t.SigmaU() * t.SigmaU() * 1e-9
+	for k, n := range a.Counts {
+		cov.Add(k, k, jitter*float64(n))
 	}
-	v, err := cached(ctx, cholCache, key, func(ctx context.Context) (any, int64, error) {
-		cov := linalg.NewDense(n)
-		rt := t.RhoTable()
-		if err := par.ForN(workers, n, func(i int) error {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("variation: unit covariance row %d: %w", i, err)
-			}
-			local := rt.Local()
-			for j := i; j < n; j++ {
-				dx, dy := units[i].p.X-units[j].p.X, units[i].p.Y-units[j].p.Y
-				c := sigmaU2 * local.RhoSq(dx*dx+dy*dy)
-				cov.Set(i, j, c)
-				cov.Set(j, i, c)
-			}
-			// Tiny jitter keeps the near-singular high-correlation matrix
-			// numerically positive definite.
-			cov.Add(i, i, sigmaU2*1e-9)
-			return nil
-		}); err != nil {
-			return nil, 0, err
-		}
-		chol, err := linalg.Cholesky(cov)
-		if err != nil {
-			return nil, 0, fmt.Errorf("variation: unit covariance: %w", err)
-		}
-		return chol, denseBytes(chol), nil
-	})
+	return cov
+}
+
+// monteCarloExact is the exact sampler. The DAC reads the mismatch
+// only through the N+1 capacitor sums, and those are Gaussian with
+// mean DCSys and covariance a.Cov (Eq. 6). So sample s is DCSys + L·z,
+// with L the Cholesky factor of samplerCov and z N+1 normals from the
+// sample's own stream: O(N³) set-up and O(N²) per sample, whatever the
+// array size.
+func monteCarloExact(ctx context.Context, t *tech.Technology, a *Analysis, from, to int, seed int64) ([][]float64, error) {
+	chol, err := linalg.Cholesky(samplerCov(t, a))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("variation: capacitor covariance: %w", err)
 	}
-	chol := v.(*linalg.Dense)
-	// Conditioning of the unit covariance, estimated from the factor
-	// diagonal: the high-correlation regime that needs the 1e-9 jitter
-	// above is exactly the regime this gauge exists to make visible.
+	// Conditioning of the factored covariance, estimated from the factor
+	// diagonal: the high-correlation regime that needs the jitter is
+	// exactly the regime this gauge exists to make visible.
 	obs.SetGauge(ctx, "ccdac_numeric_cov_cond_estimate", linalg.CondEstFromChol(chol))
+	n := chol.N
 	out := make([][]float64, to-from)
 	scratch := newMCScratchPool(n)
-	if err := par.ForN(workers, to-from, func(i int) error {
+	if err := par.ForN(par.Workers(ctx), to-from, func(i int) error {
 		s := from + i
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("variation: monte-carlo sample %d: %w", s, err)
@@ -537,20 +506,17 @@ func monteCarloDense(ctx context.Context, units []mcUnit, bits int, t *tech.Tech
 		sc := scratch.get(seed, s)
 		defer scratch.put(sc)
 		z := sc.buf
-		for i := range z {
-			z[i] = sc.rng.NormFloat64()
+		for j := range z {
+			z[j] = sc.rng.NormFloat64()
 		}
-		// delta = L z, over the lower triangle of each factor row.
-		shifts := make([]float64, bits+1)
-		for i := 0; i < n; i++ {
+		// shifts = DCSys + L z, over the lower triangle of each factor row.
+		shifts := make([]float64, n)
+		for k := range shifts {
 			d := 0.0
-			for j, l := range chol.Data[i*n : i*n+i+1] {
+			for j, l := range chol.Data[k*n : k*n+k+1] {
 				d += l * z[j]
 			}
-			shifts[units[i].bit] += d
-		}
-		for k := 0; k <= bits; k++ {
-			shifts[k] += a.DCSys(k)
+			shifts[k] = d + a.DCSys(k)
 		}
 		out[i] = shifts
 		return nil
@@ -575,10 +541,10 @@ type Shared struct {
 	cov   *linalg.Dense
 	warns []string
 
-	// units is the flattened placement the Monte-Carlo samplers fold;
-	// the spectral sampler's fixed setup (lattice fit + embedding) is
-	// geometry- and technology-only, so it is built at most once per
-	// Shared and reused by every sample block.
+	// units is the flattened placement the spectral samplers fold;
+	// their fixed setup (lattice fit + embedding) is geometry- and
+	// technology-only, so it is built at most once per Shared and
+	// reused by every sample block.
 	units  []mcUnit
 	mcOnce sync.Once
 	mcSmp  *mcSampler
@@ -636,7 +602,7 @@ func (sh *Shared) MonteCarloRangeContext(ctx context.Context, a *Analysis, from,
 			return sh.mcSmp.run(ctx, sh.units, a, from, to, seed)
 		}
 	}
-	return monteCarloDense(ctx, sh.units, sh.bits, sh.t, a, from, to, seed)
+	return monteCarloExact(ctx, sh.t, a, from, to, seed)
 }
 
 // Analysis evaluates the gradient at one angle against the shared
