@@ -30,6 +30,7 @@ race:
 # Fuzz the public API's never-panic contract (30s).
 fuzz:
 	$(GO) test -fuzz=FuzzGenerate -fuzztime=30s -run '^$$' .
+	$(GO) test -fuzz=FuzzCovarianceEngines -fuzztime=30s -run '^$$' ./internal/variation
 
 # Observability benchmark: tracing overhead (disabled vs traced vs the
 # full telemetry pipeline — span bus with a live subscriber plus flight

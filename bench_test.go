@@ -293,7 +293,7 @@ func BenchmarkCovariance(b *testing.B) {
 		pos := variation.GridPositioner(t)
 		b.Run(fmt.Sprintf("N%d", bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := variation.Analyze(m, pos, t, math.Pi/4); err != nil {
+				if _, err := analyze(context.Background(), m, pos, t, math.Pi/4); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -308,7 +308,7 @@ func BenchmarkNonlinearity(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a, err := variation.Analyze(m, variation.GridPositioner(t), t, math.Pi/4)
+		a, err := analyze(context.Background(), m, variation.GridPositioner(t), t, math.Pi/4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -367,13 +367,16 @@ func BenchmarkMonteCarlo(b *testing.B) {
 		{"grid6", context.Background(), m6, variation.GridPositioner(t), 10},
 		{"routed11-fftoff", off, m11, l11.CellCenter, 100},
 	} {
-		a, err := variation.AnalyzeContext(c.ctx, c.m, c.pos, t, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := variation.MonteCarloContext(c.ctx, c.m, c.pos, t, a, c.samples, 1); err != nil {
+				b.StopTimer()
+				sh, err := variation.NewSharedContext(c.ctx, c.m, c.pos, t)
+				if err != nil {
+					b.Fatal(err)
+				}
+				a := sh.Analysis(0)
+				b.StartTimer()
+				if _, err := sh.MonteCarloRangeContext(c.ctx, a, 0, c.samples, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -475,7 +478,7 @@ func BenchmarkYieldEstimate(b *testing.B) {
 	pos := variation.GridPositioner(t)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := yield.Estimate(m, pos, t, math.Pi/4,
+		_, err := yield.EstimateContext(context.Background(), m, pos, t, math.Pi/4,
 			yield.Spec{MaxAbsDNL: 0.01, MaxAbsINL: 0.01}, dacmodel.Parasitics{}, 20, 1)
 		if err != nil {
 			b.Fatal(err)

@@ -17,6 +17,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -75,7 +76,7 @@ func main() {
 				fatal(err)
 			}
 			par := dacmodel.Parasitics{CTSfF: res.Electrical.CTSfF}
-			curve, err := yield.SpecSweep(res.Placement, res.Layout.CellCenter, t,
+			curve, err := yield.SpecSweepContext(context.Background(), res.Placement, res.Layout.CellCenter, t,
 				math.Pi/4, specs, par, *samples, *seed)
 			if err != nil {
 				fatal(err)

@@ -1,15 +1,17 @@
 // Montecarlo: cross-check the paper's closed-form 3σ INL/DNL model
 // against a correlated Monte-Carlo simulation. Unit-capacitor
 // mismatch is sampled from the spatial-correlation model (Eqs. 4-6)
-// via a Cholesky factor of the full unit-cell covariance matrix, each
-// sample's DAC transfer is swept over all codes, and the resulting
-// worst-case INL/DNL distribution is compared with the 3σ prediction.
+// through one variation.Shared prefix — the same covariance the 3σ
+// model reads — each sample's DAC transfer is swept over all codes,
+// and the resulting worst-case INL/DNL distribution is compared with
+// the 3σ prediction.
 //
 // This example drives the internal analysis engines directly, showing
 // how the substrate packages compose beneath the public facade.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -34,17 +36,18 @@ func main() {
 	t := tech.FinFET12()
 	pos := variation.GridPositioner(t)
 
-	theta := math.Pi / 4
-	a, err := variation.Analyze(m, pos, t, theta)
+	ctx := context.Background()
+	sh, err := variation.NewSharedContext(ctx, m, pos, t)
 	if err != nil {
 		log.Fatal(err)
 	}
+	a := sh.Analysis(math.Pi / 4)
 	closed, err := dacmodel.Nonlinearity(a, dacmodel.Parasitics{}, t.VRef)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	shifts, err := variation.MonteCarlo(m, pos, t, a, *samples, *seed)
+	shifts, err := sh.MonteCarloRangeContext(ctx, a, 0, *samples, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}

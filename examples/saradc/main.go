@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -25,6 +26,7 @@ func main() {
 	flag.Parse()
 
 	t := tech.FinFET12()
+	ctx := context.Background()
 	fmt.Printf("%d-bit SAR ADC on generated capacitor arrays (%s)\n\n", *bits, t.Name)
 	fmt.Printf("%-18s %10s %10s %8s %14s\n",
 		"array style", "|DNL| LSB", "|INL| LSB", "ENOB", "max rate MS/s")
@@ -45,13 +47,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		an, err := variation.Analyze(res.Placement, res.Layout.CellCenter, t, math.Pi/4)
+		vs, err := variation.NewSharedContext(ctx, res.Placement, res.Layout.CellCenter, t)
 		if err != nil {
 			log.Fatal(err)
 		}
+		an := vs.Analysis(math.Pi / 4)
 		// Worst static NL over correlated random-mismatch samples
 		// (gradient shifts included), plus the median ENOB.
-		shifts, err := variation.MonteCarlo(res.Placement, res.Layout.CellCenter, t, an, 20, 1)
+		shifts, err := vs.MonteCarloRangeContext(ctx, an, 0, 20, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -524,7 +524,7 @@ func MismatchSpan(res *Result, steps int) (float64, error) {
 	if t == nil {
 		t = tech.FinFET12()
 	}
-	sweep, err := variation.SweepTheta(res.Placement, res.Layout.CellCenter, t, steps)
+	sweep, err := variation.SweepThetaContext(context.Background(), res.Placement, res.Layout.CellCenter, t, steps)
 	if err != nil {
 		return 0, err
 	}

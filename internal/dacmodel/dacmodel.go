@@ -294,8 +294,9 @@ func WorstOverThetaContext(ctx context.Context, as []*variation.Analysis, parasi
 }
 
 // MonteCarloNL evaluates INL/DNL for sampled capacitor shifts (from
-// variation.MonteCarlo) and returns the per-sample results. Unlike the
-// 3σ model it perturbs each sample deterministically (no 3σ margin).
+// variation.Shared.MonteCarloRangeContext) and returns the per-sample
+// results. Unlike the 3σ model it perturbs each sample
+// deterministically (no 3σ margin).
 // INL is raw (referenced to the ideal transfer), as in the paper.
 func MonteCarloNL(a *variation.Analysis, shifts [][]float64, par Parasitics, vref float64) ([]Result, error) {
 	return monteCarloNL(a, shifts, par, vref, false)

@@ -1,6 +1,7 @@
 package dacmodel
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,11 +27,11 @@ func analysisFor(t *testing.T, bits int, style place.Style, theta float64) *vari
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	a, err := variation.Analyze(m, variation.GridPositioner(tch), tch, theta)
+	sh, err := variation.NewSharedContext(context.Background(), m, variation.GridPositioner(tch), tch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	return sh.Analysis(theta)
 }
 
 func TestIdealOut(t *testing.T) {
@@ -129,7 +130,7 @@ func TestWorstOverTheta(t *testing.T) {
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	as, err := variation.SweepTheta(m, variation.GridPositioner(tch), tch, 8)
+	as, err := variation.SweepThetaContext(context.Background(), m, variation.GridPositioner(tch), tch, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +158,12 @@ func TestMonteCarloNLConsistentWith3Sigma(t *testing.T) {
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	a, err := variation.Analyze(m, variation.GridPositioner(tch), tch, math.Pi/4)
+	sh, err := variation.NewSharedContext(context.Background(), m, variation.GridPositioner(tch), tch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shifts, err := variation.MonteCarlo(m, variation.GridPositioner(tch), tch, a, 200, 3)
+	a := sh.Analysis(math.Pi / 4)
+	shifts, err := sh.MonteCarloRangeContext(context.Background(), a, 0, 200, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

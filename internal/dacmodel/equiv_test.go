@@ -346,7 +346,7 @@ func TestWorstOverThetaMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	placed, err := variation.SweepTheta(m, variation.GridPositioner(tch), tch, 8)
+	placed, err := variation.SweepThetaContext(context.Background(), m, variation.GridPositioner(tch), tch, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

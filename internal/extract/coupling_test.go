@@ -159,7 +159,7 @@ func TestConcurrentExtractAndAnalyzeShareTechnology(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := variation.Analyze(pm, variation.GridPositioner(tch), tch, 0); err != nil {
+			if _, err := variation.NewSharedContext(context.Background(), pm, variation.GridPositioner(tch), tch); err != nil {
 				errc <- err
 			}
 		}()

@@ -9,18 +9,16 @@
 // the production fast path is one atomic load. Tests that arm faults
 // must not run in parallel with each other and should defer Reset().
 //
-// Every firing is also reported to internal/obs (obs.RecordFault), so
-// fault-injection tests can assert both that the fault triggered and —
-// via the span records of a live trace — that the failing pipeline
-// stage's span was marked errored.
+// Fired reports whether an armed point triggered, so fault-injection
+// tests can assert both that the fault fired and — via the span
+// records of a live trace — that the failing pipeline stage's span was
+// marked errored.
 package fault
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"ccdac/internal/obs"
 )
 
 // Canonical stage names. Pipeline packages use these when calling
@@ -146,7 +144,6 @@ func Check(stage string) error {
 	if !hit {
 		return nil
 	}
-	obs.RecordFault(stage)
 	if doPanic {
 		panic(fmt.Sprintf("fault: injected panic at %s: %s", stage, msg))
 	}

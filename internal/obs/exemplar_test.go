@@ -105,39 +105,30 @@ func TestWriteOpenMetricsExemplarsAndEOF(t *testing.T) {
 	}
 }
 
-// TestMergeDeltaUnderChurn is the satellite concurrency contract:
-// per-request registries merging into a process registry while
-// scrape-style Snapshot/Delta readers and exposition writers run —
-// totals must reconcile exactly once the writers stop.
+// TestMergeDeltaUnderChurn is the merge concurrency contract:
+// per-request registries merging into a process registry while a
+// scrape-style Snapshot reader and exposition writer run — totals must
+// reconcile exactly once the writers stop.
 func TestMergeDeltaUnderChurn(t *testing.T) {
 	global := NewRegistry()
 	const writers, rounds, perRound = 8, 50, 3
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Scrape loop: snapshot, delta against the previous scrape, render.
+	// Scrape loop: snapshot, render.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		prev := MetricsSnapshot{}
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			cur := global.Snapshot()
-			d := cur.Delta(prev)
-			for k, v := range d.Counters {
-				if v < 0 {
-					t.Errorf("negative counter delta %s=%d", k, v)
-				}
-			}
 			var buf bytes.Buffer
-			if err := WriteOpenMetrics(&buf, cur); err != nil {
+			if err := WriteOpenMetrics(&buf, global.Snapshot()); err != nil {
 				t.Errorf("exposition during churn: %v", err)
 			}
-			prev = cur
 		}
 	}()
 

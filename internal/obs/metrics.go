@@ -187,9 +187,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.mu.Unlock()
 }
 
-// Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // Snapshot returns the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
@@ -383,48 +380,4 @@ func (r *Registry) Merge(s MetricsSnapshot) {
 		}
 		h.merge(hs)
 	}
-}
-
-// Delta returns the change from prev to s: counter and histogram
-// series subtract (series absent from prev pass through whole), gauges
-// keep s's current value. Feeding periodic snapshots of a long-lived
-// registry through Delta before Merge avoids double-counting the
-// prefix already merged.
-func (s MetricsSnapshot) Delta(prev MetricsSnapshot) MetricsSnapshot {
-	d := MetricsSnapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     make(map[string]float64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-	}
-	for k, v := range s.Counters {
-		if dv := v - prev.Counters[k]; dv != 0 {
-			d.Counters[k] = dv
-		}
-	}
-	for k, v := range s.Gauges {
-		d.Gauges[k] = v
-	}
-	for k, h := range s.Histograms {
-		p, ok := prev.Histograms[k]
-		if !ok || len(p.Counts) != len(h.Counts) {
-			d.Histograms[k] = h
-			continue
-		}
-		dh := HistogramSnapshot{
-			Bounds: append([]float64(nil), h.Bounds...),
-			Counts: make([]uint64, len(h.Counts)),
-			Sum:    h.Sum - p.Sum,
-			Count:  h.Count - p.Count,
-			// Exemplars are point-in-time links, not cumulative state:
-			// the current snapshot's carry through unchanged.
-			Exemplars: h.Exemplars,
-		}
-		for i := range h.Counts {
-			dh.Counts[i] = h.Counts[i] - p.Counts[i]
-		}
-		if dh.Count != 0 {
-			d.Histograms[k] = dh
-		}
-	}
-	return d
 }

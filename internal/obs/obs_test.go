@@ -377,42 +377,6 @@ func TestRegistryMergeConcurrent(t *testing.T) {
 	}
 }
 
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("ccdac_test_total", nil).Add(3)
-	r.Gauge("ccdac_test_um", nil).Set(1)
-	h := r.Histogram("ccdac_test_size", nil, []float64{10})
-	h.Observe(5)
-	prev := r.Snapshot()
-
-	r.Counter("ccdac_test_total", nil).Add(2)
-	r.Counter("ccdac_test_new_total", nil).Add(7)
-	r.Gauge("ccdac_test_um", nil).Set(9)
-	h.Observe(50)
-	d := r.Snapshot().Delta(prev)
-
-	if d.Counters["ccdac_test_total"] != 2 {
-		t.Errorf("counter delta = %d, want 2", d.Counters["ccdac_test_total"])
-	}
-	if d.Counters["ccdac_test_new_total"] != 7 {
-		t.Errorf("new-series delta = %d, want 7", d.Counters["ccdac_test_new_total"])
-	}
-	if d.Gauges["ccdac_test_um"] != 9 {
-		t.Errorf("gauge delta keeps current value, got %g", d.Gauges["ccdac_test_um"])
-	}
-	hd := d.Histograms["ccdac_test_size"]
-	if hd.Count != 1 || hd.Sum != 50 || hd.Counts[0] != 0 || hd.Counts[1] != 1 {
-		t.Errorf("histogram delta = %+v, want one +Inf sample of 50", hd)
-	}
-	// Merging the delta on top of prev reproduces the current totals.
-	agg := NewRegistry()
-	agg.Merge(prev)
-	agg.Merge(d)
-	if got := agg.Snapshot().Counter("ccdac_test_total", nil); got != 5 {
-		t.Errorf("prev+delta counter = %d, want 5", got)
-	}
-}
-
 func TestWriteTree(t *testing.T) {
 	tr := New(Options{})
 	tr.now = fakeClock()
@@ -465,25 +429,6 @@ func TestMemStatsDeltas(t *testing.T) {
 
 // sink defeats allocation elision in TestMemStatsDeltas.
 var sink []byte
-
-func TestFaultEventBuffer(t *testing.T) {
-	ResetFaultEvents()
-	defer ResetFaultEvents()
-	RecordFault("extraction")
-	RecordFault("linalg.cg")
-	evs := FaultEvents()
-	if len(evs) != 2 || evs[0].Stage != "extraction" || evs[1].Stage != "linalg.cg" {
-		t.Fatalf("events = %+v", evs)
-	}
-	// The buffer is bounded: flooding keeps the newest events.
-	for i := 0; i < maxFaultEvents+10; i++ {
-		RecordFault("flood")
-	}
-	evs = FaultEvents()
-	if len(evs) != maxFaultEvents {
-		t.Fatalf("buffer grew to %d, cap is %d", len(evs), maxFaultEvents)
-	}
-}
 
 // BenchmarkDisabledStartSpan measures the disarmed fast path: one
 // atomic load and out. This is the cost every instrumentation site

@@ -42,8 +42,8 @@ func New(a *variation.Analysis, ctsFF, vref float64) (*ADC, error) {
 }
 
 // NewFromShifts builds an ADC whose capacitors are the nominal values
-// plus the per-capacitor shifts (fF), e.g. one variation.MonteCarlo
-// sample.
+// plus the per-capacitor shifts (fF), e.g. one sample of
+// variation.Shared.MonteCarloRangeContext.
 func NewFromShifts(a *variation.Analysis, shifts []float64, ctsFF, vref float64) (*ADC, error) {
 	if len(shifts) != a.Bits+1 {
 		return nil, fmt.Errorf("sar: %d shifts for %d capacitors", len(shifts), a.Bits+1)

@@ -1,6 +1,7 @@
 package sar
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,11 +34,11 @@ func analysisFor(t *testing.T, bits int, style place.Style) *variation.Analysis 
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	a, err := variation.Analyze(m, variation.GridPositioner(tch), tch, math.Pi/4)
+	sh, err := variation.NewSharedContext(context.Background(), m, variation.GridPositioner(tch), tch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	return sh.Analysis(math.Pi / 4)
 }
 
 func TestIdealDACLevels(t *testing.T) {

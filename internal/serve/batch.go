@@ -83,15 +83,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					return err
 				}
 				items[i] = BatchItem{
-					Status: http.StatusOK,
-					Response: &GenerateResponse{
-						RequestID:      fmt.Sprintf("%s/%d", RequestID(r.Context()), i),
-						ElapsedSeconds: time.Since(itemStart).Seconds(),
-						CacheStatus:    out.status,
-						Metrics:        out.metrics,
-						Warnings:       out.warnings,
-						Counters:       out.counters,
-					},
+					Status:   http.StatusOK,
+					Response: s.response(fmt.Sprintf("%s/%d", RequestID(r.Context()), i), itemStart, out),
 				}
 				return nil
 			})

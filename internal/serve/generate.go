@@ -131,14 +131,21 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, statusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, GenerateResponse{
-		RequestID:      RequestID(r.Context()),
+	writeJSON(w, http.StatusOK, s.response(RequestID(r.Context()), start, out))
+}
+
+// response builds the success body of one generation, for
+// /v1/generate and for every /v1/batch item alike, so both carry the
+// store-degradation warning.
+func (s *Server) response(id string, start time.Time, out *genOutcome) *GenerateResponse {
+	return &GenerateResponse{
+		RequestID:      id,
 		ElapsedSeconds: time.Since(start).Seconds(),
 		CacheStatus:    out.status,
 		Metrics:        out.metrics,
 		Warnings:       s.withStoreWarning(out.warnings),
 		Counters:       out.counters,
-	})
+	}
 }
 
 // withStoreWarning appends the structural degradation warning while

@@ -206,8 +206,8 @@ func TestCorruptStoreRecomputes(t *testing.T) {
 }
 
 // TestStoreDegradedWarning: an unusable store directory must not stop
-// the daemon — it starts memory-only, says so in response warnings, and
-// flags it in /metrics.
+// the daemon — it starts memory-only, says so in response warnings
+// (every /v1/batch item included), and flags it in /metrics.
 func TestStoreDegradedWarning(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "occupied")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
@@ -222,15 +222,34 @@ func TestStoreDegradedWarning(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded daemon: status %d: %s", resp.StatusCode, data)
 	}
-	gr := decodeGenerate(t, data)
-	found := false
-	for _, w := range gr.Warnings {
-		if strings.Contains(w, "store: degraded to memory-only") {
-			found = true
+	degraded := func(warnings []string) bool {
+		for _, w := range warnings {
+			if strings.Contains(w, "store: degraded to memory-only") {
+				return true
+			}
 		}
+		return false
 	}
-	if !found {
+	if gr := decodeGenerate(t, data); !degraded(gr.Warnings) {
 		t.Errorf("warnings = %v, want a store-degradation warning", gr.Warnings)
+	}
+
+	bresp, err := http.Post(ts.URL+"/v1/batch", "application/json",
+		strings.NewReader(`{"requests":[{"bits":5,"skip_nonlinearity":true}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bdata, _ := io.ReadAll(bresp.Body)
+	bresp.Body.Close()
+	var br BatchResponse
+	if err := json.Unmarshal(bdata, &br); err != nil {
+		t.Fatalf("batch status %d: %v: %s", bresp.StatusCode, err, bdata)
+	}
+	if len(br.Items) != 1 || br.Items[0].Response == nil {
+		t.Fatalf("batch items = %+v, want one response", br.Items)
+	}
+	if w := br.Items[0].Response.Warnings; !degraded(w) {
+		t.Errorf("batch item warnings = %v, want a store-degradation warning", w)
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")

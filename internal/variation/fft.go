@@ -6,7 +6,7 @@
 // (fftk.SemiEmbedding). That gives both unit-level computations a
 // spectral form:
 //
-//   - the capacitor-level covariance of Analyze/SweepTheta becomes
+//   - the capacitor-level covariance of a Shared prefix becomes
 //     (N+1)² quadratic forms 1_jᵀ C 1_k, contracted per row frequency
 //     instead of ~n²/2 pair sums — one engine for placement grids
 //     (uniform columns) and routed layouts (channel-shifted columns),
@@ -33,7 +33,6 @@ import (
 
 	"ccdac/internal/fault"
 	"ccdac/internal/fftk"
-	"ccdac/internal/geom"
 	"ccdac/internal/linalg"
 	"ccdac/internal/obs"
 	"ccdac/internal/par"
@@ -104,12 +103,6 @@ func FFTModeOf(ctx context.Context) FFTMode {
 		return v
 	}
 	return FFTAuto
-}
-
-// cellPt pairs a placement cell with its positioned center.
-type cellPt struct {
-	c geom.Cell
-	p geom.Pt
 }
 
 // gridPitchTolUm is the absolute position tolerance (microns) of the
@@ -298,12 +291,12 @@ func covarianceSemi(ctx context.Context, g *cellGeom, t *tech.Technology, sg fft
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("variation: covariance: %w", err)
 	}
-	bits := len(g.cells) - 1
+	bits := len(g.caps) - 1
 	classes := make([][]int, bits+1)
-	for k, rcs := range g.rcs {
-		classes[k] = make([]int, len(rcs))
-		for i, c := range rcs {
-			classes[k][i] = c.Row*g.cols + c.Col
+	for k, cells := range g.caps {
+		classes[k] = make([]int, len(cells))
+		for i, cp := range cells {
+			classes[k][i] = cp.c.Row*g.cols + cp.c.Col
 		}
 	}
 	forms := emb.QuadForms(classes, par.Workers(ctx))
@@ -321,34 +314,30 @@ func covarianceSemi(ctx context.Context, g *cellGeom, t *tech.Technology, sg fft
 // factorization behind CanSample) depend only on the placement
 // geometry and the technology — not on the gradient analysis, the
 // sample range or the seed — so one mcSampler serves every block of
-// every compatible run. variation.Shared caches one per prefix, which
+// every compatible run. Each Shared sets one up at most once, which
 // is what lets coalesced batch tails and checkpointed block loops skip
 // the rebuild.
 type mcSampler struct {
 	sampler interface {
 		Sample([]float64, *rand.Rand)
 	}
-	cols    int
+	g       *cellGeom
 	scratch *mcScratchPool
 }
 
-// newMCSampler attempts the spectral setup: lattice fit plus embedding
-// construction — the 2-D circulant on a uniform grid, the
-// row-spectral factorization on a complete non-uniform lattice. ok
-// reports whether the placement supports the spectral path (false →
-// caller takes the exact sampler).
-func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.Technology) (*mcSampler, bool) {
-	flat := make([]cellPt, len(units))
-	for i, u := range units {
-		flat[i] = cellPt{c: u.c, p: u.p}
-	}
-	lat := fitLattice(flat, rows, cols)
+// newMCSampler attempts the spectral setup over a gathered geometry:
+// lattice fit plus embedding construction — the 2-D circulant on a
+// uniform grid, the row-spectral factorization on a complete
+// non-uniform lattice. It returns nil when the placement does not
+// support the spectral path (the caller takes the exact sampler).
+func newMCSampler(ctx context.Context, g *cellGeom, t *tech.Technology) *mcSampler {
+	lat := fitLattice(g.flat, g.rows, g.cols)
 	if !lat.uniform && !lat.complete {
-		return nil, false
+		return nil
 	}
 	if ferr := fault.Check(fault.StageFFT); ferr != nil {
 		obs.CountL(ctx, "ccdac_numeric_fft_fallback_total", obs.Labels{"path": "mc"}, 1)
-		return nil, false
+		return nil
 	}
 	// Both embeddings expose the same per-sample draw; the separable
 	// one additionally pays a one-time per-frequency factorization,
@@ -360,7 +349,7 @@ func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.T
 		emb, evals, err := mismatchEmbedding(t, lat.grid)
 		if err != nil || !emb.CanSample() {
 			obs.CountL(ctx, "ccdac_numeric_fft_fallback_total", obs.Labels{"path": "mc"}, 1)
-			return nil, false
+			return nil
 		}
 		obs.Count(ctx, "ccdac_variation_rho_calls_total", evals)
 		sampler = emb
@@ -368,13 +357,13 @@ func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.T
 		emb, err := mismatchSemiEmbedding(t, lat.sg, par.Workers(ctx))
 		if err != nil || !emb.Factorize(par.Workers(ctx)) {
 			obs.CountL(ctx, "ccdac_numeric_fft_fallback_total", obs.Labels{"path": "mc"}, 1)
-			return nil, false
+			return nil
 		}
 		obs.Count(ctx, "ccdac_variation_rho_calls_total", emb.KernelEvals)
 		sampler = emb
 	}
 	obs.CountL(ctx, "ccdac_numeric_fft_structured_total", obs.Labels{"path": "mc"}, 1)
-	return &mcSampler{sampler: sampler, cols: cols, scratch: newMCScratchPool(rows * cols)}, true
+	return &mcSampler{sampler: sampler, g: g, scratch: newMCScratchPool(g.rows * g.cols)}
 }
 
 // run draws the sample block [from, to). The per-sample splitmix64
@@ -385,7 +374,7 @@ func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.T
 // both spectral samplers are measured biased against the exact one
 // (docs/PERFORMANCE.md, "Agreement tolerance"), so yield sign-off
 // takes FFTOff as its exact reference.
-func (ms *mcSampler) run(ctx context.Context, units []mcUnit, a *Analysis, from, to int, seed int64) ([][]float64, error) {
+func (ms *mcSampler) run(ctx context.Context, a *Analysis, from, to int, seed int64) ([][]float64, error) {
 	out := make([][]float64, to-from)
 	err := par.ForN(par.Workers(ctx), to-from, func(i int) error {
 		s := from + i
@@ -393,7 +382,7 @@ func (ms *mcSampler) run(ctx context.Context, units []mcUnit, a *Analysis, from,
 			return fmt.Errorf("variation: monte-carlo sample %d: %w", s, err)
 		}
 		shifts := make([]float64, a.Bits+1)
-		ms.draw(shifts, units, a, seed, s)
+		ms.draw(shifts, a, seed, s)
 		out[i] = shifts
 		return nil
 	})
@@ -405,29 +394,19 @@ func (ms *mcSampler) run(ctx context.Context, units []mcUnit, a *Analysis, from,
 }
 
 // draw folds sample s's lattice field into the per-capacitor shifts
-// (len Bits+1, zeroed by the caller), plus the systematic gradient
-// shift. It allocates nothing: the field and the reseeded RNG come
-// from the per-worker scratch pool.
-func (ms *mcSampler) draw(shifts []float64, units []mcUnit, a *Analysis, seed int64, s int) {
+// (len Bits+1, zeroed by the caller) over the geometry's cells in
+// bit-major order, plus the systematic gradient shift. It allocates
+// nothing: the field and the reseeded RNG come from the per-worker
+// scratch pool.
+func (ms *mcSampler) draw(shifts []float64, a *Analysis, seed int64, s int) {
 	sc := ms.scratch.get(seed, s)
 	defer ms.scratch.put(sc)
 	field := sc.buf
 	ms.sampler.Sample(field, sc.rng)
-	for _, u := range units {
-		shifts[u.bit] += field[u.c.Row*ms.cols+u.c.Col]
-	}
-	for k := range shifts {
+	for k, cells := range ms.g.caps {
+		for _, cp := range cells {
+			shifts[k] += field[cp.c.Row*ms.g.cols+cp.c.Col]
+		}
 		shifts[k] += a.DCSys(k)
 	}
-}
-
-// monteCarloFFT attempts the spectral sampling path: ok reports
-// whether it ran (false → caller takes the exact sampler).
-func monteCarloFFT(ctx context.Context, units []mcUnit, rows, cols int, t *tech.Technology, a *Analysis, from, to int, seed int64) (out [][]float64, ok bool, err error) {
-	ms, ok := newMCSampler(ctx, units, rows, cols, t)
-	if !ok {
-		return nil, false, nil
-	}
-	out, err = ms.run(ctx, units, a, from, to, seed)
-	return out, true, err
 }

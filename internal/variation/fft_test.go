@@ -52,14 +52,14 @@ func TestStructuredCovarianceMatchesDense(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx, tr := tracedCtx(t)
-			structured, err := AnalyzeContext(ctx, m, pos, tch, 0)
+			structured, err := analyze(ctx, m, pos, tch, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := tr.Registry().Snapshot().Counter("ccdac_numeric_fft_structured_total", obs.Labels{"path": "analyze"}); got != 1 {
 				t.Fatalf("structured_total{analyze} = %d, want 1 (FFT path did not engage)", got)
 			}
-			dense, err := AnalyzeContext(WithFFTMode(context.Background(), FFTOff), m, pos, tch, 0)
+			dense, err := analyze(WithFFTMode(context.Background(), FFTOff), m, pos, tch, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,14 +90,14 @@ func TestMonteCarloFFTSampleCovariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	pos := GridPositioner(tch)
-	a, err := Analyze(m, pos, tch, 0)
+	sh, err := NewSharedContext(context.Background(), m, GridPositioner(tch), tch)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := sh.Analysis(0)
 	const samples, seed = 4000, 7
 	ctx, tr := tracedCtx(t)
-	out, err := MonteCarloContext(ctx, m, pos, tch, a, samples, seed)
+	out, err := sh.MonteCarloRangeContext(ctx, a, 0, samples, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,8 @@ func TestMonteCarloFFTSampleCovariance(t *testing.T) {
 // TestFFTFaultFallsBackDense: an injected numeric.fft fault degrades
 // to the dense engine — bitwise-identical results to FFTOff, a
 // warning on the analysis, and the fallback counter incremented. The
-// CG→Cholesky ladder contract, applied to the covariance engine.
+// CG→Cholesky ladder contract, applied to the covariance engine and
+// then to the sampler.
 func TestFFTFaultFallsBackDense(t *testing.T) {
 	m, err := place.NewSpiral(6)
 	if err != nil {
@@ -154,7 +155,7 @@ func TestFFTFaultFallsBackDense(t *testing.T) {
 	fault.Enable(fault.StageFFT, 0, errors.New("injected fft fault"))
 	defer fault.Reset()
 	ctx, tr := tracedCtx(t)
-	got, err := AnalyzeContext(ctx, m, pos, tch, 0)
+	got, err := analyze(ctx, m, pos, tch, 0)
 	if err != nil {
 		t.Fatalf("faulted analyze must degrade, not fail: %v", err)
 	}
@@ -167,7 +168,7 @@ func TestFFTFaultFallsBackDense(t *testing.T) {
 	if c := tr.Registry().Snapshot().Counter("ccdac_numeric_fft_fallback_total", obs.Labels{"path": "analyze"}); c != 1 {
 		t.Errorf("fallback_total{analyze} = %d, want 1", c)
 	}
-	want, err := AnalyzeContext(WithFFTMode(context.Background(), FFTOff), m, pos, tch, 0)
+	want, err := analyze(WithFFTMode(context.Background(), FFTOff), m, pos, tch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,20 +182,29 @@ func TestFFTFaultFallsBackDense(t *testing.T) {
 
 	// Same ladder for the sampler: the fault pushes Monte Carlo onto the
 	// exact capacitor-level sampler, whose fixed-seed output is
-	// byte-identical to an explicit FFTOff run.
+	// byte-identical to an explicit FFTOff run. The Shared is built
+	// before the fault is armed: its covariance build would consume the
+	// fault's first pass.
 	fault.Reset()
+	sh, err := NewSharedContext(context.Background(), m, pos, tch)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fault.Enable(fault.StageFFT, 0, errors.New("injected fft fault"))
 	const samples, seed = 16, 99
 	mctx, mtr := tracedCtx(t)
-	faulted, err := MonteCarloContext(mctx, m, pos, tch, got, samples, seed)
+	faulted, err := sh.MonteCarloRangeContext(mctx, got, 0, samples, seed)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !fault.Fired(fault.StageFFT) {
+		t.Fatal("injected sampler fault never fired")
 	}
 	if c := mtr.Registry().Snapshot().Counter("ccdac_numeric_fft_fallback_total", obs.Labels{"path": "mc"}); c != 1 {
 		t.Errorf("fallback_total{mc} = %d, want 1", c)
 	}
 	fault.Reset()
-	dense, err := MonteCarloContext(WithFFTMode(context.Background(), FFTOff), m, pos, tch, got, samples, seed)
+	dense, err := sh.MonteCarloRangeContext(WithFFTMode(context.Background(), FFTOff), got, 0, samples, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +237,7 @@ func TestIrregularLayoutKeepsDensePath(t *testing.T) {
 		return p
 	}
 	ctx, tr := tracedCtx(t)
-	a, err := AnalyzeContext(ctx, m, warped, tch, 0)
+	a, err := analyze(ctx, m, warped, tch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,14 +306,14 @@ func TestRoutedLayoutStructuredCovariance(t *testing.T) {
 				t.Fatal("routed layout does not fit the separable lattice")
 			}
 			ctx, tr := tracedCtx(t)
-			structured, err := AnalyzeContext(ctx, m, pos, tch, 0)
+			structured, err := analyze(ctx, m, pos, tch, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := tr.Registry().Snapshot().Counter("ccdac_numeric_fft_structured_total", obs.Labels{"path": "analyze"}); got != 1 {
 				t.Fatalf("structured_total{analyze} = %d, want 1 (separable path did not engage)", got)
 			}
-			dense, err := AnalyzeContext(WithFFTMode(context.Background(), FFTOff), m, pos, tch, 0)
+			dense, err := analyze(WithFFTMode(context.Background(), FFTOff), m, pos, tch, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,14 +344,14 @@ func TestRoutedMonteCarloFFTSampleCovariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	pos := routedLayout(t, m, tch)
-	a, err := Analyze(m, pos, tch, 0)
+	sh, err := NewSharedContext(context.Background(), m, routedLayout(t, m, tch), tch)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := sh.Analysis(0)
 	const samples, seed = 4000, 11
 	ctx, tr := tracedCtx(t)
-	out, err := MonteCarloContext(ctx, m, pos, tch, a, samples, seed)
+	out, err := sh.MonteCarloRangeContext(ctx, a, 0, samples, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,9 +385,8 @@ func TestRoutedMonteCarloFFTSampleCovariance(t *testing.T) {
 	t.Logf("separable-sampler covariance drift = %.3g over %d samples", worst, samples)
 }
 
-// TestSweepAngleZeroAllocs pins the satellite's steady-state claim:
-// one angle evaluation against the pooled gradient scratch performs
-// zero allocations.
+// TestSweepAngleZeroAllocs: one angle evaluation against a Shared's
+// gradient table performs zero allocations.
 func TestSweepAngleZeroAllocs(t *testing.T) {
 	m, err := place.NewSpiral(8)
 	if err != nil {
@@ -385,10 +394,8 @@ func TestSweepAngleZeroAllocs(t *testing.T) {
 	}
 	tch := tech.FinFET12()
 	g := gatherCells(m, GridPositioner(tch))
-	gg := gradPool.Get().(*gradGeom)
-	defer gradPool.Put(gg)
-	gg.load(g, tch)
-	dst := make([]float64, len(g.cells))
+	gg := newGradGeom(g, tch)
+	dst := make([]float64, len(g.caps))
 	if allocs := testing.AllocsPerRun(100, func() {
 		gg.cstarInto(dst, 0.37)
 	}); allocs != 0 {
@@ -396,20 +403,18 @@ func TestSweepAngleZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSharedMonteCarloMatchesPackage pins the Shared sampler-reuse
-// contract behind the job tier's coalesced tails and checkpointed
-// block loops: Shared.MonteCarloRangeContext must reproduce the
-// package-level MonteCarloRangeContext byte for byte — on the
-// spectral path, on the dense FFTOff path, and at any block partition
-// — while paying the spectral setup exactly once across blocks.
-func TestSharedMonteCarloMatchesPackage(t *testing.T) {
+// TestSharedBlocksMatchOneCall pins the block contract behind the job
+// tier's coalesced tails and checkpointed block loops: drawing a run as
+// blocks of any partition reproduces the one-call draw byte for byte —
+// on the spectral path and on the exact FFTOff path — and each Shared
+// pays the spectral sampler's set-up once, not once per block.
+func TestSharedBlocksMatchOneCall(t *testing.T) {
 	m, err := place.NewSpiral(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	pos := GridPositioner(tch)
-	const samples, seed, block = 64, 9, 17
+	const samples, seed = 64, 9
 	for _, tc := range []struct {
 		name string
 		mode FFTMode
@@ -418,54 +423,52 @@ func TestSharedMonteCarloMatchesPackage(t *testing.T) {
 		{"dense", FFTOff},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sh, err := NewShared(m, pos, tch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := sh.Analysis(math.Pi / 4)
 			ctx, tr := tracedCtx(t)
 			ctx = WithFFTMode(ctx, tc.mode)
-			want, err := MonteCarloRangeContext(ctx, m, pos, tch, a, 0, samples, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got [][]float64
-			blocks := 0
-			for from := 0; from < samples; from += block {
-				to := from + block
-				if to > samples {
-					to = samples
-				}
-				blk, err := sh.MonteCarloRangeContext(ctx, a, from, to, seed)
+			// draw builds a fresh Shared and draws [0, samples) in blocks
+			// of the given size.
+			draw := func(block int) [][]float64 {
+				t.Helper()
+				sh, err := NewSharedContext(ctx, m, GridPositioner(tch), tch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = append(got, blk...)
-				blocks++
+				a := sh.Analysis(math.Pi / 4)
+				var out [][]float64
+				for from := 0; from < samples; from += block {
+					blk, err := sh.MonteCarloRangeContext(ctx, a, from, min(from+block, samples), seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, blk...)
+				}
+				return out
 			}
-			if len(got) != len(want) {
-				t.Fatalf("got %d samples, want %d", len(got), len(want))
-			}
-			for s := range want {
-				for k := range want[s] {
-					if got[s][k] != want[s][k] {
-						t.Fatalf("sample %d bit %d: shared %v != package %v", s, k, got[s][k], want[s][k])
+			want := draw(samples)
+			blocks := []int{1, 17, samples - 1}
+			for _, block := range blocks {
+				got := draw(block)
+				if len(got) != len(want) {
+					t.Fatalf("block %d: got %d samples, want %d", block, len(got), len(want))
+				}
+				for s := range want {
+					for k := range want[s] {
+						if got[s][k] != want[s][k] {
+							t.Fatalf("block %d: sample %d bit %d: %v, one call %v", block, s, k, got[s][k], want[s][k])
+						}
 					}
 				}
 			}
-			snap := tr.Registry().Snapshot()
-			structured := snap.Counter("ccdac_numeric_fft_structured_total", obs.Labels{"path": "mc"})
+			structured := tr.Registry().Snapshot().Counter("ccdac_numeric_fft_structured_total", obs.Labels{"path": "mc"})
+			shareds := int64(1 + len(blocks))
 			switch tc.mode {
 			case FFTOff:
 				if structured != 0 {
 					t.Errorf("structured_total{mc} = %d, want 0 on the dense path", structured)
 				}
 			default:
-				// The package call pays the setup once; the Shared pays it
-				// once more across all its blocks — not once per block.
-				if structured != 2 {
-					t.Errorf("structured_total{mc} = %d over 1 package call + %d shared blocks, want 2 (setup not shared)",
-						structured, blocks)
+				if structured != shareds {
+					t.Errorf("structured_total{mc} = %d over %d Shareds, want one set-up per Shared", structured, shareds)
 				}
 			}
 		})

@@ -353,7 +353,7 @@ func TestSeparableTierLeavesRhoMemo(t *testing.T) {
 	if _, err := sh.MonteCarloRangeContext(ctx, sh.Analysis(0.3), 0, 4, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !sh.mcOK {
+	if sh.mc == nil {
 		t.Fatal("spectral sampler was not set up")
 	}
 	snap := tr.Registry().Snapshot()

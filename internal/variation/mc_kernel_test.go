@@ -59,16 +59,15 @@ func TestSamplerDrawZeroAllocs(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			units := gatherUnits(m, c.pos)
-			ms, ok := newMCSampler(context.Background(), units, m.Rows, m.Cols, tch)
-			if !ok {
+			ms := newMCSampler(context.Background(), gatherCells(m, c.pos), tch)
+			if ms == nil {
 				t.Fatal("spectral sampler unavailable")
 			}
 			_, semi := ms.sampler.(*fftk.SemiEmbedding)
 			if semi != (c.name == "separable") {
 				t.Fatalf("sampler %T, want the %s embedding", ms.sampler, c.name)
 			}
-			a, err := AnalyzeContext(context.Background(), m, c.pos, tch, 0.4)
+			a, err := analyze(context.Background(), m, c.pos, tch, 0.4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +75,7 @@ func TestSamplerDrawZeroAllocs(t *testing.T) {
 			s := 0
 			if allocs := testing.AllocsPerRun(50, func() {
 				clear(row)
-				ms.draw(row, units, a, 3, s)
+				ms.draw(row, a, 3, s)
 				s++
 			}); allocs != 0 {
 				t.Errorf("draw allocates %v per sample, want 0", allocs)

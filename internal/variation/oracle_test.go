@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ccdac/internal/ccmatrix"
+	"ccdac/internal/geom"
 	"ccdac/internal/linalg"
 	"ccdac/internal/par"
 	"ccdac/internal/place"
@@ -21,9 +22,28 @@ import (
 // Without it, Monte-Carlo and the 3σ model would share one covariance
 // and check nothing about it.
 
+// oracleUnit is one positioned unit cell, tagged with its capacitor.
+// The oracle gathers its own list rather than reading the Shared
+// prefix it checks.
+type oracleUnit struct {
+	bit int
+	p   geom.Pt
+}
+
+// oracleUnits flattens the placement into bit-tagged unit cells.
+func oracleUnits(m *ccmatrix.Matrix, pos Positioner) []oracleUnit {
+	var units []oracleUnit
+	for k := 0; k <= m.Bits; k++ {
+		for _, c := range m.CellsOf(k) {
+			units = append(units, oracleUnit{bit: k, p: pos(c)})
+		}
+	}
+	return units
+}
+
 // oracleUnitCov builds the jittered unit-cell covariance over units,
 // one row per work item on the context's worker budget.
-func oracleUnitCov(ctx context.Context, units []mcUnit, t *tech.Technology) (*linalg.Dense, error) {
+func oracleUnitCov(ctx context.Context, units []oracleUnit, t *tech.Technology) (*linalg.Dense, error) {
 	n := len(units)
 	sigmaU2 := t.SigmaU() * t.SigmaU()
 	cov := linalg.NewDense(n)
@@ -47,7 +67,7 @@ func oracleUnitCov(ctx context.Context, units []mcUnit, t *tech.Technology) (*li
 // production samplers use, so its output is byte-stable at any worker
 // count. Exported for the statistical test in package variation_test.
 func OracleMonteCarloRange(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, a *Analysis, from, to int, seed int64) ([][]float64, error) {
-	units := gatherUnits(m, pos)
+	units := oracleUnits(m, pos)
 	n := len(units)
 	cov, err := oracleUnitCov(ctx, units, t)
 	if err != nil {
@@ -135,6 +155,35 @@ func SamplerCases(t *testing.T, tch *tech.Technology) []SamplerCase {
 	return cases
 }
 
+// oracleCapCov is the capacitor-level image of the oracle's jittered
+// unit covariance: its blocks summed per capacitor pair.
+func oracleCapCov(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t *tech.Technology) (*linalg.Dense, error) {
+	units := oracleUnits(m, pos)
+	unit, err := oracleUnitCov(ctx, units, t)
+	if err != nil {
+		return nil, err
+	}
+	want := linalg.NewDense(m.Bits + 1)
+	for i, ui := range units {
+		row := unit.Data[i*len(units) : (i+1)*len(units)]
+		for j, uj := range units {
+			want.Add(ui.bit, uj.bit, row[j])
+		}
+	}
+	return want, nil
+}
+
+// maxRelErr is the largest entrywise |got − want| / |want|.
+func maxRelErr(got, want *linalg.Dense) float64 {
+	worst := 0.0
+	for i, w := range want.Data {
+		if e := math.Abs(got.Data[i]-w) / math.Abs(w); e > worst {
+			worst = e
+		}
+	}
+	return worst
+}
+
 // TestExactSamplerCovMatchesOracle: the matrix the exact sampler
 // factors must be the capacitor-level image of the oracle's jittered
 // unit covariance — its blocks summed per capacitor pair — within
@@ -147,27 +196,19 @@ func TestExactSamplerCovMatchesOracle(t *testing.T) {
 	ctx := par.WithWorkers(context.Background(), 2)
 	for _, c := range SamplerCases(t, tch) {
 		t.Run(c.Name, func(t *testing.T) {
-			units := gatherUnits(c.M, c.Pos)
-			unit, err := oracleUnitCov(ctx, units, tch)
+			want, err := oracleCapCov(ctx, c.M, c.Pos, tch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := c.M.Bits + 1
-			want := linalg.NewDense(n)
-			for i, ui := range units {
-				row := unit.Data[i*len(units) : (i+1)*len(units)]
-				for j, uj := range units {
-					want.Add(ui.bit, uj.bit, row[j])
-				}
-			}
 			for _, mode := range []FFTMode{FFTAuto, FFTOff} {
-				a, err := AnalyzeContext(WithFFTMode(ctx, mode), c.M, c.Pos, tch, 0)
+				sh, err := NewSharedContext(WithFFTMode(ctx, mode), c.M, c.Pos, tch)
 				if err != nil {
 					t.Fatal(err)
 				}
+				a := sh.Analysis(0)
 				before := a.Cov.Clone()
 				tctx, tr := tracedCtx(t)
-				if _, err := MonteCarloRangeContext(WithFFTMode(tctx, FFTOff), c.M, c.Pos, tch, a, 0, 1, 1); err != nil {
+				if _, err := sh.MonteCarloRangeContext(WithFFTMode(tctx, FFTOff), a, 0, 1, 1); err != nil {
 					t.Fatal(err)
 				}
 				got := samplerCov(tch, a)
@@ -179,15 +220,7 @@ func TestExactSamplerCovMatchesOracle(t *testing.T) {
 				if want := linalg.CondEstFromChol(chol); cond != want {
 					t.Errorf("mode %d: cond gauge = %g, want the sampler factor's %g", mode, cond, want)
 				}
-				worst := 0.0
-				for j := 0; j < n; j++ {
-					for k := 0; k < n; k++ {
-						w := want.At(j, k)
-						if e := math.Abs(got.At(j, k)-w) / math.Abs(w); e > worst {
-							worst = e
-						}
-					}
-				}
+				worst := maxRelErr(got, want)
 				if worst > 1e-10 {
 					t.Errorf("mode %d: sampler covariance vs summed unit covariance rel err = %g, want <= 1e-10", mode, worst)
 				}

@@ -27,12 +27,12 @@ func TestCovarianceSerialParallelBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	serial, err := AnalyzeContext(withWorkers(-1), m, GridPositioner(tch), tch, 0)
+	serial, err := analyze(withWorkers(-1), m, GridPositioner(tch), tch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		parallel, err := AnalyzeContext(withWorkers(workers), m, GridPositioner(tch), tch, 0)
+		parallel, err := analyze(withWorkers(workers), m, GridPositioner(tch), tch, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestCovarianceMatchesNaiveReference(t *testing.T) {
 	}
 	tch := tech.FinFET12()
 	pos := GridPositioner(tch)
-	a, err := Analyze(m, pos, tch, 0)
+	a, err := analyze(context.Background(), m, pos, tch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +68,9 @@ func TestCovarianceMatchesNaiveReference(t *testing.T) {
 	for j := 0; j <= m.Bits; j++ {
 		for k := j; k <= m.Bits; k++ {
 			var sum float64
-			for _, pj := range g.cells[j] {
-				for _, pk := range g.cells[k] {
-					sum += math.Pow(tch.Mis.RhoU, pj.Dist(pk)/tch.Mis.LcUm)
+			for _, cj := range g.caps[j] {
+				for _, ck := range g.caps[k] {
+					sum += math.Pow(tch.Mis.RhoU, cj.p.Dist(ck.p)/tch.Mis.LcUm)
 				}
 			}
 			want := sigmaU2 * sum
@@ -114,27 +114,28 @@ func TestSweepThetaSerialParallelBitwise(t *testing.T) {
 }
 
 // TestMonteCarloIdenticalAcrossWorkerCounts: per-sample RNG streams
-// make a fixed-seed run byte-identical at any worker count.
+// make a fixed-seed run byte-identical at any worker count, prefix and
+// sampler set-up included.
 func TestMonteCarloIdenticalAcrossWorkerCounts(t *testing.T) {
 	m, err := place.NewSpiral(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	pos := GridPositioner(tch)
-	a, err := Analyze(m, pos, tch, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const samples, seed = 40, 12345
-	serial, err := MonteCarloContext(withWorkers(-1), m, pos, tch, a, samples, seed)
-	if err != nil {
-		t.Fatal(err)
+	draw := func(ctx context.Context) [][]float64 {
+		t.Helper()
+		sh, err := NewSharedContext(ctx, m, GridPositioner(tch), tch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := sh.MonteCarloRangeContext(ctx, sh.Analysis(0), 0, samples, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	parallel, err := MonteCarloContext(withWorkers(8), m, pos, tch, a, samples, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := draw(withWorkers(-1)), draw(withWorkers(8))
 	for s := range serial {
 		for k := range serial[s] {
 			if serial[s][k] != parallel[s][k] {
@@ -153,17 +154,17 @@ func TestMonteCarloCancellation(t *testing.T) {
 	}
 	tch := tech.FinFET12()
 	pos := GridPositioner(tch)
-	a, err := Analyze(m, pos, tch, 0)
+	sh, err := NewSharedContext(context.Background(), m, pos, tch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MonteCarloContext(ctx, m, pos, tch, a, 100, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MonteCarloContext on canceled ctx: err = %v, want context.Canceled", err)
+	if _, err := sh.MonteCarloRangeContext(ctx, sh.Analysis(0), 0, 100, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MonteCarloRangeContext on canceled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := AnalyzeContext(ctx, m, pos, tch, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AnalyzeContext on canceled ctx: err = %v, want context.Canceled", err)
+	if _, err := NewSharedContext(ctx, m, pos, tch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("NewSharedContext on canceled ctx: err = %v, want context.Canceled", err)
 	}
 	if _, err := SweepThetaContext(ctx, m, pos, tch, 8); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SweepThetaContext on canceled ctx: err = %v, want context.Canceled", err)

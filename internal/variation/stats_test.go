@@ -34,12 +34,12 @@ func TestExactSamplerMatchesOracle(t *testing.T) {
 			if c.M.Bits >= 10 {
 				samples = 1000
 			}
-			a, err := variation.AnalyzeContext(ctx, c.M, c.Pos, tch, math.Pi/4)
+			sh, err := variation.NewSharedContext(ctx, c.M, c.Pos, tch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := variation.MonteCarloRangeContext(variation.WithFFTMode(ctx, variation.FFTOff),
-				c.M, c.Pos, tch, a, 0, samples, 101)
+			a := sh.Analysis(math.Pi / 4)
+			exact, err := sh.MonteCarloRangeContext(variation.WithFFTMode(ctx, variation.FFTOff), a, 0, samples, 101)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,24 +1,20 @@
-// Pooled per-sweep gradient scratch. A theta sweep evaluates Eq. 3 at
-// every angle over the same cells; the angle-independent parts — the
+// The gradient table of a Shared prefix. Every angle evaluates Eq. 3
+// over the same cells, so the angle-independent parts — the
 // centroid-referenced offsets and squared radii, flattened per
-// capacitor — used to be re-derived (and the per-angle result
-// allocated twice over) inside the angle loop. They are now gathered
-// once per sweep into a gradGeom drawn from a sync.Pool (the same
-// pattern as the CG solver scratch of PR 5), and each angle runs
-// cstarInto, which allocates nothing.
+// capacitor — are gathered once per Shared into a gradGeom, and each
+// angle runs cstarInto, which allocates nothing.
 package variation
 
 import (
 	"math"
-	"sync"
 
 	"ccdac/internal/tech"
 )
 
-// gradGeom is the flattened, angle-independent geometry a theta sweep
-// evaluates the gradient model over: per-unit-cell centered offsets
-// and squared radii, with capacitor k owning units [off[k], off[k+1]),
-// plus the technology terms of Eq. 3.
+// gradGeom is the flattened, angle-independent geometry the gradient
+// model is evaluated over: per-unit-cell offsets from the occupied-
+// array centroid and their squared radii, with capacitor k owning
+// units [off[k], off[k+1]), plus the technology terms of Eq. 3.
 type gradGeom struct {
 	dx, dy, rr []float64
 	off        []int
@@ -27,43 +23,44 @@ type gradGeom struct {
 	cuFF       float64
 }
 
-var gradPool = sync.Pool{New: func() any { return new(gradGeom) }}
-
-// load fills the scratch from a gathered geometry, reusing the pooled
-// slices when they are large enough.
-func (gg *gradGeom) load(g *cellGeom, t *tech.Technology) {
-	total := 0
-	for _, cells := range g.cells {
-		total += len(cells)
+// newGradGeom builds the table of a gathered geometry.
+func newGradGeom(g *cellGeom, t *tech.Technology) *gradGeom {
+	n := len(g.flat)
+	gg := &gradGeom{
+		dx:    make([]float64, n),
+		dy:    make([]float64, n),
+		rr:    make([]float64, n),
+		off:   make([]int, len(g.caps)+1),
+		gamma: t.Mis.GradientPPMPerUm * 1e-6,
+		quad:  t.Mis.QuadGradientPPMPerUm2 * 1e-6,
+		cuFF:  t.Unit.CfF,
 	}
-	gg.dx = grow(gg.dx, total)
-	gg.dy = grow(gg.dy, total)
-	gg.rr = grow(gg.rr, total)
-	if cap(gg.off) < len(g.cells)+1 {
-		gg.off = make([]int, len(g.cells)+1)
+	cx, cy := 0.0, 0.0
+	for _, cp := range g.flat {
+		cx += cp.p.X
+		cy += cp.p.Y
 	}
-	gg.off = gg.off[:len(g.cells)+1]
-	i := 0
-	for k, cells := range g.cells {
-		gg.off[k] = i
-		for _, p := range cells {
-			gg.dx[i] = p.X - g.cx
-			gg.dy[i] = p.Y - g.cy
-			gg.rr[i] = gg.dx[i]*gg.dx[i] + gg.dy[i]*gg.dy[i]
-			i++
-		}
+	cx /= float64(n)
+	cy /= float64(n)
+	for i, cp := range g.flat {
+		gg.dx[i] = cp.p.X - cx
+		gg.dy[i] = cp.p.Y - cy
+		gg.rr[i] = gg.dx[i]*gg.dx[i] + gg.dy[i]*gg.dy[i]
 	}
-	gg.off[len(g.cells)] = i
-	gg.gamma = t.Mis.GradientPPMPerUm * 1e-6
-	gg.quad = t.Mis.QuadGradientPPMPerUm2 * 1e-6
-	gg.cuFF = t.Unit.CfF
+	for k, cells := range g.caps {
+		gg.off[k+1] = gg.off[k] + len(cells)
+	}
+	return gg
 }
 
 // cstarInto evaluates Eq. 3 at one angle into dst (len = capacitor
-// count). It is read-only on the scratch, so concurrent angles of one
-// sweep may share a gradGeom; it performs no allocation.
+// count): C_k* = sum_j C_u * t0/t_j with
+// t_j = t0 (1 + gamma (x cos th + y sin th) + q r^2), gamma in 1/um and
+// q in 1/um^2 (the quadratic term is an extension; the paper's model
+// is linear, q = 0). It is read-only on the table, so concurrent
+// angles may share one, and it performs no allocation.
 func (gg *gradGeom) cstarInto(dst []float64, thetaRad float64) {
-	// Cos/Sin (not Sincos) to stay bit-identical with gradientCStar.
+	// Cos/Sin, not Sincos: the golden sweeps pin these bits.
 	cosT, sinT := math.Cos(thetaRad), math.Sin(thetaRad)
 	for k := 0; k < len(gg.off)-1; k++ {
 		sum := 0.0
@@ -73,11 +70,4 @@ func (gg *gradGeom) cstarInto(dst []float64, thetaRad float64) {
 		}
 		dst[k] = sum
 	}
-}
-
-func grow(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }

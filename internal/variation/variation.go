@@ -6,13 +6,18 @@
 // one at capacitor level (Cholesky of that (N+1)×(N+1) covariance) and
 // two spectral ones over the unit-cell lattice.
 //
-// Performance: the capacitor-level covariance build of Analyze is the
-// analysis hot loop — quadratic in unit cells. It runs on a bounded
-// worker pool (one covariance row per work item; see internal/par for
-// the worker budget plumbing) over per-row memos of the exp-form
-// correlation evaluator tech.RhoTable, and every parallel result is
-// written by index, so a run's output is bit-identical at any worker
-// count. See docs/PERFORMANCE.md.
+// Shared is the one entry: NewSharedContext gathers a placement's cells
+// and builds its covariance once, and every gradient angle
+// (Shared.Analysis, SweepThetaContext), seed and sample block
+// (Shared.MonteCarloRangeContext) is served from that prefix.
+//
+// Performance: the capacitor-level covariance build is the analysis
+// hot loop — quadratic in unit cells on the dense path. It runs on a
+// bounded worker pool (one covariance row per work item; see
+// internal/par for the worker budget plumbing) over per-row memos of
+// the exp-form correlation evaluator tech.RhoTable, and every parallel
+// result is written by index, so a run's output is bit-identical at
+// any worker count. See docs/PERFORMANCE.md.
 package variation
 
 import (
@@ -52,11 +57,11 @@ func mismatchKey(k *memo.Key, t *tech.Technology) *memo.Key {
 // with the engines: v3 entries come from the single row-spectral
 // engine.
 func covKeyOf(g *cellGeom, t *tech.Technology, mode FFTMode) string {
-	k := memo.NewKey("variation/cov/v3").Int(int(mode)).Int(len(g.cells))
-	for _, cells := range g.cells {
+	k := memo.NewKey("variation/cov/v3").Int(int(mode)).Int(len(g.caps))
+	for _, cells := range g.caps {
 		k.Int(len(cells))
-		for _, p := range cells {
-			k.F64(p.X).F64(p.Y)
+		for _, cp := range cells {
+			k.F64(cp.p.X).F64(cp.p.Y)
 		}
 	}
 	return mismatchKey(k, t).Sum()
@@ -163,66 +168,41 @@ func (a *Analysis) SigmaT() float64 {
 	return math.Sqrt(math.Max(0, v))
 }
 
-// cellGeom is the gathered geometry of one placement: per-capacitor
-// unit-cell centers, their placement-grid coordinates (the structured
-// covariance indexes its lattice by them), and the occupied-array
-// centroid the gradient is referenced to.
-type cellGeom struct {
-	cells      [][]geom.Pt
-	rcs        [][]geom.Cell
-	flat       []cellPt
-	counts     []int
-	rows, cols int
-	cx, cy     float64
+// cellPt pairs a placement cell with its positioned center.
+type cellPt struct {
+	c geom.Cell
+	p geom.Pt
 }
 
-// gatherCells positions every unit cell and computes the centroid.
+// cellGeom is the gathered geometry of one placement: every unit cell
+// with its placement-grid coordinates (the structured engines index
+// their lattice by them) and its positioned center, once, in
+// bit-major order. caps[k] is capacitor k's window of that list.
+type cellGeom struct {
+	flat       []cellPt
+	caps       [][]cellPt
+	counts     []int
+	rows, cols int
+}
+
+// gatherCells positions every unit cell.
 func gatherCells(m *ccmatrix.Matrix, pos Positioner) *cellGeom {
 	g := &cellGeom{
-		cells:  make([][]geom.Pt, m.Bits+1),
-		rcs:    make([][]geom.Cell, m.Bits+1),
+		flat:   make([]cellPt, 0, m.Rows*m.Cols),
+		caps:   make([][]cellPt, m.Bits+1),
 		counts: make([]int, m.Bits+1),
 		rows:   m.Rows,
 		cols:   m.Cols,
 	}
-	total := 0
-	for k := 0; k <= m.Bits; k++ {
+	for k := range g.caps {
+		from := len(g.flat)
 		for _, c := range m.CellsOf(k) {
-			p := pos(c)
-			g.cells[k] = append(g.cells[k], p)
-			g.rcs[k] = append(g.rcs[k], c)
-			g.flat = append(g.flat, cellPt{c: c, p: p})
-			g.cx += p.X
-			g.cy += p.Y
-			total++
+			g.flat = append(g.flat, cellPt{c: c, p: pos(c)})
 		}
-		g.counts[k] = len(g.cells[k])
+		g.caps[k] = g.flat[from:]
+		g.counts[k] = len(g.caps[k])
 	}
-	g.cx /= float64(total)
-	g.cy /= float64(total)
 	return g
-}
-
-// gradientCStar evaluates Eq. 3 at one angle:
-// C_k* = sum_j C_u * t0/t_j with
-// t_j = t0 (1 + gamma (x cos th + y sin th) + q r^2), gamma in 1/um
-// and q in 1/um^2 (the quadratic term is an extension; the paper's
-// model is linear, q = 0).
-func gradientCStar(g *cellGeom, t *tech.Technology, thetaRad float64) []float64 {
-	gamma := t.Mis.GradientPPMPerUm * 1e-6
-	quad := t.Mis.QuadGradientPPMPerUm2 * 1e-6
-	cosT, sinT := math.Cos(thetaRad), math.Sin(thetaRad)
-	out := make([]float64, len(g.cells))
-	for k, cells := range g.cells {
-		sum := 0.0
-		for _, p := range cells {
-			dx, dy := p.X-g.cx, p.Y-g.cy
-			tRatio := 1 + gamma*(dx*cosT+dy*sinT) + quad*(dx*dx+dy*dy)
-			sum += t.Unit.CfF / tRatio
-		}
-		out[k] = sum
-	}
-	return out
 }
 
 // covariance builds the capacitor-level covariance matrix (Eqs. 4-6)
@@ -233,7 +213,7 @@ func gradientCStar(g *cellGeom, t *tech.Technology, thetaRad float64) []float64 
 // distinct quantized distances; the caller receives the evaluation and
 // memo-fetch counts for the run's observability record.
 func covariance(ctx context.Context, g *cellGeom, t *tech.Technology) (*linalg.Dense, int64, int64, error) {
-	bits := len(g.cells) - 1
+	bits := len(g.caps) - 1
 	sigmaU2 := t.SigmaU() * t.SigmaU()
 	rt := t.RhoTable()
 	cov := linalg.NewDense(bits + 1)
@@ -247,24 +227,24 @@ func covariance(ctx context.Context, g *cellGeom, t *tech.Technology) (*linalg.D
 			return fmt.Errorf("variation: covariance row %d: %w", j, err)
 		}
 		local := rt.Local()
-		cj := g.cells[j]
+		cj := g.caps[j]
 		// Diagonal entry: rho(0) = 1 self terms plus twice the strict
 		// upper pair sum (symmetry halves the work).
 		s := float64(len(cj))
 		for a := 0; a < len(cj); a++ {
-			pa := cj[a]
+			pa := cj[a].p
 			for b := a + 1; b < len(cj); b++ {
-				dx, dy := pa.X-cj[b].X, pa.Y-cj[b].Y
+				dx, dy := pa.X-cj[b].p.X, pa.Y-cj[b].p.Y
 				s += 2 * local.RhoSq(dx*dx+dy*dy)
 			}
 		}
 		cov.Set(j, j, sigmaU2*s)
 		for k := j + 1; k <= bits; k++ {
-			ck := g.cells[k]
+			ck := g.caps[k]
 			s := 0.0
-			for _, pa := range cj {
-				for _, pb := range ck {
-					dx, dy := pa.X-pb.X, pa.Y-pb.Y
+			for _, a := range cj {
+				for _, b := range ck {
+					dx, dy := a.p.X-b.p.X, a.p.Y-b.p.Y
 					s += local.RhoSq(dx*dx + dy*dy)
 				}
 			}
@@ -283,121 +263,32 @@ func covariance(ctx context.Context, g *cellGeom, t *tech.Technology) (*linalg.D
 	return cov, calls.Load(), fetches.Load(), nil
 }
 
-// Analyze computes the variation view of a placement: the gradient
-// capacitor shifts at angle thetaRad, and the random-mismatch
-// covariance matrix (angle-independent).
-func Analyze(m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, thetaRad float64) (*Analysis, error) {
-	return AnalyzeContext(context.Background(), m, pos, t, thetaRad)
-}
-
-// AnalyzeContext is Analyze under a context. The covariance build is
-// the analysis hot loop (quadratic in unit cells — it dominates a
-// large-array run); it runs on the context's worker budget (see
-// par.WithWorkers; default GOMAXPROCS) with cancellation checked once
-// per covariance row, bounding the post-cancel latency to one row's
-// work per worker.
-func AnalyzeContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, thetaRad float64) (*Analysis, error) {
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("variation: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("variation: %w", err)
-	}
-	g := gatherCells(m, pos)
-	a := &Analysis{
-		Bits:     m.Bits,
-		CuFF:     t.Unit.CfF,
-		ThetaRad: thetaRad,
-		CStar:    gradientCStar(g, t, thetaRad),
-		Counts:   g.counts,
-	}
-	cov, warns, err := covarianceMemo(ctx, g, t)
-	if err != nil {
-		return nil, err
-	}
-	a.Cov = cov
-	a.Warnings = warns
-	return a, nil
-}
-
-// SweepTheta analyzes the placement over nSteps gradient angles in
-// [0, pi) and returns one Analysis per angle. The covariance matrix is
-// computed once and shared (it is angle-independent).
-func SweepTheta(m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, nSteps int) ([]*Analysis, error) {
-	return SweepThetaContext(context.Background(), m, pos, t, nSteps)
-}
-
-// SweepThetaContext is SweepTheta under a context: cancellation is
-// checked within the covariance build and before every angle step, so
-// a canceled sweep returns promptly.
-//
-// The geometry is gathered once and the angle-independent covariance
-// is built exactly once (the seed recomputed — then discarded — a full
-// covariance per angle); the remaining per-angle gradient evaluations
-// are linear in cells and run on the context's worker budget.
+// SweepThetaContext analyzes the placement over nSteps gradient
+// angles in [0, pi): one Shared prefix, then one Shared.Analysis per
+// angle on the context's worker budget. Every analysis shares the one
+// covariance (it is angle-independent). Cancellation is checked within
+// the covariance build and before every angle step, so a canceled
+// sweep returns promptly.
 func SweepThetaContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, nSteps int) ([]*Analysis, error) {
 	if nSteps < 1 {
 		return nil, fmt.Errorf("variation: need at least 1 sweep step, got %d", nSteps)
 	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("variation: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("variation: %w", err)
-	}
-	g := gatherCells(m, pos)
-	cov, warns, err := covarianceMemo(ctx, g, t)
+	sh, err := NewSharedContext(ctx, m, pos, t)
 	if err != nil {
 		return nil, err
 	}
-	// The flattened gradient geometry (centered offsets, radii) is
-	// angle-independent: gather it once from the pool and evaluate
-	// every angle against it, so the per-angle work allocates nothing
-	// beyond its result (see gradGeom; asserted by
-	// TestSweepAngleZeroAllocs).
-	gg := gradPool.Get().(*gradGeom)
-	defer gradPool.Put(gg)
-	gg.load(g, t)
 	out := make([]*Analysis, nSteps)
 	err = par.ForN(par.Workers(ctx), nSteps, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("variation: sweep step %d: %w", i, err)
 		}
-		theta := math.Pi * float64(i) / float64(nSteps)
-		cstar := make([]float64, len(g.cells))
-		gg.cstarInto(cstar, theta)
-		out[i] = &Analysis{
-			Bits:     m.Bits,
-			CuFF:     t.Unit.CfF,
-			ThetaRad: theta,
-			CStar:    cstar,
-			Counts:   g.counts,
-			Cov:      cov, // shared: angle-independent
-			Warnings: warns,
-		}
+		out[i] = sh.Analysis(math.Pi * float64(i) / float64(nSteps))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// MonteCarlo draws correlated random-mismatch samples and returns
-// per-sample capacitor shifts DeltaC[sample][k] in fF, with the
-// systematic gradient shift of the supplied analysis added in. The
-// exact sampler draws from a.Cov itself, so it cross-checks the 3σ
-// model's nonlinearity arithmetic, not the covariance behind it; the
-// package tests check that against a unit-level oracle.
-func MonteCarlo(m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, a *Analysis, samples int, seed int64) ([][]float64, error) {
-	return MonteCarloContext(context.Background(), m, pos, t, a, samples, seed)
-}
-
-// mcUnit is one positioned unit cell of the spectral samplers.
-type mcUnit struct {
-	bit int
-	c   geom.Cell
-	p   geom.Pt
 }
 
 // SampleStream versions the Monte-Carlo sample streams: the draws that
@@ -407,63 +298,6 @@ type mcUnit struct {
 // moved the dense path from the unit-level Cholesky sampler onto the
 // exact capacitor-level one; every spectral draw stayed.
 const SampleStream = 2
-
-// MonteCarloContext is MonteCarlo under a context: cancellation is
-// checked once per sample, so a canceled run stops within one
-// sample's work per worker instead of finishing every sample.
-//
-// Sampling is deterministic for a fixed seed independent of the worker
-// count: sample s draws from its own RNG stream derived from (seed, s)
-// by a splitmix64 mix, and results are written by sample index.
-//
-// The exact sampler (monteCarloExact) serves FFTOff, layouts no
-// spectral sampler fits, and every spectral fallback. On a uniform
-// grid or a complete routed lattice (unless the context selects
-// FFTOff) samples come from a spectral sampler instead — no matrix
-// factor at all — which preserves the per-stream determinism but
-// consumes its streams differently, so the two paths draw different
-// samples for one seed. They are not equally distributed: on the 6-bit
-// spiral grid (24k samples, 3 seeds) the yield is 0.649–0.655 from the
-// 2-D sampler and 0.763–0.767 from the exact one, and on 6-, 8- and
-// 10-bit spiral routed layouts the separable sampler reads 5–6 points
-// below exact. Yield sign-off should take FFTOff as the exact
-// reference (docs/PERFORMANCE.md, "Agreement tolerance").
-func MonteCarloContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, a *Analysis, samples int, seed int64) ([][]float64, error) {
-	if samples < 1 {
-		return nil, fmt.Errorf("variation: need at least 1 sample")
-	}
-	return MonteCarloRangeContext(ctx, m, pos, t, a, 0, samples, seed)
-}
-
-// MonteCarloRangeContext draws the contiguous sample block [from, to)
-// of the stream MonteCarloContext consumes: sample s seeds its private
-// RNG from (seed, s) regardless of the block bounds, so partitioning a
-// run into blocks — checkpointed long jobs, coalesced batch tails —
-// reproduces the full run's output byte for byte at any block size.
-// out[i] is absolute sample from+i.
-func MonteCarloRangeContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, a *Analysis, from, to int, seed int64) ([][]float64, error) {
-	if from < 0 || to <= from {
-		return nil, fmt.Errorf("variation: bad sample range [%d,%d)", from, to)
-	}
-	if FFTModeOf(ctx) != FFTOff {
-		if out, ok, err := monteCarloFFT(ctx, gatherUnits(m, pos), m.Rows, m.Cols, t, a, from, to, seed); ok || err != nil {
-			return out, err
-		}
-	}
-	return monteCarloExact(ctx, t, a, from, to, seed)
-}
-
-// gatherUnits flattens the placement into bit-tagged unit cells, in
-// the canonical bit-major order the spectral samplers fold in.
-func gatherUnits(m *ccmatrix.Matrix, pos Positioner) []mcUnit {
-	var units []mcUnit
-	for k := 0; k <= m.Bits; k++ {
-		for _, c := range m.CellsOf(k) {
-			units = append(units, mcUnit{bit: k, c: c, p: pos(c)})
-		}
-	}
-	return units
-}
 
 // samplerCov is the matrix the exact sampler factors: a copy of a.Cov
 // plus σ_u²·1e-9 per unit cell on the diagonal. That is the exact
@@ -526,40 +360,38 @@ func monteCarloExact(ctx context.Context, t *tech.Technology, a *Analysis, from,
 	return out, nil
 }
 
-// Shared captures the expensive, angle- and seed-independent prefix of
-// a variation analysis — the gathered geometry and the covariance
-// matrix — so compatible analyses (distinct theta, seed or sample
-// counts over one layout) build it once and share it structurally.
-// Unlike the memo caches (opt-in, byte-bounded, eviction-prone), the
-// sharing here is explicit: the caller holds the value exactly as long
-// as the batch needs it. The job tier's compatibility micro-batching
-// (internal/jobs) is the primary consumer.
+// Shared is the variation prefix of one placement: the gathered cells,
+// the covariance matrix and the gradient table, built once, plus the
+// spectral sampler's set-up, built at most once on first use. Every
+// analysis, theta sweep and Monte-Carlo draw goes through it, so
+// compatible work (distinct theta, seed or sample blocks over one
+// layout) shares it structurally. Unlike the memo caches (opt-in,
+// byte-bounded, eviction-prone), the sharing here is explicit: the
+// caller holds the value exactly as long as the work needs it. The
+// job tier's compatibility micro-batching (internal/jobs) holds one
+// per coalesced group.
 type Shared struct {
-	bits  int
 	g     *cellGeom
+	gg    *gradGeom
 	t     *tech.Technology
 	cov   *linalg.Dense
 	warns []string
 
-	// units is the flattened placement the spectral samplers fold;
-	// their fixed setup (lattice fit + embedding) is geometry- and
-	// technology-only, so it is built at most once per Shared and
-	// reused by every sample block.
-	units  []mcUnit
+	// mc is the spectral sampler, nil when the layout or its spectrum
+	// rules the spectral path out. Its set-up (lattice fit, embedding,
+	// spectrum factorization) depends on the geometry and technology
+	// only, so it is paid on the first spectral draw and reused by every
+	// later sample block.
 	mcOnce sync.Once
-	mcSmp  *mcSampler
-	mcOK   bool
+	mc     *mcSampler
 }
 
-// NewShared is NewSharedContext under context.Background.
-func NewShared(m *ccmatrix.Matrix, pos Positioner, t *tech.Technology) (*Shared, error) {
-	return NewSharedContext(context.Background(), m, pos, t)
-}
-
-// NewSharedContext gathers the placement geometry and builds the
-// covariance matrix once, on the context's worker budget (and through
-// the memo cache when the context opts in — the two sharing layers
-// compose).
+// NewSharedContext gathers the placement geometry once and builds the
+// covariance matrix on the context's worker budget (through the memo
+// cache when the context opts in — the two sharing layers compose) and
+// the gradient table. The covariance build is the analysis hot loop;
+// cancellation is checked once per covariance row, bounding the
+// post-cancel latency to one row's work per worker.
 func NewSharedContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t *tech.Technology) (*Shared, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("variation: %w", err)
@@ -572,8 +404,7 @@ func NewSharedContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t
 	if err != nil {
 		return nil, err
 	}
-	return &Shared{bits: m.Bits, g: g, t: t, cov: cov, warns: warns,
-		units: gatherUnits(m, pos)}, nil
+	return &Shared{g: g, gg: newGradGeom(g, t), t: t, cov: cov, warns: warns}, nil
 }
 
 // Warnings reports degradations the shared covariance build survived.
@@ -582,43 +413,59 @@ func (sh *Shared) Warnings() []string { return sh.warns }
 // Tech returns the technology the shared prefix was built against.
 func (sh *Shared) Tech() *tech.Technology { return sh.t }
 
+// Analysis evaluates the gradient (Eq. 3) at one angle against the
+// shared gradient table. The work is linear in unit cells — the
+// covariance cost was paid in NewSharedContext — and the returned
+// Analysis shares the covariance.
+func (sh *Shared) Analysis(thetaRad float64) *Analysis {
+	cstar := make([]float64, len(sh.g.caps))
+	sh.gg.cstarInto(cstar, thetaRad)
+	return &Analysis{
+		Bits:     len(sh.g.caps) - 1,
+		CuFF:     sh.t.Unit.CfF,
+		ThetaRad: thetaRad,
+		CStar:    cstar,
+		Counts:   sh.g.counts,
+		Cov:      sh.cov, // shared: angle-independent
+		Warnings: sh.warns,
+	}
+}
+
 // MonteCarloRangeContext draws the contiguous sample block [from, to)
-// of the shared layout's per-sample streams — byte-identical to the
-// package-level MonteCarloRangeContext over the same placement, seed
-// and FFT mode — while paying the spectral sampler's fixed setup
-// (lattice fit, embedding, spectrum factorization) at most once per
-// Shared. Checkpointed block loops and coalesced batch tails
-// reuse the sampler instead of rebuilding it per call, which is what
-// keeps the per-request tail cheap relative to the shared prefix.
+// of correlated random-mismatch samples and returns per-sample
+// capacitor shifts out[i][k] in fF for absolute sample from+i, with
+// the systematic gradient shift of a added in. Sample s seeds its
+// private RNG from (seed, s) by a splitmix64 mix and results are
+// written by index, so the output is byte-identical at any worker
+// count and any block partition — checkpointed long jobs and coalesced
+// batch tails reproduce the one-call draw. Cancellation is checked
+// once per sample.
+//
+// The exact sampler (monteCarloExact) draws from a.Cov itself, so it
+// cross-checks the 3σ model's nonlinearity arithmetic, not the
+// covariance behind it; the package tests check that against a
+// unit-level oracle. It serves FFTOff, layouts no spectral sampler
+// fits, and every spectral fallback. On a uniform grid or a complete
+// routed lattice (unless the context selects FFTOff) samples come from
+// a spectral sampler instead — set up at most once per Shared — which
+// consumes its streams differently, so the two paths draw different
+// samples for one seed. They are not equally distributed: on the 6-bit
+// spiral grid (24k samples, 3 seeds) the yield is 0.649–0.655 from the
+// 2-D sampler and 0.763–0.767 from the exact one, and on 6-, 8- and
+// 10-bit spiral routed layouts the separable sampler reads 5–6 points
+// below exact. Yield sign-off should take FFTOff as the exact
+// reference (docs/PERFORMANCE.md, "Agreement tolerance").
 func (sh *Shared) MonteCarloRangeContext(ctx context.Context, a *Analysis, from, to int, seed int64) ([][]float64, error) {
 	if from < 0 || to <= from {
 		return nil, fmt.Errorf("variation: bad sample range [%d,%d)", from, to)
 	}
 	if FFTModeOf(ctx) != FFTOff {
-		sh.mcOnce.Do(func() {
-			sh.mcSmp, sh.mcOK = newMCSampler(ctx, sh.units, sh.g.rows, sh.g.cols, sh.t)
-		})
-		if sh.mcOK {
-			return sh.mcSmp.run(ctx, sh.units, a, from, to, seed)
+		sh.mcOnce.Do(func() { sh.mc = newMCSampler(ctx, sh.g, sh.t) })
+		if sh.mc != nil {
+			return sh.mc.run(ctx, a, from, to, seed)
 		}
 	}
 	return monteCarloExact(ctx, sh.t, a, from, to, seed)
-}
-
-// Analysis evaluates the gradient at one angle against the shared
-// geometry and covariance. The work is linear in unit cells — the
-// quadratic covariance cost was paid in NewSharedContext — and the
-// result is identical to AnalyzeContext over the same inputs.
-func (sh *Shared) Analysis(thetaRad float64) *Analysis {
-	return &Analysis{
-		Bits:     sh.bits,
-		CuFF:     sh.t.Unit.CfF,
-		ThetaRad: thetaRad,
-		CStar:    gradientCStar(sh.g, sh.t, thetaRad),
-		Counts:   sh.g.counts,
-		Cov:      sh.cov, // shared: angle-independent
-		Warnings: sh.warns,
-	}
 }
 
 // mcStreamSeed derives the RNG stream seed of sample s from the user

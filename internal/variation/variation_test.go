@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,7 +11,17 @@ import (
 	"ccdac/internal/tech"
 )
 
-func analyzeStyle(t *testing.T, bits int, style place.Style, theta float64) (*ccmatrix.Matrix, *Analysis) {
+// analyze builds a Shared prefix under ctx and evaluates it at one
+// gradient angle.
+func analyze(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, theta float64) (*Analysis, error) {
+	sh, err := NewSharedContext(ctx, m, pos, t)
+	if err != nil {
+		return nil, err
+	}
+	return sh.Analysis(theta), nil
+}
+
+func analyzeStyle(t *testing.T, bits int, style place.Style, theta float64) (*Shared, *Analysis) {
 	t.Helper()
 	var m *ccmatrix.Matrix
 	var err error
@@ -26,11 +37,11 @@ func analyzeStyle(t *testing.T, bits int, style place.Style, theta float64) (*cc
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	a, err := Analyze(m, GridPositioner(tch), tch, theta)
+	sh, err := NewSharedContext(context.Background(), m, GridPositioner(tch), tch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, a
+	return sh, sh.Analysis(theta)
 }
 
 func TestCStarNearNominal(t *testing.T) {
@@ -168,7 +179,7 @@ func TestSweepThetaSharesCovariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	as, err := SweepTheta(m, GridPositioner(tch), tch, 6)
+	as, err := SweepThetaContext(context.Background(), m, GridPositioner(tch), tch, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +195,14 @@ func TestSweepThetaSharesCovariance(t *testing.T) {
 			t.Errorf("analysis %d theta = %g, want %g", i, a.ThetaRad, want)
 		}
 	}
-	if _, err := SweepTheta(m, GridPositioner(tch), tch, 0); err == nil {
+	if _, err := SweepThetaContext(context.Background(), m, GridPositioner(tch), tch, 0); err == nil {
 		t.Error("zero-step sweep must be rejected")
 	}
 }
 
 func TestMonteCarloMatches3SigmaScale(t *testing.T) {
-	m, a := analyzeStyle(t, 6, place.Spiral, 0)
-	tch := tech.FinFET12()
-	samples, err := MonteCarlo(m, GridPositioner(tch), tch, a, 400, 7)
+	sh, a := analyzeStyle(t, 6, place.Spiral, 0)
+	samples, err := sh.MonteCarloRangeContext(context.Background(), a, 0, 400, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +226,13 @@ func TestMonteCarloMatches3SigmaScale(t *testing.T) {
 }
 
 func TestMonteCarloDeterministicSeed(t *testing.T) {
-	m, a := analyzeStyle(t, 6, place.Spiral, 0)
-	tch := tech.FinFET12()
-	s1, err := MonteCarlo(m, GridPositioner(tch), tch, a, 3, 99)
+	sh1, a1 := analyzeStyle(t, 6, place.Spiral, 0)
+	sh2, a2 := analyzeStyle(t, 6, place.Spiral, 0)
+	s1, err := sh1.MonteCarloRangeContext(context.Background(), a1, 0, 3, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := MonteCarlo(m, GridPositioner(tch), tch, a, 3, 99)
+	s2, err := sh2.MonteCarloRangeContext(context.Background(), a2, 0, 3, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +248,7 @@ func TestMonteCarloDeterministicSeed(t *testing.T) {
 func TestAnalyzeRejectsBadInputs(t *testing.T) {
 	tch := tech.FinFET12()
 	empty := ccmatrix.New(4, 4, 4, 1)
-	if _, err := Analyze(empty, GridPositioner(tch), tch, 0); err == nil {
+	if _, err := NewSharedContext(context.Background(), empty, GridPositioner(tch), tch); err == nil {
 		t.Error("incomplete placement must be rejected")
 	}
 	m, err := place.NewSpiral(6)
@@ -247,7 +257,7 @@ func TestAnalyzeRejectsBadInputs(t *testing.T) {
 	}
 	bad := tech.FinFET12()
 	bad.Mis.RhoU = 2
-	if _, err := Analyze(m, GridPositioner(tch), bad, 0); err == nil {
+	if _, err := NewSharedContext(context.Background(), m, GridPositioner(tch), bad); err == nil {
 		t.Error("invalid technology must be rejected")
 	}
 }
@@ -271,11 +281,11 @@ func TestQuadraticGradientBreaksSpiralNotChessboard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aSp, err := Analyze(sp, pos, tt, 0)
+	aSp, err := analyze(context.Background(), sp, pos, tt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aCb, err := Analyze(cb, pos, tt, 0)
+	aCb, err := analyze(context.Background(), cb, pos, tt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,8 @@ import (
 )
 
 // TestGoldenTally pins the full tally — pass count, worst values and
-// the per-sample hash — of one small estimate per Monte-Carlo sampler:
+// the per-sample hash — of one small estimate per Monte-Carlo sampler,
+// and the EstimateContext result of the same estimate:
 // the 2-D circulant embedding (placement grid), the row-spectral
 // separable embedding (routed positions) and the exact capacitor-level
 // sampler (FFTOff). Two more pin the sampler choice on incomplete
@@ -28,7 +29,9 @@ import (
 // selection change that moves a single sample must fail here. The two
 // exact-sampler rows were recaptured when it replaced the unit-level
 // Cholesky sampler (sample stream 2); its draws follow the Cov passed
-// in, so the 9-bit row pins the structured engine's covariance.
+// in, so the 9-bit row pins the structured engine's covariance. The
+// EstimateContext rows were captured before the package-level
+// analysis and sampling entry points folded into variation.Shared.
 func TestGoldenTally(t *testing.T) {
 	tch := tech.FinFET12()
 	ctx := context.Background()
@@ -55,27 +58,43 @@ func TestGoldenTally(t *testing.T) {
 		samples int
 		seed    int64
 		want    Tally
+		est     Result
 	}{
 		{"6-spiral-grid", spiral(6), false, false, 0.0015, 300, 42, Tally{
 			Samples: 300, Passed: 192,
 			WorstDNL: 0.004179840993169718, WorstINL: 0.0020899204965877456,
-			Hash: 1954081946454755213}},
+			Hash: 1954081946454755213}, Result{
+			Samples: 300, Passed: 192, Yield: 0.64,
+			CILow: 0.5842293027817257, CIHigh: 0.6922306652202609,
+			WorstDNL: 0.004179840993169718, WorstINL: 0.0020899204965877456}},
 		{"8-spiral-routed", spiral(8), true, false, 0.01, 200, 43, Tally{
 			Samples: 200, Passed: 161,
 			WorstDNL: 0.024215097520394243, WorstINL: 0.012107548760198454,
-			Hash: 10220511296891500598}},
+			Hash: 10220511296891500598}, Result{
+			Samples: 200, Passed: 161, Yield: 0.805,
+			CILow: 0.7445595557369519, CIHigh: 0.8539447949949809,
+			WorstDNL: 0.024215097520394243, WorstINL: 0.012107548760198454}},
 		{"6-spiral-dense", spiral(6), false, true, 0.0015, 300, 42, Tally{
 			Samples: 300, Passed: 230,
 			WorstDNL: 0.003548214952815459, WorstINL: 0.0017741074764076185,
-			Hash: 9971125235231757063}},
+			Hash: 9971125235231757063}, Result{
+			Samples: 300, Passed: 230, Yield: 0.7666666666666667,
+			CILow: 0.7156186531529524, CIHigh: 0.8109717620889269,
+			WorstDNL: 0.003548214952815459, WorstINL: 0.0017741074764076185}},
 		{"7-spiral-grid", spiral(7), false, false, 0.003, 200, 44, Tally{
 			Samples: 200, Passed: 103,
 			WorstDNL: 0.015644729348325965, WorstINL: 0.00782236467416487,
-			Hash: 14809624840660259646}},
+			Hash: 14809624840660259646}, Result{
+			Samples: 200, Passed: 103, Yield: 0.515,
+			CILow: 0.44610849139209363, CIHigh: 0.5833261488078374,
+			WorstDNL: 0.015644729348325965, WorstINL: 0.00782236467416487}},
 		{"9-block-chessboard-routed", bc(9), true, false, 0.005, 150, 45, Tally{
 			Samples: 150, Passed: 106,
 			WorstDNL: 0.011332679049686368, WorstINL: 0.007829306897148114,
-			Hash: 5856857172097890005}},
+			Hash: 5856857172097890005}, Result{
+			Samples: 150, Passed: 106, Yield: 0.7066666666666667,
+			CILow: 0.6293765076037557, CIHigh: 0.7736357912320163,
+			WorstDNL: 0.011332679049686368, WorstINL: 0.007829306897148114}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -96,17 +115,24 @@ func TestGoldenTally(t *testing.T) {
 			if c.fftOff {
 				cctx = variation.WithFFTMode(ctx, variation.FFTOff)
 			}
-			a, err := variation.AnalyzeContext(cctx, c.m, pos, tch, math.Pi/4)
+			sh, err := variation.NewSharedContext(cctx, c.m, pos, tch)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got Tally
 			spec := Spec{MaxAbsDNL: c.spec, MaxAbsINL: c.spec}
-			if err := BlockContext(cctx, c.m, pos, tch, a, spec, par, 0, c.samples, c.seed, &got); err != nil {
+			if err := BlockSharedContext(cctx, sh, sh.Analysis(math.Pi/4), spec, par, 0, c.samples, c.seed, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got != c.want {
 				t.Errorf("tally = %+v\nwant    %+v", got, c.want)
+			}
+			est, err := EstimateContext(cctx, c.m, pos, tch, math.Pi/4, spec, par, c.samples, c.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *est != c.est {
+				t.Errorf("EstimateContext = %+v\nwant              %+v", *est, c.est)
 			}
 		})
 	}

@@ -35,18 +35,12 @@ type Result struct {
 	WorstDNL, WorstINL float64
 }
 
-// Estimate draws correlated mismatch samples (random variation per
-// Eqs. 4-6 plus the deterministic gradient at thetaRad) and counts how
-// many meet the spec over a full-code INL/DNL sweep.
-func Estimate(m *ccmatrix.Matrix, pos variation.Positioner, t *tech.Technology,
-	thetaRad float64, spec Spec, par dacmodel.Parasitics, samples int, seed int64) (*Result, error) {
-	return EstimateContext(context.Background(), m, pos, t, thetaRad, spec, par, samples, seed)
-}
-
-// EstimateContext is Estimate under a context: the covariance build and
-// the Monte-Carlo sample loop run on the context's worker budget and
-// honor cancellation; the estimate for a fixed seed is identical at any
-// worker count.
+// EstimateContext draws correlated mismatch samples (random variation
+// per Eqs. 4-6 plus the deterministic gradient at thetaRad) and counts
+// how many meet the spec over a full-code INL/DNL sweep. The
+// covariance build and the Monte-Carlo sample loop run on the
+// context's worker budget and honor cancellation; the estimate for a
+// fixed seed is identical at any worker count.
 func EstimateContext(ctx context.Context, m *ccmatrix.Matrix, pos variation.Positioner, t *tech.Technology,
 	thetaRad float64, spec Spec, par dacmodel.Parasitics, samples int, seed int64) (*Result, error) {
 	if err := spec.validate(); err != nil {
@@ -55,12 +49,12 @@ func EstimateContext(ctx context.Context, m *ccmatrix.Matrix, pos variation.Posi
 	if samples < 1 {
 		return nil, fmt.Errorf("yield: need at least 1 sample")
 	}
-	a, err := variation.AnalyzeContext(ctx, m, pos, t, thetaRad)
+	sh, err := variation.NewSharedContext(ctx, m, pos, t)
 	if err != nil {
 		return nil, err
 	}
 	var ty Tally
-	if err := BlockContext(ctx, m, pos, t, a, spec, par, 0, samples, seed, &ty); err != nil {
+	if err := BlockSharedContext(ctx, sh, sh.Analysis(thetaRad), spec, par, 0, samples, seed, &ty); err != nil {
 		return nil, err
 	}
 	return ty.Result(), nil
@@ -138,40 +132,15 @@ func (ty Tally) Result() *Result {
 	return res
 }
 
-// BlockContext evaluates the contiguous Monte-Carlo sample block
-// [from, to) of the estimate's per-sample streams against spec and
-// folds it into tally. Partitioning [0, samples) into blocks and
+// BlockSharedContext evaluates the contiguous Monte-Carlo sample block
+// [from, to) of the shared prefix's per-sample streams against spec
+// and folds it into tally. Partitioning [0, samples) into blocks and
 // calling this per block — in order, possibly across process restarts
-// — yields a tally identical to one uninterrupted EstimateContext run:
-// sample s depends only on (seed, s), and the endpoint-corrected
-// nonlinearity is evaluated per sample.
-func BlockContext(ctx context.Context, m *ccmatrix.Matrix, pos variation.Positioner, t *tech.Technology,
-	a *variation.Analysis, spec Spec, par dacmodel.Parasitics, from, to int, seed int64, tally *Tally) error {
-	if err := spec.validate(); err != nil {
-		return err
-	}
-	shifts, err := variation.MonteCarloRangeContext(ctx, m, pos, t, a, from, to, seed)
-	if err != nil {
-		return err
-	}
-	// Endpoint-corrected INL, as linearity is measured in production:
-	// gain/offset errors (e.g. the shared C^TS) are removed, so the
-	// spec tests the placement-dependent mismatch.
-	nls, err := dacmodel.MonteCarloNLEndpoint(a, shifts, par, t.VRef)
-	if err != nil {
-		return err
-	}
-	for _, nl := range nls {
-		tally.add(nl, spec)
-	}
-	return nil
-}
-
-// BlockSharedContext is BlockContext over a prepared variation.Shared:
-// identical per-sample streams, endpoint correction and tally folds,
-// but the Monte-Carlo sampler's fixed setup is paid at most once by
-// the Shared and reused across blocks — the path the job tier's
-// coalesced tails and checkpointed long runs take.
+// — yields a tally identical to one uninterrupted estimate: sample s
+// depends only on (seed, s), and the endpoint-corrected nonlinearity
+// is evaluated per sample. The sampler's fixed setup is paid at most
+// once by the Shared and reused across blocks — the path the job
+// tier's coalesced tails and checkpointed long runs take.
 func BlockSharedContext(ctx context.Context, sh *variation.Shared, a *variation.Analysis,
 	spec Spec, par dacmodel.Parasitics, from, to int, seed int64, tally *Tally) error {
 	if err := spec.validate(); err != nil {
@@ -181,6 +150,9 @@ func BlockSharedContext(ctx context.Context, sh *variation.Shared, a *variation.
 	if err != nil {
 		return err
 	}
+	// Endpoint-corrected INL, as linearity is measured in production:
+	// gain/offset errors (e.g. the shared C^TS) are removed, so the
+	// spec tests the placement-dependent mismatch.
 	nls, err := dacmodel.MonteCarloNLEndpoint(a, shifts, par, sh.Tech().VRef)
 	if err != nil {
 		return err
@@ -206,27 +178,30 @@ func wilson(passed, n int, z float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// SpecSweep estimates yield at several INL specs (DNL spec tied to the
-// same value), returning one Result per spec point — a yield curve.
-func SpecSweep(m *ccmatrix.Matrix, pos variation.Positioner, t *tech.Technology,
-	thetaRad float64, specs []float64, par dacmodel.Parasitics, samples int, seed int64) ([]*Result, error) {
-	return SpecSweepContext(context.Background(), m, pos, t, thetaRad, specs, par, samples, seed)
-}
-
-// SpecSweepContext is SpecSweep under a context, checking cancellation
-// between spec points and within each estimate.
+// SpecSweepContext estimates yield at several INL specs (DNL spec tied
+// to the same value), returning one Result per spec point — a yield
+// curve. Every point draws from one Shared prefix; cancellation is
+// checked between spec points and within each estimate.
 func SpecSweepContext(ctx context.Context, m *ccmatrix.Matrix, pos variation.Positioner, t *tech.Technology,
 	thetaRad float64, specs []float64, par dacmodel.Parasitics, samples int, seed int64) ([]*Result, error) {
+	if samples < 1 {
+		return nil, fmt.Errorf("yield: need at least 1 sample")
+	}
+	sh, err := variation.NewSharedContext(ctx, m, pos, t)
+	if err != nil {
+		return nil, err
+	}
+	a := sh.Analysis(thetaRad)
 	out := make([]*Result, 0, len(specs))
 	for i, s := range specs {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("yield: spec point %d: %w", i, err)
 		}
-		r, err := EstimateContext(ctx, m, pos, t, thetaRad, Spec{MaxAbsDNL: s, MaxAbsINL: s}, par, samples, seed)
-		if err != nil {
+		var ty Tally
+		if err := BlockSharedContext(ctx, sh, a, Spec{MaxAbsDNL: s, MaxAbsINL: s}, par, 0, samples, seed, &ty); err != nil {
 			return nil, err
 		}
-		out = append(out, r)
+		out = append(out, ty.Result())
 	}
 	return out, nil
 }

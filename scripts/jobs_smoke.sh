@@ -2,7 +2,10 @@
 # Jobs smoke: submit a long checkpointed Monte-Carlo yield job, kill
 # ccdacd with SIGKILL mid-run, restart over the same -store-dir, and
 # assert the job resumes from its last durable checkpoint and runs to
-# completion. This is the end-to-end version of internal/serve's
+# completion. A restart from sample 0 would reach the same sample_hash,
+# so the drill tells the two apart by the checkpoints the restarted
+# daemon writes, then checks the hash against a fresh run of the same
+# spec. This is the end-to-end version of internal/serve's
 # TestJobCrashResume, run against the real binary (see
 # docs/OBSERVABILITY.md, "Async jobs").
 set -eu
@@ -30,13 +33,30 @@ field() { # field <name> — extract a scalar field from indented JSON on stdin
     sed -n "s/.*\"$1\": *\"\{0,1\}\([^\",}]*\)\"\{0,1\}.*/\1/p" | head -1
 }
 
+SPEC='{"kind":"yield","bits":8,"samples":100000,"seed":11,"spec_inl":0.05}'
+
+wait_done() { # wait_done <id> — poll a job until done; its record lands in REC
+    for _ in $(seq 1 600); do
+        REC=$(curl -fsS "http://$ADDR/v1/jobs/$1")
+        STATE=$(printf '%s' "$REC" | field state)
+        case "$STATE" in
+            done) return 0;;
+            failed|canceled)
+                echo "jobs-smoke: FAIL: job $1 went $STATE: $REC" >&2
+                exit 1;;
+        esac
+        sleep 0.1
+    done
+    echo "jobs-smoke: FAIL: job $1 never finished (state=$STATE)" >&2
+    exit 1
+}
+
 echo "jobs-smoke: starting daemon with -store-dir $STORE"
 start_daemon
 
 # A long job: ~100k samples at 8 bits with a checkpoint every 1000
 # samples gives a wide window of durable progress to crash into.
-JOB=$(curl -fsS "http://$ADDR/v1/jobs" \
-    -d '{"kind":"yield","bits":8,"samples":100000,"seed":11,"spec_inl":0.05}')
+JOB=$(curl -fsS "http://$ADDR/v1/jobs" -d "$SPEC")
 ID=$(printf '%s' "$JOB" | field id)
 if [ -z "$ID" ]; then
     echo "jobs-smoke: FAIL: no job id in response: $JOB" >&2
@@ -72,21 +92,7 @@ start_daemon
 
 # The restarted daemon must resume the interrupted job from its last
 # checkpoint and finish it.
-for _ in $(seq 1 600); do
-    REC=$(curl -fsS "http://$ADDR/v1/jobs/$ID")
-    STATE=$(printf '%s' "$REC" | field state)
-    case "$STATE" in
-        done) break;;
-        failed|canceled)
-            echo "jobs-smoke: FAIL: resumed job went $STATE: $REC" >&2
-            exit 1;;
-    esac
-    sleep 0.1
-done
-if [ "$STATE" != "done" ]; then
-    echo "jobs-smoke: FAIL: resumed job never finished (state=$STATE)" >&2
-    exit 1
-fi
+wait_done "$ID"
 if [ "$(printf '%s' "$REC" | field resumed)" != "true" ]; then
     echo "jobs-smoke: FAIL: finished job does not report resumed: $REC" >&2
     exit 1
@@ -105,6 +111,22 @@ if ! printf '%s\n' "$METRICS" | grep -q '^ccdac_jobs_resumed_total 1'; then
     echo "jobs-smoke: FAIL: metrics do not report one resumed job" >&2
     exit 1
 fi
+# The job checkpoints every 1000 of its 100000 samples, 99 times in
+# all. A resume from checkpoint S writes only the 99 - S after it; a
+# restart from sample 0 writes all 99 again.
+WRITTEN=$(printf '%s\n' "$METRICS" | sed -n 's/^ccdac_jobs_checkpoints_total \([0-9]*\).*/\1/p')
+if [ -z "$WRITTEN" ] || [ "$WRITTEN" -ge 99 ]; then
+    echo "jobs-smoke: FAIL: restarted daemon wrote ${WRITTEN:-no} checkpoints, want fewer than 99 (the job restarted instead of resuming)" >&2
+    exit 1
+fi
+
+# A fresh run of the same spec must reach the resumed job's hash.
+FRESH=$(curl -fsS "http://$ADDR/v1/jobs" -d "$SPEC" | field id)
+wait_done "$FRESH"
+if [ "$(printf '%s' "$REC" | field sample_hash)" != "$HASH" ]; then
+    echo "jobs-smoke: FAIL: fresh run sample_hash differs from the resumed job's $HASH: $REC" >&2
+    exit 1
+fi
 
 kill -9 $PID 2>/dev/null || true
-echo "jobs-smoke: PASS (resumed after $CKS checkpoints, sample_hash $HASH)"
+echo "jobs-smoke: PASS (resumed after $CKS checkpoints, $WRITTEN written after restart, sample_hash $HASH)"
