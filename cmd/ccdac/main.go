@@ -29,7 +29,6 @@ func main() {
 	theta := flag.Int("theta", 8, "gradient angles for worst-case INL/DNL")
 	skipNL := flag.Bool("fast", false, "skip the INL/DNL analysis")
 	workers := flag.Int("workers", 0, "analysis worker budget (0 = GOMAXPROCS, negative = serial)")
-	memoize := flag.Bool("memo", false, "memoize pipeline stages in the process-wide cache (see docs/PERFORMANCE.md)")
 	fftMode := flag.String("fft", "auto", "covariance engine: auto (FFT when the grid allows) or off (always dense)")
 	svgOut := flag.String("svg", "", "write the routed layout SVG to this file")
 	placeOut := flag.String("placement-svg", "", "write the placement SVG to this file")
@@ -59,7 +58,6 @@ func main() {
 		ThetaSteps:       *theta,
 		SkipNonlinearity: *skipNL,
 		Workers:          *workers,
-		Memo:             *memoize,
 		FFT:              *fftMode,
 		Trace:            *traceOut != "" || *otlpOut != "" || *metricsOut != "",
 		TraceMemStats:    *traceMem,

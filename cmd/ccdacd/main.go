@@ -55,7 +55,6 @@ func main() {
 	slowRequest := flag.Duration("slow-request", 0, "log WARN with trace correlation for requests slower than this (0 = disabled)")
 	profileWindow := flag.Duration("profile-window", 0, "CPU-profile window for triggered/manual captures (0 = 2s, negative = disable profile capture)")
 	profileCooldown := flag.Duration("profile-cooldown", 0, "minimum gap between triggered profile captures (0 = 60s)")
-	numericInterval := flag.Duration("numeric-interval", 0, "minimum gap between numeric-health golden-check sweeps (0 = 1m, negative = disable)")
 	accessLogSample := flag.Int("access-log-sample", 1, "log 1-in-N healthy (2xx, INFO) access lines; WARN+ always logs (1 = log all)")
 	jobWorkers := flag.Int("job-workers", 0, "async job tier worker pool size for /v1/jobs (0 = 2)")
 	jobQueue := flag.Int("job-queue", 0, "async job queue depth before 429 overflow (0 = 64)")
@@ -92,7 +91,6 @@ func main() {
 		SlowRequest:        *slowRequest,
 		ProfileWindow:      *profileWindow,
 		ProfileCooldown:    *profileCooldown,
-		NumericInterval:    *numericInterval,
 		AccessLogSample:    *accessLogSample,
 		JobWorkers:         *jobWorkers,
 		JobQueueDepth:      *jobQueue,

@@ -42,7 +42,6 @@ func main() {
 	samples := flag.Int("samples", 200, "Monte-Carlo samples per spec point")
 	specsFlag := flag.String("specs", "0.001,0.002,0.004,0.01", "INL/DNL spec points in LSB")
 	seed := flag.Int64("seed", 1, "random seed")
-	memoize := flag.Bool("memo", false, "memoize pipeline stages across the per-style runs (see docs/PERFORMANCE.md)")
 	jobsURL := flag.String("jobs", "", "submit the sweep to a running ccdacd's async job tier at this base URL (e.g. http://localhost:8080) instead of computing locally")
 	flag.Parse()
 
@@ -71,7 +70,7 @@ func main() {
 	} else {
 		t := tech.FinFET12()
 		for _, s := range styles {
-			res, err := core.Run(core.Config{Bits: *bits, Style: s.style, SkipNL: true, Memo: *memoize})
+			res, err := core.Run(core.Config{Bits: *bits, Style: s.style, SkipNL: true})
 			if err != nil {
 				fatal(err)
 			}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"ccdac/internal/tech"
 )
 
 // semiKernel is a smooth positive-definite-ish test kernel.
@@ -33,33 +35,69 @@ func semiTestGrid() SemiGrid {
 	return SemiGrid{Rows: 7, DY: 1.1, ColX: []float64{0, 1.3, 2.4, 4.1, 5.0}}
 }
 
+// TestSemiQuadFormsMatchDense checks the quadratic forms against the
+// direct pair sum over the materialized covariance: the short Gaussian
+// on an irregular lattice with four random classes, and the FinFET12
+// mismatch kernel σᵤ²·ρᵤ^(d/L_c), near rank one at cell pitch as the
+// DAC reads it, on a 4×6 lattice of unit cells with uniform and with
+// non-uniform columns, three interleaved classes and two empty sites.
 func TestSemiQuadFormsMatchDense(t *testing.T) {
+	type tc struct {
+		name    string
+		g       SemiGrid
+		kernel  func(float64) float64
+		classes [][]int
+		floor   float64 // absolute error allowance beside 1e-10 relative
+	}
 	g := semiTestGrid()
-	e, err := NewSemiEmbedding(g, semiKernel, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.Rows * len(g.ColX)
 	rng := rand.New(rand.NewSource(11))
-	const nc = 4
-	classes := make([][]int, nc)
-	for idx := 0; idx < n; idx++ {
-		j := rng.Intn(nc)
-		classes[j] = append(classes[j], idx)
+	random := make([][]int, 4)
+	for idx := 0; idx < g.Rows*len(g.ColX); idx++ {
+		j := rng.Intn(len(random))
+		random[j] = append(random[j], idx)
 	}
-	got := e.QuadForms(classes, 1)
+	cases := []tc{{"gaussian", g, semiKernel, random, 1e-12}}
 
-	dense := semiDense(g, semiKernel)
-	for j := 0; j < nc; j++ {
-		for k := 0; k < nc; k++ {
-			want := 0.0
-			for _, a := range classes[j] {
-				for _, b := range classes[k] {
-					want += dense[a][b]
+	tch := tech.FinFET12()
+	sigmaU2 := tch.SigmaU() * tch.SigmaU()
+	finfet := func(d2 float64) float64 {
+		return sigmaU2 * math.Pow(tch.Mis.RhoU, math.Sqrt(d2)/tch.Mis.LcUm)
+	}
+	const rows, cols = 4, 6
+	interleaved := make([][]int, 3)
+	for i := 0; i < rows*cols-2; i++ {
+		interleaved[(i*7)%3] = append(interleaved[(i*7)%3], i)
+	}
+	for _, colX := range [][]float64{
+		{0, 1, 2, 3, 4, 5},
+		{0, 1.3, 2.9, 3.6, 5.8, 6.5},
+	} {
+		fg := SemiGrid{Rows: rows, DY: tch.Unit.H, ColX: make([]float64, cols)}
+		for c, x := range colX {
+			fg.ColX[c] = x * tch.Unit.W
+		}
+		cases = append(cases, tc{"finfet12", fg, finfet, interleaved, 0})
+	}
+
+	for _, c := range cases {
+		e, err := NewSemiEmbedding(c.g, c.kernel, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := e.QuadForms(c.classes, 1)
+		dense := semiDense(c.g, c.kernel)
+		for j := range c.classes {
+			for k := range c.classes {
+				want := 0.0
+				for _, a := range c.classes[j] {
+					for _, b := range c.classes[k] {
+						want += dense[a][b]
+					}
 				}
-			}
-			if e := math.Abs(got[j][k] - want); e > 1e-10*math.Abs(want)+1e-12 {
-				t.Errorf("G[%d][%d] = %.15g, dense %.15g (err %g)", j, k, got[j][k], want, e)
+				if e := math.Abs(got[j][k] - want); e > 1e-10*math.Abs(want)+c.floor {
+					t.Errorf("%s cols %v: G[%d][%d] = %.15g, dense %.15g (err %g)",
+						c.name, c.g.ColX, j, k, got[j][k], want, e)
+				}
 			}
 		}
 	}

@@ -23,6 +23,17 @@ func vecAlmostEq(a, b []float64, tol float64) bool {
 	return true
 }
 
+// relErr is ‖x − want‖₂ / ‖want‖₂.
+func relErr(x, want []float64) float64 {
+	num, den := 0.0, 0.0
+	for i := range want {
+		d := x[i] - want[i]
+		num += d * d
+		den += want[i] * want[i]
+	}
+	return math.Sqrt(num / den)
+}
+
 func TestDenseAccessors(t *testing.T) {
 	m := NewDense(3)
 	m.Set(0, 2, 5)
@@ -66,6 +77,31 @@ func TestLUSolveKnownSystem(t *testing.T) {
 	}
 	if !vecAlmostEq(x, []float64{1, 3}, 1e-12) {
 		t.Fatalf("solve = %v, want [1 3]", x)
+	}
+
+	// A well-conditioned 12×12 system with x* = (1, …, 12): diagonal
+	// 12, off-diagonal entries 1/(1 + ((5i + 3j) mod 7)).
+	const n = 12
+	a = NewDense(n)
+	want := make([]float64, n)
+	for i := 0; i < n; i++ {
+		want[i] = float64(i + 1)
+		for j := 0; j < n; j++ {
+			if i == j {
+				a.Set(i, j, n)
+			} else {
+				a.Set(i, j, 1/float64(1+(5*i+3*j)%7))
+			}
+		}
+	}
+	if f, err = LUFactor(a); err != nil {
+		t.Fatal(err)
+	}
+	if x, err = f.Solve(a.MulVec(want)); err != nil {
+		t.Fatal(err)
+	}
+	if e := relErr(x, want); e > 1e-8 {
+		t.Errorf("12×12 solve rel err = %g, want <= 1e-8", e)
 	}
 }
 
@@ -304,6 +340,29 @@ func TestCGMatchesLU(t *testing.T) {
 		if !vecAlmostEq(xCG, xLU, 1e-7) {
 			t.Fatalf("trial %d: CG and LU disagree", trial)
 		}
+	}
+
+	// Known answer: a 32-node shifted 1-D Laplacian (diagonal 2.5,
+	// off-diagonal −1; the sparse SPD shape the RC extraction produces)
+	// with b = A·1, solved at the extraction's 1e-12 tolerance.
+	const n = 32
+	sp := NewSparse(n)
+	ones := make([]float64, n)
+	for i := 0; i < n; i++ {
+		sp.Add(i, i, 2.5)
+		if i+1 < n {
+			sp.AddSym(i, i+1, -1)
+		}
+		ones[i] = 1
+	}
+	b := make([]float64, n)
+	sp.MulVec(ones, b)
+	x, err := sp.SolveCG(b, 1e-12, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := relErr(x, ones); e > 1e-8 {
+		t.Errorf("Laplacian CG rel err = %g against x* = 1, want <= 1e-8", e)
 	}
 }
 

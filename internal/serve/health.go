@@ -8,7 +8,6 @@ import (
 
 	"ccdac"
 	"ccdac/internal/memo"
-	"ccdac/internal/numeric"
 	"ccdac/internal/obs"
 )
 
@@ -32,7 +31,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("ccdac_serve_goroutines", nil).Set(float64(runtime.NumGoroutine()))
 	s.reg.Gauge("ccdac_build_info",
 		obs.Labels{"version": ccdac.Version, "go_version": runtime.Version()}).Set(1)
-	s.numericSweep()
 	snap := s.reg.Snapshot()
 	for _, st := range memo.Snapshot() {
 		labels := obs.Labels{"cache": st.Name}
@@ -100,21 +98,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		snap.Gauges["ccdac_profcap_busy"] = busy
 	}
-	if s.watchdog != nil {
-		st := s.watchdog.Stats()
-		snap.Counters["ccdac_numeric_runs_total"] = st.Runs
-		snap.Counters["ccdac_numeric_failures_total"] = st.Failures
-		results, _ := s.watchdog.Snapshot()
-		for _, res := range results {
-			labels := obs.Labels{"check": res.Name}
-			snap.Gauges[obs.SeriesKey("ccdac_numeric_check_drift", labels)] = res.Drift
-			ok := 0.0
-			if res.OK {
-				ok = 1
-			}
-			snap.Gauges[obs.SeriesKey("ccdac_numeric_check_ok", labels)] = ok
-		}
-	}
 	if s.jobs != nil {
 		jst := s.jobs.Stats()
 		snap.Gauges["ccdac_jobs_queue_depth"] = float64(jst.QueueDepth)
@@ -156,30 +139,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // healthzResponse is the liveness payload: the process is up and this
 // is what it has been doing.
 type healthzResponse struct {
-	Status        string         `json:"status"`
-	Version       string         `json:"version"`
-	UptimeSeconds float64        `json:"uptime_seconds"`
-	InFlight      int64          `json:"inflight"`
-	Served        int64          `json:"served"`
-	MaxInFlight   int            `json:"max_inflight"`
-	GoVersion     string         `json:"go_version"`
-	Numeric       *numericHealth `json:"numeric,omitempty"`
-}
-
-// numericHealth is the healthz numeric-watchdog section: golden
-// reference checks on the numeric kernels (CG, Cholesky, LU, the rho
-// memo) so silent numerical drift — a miscompiled kernel, a broken
-// cache — is visible before it corrupts results.
-type numericHealth struct {
-	Status   string           `json:"status"` // "ok" or "drift"
-	Checks   []numeric.Result `json:"checks"`
-	Runs     int64            `json:"runs"`
-	Failures int64            `json:"failures"`
-	LastRun  time.Time        `json:"last_run"`
+	Status        string  `json:"status"`
+	Version       string  `json:"version"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	InFlight      int64   `json:"inflight"`
+	Served        int64   `json:"served"`
+	MaxInFlight   int     `json:"max_inflight"`
+	GoVersion     string  `json:"go_version"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := healthzResponse{
+	writeJSON(w, http.StatusOK, healthzResponse{
 		Status:        "ok",
 		Version:       ccdac.Version,
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -187,22 +157,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Served:        s.served.Load(),
 		MaxInFlight:   s.opts.MaxInFlight,
 		GoVersion:     runtime.Version(),
-	}
-	if s.watchdog != nil {
-		s.numericSweep()
-		results, lastRun := s.watchdog.Snapshot()
-		st := s.watchdog.Stats()
-		nh := &numericHealth{
-			Status: "ok", Checks: results,
-			Runs: st.Runs, Failures: st.Failures, LastRun: lastRun,
-		}
-		if !s.watchdog.Healthy() {
-			nh.Status = "drift"
-			resp.Status = "degraded"
-		}
-		resp.Numeric = nh
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // handleReadyz reports whether the daemon accepts new work: 200 while

@@ -179,20 +179,3 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		"window", capd.Duration.String(), "persisted", resp.Persisted)
 	writeJSON(w, http.StatusOK, resp)
 }
-
-// numericSweep lazily re-runs the numeric-health checks when the last
-// sweep is older than NumericInterval. Driven from health and metrics
-// reads instead of a background ticker: the checks cost microseconds,
-// scrapes provide the cadence, and an idle daemon spends nothing.
-func (s *Server) numericSweep() {
-	if s.watchdog == nil {
-		return
-	}
-	s.watchdogMu.Lock()
-	defer s.watchdogMu.Unlock()
-	if time.Since(s.lastSweep) < s.opts.NumericInterval && !s.lastSweep.IsZero() {
-		return
-	}
-	s.watchdog.RunOnce()
-	s.lastSweep = time.Now()
-}

@@ -41,7 +41,6 @@ import (
 
 	"ccdac/internal/jobs"
 	"ccdac/internal/memo"
-	"ccdac/internal/numeric"
 	"ccdac/internal/obs"
 	"ccdac/internal/obs/profcap"
 	"ccdac/internal/store"
@@ -114,12 +113,6 @@ type Options struct {
 	// ProfileCooldown is the minimum gap between triggered captures
 	// (default 60s).
 	ProfileCooldown time.Duration
-	// NumericInterval is the cadence of the numeric-health watchdog's
-	// golden-reference drift checks, surfaced in /healthz and the
-	// ccdac_numeric_* metrics: 0 selects 60s, negative disables the
-	// watchdog. Sweeps run lazily on health/metrics reads (microseconds
-	// each), so an idle daemon spends nothing on them.
-	NumericInterval time.Duration
 	// AccessLogSample emits only one in N healthy (INFO-level, 2xx)
 	// access-log lines (default 1 = log everything). WARN and above —
 	// slow requests, degradations, errors — are always logged, so at
@@ -178,12 +171,7 @@ type Server struct {
 	// profcap captures bounded profile windows when the recorder
 	// retains a trace for cause (nil when Options.ProfileWindow < 0).
 	profcap *profcap.Capturer
-	// watchdog runs the numeric-health drift checks (nil when
-	// Options.NumericInterval < 0); sweeps are driven lazily from
-	// health/metrics reads under watchdogMu.
-	watchdog    *numeric.Watchdog
-	watchdogMu  sync.Mutex
-	lastSweep   time.Time
+
 	accessSeq   atomic.Int64
 	logsSampled atomic.Int64
 
@@ -276,14 +264,6 @@ func New(opts Options) *Server {
 			Window:   opts.ProfileWindow,
 			Cooldown: opts.ProfileCooldown,
 		})
-	}
-	if opts.NumericInterval >= 0 {
-		interval := opts.NumericInterval
-		if interval == 0 {
-			interval = time.Minute
-		}
-		s.opts.NumericInterval = interval
-		s.watchdog = numeric.New(interval, numeric.DefaultChecks()...)
 	}
 	// The job tier shares the server's bus (SSE), registry (metrics),
 	// log (at WARN) and — when a store is configured — its durability

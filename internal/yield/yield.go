@@ -146,14 +146,7 @@ func BlockSharedContext(ctx context.Context, sh *variation.Shared, a *variation.
 	if err := spec.validate(); err != nil {
 		return err
 	}
-	shifts, err := sh.MonteCarloRangeContext(ctx, a, from, to, seed)
-	if err != nil {
-		return err
-	}
-	// Endpoint-corrected INL, as linearity is measured in production:
-	// gain/offset errors (e.g. the shared C^TS) are removed, so the
-	// spec tests the placement-dependent mismatch.
-	nls, err := dacmodel.MonteCarloNLEndpoint(a, shifts, par, sh.Tech().VRef)
+	nls, err := sampleNL(ctx, sh, a, par, from, to, seed)
 	if err != nil {
 		return err
 	}
@@ -161,6 +154,19 @@ func BlockSharedContext(ctx context.Context, sh *variation.Shared, a *variation.
 		tally.add(nl, spec)
 	}
 	return nil
+}
+
+// sampleNL draws the sample block [from, to) and evaluates each
+// sample's endpoint-corrected INL/DNL, as linearity is measured in
+// production: gain/offset errors (e.g. the shared C^TS) are removed,
+// so a spec tests the placement-dependent mismatch.
+func sampleNL(ctx context.Context, sh *variation.Shared, a *variation.Analysis,
+	par dacmodel.Parasitics, from, to int, seed int64) ([]dacmodel.Result, error) {
+	shifts, err := sh.MonteCarloRangeContext(ctx, a, from, to, seed)
+	if err != nil {
+		return nil, err
+	}
+	return dacmodel.MonteCarloNLEndpoint(a, shifts, par, sh.Tech().VRef)
 }
 
 // wilson returns the Wilson score interval for a binomial proportion.
@@ -180,28 +186,36 @@ func wilson(passed, n int, z float64) (lo, hi float64) {
 
 // SpecSweepContext estimates yield at several INL specs (DNL spec tied
 // to the same value), returning one Result per spec point — a yield
-// curve. Every point draws from one Shared prefix; cancellation is
-// checked between spec points and within each estimate.
+// curve. Only the pass/fail fold depends on the spec, so the samples
+// are drawn and evaluated once and every point tallies the same
+// per-sample nonlinearity: point i equals EstimateContext at specs[i].
 func SpecSweepContext(ctx context.Context, m *ccmatrix.Matrix, pos variation.Positioner, t *tech.Technology,
 	thetaRad float64, specs []float64, par dacmodel.Parasitics, samples int, seed int64) ([]*Result, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("yield: need at least 1 sample")
 	}
+	points := make([]Spec, len(specs))
+	for i, s := range specs {
+		points[i] = Spec{MaxAbsDNL: s, MaxAbsINL: s}
+		if err := points[i].validate(); err != nil {
+			return nil, err
+		}
+	}
 	sh, err := variation.NewSharedContext(ctx, m, pos, t)
 	if err != nil {
 		return nil, err
 	}
-	a := sh.Analysis(thetaRad)
-	out := make([]*Result, 0, len(specs))
-	for i, s := range specs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("yield: spec point %d: %w", i, err)
-		}
+	nls, err := sampleNL(ctx, sh, sh.Analysis(thetaRad), par, 0, samples, seed)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(points))
+	for i, spec := range points {
 		var ty Tally
-		if err := BlockSharedContext(ctx, sh, a, Spec{MaxAbsDNL: s, MaxAbsINL: s}, par, 0, samples, seed, &ty); err != nil {
-			return nil, err
+		for _, nl := range nls {
+			ty.add(nl, spec)
 		}
-		out = append(out, ty.Result())
+		out[i] = ty.Result()
 	}
 	return out, nil
 }

@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"ccdac/internal/ccmatrix"
 	"ccdac/internal/dacmodel"
+	"ccdac/internal/obs"
 	"ccdac/internal/place"
 	"ccdac/internal/tech"
 	"ccdac/internal/variation"
@@ -82,6 +84,56 @@ func TestYieldMonotoneInSpec(t *testing.T) {
 	}
 	if curve[len(curve)-1].Yield != 1 {
 		t.Errorf("0.5 LSB spec yield = %g, want 1 at 8 bits", curve[len(curve)-1].Yield)
+	}
+}
+
+// TestSpecSweepMatchesEstimate: a yield curve draws and evaluates its
+// samples once, so each point equals EstimateContext at that spec,
+// field for field, and the spectral sampler counts one draw of
+// samples, not one per point. It runs the 8-bit spiral grid on the
+// spectral sampler and on the exact one (FFTOff).
+func TestSpecSweepMatchesEstimate(t *testing.T) {
+	tch := tech.FinFET12()
+	pos := variation.GridPositioner(tch)
+	spiral, err := place.NewSpiral(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []float64{0.001, 0.002, 0.005, 0.05}
+	const samples, seed = 300, 5
+	for _, c := range []struct {
+		name string
+		m    *ccmatrix.Matrix
+		mode variation.FFTMode
+		// spectral is the ccdac_numeric_fft_samples_total one curve adds.
+		spectral int64
+	}{
+		{"8-spiral-grid", spiral, variation.FFTAuto, samples},
+		{"8-spiral-grid-fftoff", spiral, variation.FFTOff, 0},
+	} {
+		tr := obs.New(obs.Options{})
+		ctx := variation.WithFFTMode(obs.WithTrace(context.Background(), tr), c.mode)
+		curve, err := SpecSweepContext(ctx, c.m, pos, tch, math.Pi/4, specs, dacmodel.Parasitics{}, samples, seed)
+		tr.Finish()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := tr.Registry().Snapshot().Counter("ccdac_numeric_fft_samples_total", nil); got != c.spectral {
+			t.Errorf("%s: spectral samples = %d for %d points of %d samples, want %d",
+				c.name, got, len(specs), samples, c.spectral)
+		}
+		for i, s := range specs {
+			est, err := EstimateContext(variation.WithFFTMode(context.Background(), c.mode), c.m, pos, tch,
+				math.Pi/4, Spec{MaxAbsDNL: s, MaxAbsINL: s}, dacmodel.Parasitics{}, samples, seed)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if *curve[i] != *est {
+				t.Errorf("%s spec %g: curve %+v, EstimateContext %+v", c.name, s, *curve[i], *est)
+			}
+		}
+		t.Logf("%s: yields %.3f %.3f %.3f %.3f", c.name,
+			curve[0].Yield, curve[1].Yield, curve[2].Yield, curve[3].Yield)
 	}
 }
 
