@@ -30,7 +30,12 @@ type Parasitics struct {
 type Result struct {
 	// MaxAbsDNL and MaxAbsINL are the paper's |DNL| and |INL| in LSB.
 	MaxAbsDNL, MaxAbsINL float64
-	// WorstDNLCode and WorstINLCode are the codes attaining them.
+	// WorstDNLCode and WorstINLCode are the codes attaining them. Codes
+	// are compared in ascending order and a later one wins only when
+	// strictly worse, so of exactly tied codes the smallest is reported.
+	// The 3σ analysis evaluates DNL once per lowest-set-bit class j —
+	// every code whose lowest set bit is j has the same σ_D and the same
+	// systematic step — and reports a class by its first code, 2^(j−1).
 	WorstDNLCode, WorstINLCode int
 	// ThetaRad is the gradient angle of the underlying analysis.
 	ThetaRad float64
@@ -82,28 +87,30 @@ func Nonlinearity(a *variation.Analysis, par Parasitics, vref float64) (*Result,
 	if vref <= 0 {
 		return nil, fmt.Errorf("dacmodel: vref must be positive, got %g", vref)
 	}
-	st, err := newSigmaTables(context.Background(), a, 1)
-	if err != nil {
-		return nil, err
-	}
-	return nonlinearity(a, st, par), nil
+	return nonlinearity(a, newSigmaTables(a), par), nil
 }
 
-// sigmaTables holds the random-mismatch half of the 3σ analysis for
-// one (Bits, Cov, Counts, CuFF): sigma[i] = √(w(i)ᵀ Cov w(i)) and, for
-// i ≥ 1, sigmaD[i] = √((w(i) − w(i−1))ᵀ Cov (w(i) − w(i−1))), plus the
-// nominal C_ON table and C_T the weights come from. w(i) depends only
-// on the code, Counts and CuFF, and Cov not on the gradient angle, so
-// a theta sweep builds the tables once and each angle runs only the
-// O(2^N) systematic pass.
+// sigmaTables holds the angle-independent half of the 3σ analysis for
+// one (Bits, Cov, Counts, CuFF): sigma[i] = √(w(i)ᵀ Cov w(i)) for every
+// code i, sigmaD[j] = √(Δw_jᵀ Cov Δw_j) for every lowest-set-bit class
+// j = 1..N, C_T, and the nominal part of each code's INL deviation.
+// Δw_j = w(i) − w(i−1) is the same for every code i whose lowest set
+// bit is j: going from i−1 to i switches C_j on and C_1..C_{j−1} off,
+// and leaves the higher bits alone. w(i) depends only on the code,
+// Counts and CuFF, and Cov not on the gradient angle, so a theta sweep
+// builds the tables once and each angle runs only the O(2^N)
+// systematic pass.
 type sigmaTables struct {
-	bits          int
-	cov           *linalg.Dense
-	counts        []int
-	cuFF          float64
-	cT            float64
-	cOn           []float64
-	sigma, sigmaD []float64
+	bits   int
+	cov    *linalg.Dense
+	counts []int
+	cuFF   float64
+	cT     float64
+	sigma  []float64 // per code
+	sigmaD []float64 // per class j = 1..N; sigmaD[0] is unused
+	// nom[i] = C_u·(m(i)·2^N − i·n_T)/2^N with m(i) = Σ_{k∈D(i)} n_k:
+	// C_T·(C_ON(i)/C_T − i/2^N), from the exact integer count excess.
+	nom []float64
 }
 
 // fits reports whether the tables were built for a's random part.
@@ -111,23 +118,45 @@ func (st *sigmaTables) fits(a *variation.Analysis) bool {
 	return a.Bits == st.bits && a.Cov == st.cov && a.CuFF == st.cuFF && slices.Equal(a.Counts, st.counts)
 }
 
-// sigmaChunk is the number of codes one table-building task covers.
-const sigmaChunk = 256
-
-// newSigmaTables builds the σ tables on up to workers goroutines. Each
-// chunk of codes seeds its previous weights from the code before it
-// and writes its entries by index, so every entry is bit-identical to
-// a serial sweep; cancellation is checked per chunk.
-func newSigmaTables(ctx context.Context, a *variation.Analysis, workers int) (*sigmaTables, error) {
+// newSigmaTables builds the σ tables in O(2^N + N³), serially.
+//
+// Every weight vector is orthogonal to the counts vector n: Σ_k n_k·
+// w_k(i) = (C_ON(i) − R0(i)·C_T)/(C_u·C_T) = 0. So w(i)ᵀ·Cov·w(i) =
+// w(i)ᵀ·C̃·w(i) for C̃ = Cov − α·n·nᵀ and any α; α = 1ᵀ·Cov·1/n_T²
+// removes the near-rank-one bulk that unit correlations close to 1 put
+// into Cov, and with it the cancellation a direct evaluation suffers.
+// With d(i) the 0/1 switch vector (d_0 = 0), C_T·w(i) = d(i) −
+// R0(i)·1, so
+//
+//	C_T²·σ(i)² = Q(i) − 2·R0(i)·U(i) + R0(i)²·t,
+//
+// with Q(i) = d(i)ᵀ·C̃·d(i), U(i) = 1ᵀ·C̃·d(i) and t = 1ᵀ·C̃·1. Q
+// follows the top-bit recurrence codeSums uses: with K the highest set
+// bit of i and i' = i − 2^(K−1), Q(i) = Q(i') + 2·Σ_{k∈D(i')} C̃_kK +
+// C̃_KK, where the middle sum is itself a code sum over the lower bits.
+// U and R0(i) = C_ON(i)/C_T are code sums too.
+//
+// Q(i) grows with the capacitance switched on while σ(i) shrinks
+// toward full scale, so codes with R0(i) > ½ are evaluated from the
+// complement code ī = 2^N − 1 − i instead: C_T·w(i) = s·1 − d⁺(ī),
+// with s = 1 − R0(i) and d⁺(ī) = d(ī) + e_0 the capacitors i leaves
+// off, C_0 included, which gives
+//
+//	C_T²·σ(i)² = Q(ī) + 2·Z(ī) + C̃_00 − 2·s·(U(ī) + u_0) + s²·t,
+//
+// with Z(ī) = Σ_{k∈D(ī)} C̃_0k and u_0 = (C̃·1)_0. Each class's σ_D is
+// one (N+1)-term quadratic form over C̃.
+func newSigmaTables(a *variation.Analysis) *sigmaTables {
 	n := a.Bits
 	codes := 1 << n
 	// Nominal capacitances from unit counts (chessboard doubling is
 	// already folded into Counts; ratios are unchanged).
 	cNom := make([]float64, n+1)
-	cT := 0.0
+	cT, nT := 0.0, 0.0
 	for k := 0; k <= n; k++ {
 		cNom[k] = float64(a.Counts[k]) * a.CuFF
 		cT += cNom[k]
+		nT += float64(a.Counts[k])
 	}
 	st := &sigmaTables{
 		bits:   n,
@@ -135,72 +164,108 @@ func newSigmaTables(ctx context.Context, a *variation.Analysis, workers int) (*s
 		counts: a.Counts,
 		cuFF:   a.CuFF,
 		cT:     cT,
-		cOn:    codeSums(make([]float64, codes), cNom, 0), // see codeSums
 		sigma:  make([]float64, codes),
-		sigmaD: make([]float64, codes),
+		sigmaD: make([]float64, n+1),
 	}
-	chunks := (codes + sigmaChunk - 1) / sigmaChunk
-	err := par.ForN(workers, chunks, func(c int) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("dacmodel: sigma tables: %w", err)
+	count := make([]float64, n+1)
+	for k := range count {
+		count[k] = float64(a.Counts[k])
+	}
+	st.nom = codeSums(make([]float64, codes), count, 0)
+	scale := float64(codes)
+	for i, m := range st.nom {
+		st.nom[i] = (m*scale - float64(i)*nT) * a.CuFF / scale
+	}
+
+	// C̃ = Cov − α·n·nᵀ, its row sums u = C̃·1 and total t = 1ᵀ·C̃·1.
+	dim := n + 1
+	sum := 0.0
+	for _, v := range a.Cov.Data[:dim*dim] {
+		sum += v
+	}
+	alpha := sum / (nT * nT)
+	ct := make([]float64, dim*dim)
+	u := make([]float64, dim)
+	t := 0.0
+	for j := 0; j < dim; j++ {
+		for k := 0; k < dim; k++ {
+			v := a.Cov.At(j, k) - alpha*float64(a.Counts[j])*float64(a.Counts[k])
+			ct[j*dim+k] = v
+			u[j] += v
 		}
-		lo, hi := c*sigmaChunk, min((c+1)*sigmaChunk, codes)
-		w := make([]float64, n+1)
-		prevW := make([]float64, n+1)
-		diff := make([]float64, n+1)
-		if lo > 0 {
-			st.weights(prevW, lo-1)
+		t += u[j]
+	}
+
+	// q[i] = Q(i) by the top-bit recurrence; col holds C̃'s column K
+	// and lower its code sums over the bits below K.
+	q := make([]float64, codes)
+	lower := make([]float64, codes/2)
+	col := make([]float64, dim)
+	for k, half := 1, 1; half < codes; k, half = k+1, half<<1 {
+		for j := range col {
+			col[j] = ct[j*dim+k]
 		}
-		for i := lo; i < hi; i++ {
-			st.weights(w, i)
-			st.sigma[i] = math.Sqrt(quadForm(a.Cov, w))
-			if i > 0 {
-				for k := range diff {
-					diff[k] = w[k] - prevW[k]
-				}
-				st.sigmaD[i] = math.Sqrt(quadForm(a.Cov, diff))
+		codeSums(lower[:half], col, 0)
+		ckk := ct[k*dim+k]
+		for j, v := range q[:half] {
+			q[half+j] = v + 2*lower[j] + ckk
+		}
+	}
+	cOn := codeSums(make([]float64, codes), cNom, 0)
+	ud := codeSums(make([]float64, codes), u, 0)       // U(i)
+	z := codeSums(make([]float64, codes), ct[:dim], 0) // Z(i), over C̃'s row 0
+	for i := range q {
+		var v float64
+		if 2*cOn[i] <= cT {
+			r0 := cOn[i] / cT
+			v = q[i] - 2*r0*ud[i] + r0*r0*t
+		} else {
+			c := codes - 1 - i
+			s := (cOn[c] + cNom[0]) / cT
+			v = q[c] + 2*z[c] + ct[0] - 2*s*(ud[c]+u[0]) + s*s*t
+		}
+		st.sigma[i] = math.Sqrt(math.Max(0, v)) / cT
+	}
+
+	// Class j: C_T·Δw_j = e_j − Σ_{1≤k<j} e_k − ΔR0_j·1, with ΔR0_j =
+	// (n_j − Σ_{1≤k<j} n_k)·C_u/C_T taken from integer counts.
+	x := make([]float64, dim)
+	below := 0 // Σ_{1≤k<j} n_k
+	for j := 1; j <= n; j++ {
+		dr0 := float64(a.Counts[j]-below) * a.CuFF / cT
+		for k := range x {
+			x[k] = -dr0
+			if k >= 1 && k < j {
+				x[k]--
 			}
-			w, prevW = prevW, w
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		x[j]++
+		v := 0.0
+		for r, xr := range x {
+			row := ct[r*dim : r*dim+dim]
+			s := 0.0
+			for c, xc := range x {
+				s += row[c] * xc
+			}
+			v += xr * s
+		}
+		st.sigmaD[j] = math.Sqrt(math.Max(0, v)) / cT
+		below += a.Counts[j]
 	}
-	return st, nil
-}
-
-// weights fills w with the first-order ratio-error weights w_k(i).
-func (st *sigmaTables) weights(w []float64, i int) {
-	r0 := st.cOn[i] / st.cT
-	w[0] = -r0 / st.cT
-	for k := 1; k < len(w); k++ {
-		dk := 0.0
-		if i&(1<<(k-1)) != 0 {
-			dk = 1
-		}
-		w[k] = (dk - r0) / st.cT
-	}
-}
-
-// quadForm returns max(0, wᵀ Cov w), summing (w_j·w_k)·Cov_jk for j
-// then k ascending and skipping w_j == 0.
-func quadForm(cov *linalg.Dense, w []float64) float64 {
-	v := 0.0
-	for j, wj := range w {
-		if wj == 0 {
-			continue
-		}
-		row := cov.Data[j*cov.N : j*cov.N+len(w)]
-		for k, c := range row {
-			v += wj * w[k] * c
-		}
-	}
-	return math.Max(0, v)
+	return st
 }
 
 // nonlinearity is the per-angle systematic pass of Nonlinearity over
-// prebuilt σ tables.
+// prebuilt σ tables: INL over every code, DNL once per lowest-set-bit
+// class. Both systematic terms are formed as the small differences they
+// are rather than as differences of two nearly equal ratios:
+//
+//   - R(i) − i/2^N = (nom(i) + ΔC_ON^sys(i) + C^TB_ON −
+//     (i/2^N)·(ΔC_T^sys + C^TB_ON + C^TB_OFF + C^TS)) / D, with nom(i)
+//     the tables' nominal part and D Eq. 9's perturbed denominator.
+//   - Class j's step R(i) − R(i−1) is the same for every code in it —
+//     the numerator gains C_j + ΔC_j^sys and loses C_k + ΔC_k^sys for
+//     1 ≤ k < j — so it is formed once, from integer counts.
 func nonlinearity(a *variation.Analysis, st *sigmaTables, par Parasitics) *Result {
 	n := a.Bits
 	codes := 1 << n
@@ -210,25 +275,30 @@ func nonlinearity(a *variation.Analysis, st *sigmaTables, par Parasitics) *Resul
 		dSys[k] = a.DCSys(k)
 		sysT += dSys[k]
 	}
-	parsT := par.CTBOnfF + par.CTBOfffF + par.CTSfF
-	sysOnT := codeSums(make([]float64, codes), dSys, 0)
+	rest := sysT + (par.CTBOnfF + par.CTBOfffF + par.CTSfF)
+	den := st.cT + rest
+	sysOn := codeSums(make([]float64, codes), dSys, 0)
 
-	lsb := 1.0 / float64(codes) // LSB in V/V_REF ratio units
+	scale := float64(codes)
+	lsb := 1 / scale // LSB in V/V_REF ratio units
 	res := &Result{ThetaRad: a.ThetaRad}
-	prevSys := 0.0
-	for i := 0; i < codes; i++ {
-		rSys := (st.cOn[i] + sysOnT[i] + par.CTBOnfF) / (st.cT + sysT + parsT)
-		if i > 0 {
-			inl := (math.Abs(rSys-IdealOut(n, i)) + 3*st.sigma[i]) / lsb
-			if inl > res.MaxAbsINL {
-				res.MaxAbsINL, res.WorstINLCode = inl, i
-			}
-			dnl := (math.Abs(rSys-prevSys-lsb) + 3*st.sigmaD[i]) / lsb
-			if dnl > res.MaxAbsDNL {
-				res.MaxAbsDNL, res.WorstDNLCode = dnl, i
-			}
+	for i := 1; i < codes; i++ {
+		x := float64(i) / scale
+		dev := (st.nom[i] + sysOn[i] + par.CTBOnfF - x*rest) / den
+		inl := (math.Abs(dev) + 3*st.sigma[i]) / lsb
+		if inl > res.MaxAbsINL {
+			res.MaxAbsINL, res.WorstINLCode = inl, i
 		}
-		prevSys = rSys
+	}
+	below, sysBelow := 0, 0.0 // Σ_{1≤k<j} n_k and Σ_{1≤k<j} ΔC_k^sys
+	for j := 1; j <= n; j++ {
+		step := (float64(a.Counts[j]-below)*a.CuFF + (dSys[j] - sysBelow)) / den
+		dnl := (math.Abs(step-lsb) + 3*st.sigmaD[j]) / lsb
+		if dnl > res.MaxAbsDNL {
+			res.MaxAbsDNL, res.WorstDNLCode = dnl, 1<<(j-1)
+		}
+		below += a.Counts[j]
+		sysBelow += dSys[j]
 	}
 	return res
 }
@@ -242,9 +312,9 @@ func WorstOverTheta(as []*variation.Analysis, parasitics Parasitics, vref float6
 
 // WorstOverThetaContext is WorstOverTheta under a context. The σ
 // tables are built once per distinct (Cov, Counts, CuFF) — once for a
-// SweepTheta sweep, whose angles share all three — on the context's
-// worker budget; the per-angle systematic passes then run on the same
-// budget, with cancellation checked before each angle. The worst-case
+// SweepTheta sweep, whose angles share all three — serially, in
+// O(2^N); the per-angle systematic passes then run on the context's
+// worker budget, with cancellation checked before each angle. The worst-case
 // reduction happens serially in angle order afterwards, so the
 // selected angle — including the first-wins tie break — is identical
 // at any worker count.
@@ -266,12 +336,8 @@ func WorstOverThetaContext(ctx context.Context, as []*variation.Analysis, parasi
 			}
 		}
 		if tabs[i] == nil {
-			st, err := newSigmaTables(ctx, a, workers)
-			if err != nil {
-				return nil, err
-			}
-			built = append(built, st)
-			tabs[i] = st
+			tabs[i] = newSigmaTables(a)
+			built = append(built, tabs[i])
 		}
 	}
 	rs := make([]*Result, len(as))

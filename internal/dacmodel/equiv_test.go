@@ -14,10 +14,16 @@ import (
 	"ccdac/internal/variation"
 )
 
-// The reference implementations below are verbatim copies of the
-// per-code loops the table-driven kernels replaced: every code's sums
-// rebuilt bit by bit from its switch states. They exist only to pin
-// the kernels' bit identity.
+// The reference implementations below rebuild every code's sums bit
+// by bit from its switch states, folding them in the ascending order
+// the kernels' code-sum tables fold them. refNonlinearity evaluates
+// the 3σ analysis code by code through the same formulas the σ tables
+// and the systematic pass use (see newSigmaTables and nonlinearity):
+// the centred quadratic forms, the complement for codes past half
+// scale, the per-class σ_D and step, and the cancellation-free INL
+// deviation. refMonteCarloNL is a verbatim copy of the per-code loop
+// the Monte-Carlo kernel replaced. They exist only to pin the kernels'
+// recurrences bit for bit; TestSigmaTablesOracle pins their accuracy.
 
 func refSwitches(bits, code int) []bool {
 	d := make([]bool, bits+1)
@@ -30,71 +36,130 @@ func refSwitches(bits, code int) []bool {
 func refNonlinearity(a *variation.Analysis, par Parasitics) *Result {
 	n := a.Bits
 	codes := 1 << n
-	cNom := make([]float64, n+1)
-	cT := 0.0
+	dim := n + 1
+	cNom := make([]float64, dim)
+	cT, nT := 0.0, 0.0
 	for k := 0; k <= n; k++ {
 		cNom[k] = float64(a.Counts[k]) * a.CuFF
 		cT += cNom[k]
+		nT += float64(a.Counts[k])
 	}
+	sum := 0.0
+	for _, v := range a.Cov.Data[:dim*dim] {
+		sum += v
+	}
+	alpha := sum / (nT * nT)
+	ct := make([]float64, dim*dim)
+	u := make([]float64, dim)
+	t := 0.0
+	for j := 0; j < dim; j++ {
+		for k := 0; k < dim; k++ {
+			ct[j*dim+k] = a.Cov.At(j, k) - alpha*float64(a.Counts[j])*float64(a.Counts[k])
+			u[j] += ct[j*dim+k]
+		}
+		t += u[j]
+	}
+	// on lists code i's switched-on capacitors, ascending.
+	on := func(i int) []int {
+		var ks []int
+		for k, d := range refSwitches(n, i) {
+			if d {
+				ks = append(ks, k)
+			}
+		}
+		return ks
+	}
+	fold := func(ks []int, x func(k int) float64) float64 {
+		s := 0.0
+		for _, k := range ks {
+			s += x(k)
+		}
+		return s
+	}
+	quad := func(ks []int) float64 {
+		v := 0.0
+		for idx, top := range ks {
+			r := 0.0
+			for _, k := range ks[:idx] {
+				r += ct[k*dim+top]
+			}
+			v = v + 2*r + ct[top*dim+top]
+		}
+		return v
+	}
+	nomOf := func(k int) float64 { return cNom[k] }
+	uOf := func(k int) float64 { return u[k] }
+	row0 := func(k int) float64 { return ct[k] }
+	sigma := func(i int, ks []int) float64 {
+		cOn := fold(ks, nomOf)
+		var v float64
+		if 2*cOn <= cT {
+			r0 := cOn / cT
+			v = quad(ks) - 2*r0*fold(ks, uOf) + r0*r0*t
+		} else {
+			cs := on(codes - 1 - i)
+			s := (fold(cs, nomOf) + cNom[0]) / cT
+			v = quad(cs) + 2*fold(cs, row0) + ct[0] - 2*s*(fold(cs, uOf)+u[0]) + s*s*t
+		}
+		return math.Sqrt(math.Max(0, v)) / cT
+	}
+	// lowBit returns code i's lowest set bit j, Σ_{1≤k<j} n_k and
+	// Σ_{1≤k<j} ΔC_k^sys.
+	lowBit := func(i int) (j, below int, sysBelow float64) {
+		for j = 1; i&(1<<(j-1)) == 0; j++ {
+			below += a.Counts[j]
+			sysBelow += a.DCSys(j)
+		}
+		return j, below, sysBelow
+	}
+	sigmaD := func(i int) float64 {
+		j, below, _ := lowBit(i)
+		dr0 := float64(a.Counts[j]-below) * a.CuFF / cT
+		x := make([]float64, dim)
+		for k := range x {
+			x[k] = -dr0
+			if k >= 1 && k < j {
+				x[k]--
+			}
+		}
+		x[j]++
+		v := 0.0
+		for r, xr := range x {
+			s := 0.0
+			for c, xc := range x {
+				s += ct[r*dim+c] * xc
+			}
+			v += xr * s
+		}
+		return math.Sqrt(math.Max(0, v)) / cT
+	}
+
 	sysT := 0.0
 	for k := 0; k <= n; k++ {
 		sysT += a.DCSys(k)
 	}
-	parsT := par.CTBOnfF + par.CTBOfffF + par.CTSfF
-	lsb := 1.0 / float64(codes)
-	quadForm := func(w []float64) float64 {
-		v := 0.0
-		for j := 0; j <= n; j++ {
-			if w[j] == 0 {
-				continue
-			}
-			for k := 0; k <= n; k++ {
-				v += w[j] * w[k] * a.Cov.At(j, k)
-			}
-		}
-		return math.Max(0, v)
-	}
+	rest := sysT + (par.CTBOnfF + par.CTBOfffF + par.CTSfF)
+	den := cT + rest
+	scale := float64(codes)
+	lsb := 1 / scale
 	res := &Result{ThetaRad: a.ThetaRad}
-	prevSys := 0.0
-	prevW := make([]float64, n+1)
-	diff := make([]float64, n+1)
-	for i := 0; i < codes; i++ {
-		d := refSwitches(n, i)
-		cOn, sysOn := 0.0, 0.0
-		for k := 1; k <= n; k++ {
-			if d[k] {
-				cOn += cNom[k]
-				sysOn += a.DCSys(k)
-			}
+	for i := 1; i < codes; i++ {
+		ks := on(i)
+		m := fold(ks, func(k int) float64 { return float64(a.Counts[k]) })
+		sysOn := fold(ks, a.DCSys)
+		x := float64(i) / scale
+		nom := (m*scale - float64(i)*nT) * a.CuFF / scale
+		dev := (nom + sysOn + par.CTBOnfF - x*rest) / den
+		inl := (math.Abs(dev) + 3*sigma(i, ks)) / lsb
+		if inl > res.MaxAbsINL {
+			res.MaxAbsINL, res.WorstINLCode = inl, i
 		}
-		r0 := cOn / cT
-		rSys := (cOn + sysOn + par.CTBOnfF) / (cT + sysT + parsT)
-		w := make([]float64, n+1)
-		w[0] = -r0 / cT
-		for k := 1; k <= n; k++ {
-			dk := 0.0
-			if d[k] {
-				dk = 1
-			}
-			w[k] = (dk - r0) / cT
+		j, below, sysBelow := lowBit(i)
+		step := (float64(a.Counts[j]-below)*a.CuFF + (a.DCSys(j) - sysBelow)) / den
+		dnl := (math.Abs(step-lsb) + 3*sigmaD(i)) / lsb
+		if dnl > res.MaxAbsDNL {
+			res.MaxAbsDNL, res.WorstDNLCode = dnl, i
 		}
-		sigma := math.Sqrt(quadForm(w))
-		if i > 0 {
-			inl := (math.Abs(rSys-IdealOut(n, i)) + 3*sigma) / lsb
-			if inl > res.MaxAbsINL {
-				res.MaxAbsINL, res.WorstINLCode = inl, i
-			}
-			for k := 0; k <= n; k++ {
-				diff[k] = w[k] - prevW[k]
-			}
-			sigmaD := math.Sqrt(quadForm(diff))
-			dnl := (math.Abs(rSys-prevSys-lsb) + 3*sigmaD) / lsb
-			if dnl > res.MaxAbsDNL {
-				res.MaxAbsDNL, res.WorstDNLCode = dnl, i
-			}
-		}
-		prevSys = rSys
-		copy(prevW, w)
 	}
 	return res
 }

@@ -428,7 +428,7 @@ func (b *bitNodes) nodeOf(p geom.Pt, layer int) int {
 			return int(b.junc[j].node)
 		}
 	}
-	id := b.net.AddNode("junction")
+	id := b.net.AddNode()
 	b.junc = append(b.junc, junctionNode{layer: layer, node: int32(id), next: pn.junc})
 	pn.junc = int32(len(b.junc) - 1)
 	b.at[k] = pn
@@ -454,7 +454,7 @@ func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, cells, wires,
 		junc: make([]junctionNode, 0, nodeCount-len(cells)),
 	}
 	for _, i := range cells {
-		id := net.AddNode("cell")
+		id := net.AddNode()
 		net.AddC(id, l.Tech.Unit.CfF)
 		nodes.at[pointKey(l.CellCenter(geom.Cell{Row: i / l.M.Cols, Col: i % l.M.Cols}))] = pointNodes{cell: int32(id), junc: -1}
 		bn.CellNodes = append(bn.CellNodes, id)
@@ -476,8 +476,8 @@ func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, cells, wires,
 	// The driver (switch) sits behind the input connection; its
 	// on-resistance does not scale with parallel routing, bounding the
 	// Fig. 6(a) gains.
-	root := net.AddNode("source")
-	driver := net.AddNode("driver")
+	root := net.AddNode()
+	driver := net.AddNode()
 	net.AddR(root, driver, l.Tech.SwitchROhm)
 	bn.Root = root
 	for _, i := range vias {

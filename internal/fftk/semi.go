@@ -8,11 +8,13 @@
 // the row separation only through Δr·DY) with full, non-Toeplitz
 // cols×cols blocks. Embedding the row axis alone in a circulant of
 // length M ≥ 2·Rows−1 block-diagonalizes the operator into M
-// cross-spectral cols×cols matrices S[m] = {λ_cc'[m]}: quadratic
-// forms contract per frequency in O(M·(K·C² + K²·C)) and correlated
-// sampling factors each S[m] once and then costs O(M·C²) per draw —
-// versus O(n²) per dense quadratic form and O(n³) for a dense
-// unit-level Cholesky.
+// cross-spectral cols×cols matrices S[f] = {λ_cc'[f]}. Every wrapped
+// row kernel is real and even, so every S[f] is real and S[M−f] =
+// S[f]: the embedding stores f = 0…M/2 only, and quadratic forms fold
+// the mirror half into the interior frequencies. Quadratic forms then
+// contract in O(M·(K·C² + K²·C)) and correlated sampling factors each
+// distinct S[f] once and then costs O(M·C²) per draw — versus O(n²)
+// per dense quadratic form and O(n³) for a dense unit-level Cholesky.
 //
 // Quadratic forms use the raw spectra and are exact to FFT roundoff
 // unconditionally. Sampling needs every S[m] PSD; the min-wrap kink
@@ -53,9 +55,10 @@ type SemiEmbedding struct {
 	g    SemiGrid
 	cols int
 	m    int // row-torus length, pow2 ≥ 2·Rows−1
-	// S[f] is stored by distinct column separation: lam[f][sep[p]] is
-	// the packed entry p = cj(cj+1)/2 + ci (ci ≤ cj) of S[f].
-	lam  [][]float64 // per frequency: one entry per distinct Δx²
+	// S[f] for f = 0…m/2 (S[m−f] = S[f]) is stored by distinct column
+	// separation: lam[f][sep[p]] is the packed entry p = cj(cj+1)/2 +
+	// ci (ci ≤ cj) of S[f].
+	lam  [][]float64 // per frequency 0…m/2: one entry per distinct Δx²
 	sep  []int32     // packed pair → index of its Δx² in lam[f]
 	plan *Plan
 	k0   float64
@@ -118,11 +121,9 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, workers int) 
 	// The row-direction kernel of a column pair, k_cc'(Δr) =
 	// kernel(Δx² + (Δr·DY)²) wrapped onto the torus, depends on the
 	// pair only through Δx²: pairs with bit-equal Δx² share one
-	// length-M FFT, run once per distinct separation. The wrap
-	// min(s, M−s) makes the kernel even — so every spectrum is real —
-	// and s and M−s share one evaluation per wrap distance. Inputs,
-	// and hence spectra, are bit-identical to one FFT per pair over M
-	// evaluations each.
+	// spectrum, built once per distinct separation. The wrap
+	// min(s, M−s) makes the kernel even — so every spectrum is real and
+	// even in f — and s and M−s share one evaluation per wrap distance.
 	e.sep = make([]int32, cols*(cols+1)/2)
 	index := make(map[uint64]int32, cols)
 	var dxs []float64 // the first pair's Δx per distinct Δx²
@@ -139,32 +140,50 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, workers int) 
 			e.sep[cj*(cj+1)/2+ci] = k
 		}
 	}
-	e.lam = make([][]float64, m)
+	half := m/2 + 1
+	e.lam = make([][]float64, half)
 	for f := range e.lam {
 		e.lam[f] = make([]float64, len(dxs))
 	}
-	// The separations' transforms are independent and each writes only
-	// its own column of lam, so they run in contiguous blocks, one set
-	// of buffers per block; every spectrum is the serial one at any
-	// worker count. The transforms cannot fail, so ForN has no error
-	// to report.
-	half := m/2 + 1
-	blocks := min(max(workers, 1), len(dxs))
+	// Two real spectra come out of one complex transform: separations
+	// 2p and 2p+1 go in as the real and the imaginary part of one
+	// input, and since both spectra are real they come out as the real
+	// and the imaginary part of its transform. An odd last separation
+	// runs alone on a zero imaginary part. The pairs' transforms are
+	// independent and each writes only its own two columns of lam, so
+	// they run in contiguous blocks, one set of buffers per block;
+	// every spectrum is the serial one at any worker count. The
+	// transforms cannot fail, so ForN has no error to report.
+	pairs := (len(dxs) + 1) / 2
+	blocks := min(max(workers, 1), pairs)
 	_ = par.ForN(workers, blocks, func(b int) error {
-		vals := make([]float64, half)
+		re, im := make([]float64, half), make([]float64, half)
 		buf := make([]complex128, m)
-		for k := b * len(dxs) / blocks; k < (b+1)*len(dxs)/blocks; k++ {
-			dx := dxs[k]
+		row := func(vals []float64, dx float64) {
 			for w := range vals {
 				wr := float64(w) * g.DY
 				vals[w] = kernel(dx*dx + wr*wr)
 			}
+		}
+		for p := b * pairs / blocks; p < (b+1)*pairs/blocks; p++ {
+			k := 2 * p
+			two := k+1 < len(dxs)
+			row(re, dxs[k])
+			if two {
+				row(im, dxs[k+1])
+			} else {
+				clear(im)
+			}
 			for s := range buf {
-				buf[s] = complex(vals[min(s, m-s)], 0)
+				w := min(s, m-s)
+				buf[s] = complex(re[w], im[w])
 			}
 			plan.Forward(buf)
 			for f, lam := range e.lam {
 				lam[k] = real(buf[f])
+				if two {
+					lam[k+1] = imag(buf[f])
+				}
 			}
 		}
 		return nil
@@ -183,7 +202,14 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, workers int) 
 // 1_jᵀ C 1_k for the indicator vectors of the given classes, each a
 // list of flat row-major cell indices r·Cols+c, on up to workers
 // goroutines. The raw spectra make this exact to FFT roundoff even
-// when some S[m] is indefinite.
+// when some S[f] is indefinite.
+//
+// G = (1/M)·Σ_f Re(a_j[f]ᴴ·S[f]·a_k[f]) over all M frequencies, where
+// a_j[f] is class j's column-wise spectral indicator. The indicators
+// are real, so a_j[M−f] = conj(a_j[f]), and S[M−f] = S[f]: frequency
+// M−f contributes what f does. The contraction therefore runs over
+// f = 0…M/2 only, with weight 2 on the interior frequencies 0 < f <
+// M/2, each of which stands for a mirror pair.
 //
 // Per frequency f the packed S[f] is expanded to a dense C×C matrix,
 // and class j's spectral indicator a_j is nonzero only in the columns
@@ -192,8 +218,8 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, workers int) 
 // products (S is real). The skipped terms are exact ±0 added to sums
 // that start at +0, which leaves every y_j[x] and every dot a_j·y_k
 // bit-identical to the full product. The per-frequency dots are
-// written by index and reduced serially in ascending f, so G is
-// identical at any worker count.
+// written by index and reduced serially in one fixed order — f = 1…M/2
+// ascending, then f = 0 — so G is identical at any worker count.
 func (e *SemiEmbedding) QuadForms(classes [][]int, workers int) [][]float64 {
 	R, C, M := e.g.Rows, e.cols, e.m
 	nc := len(classes)
@@ -230,13 +256,14 @@ func (e *SemiEmbedding) QuadForms(classes [][]int, workers int) [][]float64 {
 	})
 
 	np := nc * (nc + 1) / 2
-	part := make([]float64, M*np) // per-frequency dots, pairs j ≤ k row-major
-	blocks := min(max(workers, 1), M)
+	half := len(e.lam)
+	part := make([]float64, half*np) // per-frequency dots, pairs j ≤ k row-major
+	blocks := min(max(workers, 1), half)
 	_ = par.ForN(workers, blocks, func(b int) error {
 		s := make([]float64, C*C)
 		ar, ai := make([]float64, nc*C), make([]float64, nc*C)
 		yr, yi := make([]float64, nc*C), make([]float64, nc*C)
-		for f := b * M / blocks; f < (b+1)*M/blocks; f++ {
+		for f := b * half / blocks; f < (b+1)*half/blocks; f++ {
 			e.expand(s, f)
 			for j, cs := range cols {
 				for _, c := range cs {
@@ -278,12 +305,22 @@ func (e *SemiEmbedding) QuadForms(classes [][]int, workers int) [][]float64 {
 	for j := range G {
 		G[j] = make([]float64, nc)
 	}
-	for f := 0; f < M; f++ {
+	// On the near-rank-one mismatch kernel the DC term outweighs every
+	// other frequency's by orders of magnitude, so the others are summed
+	// first, ascending from f = 1, and the DC term is added last: each
+	// form then rounds once at its own magnitude instead of once per
+	// frequency. Doubling a mirror pair's term is exact.
+	for step := 1; step <= half; step++ {
+		f := step % half
+		weight := 1.0
+		if f > 0 && 2*f < M {
+			weight = 2
+		}
 		p := part[f*np : f*np+np]
 		i := 0
 		for j := 0; j < nc; j++ {
 			for k := j; k < nc; k++ {
-				G[j][k] += p[i]
+				G[j][k] += weight * p[i]
 				i++
 			}
 		}

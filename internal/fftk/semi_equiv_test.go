@@ -7,13 +7,18 @@ import (
 	"testing"
 )
 
-// The references below are verbatim copies of the separable
-// embedding's original per-pair spectrum build and packed serial
-// contraction. They exist only to pin the deduplicated build and the
-// ordered parallel contraction bit for bit.
+// The references below are the serial forms of the separable
+// embedding's spectrum build and contraction: a serial two-for-one
+// transform over the distinct column separations, expanded back to
+// every column pair, and the packed serial contraction over the
+// half-spectrum. They exist only to pin the deduplicated, parallel
+// build and the ordered parallel contraction bit for bit;
+// TestSemiQuadFormsOracle pins their accuracy.
 
-// refSemiSpectra runs one length-M FFT per column pair over the
-// wrapped row-direction kernel and returns the packed spectra.
+// refSemiSpectra numbers the distinct column separations in
+// first-appearance order, transforms separations 2p and 2p+1 as the
+// real and imaginary parts of one length-M input, and returns the
+// packed spectra for frequencies 0…M/2.
 func refSemiSpectra(g SemiGrid, kernel func(d2 float64) float64) [][]float64 {
 	cols := len(g.ColX)
 	m := torusDim(g.Rows)
@@ -21,32 +26,63 @@ func refSemiSpectra(g SemiGrid, kernel func(d2 float64) float64) [][]float64 {
 	if err != nil {
 		panic(err)
 	}
-	lamT := make([][]float64, m)
-	for f := range lamT {
-		lamT[f] = make([]float64, cols*(cols+1)/2)
-	}
-	buf := make([]complex128, m)
+	var dxs []float64
+	sep := make([]int, cols*(cols+1)/2)
 	for cj := 0; cj < cols; cj++ {
 		for ci := 0; ci <= cj; ci++ {
 			dx := g.ColX[ci] - g.ColX[cj]
-			for s := 0; s < m; s++ {
-				wr := float64(min(s, m-s)) * g.DY
-				buf[s] = complex(kernel(dx*dx+wr*wr), 0)
+			k := -1
+			for i, d := range dxs {
+				if d*d == dx*dx {
+					k = i
+					break
+				}
 			}
-			plan.Forward(buf)
-			pij := cj*(cj+1)/2 + ci
-			for f := 0; f < m; f++ {
-				lamT[f][pij] = real(buf[f])
+			if k < 0 {
+				k = len(dxs)
+				dxs = append(dxs, dx)
 			}
+			sep[cj*(cj+1)/2+ci] = k
+		}
+	}
+	spec := make([][]float64, m/2+1) // per frequency, per separation
+	for f := range spec {
+		spec[f] = make([]float64, len(dxs))
+	}
+	row := func(k, s int) float64 {
+		if k >= len(dxs) {
+			return 0
+		}
+		wr := float64(min(s, m-s)) * g.DY
+		return kernel(dxs[k]*dxs[k] + wr*wr)
+	}
+	buf := make([]complex128, m)
+	for k := 0; k < len(dxs); k += 2 {
+		for s := range buf {
+			buf[s] = complex(row(k, s), row(k+1, s))
+		}
+		plan.Forward(buf)
+		for f := range spec {
+			spec[f][k] = real(buf[f])
+			if k+1 < len(dxs) {
+				spec[f][k+1] = imag(buf[f])
+			}
+		}
+	}
+	lamT := make([][]float64, m/2+1)
+	for f := range lamT {
+		lamT[f] = make([]float64, len(sep))
+		for p, k := range sep {
+			lamT[f][p] = spec[f][k]
 		}
 	}
 	return lamT
 }
 
 // refQuadForms is the packed serial contraction over the given
-// spectra.
-func refQuadForms(lamT [][]float64, R, C int, classes [][]int) [][]float64 {
-	M := len(lamT)
+// half-spectrum of an M-point torus: frequencies 1…M/2 ascending, the
+// interior ones doubled, then the DC term.
+func refQuadForms(lamT [][]float64, M, R, C int, classes [][]int) [][]float64 {
 	plan, err := NewPlan(M)
 	if err != nil {
 		panic(err)
@@ -77,7 +113,13 @@ func refQuadForms(lamT [][]float64, R, C int, classes [][]int) [][]float64 {
 	}
 	a := make([]complex128, nc*C)
 	y := make([]complex128, nc*C)
-	for f := 0; f < M; f++ {
+	half := len(lamT)
+	for step := 1; step <= half; step++ {
+		f := step % half
+		weight := 1.0
+		if f > 0 && 2*f < M {
+			weight = 2
+		}
 		for i, v := range spec {
 			if v == nil {
 				a[i] = 0
@@ -109,7 +151,7 @@ func refQuadForms(lamT [][]float64, R, C int, classes [][]int) [][]float64 {
 					av, yv := a[j*C+c], y[k*C+c]
 					dot += real(av)*real(yv) + imag(av)*imag(yv)
 				}
-				G[j][k] += dot
+				G[j][k] += weight * dot
 			}
 		}
 	}
@@ -154,9 +196,9 @@ var equivKernels = map[string]func(float64) float64{
 	"long-range": func(d2 float64) float64 { return 0.37 * math.Exp(-math.Sqrt(d2)/200) },
 }
 
-// TestSemiSpectraMatchReference requires every cross-spectral entry of
-// the deduplicated build, at 1, 2 and 4 workers, to equal the per-pair
-// reference's, compared with ==.
+// TestSemiSpectraMatchReference requires every stored cross-spectral
+// entry (f = 0…M/2) of the deduplicated two-for-one build, at 1, 2 and
+// 4 workers, to equal the serial reference's, compared with ==.
 func TestSemiSpectraMatchReference(t *testing.T) {
 	for gname, g := range equivGrids() {
 		for kname, kernel := range equivKernels {
@@ -210,7 +252,7 @@ func TestSemiQuadFormsMatchReference(t *testing.T) {
 						classes[j] = append(classes[j], idx)
 					}
 				}
-				want := refQuadForms(refSemiSpectra(g, kernel), g.Rows, C, classes)
+				want := refQuadForms(refSemiSpectra(g, kernel), torusDim(g.Rows), g.Rows, C, classes)
 				for _, workers := range []int{1, 2, 4} {
 					name := fmt.Sprintf("%s/%s/nc=%d/workers=%d", gname, kname, nc, workers)
 					got := e.QuadForms(classes, workers)

@@ -14,7 +14,7 @@ import (
 // pin bit identity: same delays, same moments, same errors.
 
 func (n *Net) refMerged() (rep []int, capOf []float64) {
-	parent := make([]int, len(n.names))
+	parent := make([]int, len(n.capFF))
 	for i := range parent {
 		parent[i] = i
 	}
@@ -34,8 +34,8 @@ func (n *Net) refMerged() (rep []int, capOf []float64) {
 			}
 		}
 	}
-	rep = make([]int, len(n.names))
-	capOf = make([]float64, len(n.names))
+	rep = make([]int, len(n.capFF))
+	capOf = make([]float64, len(n.capFF))
 	for i := range rep {
 		rep[i] = find(i)
 	}
@@ -52,7 +52,7 @@ func (n *Net) refElmoreTree(root int) ([]float64, error) {
 	adj := make(map[int][]resistor)
 	edges := 0
 	nodes := map[int]bool{r: true}
-	for i := range n.names {
+	for i := range n.capFF {
 		nodes[rep[i]] = true
 	}
 	for _, e := range n.res {
@@ -108,7 +108,7 @@ func (n *Net) refElmoreTree(root int) ([]float64, error) {
 		}
 		delay[u] = delay[parentOf[u]] + parentR[u]*down[u]*1e-15
 	}
-	out := make([]float64, len(n.names))
+	out := make([]float64, len(n.capFF))
 	for i := range out {
 		out[i] = delay[rep[i]]
 	}
@@ -119,7 +119,7 @@ func (n *Net) refFirstMoment(root int) ([]float64, error) {
 	rep, capOf := n.refMerged()
 	r := rep[root]
 	idx := map[int]int{}
-	for i := range n.names {
+	for i := range n.capFF {
 		u := rep[i]
 		if u == r {
 			continue
@@ -130,7 +130,7 @@ func (n *Net) refFirstMoment(root int) ([]float64, error) {
 	}
 	m := len(idx)
 	if m == 0 {
-		return make([]float64, len(n.names)), nil
+		return make([]float64, len(n.capFF)), nil
 	}
 	g := linalg.NewSparse(m)
 	connected := make([]bool, m)
@@ -172,7 +172,7 @@ func (n *Net) refFirstMoment(root int) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rcnet: moment solve: %w", err)
 	}
-	out := make([]float64, len(n.names))
+	out := make([]float64, len(n.capFF))
 	for i := range out {
 		u := rep[i]
 		if u == r {
@@ -192,7 +192,7 @@ func (n *Net) refMoments(root int) (m1, m2 []float64, err error) {
 	rep, capOf := n.refMerged()
 	r := rep[root]
 	idx := map[int]int{}
-	for i := range n.names {
+	for i := range n.capFF {
 		u := rep[i]
 		if u == r {
 			continue
@@ -203,7 +203,7 @@ func (n *Net) refMoments(root int) (m1, m2 []float64, err error) {
 	}
 	mm := len(idx)
 	if mm == 0 {
-		return m1, make([]float64, len(n.names)), nil
+		return m1, make([]float64, len(n.capFF)), nil
 	}
 	g := linalg.NewSparse(mm)
 	for _, e := range n.res {
@@ -229,7 +229,7 @@ func (n *Net) refMoments(root int) (m1, m2 []float64, err error) {
 		}
 	}
 	m1rep := make(map[int]float64, mm)
-	for orig := range n.names {
+	for orig := range n.capFF {
 		u := rep[orig]
 		if u != r {
 			m1rep[u] = m1[orig]
@@ -243,7 +243,7 @@ func (n *Net) refMoments(root int) (m1, m2 []float64, err error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("rcnet: second moment solve: %w", err)
 	}
-	m2 = make([]float64, len(n.names))
+	m2 = make([]float64, len(n.capFF))
 	for i := range m2 {
 		u := rep[i]
 		if u == r {
@@ -262,7 +262,7 @@ func (n *Net) refMoments(root int) (m1, m2 []float64, err error) {
 func randomTree(rng *rand.Rand, shape string, size int) (*Net, int) {
 	n := New()
 	for i := 0; i < size; i++ {
-		n.AddNode("n")
+		n.AddNode()
 		if rng.Intn(4) != 0 {
 			n.AddC(i, rng.Float64()*10)
 		}
@@ -337,7 +337,7 @@ func TestElmoreTreeRejectsLikeReference(t *testing.T) {
 		},
 		"orphan": func() (*Net, int) {
 			n, root := randomTree(rng, "random", 300)
-			n.AddNode("orphan")
+			n.AddNode()
 			return n, root
 		},
 		"parallel": func() (*Net, int) {
@@ -348,7 +348,7 @@ func TestElmoreTreeRejectsLikeReference(t *testing.T) {
 		"mesh+orphan": func() (*Net, int) {
 			n, root := randomTree(rng, "random", 300)
 			n.AddR(3, 150, 11)
-			n.AddNode("orphan")
+			n.AddNode()
 			return n, root
 		},
 	}
@@ -375,7 +375,7 @@ func TestMomentsMatchReference(t *testing.T) {
 			n.AddR(rng.Intn(size), rng.Intn(size), 1+rng.Float64()*100)
 		}
 		if trial%7 == 3 {
-			n.AddNode("orphan")
+			n.AddNode()
 		}
 		ref := *n
 		w1, w2, werr := ref.refMoments(root)

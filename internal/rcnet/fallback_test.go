@@ -14,10 +14,10 @@ import (
 // tree analysis rejects, forcing the CG first-moment solve.
 func buildMesh() (*Net, int) {
 	n := New()
-	a := n.AddNode("a")
-	b := n.AddNode("b")
-	c := n.AddNode("c")
-	d := n.AddNode("d")
+	a := n.AddNode()
+	b := n.AddNode()
+	c := n.AddNode()
+	d := n.AddNode()
 	n.AddR(a, b, 100)
 	n.AddR(b, d, 100)
 	n.AddR(a, c, 100)

@@ -25,9 +25,8 @@ import (
 )
 
 // Net is an RC network under construction. Node 0 does not exist until
-// added; callers label nodes for debuggability.
+// added; nodes are numbered in insertion order.
 type Net struct {
-	names []string
 	// res lists the resistors in insertion order; the analyses derive
 	// their adjacency from it, so the order fixes their summation order.
 	res []resistor
@@ -94,32 +93,25 @@ func New() *Net { return &Net{} }
 // resistors, so a caller that knows the network's size builds it
 // without reallocating.
 func (n *Net) Grow(nodes, resistors int) {
-	n.names = slices.Grow(n.names, nodes)
 	n.capFF = slices.Grow(n.capFF, nodes)
 	n.res = slices.Grow(n.res, resistors)
 }
 
-// AddNode adds a named node and returns its index. Names are for
-// debugging only (netlist export numbers nodes), so callers building
-// large networks pass a fixed label per node kind.
-func (n *Net) AddNode(name string) int {
-	n.names = append(n.names, name)
+// AddNode adds a node and returns its index.
+func (n *Net) AddNode() int {
 	n.capFF = append(n.capFF, 0)
-	return len(n.names) - 1
+	return len(n.capFF) - 1
 }
 
 // NumNodes returns the number of nodes.
-func (n *Net) NumNodes() int { return len(n.names) }
-
-// NodeName returns the name of node i.
-func (n *Net) NodeName(i int) string { return n.names[i] }
+func (n *Net) NumNodes() int { return len(n.capFF) }
 
 // AddR connects nodes a and b with a resistor of the given ohms.
 // Zero-ohm resistors are permitted (ideal shorts used for via-free
 // junctions) and handled by node merging during analysis.
 func (n *Net) AddR(a, b int, ohm float64) {
-	if a < 0 || a >= len(n.names) || b < 0 || b >= len(n.names) {
-		panic(fmt.Sprintf("rcnet: resistor endpoints (%d,%d) out of range n=%d", a, b, len(n.names)))
+	if a < 0 || a >= len(n.capFF) || b < 0 || b >= len(n.capFF) {
+		panic(fmt.Sprintf("rcnet: resistor endpoints (%d,%d) out of range n=%d", a, b, len(n.capFF)))
 	}
 	if ohm < 0 {
 		panic(fmt.Sprintf("rcnet: negative resistance %g", ohm))
@@ -178,7 +170,7 @@ var ErrNotTree = errors.New("rcnet: network is not a tree rooted at the driver")
 // treat ideal shorts as single electrical nodes. It returns the
 // representative for each node and the per-representative capacitance.
 func (n *Net) merged() (rep []int, capOf []float64) {
-	rep = make([]int, len(n.names))
+	rep = make([]int, len(n.capFF))
 	for i := range rep {
 		rep[i] = i
 	}
@@ -201,7 +193,7 @@ func (n *Net) merged() (rep []int, capOf []float64) {
 	for i := range rep {
 		rep[i] = find(i)
 	}
-	capOf = make([]float64, len(n.names))
+	capOf = make([]float64, len(n.capFF))
 	for i, c := range n.capFF {
 		capOf[rep[i]] += c
 	}

@@ -11,8 +11,8 @@ const fF = 1e-15
 
 func TestSingleRC(t *testing.T) {
 	n := New()
-	drv := n.AddNode("drv")
-	load := n.AddNode("load")
+	drv := n.AddNode()
+	load := n.AddNode()
 	n.AddR(drv, load, 100)
 	n.AddC(load, 5) // 5 fF
 	d, err := n.ElmoreTree(drv)
@@ -31,11 +31,11 @@ func TestSingleRC(t *testing.T) {
 func TestLadderElmore(t *testing.T) {
 	// Classic 3-stage ladder: tau_k = sum_{i<=k} R_i * (sum_{j>=i} C_j).
 	n := New()
-	nodes := []int{n.AddNode("drv")}
+	nodes := []int{n.AddNode()}
 	rs := []float64{10, 20, 30}
 	cs := []float64{1, 2, 3}
 	for i := 0; i < 3; i++ {
-		v := n.AddNode("n")
+		v := n.AddNode()
 		n.AddR(nodes[len(nodes)-1], v, rs[i])
 		n.AddC(v, cs[i])
 		nodes = append(nodes, v)
@@ -60,10 +60,10 @@ func TestLadderElmore(t *testing.T) {
 func TestBranchingTree(t *testing.T) {
 	// Root -> a; a -> b, a -> c. Delay to b must include c's cap through R(root,a).
 	n := New()
-	root := n.AddNode("root")
-	a := n.AddNode("a")
-	b := n.AddNode("b")
-	c := n.AddNode("c")
+	root := n.AddNode()
+	a := n.AddNode()
+	b := n.AddNode()
+	c := n.AddNode()
 	n.AddR(root, a, 100)
 	n.AddR(a, b, 50)
 	n.AddR(a, c, 70)
@@ -83,9 +83,9 @@ func TestBranchingTree(t *testing.T) {
 func TestZeroOhmMerging(t *testing.T) {
 	// Two nodes tied by a 0-ohm short behave as one node.
 	n := New()
-	root := n.AddNode("root")
-	a := n.AddNode("a")
-	a2 := n.AddNode("a2")
+	root := n.AddNode()
+	a := n.AddNode()
+	a2 := n.AddNode()
 	n.AddR(root, a, 100)
 	n.AddR(a, a2, 0)
 	n.AddC(a, 1)
@@ -102,9 +102,9 @@ func TestZeroOhmMerging(t *testing.T) {
 
 func TestMeshRejectedByTreeAnalysis(t *testing.T) {
 	n := New()
-	root := n.AddNode("root")
-	a := n.AddNode("a")
-	b := n.AddNode("b")
+	root := n.AddNode()
+	a := n.AddNode()
+	b := n.AddNode()
 	n.AddR(root, a, 10)
 	n.AddR(root, b, 10)
 	n.AddR(a, b, 10) // cycle
@@ -116,9 +116,9 @@ func TestMeshRejectedByTreeAnalysis(t *testing.T) {
 
 func TestDisconnectedRejected(t *testing.T) {
 	n := New()
-	root := n.AddNode("root")
-	a := n.AddNode("a")
-	orphan := n.AddNode("orphan")
+	root := n.AddNode()
+	a := n.AddNode()
+	orphan := n.AddNode()
 	n.AddR(root, a, 10)
 	n.AddC(orphan, 1)
 	if _, err := n.ElmoreTree(root); !errors.Is(err, ErrNotTree) {
@@ -133,10 +133,10 @@ func TestFirstMomentMatchesTreeOnTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		n := New()
-		root := n.AddNode("root")
+		root := n.AddNode()
 		nodes := []int{root}
 		for i := 0; i < 2+rng.Intn(60); i++ {
-			v := n.AddNode("n")
+			v := n.AddNode()
 			parent := nodes[rng.Intn(len(nodes))]
 			n.AddR(parent, v, 1+rng.Float64()*100)
 			n.AddC(v, rng.Float64()*10)
@@ -162,8 +162,8 @@ func TestFirstMomentMatchesTreeOnTrees(t *testing.T) {
 func TestFirstMomentParallelResistors(t *testing.T) {
 	// Two 100-ohm resistors in parallel = 50 ohms: first moment halves.
 	n := New()
-	root := n.AddNode("root")
-	a := n.AddNode("a")
+	root := n.AddNode()
+	a := n.AddNode()
 	n.AddR(root, a, 100)
 	n.AddR(root, a, 100)
 	n.AddC(a, 10)
@@ -182,10 +182,10 @@ func TestFirstMomentMesh2x2(t *testing.T) {
 	// Symmetric diamond: root -R- a, root -R- b, a -R- c, b -R- c, cap at c.
 	// By symmetry this is two series 2R paths in parallel = R; tau = R*C.
 	n := New()
-	root := n.AddNode("root")
-	a := n.AddNode("a")
-	b := n.AddNode("b")
-	c := n.AddNode("c")
+	root := n.AddNode()
+	a := n.AddNode()
+	b := n.AddNode()
+	c := n.AddNode()
 	const r = 80.0
 	n.AddR(root, a, r)
 	n.AddR(root, b, r)
@@ -205,8 +205,8 @@ func TestFirstMomentMesh2x2(t *testing.T) {
 func TestDelayDispatch(t *testing.T) {
 	// Tree network goes down the tree path; mesh falls back to moments.
 	n := New()
-	root := n.AddNode("root")
-	a := n.AddNode("a")
+	root := n.AddNode()
+	a := n.AddNode()
 	n.AddR(root, a, 10)
 	n.AddC(a, 1)
 	if _, err := n.Delay(root); err != nil {
@@ -239,8 +239,8 @@ func TestMaxDelay(t *testing.T) {
 
 func TestTotalCapAndAccessors(t *testing.T) {
 	n := New()
-	a := n.AddNode("a")
-	b := n.AddNode("b")
+	a := n.AddNode()
+	b := n.AddNode()
 	n.AddC(a, 1.5)
 	n.AddC(a, 0.5)
 	n.AddC(b, 3)
@@ -250,14 +250,14 @@ func TestTotalCapAndAccessors(t *testing.T) {
 	if n.CapAt(a) != 2 {
 		t.Fatalf("CapAt = %g, want 2", n.CapAt(a))
 	}
-	if n.NumNodes() != 2 || n.NodeName(0) != "a" {
+	if n.NumNodes() != 2 || a != 0 || b != 1 {
 		t.Fatal("node accessors broken")
 	}
 }
 
 func TestPanicsOnBadElements(t *testing.T) {
 	n := New()
-	a := n.AddNode("a")
+	a := n.AddNode()
 	for name, fn := range map[string]func(){
 		"negative R":   func() { n.AddR(a, a, -1) },
 		"out of range": func() { n.AddR(a, 5, 1) },
@@ -277,9 +277,9 @@ func TestPanicsOnBadElements(t *testing.T) {
 func TestShortedResistorIgnored(t *testing.T) {
 	// A resistor in parallel with a 0-ohm short contributes nothing.
 	n := New()
-	root := n.AddNode("root")
-	a := n.AddNode("a")
-	b := n.AddNode("b")
+	root := n.AddNode()
+	a := n.AddNode()
+	b := n.AddNode()
 	n.AddR(root, a, 100)
 	n.AddR(a, b, 0)
 	n.AddR(a, b, 500) // shorted
@@ -296,8 +296,8 @@ func TestShortedResistorIgnored(t *testing.T) {
 
 func TestMomentsSinglePoleExact(t *testing.T) {
 	n := New()
-	root := n.AddNode("drv")
-	load := n.AddNode("load")
+	root := n.AddNode()
+	load := n.AddNode()
 	n.AddR(root, load, 1000)
 	n.AddC(load, 10) // tau = 10 ps
 	m1, m2, err := n.Moments(root)
@@ -327,10 +327,10 @@ func TestDominantTauBoundsElmore(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 15; trial++ {
 		n := New()
-		root := n.AddNode("root")
+		root := n.AddNode()
 		nodes := []int{root}
 		for i := 0; i < 2+rng.Intn(40); i++ {
-			v := n.AddNode("n")
+			v := n.AddNode()
 			n.AddR(nodes[rng.Intn(len(nodes))], v, 1+rng.Float64()*200)
 			n.AddC(v, 0.5+rng.Float64()*8)
 			nodes = append(nodes, v)

@@ -100,7 +100,9 @@ func (w *statusWriter) Flush() {
 // latency histograms, and panic containment. Routes registered with
 // limited=true (the generate workload) additionally pass the bounded
 // admission semaphore — full means an immediate 429 with Retry-After,
-// never queuing — and run under the per-request timeout.
+// never queuing — run under the per-request timeout, and count in
+// inflight, so the gauge reads the requests MaxInFlight bounds and a
+// probe or scrape never counts itself.
 func (s *Server) wrap(route string, limited bool, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ri := &reqInfo{id: r.Header.Get("X-Request-ID")}
@@ -135,9 +137,9 @@ func (s *Server) wrap(route string, limited bool, h http.Handler) http.Handler {
 			ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 			defer cancel()
 			r = r.WithContext(ctx)
+			s.inflight.Add(1)
 		}
 
-		s.inflight.Add(1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
@@ -160,8 +162,8 @@ func (s *Server) wrap(route string, limited bool, h http.Handler) http.Handler {
 			d := time.Since(start)
 			if limited {
 				s.observeRequestSeconds(d.Seconds())
+				s.inflight.Add(-1)
 			}
-			s.inflight.Add(-1)
 			s.served.Add(1)
 			code := strconv.Itoa(sw.code)
 			s.reg.Counter("ccdac_serve_requests_total", obs.Labels{"route": route, "code": code}).Inc()

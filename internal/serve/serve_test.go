@@ -409,6 +409,40 @@ func (s syncWriter) Write(p []byte) (int, error) {
 }
 
 // TestHealthEndpointsAndPprof exercises the probe and profiling routes.
+// TestIdleProbesReadZeroInflight requires an idle daemon's /healthz
+// and /metrics to report no request in flight: the gauge counts the
+// admission-limited routes MaxInFlight bounds, not the probe reading
+// it.
+func TestIdleProbesReadZeroInflight(t *testing.T) {
+	srv := New(Options{Logger: quietLogger()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hz healthzResponse
+	err = json.NewDecoder(resp.Body).Decode(&hz)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hz.InFlight != 0 {
+		t.Errorf("idle /healthz inflight = %d, want 0", hz.InFlight)
+	}
+
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if got, ok := parsePromText(t, string(text))["ccdac_serve_inflight"]; !ok || got != 0 {
+		t.Errorf("idle ccdac_serve_inflight = %v (present %v), want 0", got, ok)
+	}
+}
+
 func TestHealthEndpointsAndPprof(t *testing.T) {
 	srv := New(Options{Logger: quietLogger()})
 	ts := httptest.NewServer(srv.Handler())

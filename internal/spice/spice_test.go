@@ -15,8 +15,8 @@ import (
 func singleRC(t *testing.T, r, cfF float64) (*rcnet.Net, int, int) {
 	t.Helper()
 	n := rcnet.New()
-	root := n.AddNode("drv")
-	load := n.AddNode("load")
+	root := n.AddNode()
+	load := n.AddNode()
 	n.AddR(root, load, r)
 	n.AddC(load, cfF)
 	return n, root, load
@@ -71,11 +71,11 @@ func TestTransientRejectsBadArgs(t *testing.T) {
 func TestTransientMonotoneRise(t *testing.T) {
 	// A passive RC step response never overshoots.
 	n := rcnet.New()
-	root := n.AddNode("drv")
+	root := n.AddNode()
 	prev := root
 	var last int
 	for i := 0; i < 5; i++ {
-		v := n.AddNode("n")
+		v := n.AddNode()
 		n.AddR(prev, v, 200)
 		n.AddC(v, 3)
 		prev, last = v, v
@@ -169,9 +169,9 @@ func TestNetlistCountsMatchNetwork(t *testing.T) {
 
 func TestNodesByCap(t *testing.T) {
 	n := rcnet.New()
-	a := n.AddNode("a")
-	b := n.AddNode("b")
-	c := n.AddNode("c")
+	a := n.AddNode()
+	b := n.AddNode()
+	c := n.AddNode()
 	n.AddC(a, 1)
 	n.AddC(b, 5)
 	n.AddC(c, 3)

@@ -296,8 +296,11 @@ func SweepThetaContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, 
 // whenever any path's draws move, so a partial tally persisted under
 // another version is never continued with different draws. Version 2
 // moved the dense path from the unit-level Cholesky sampler onto the
-// exact capacitor-level one; every spectral draw stayed.
-const SampleStream = 2
+// exact capacitor-level one; every spectral draw stayed. Version 3
+// moved draws at round-off: the separable sampler factors the
+// two-for-one half-spectrum, and the exact sampler factors the
+// covariance of the folded QuadForms contraction.
+const SampleStream = 3
 
 // samplerCov is the matrix the exact sampler factors: a copy of a.Cov
 // plus σ_u²·1e-9 per unit cell on the diagonal. That is the exact
