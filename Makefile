@@ -54,11 +54,13 @@ bench-analyze:
 	BENCH_ANALYZE_OUT=BENCH_analyze.json $(GO) test \
 		-run '^TestBenchAnalyze$$' -count=1 -v .
 
-# One-iteration pass over the hot-path micro-benchmarks: proves they
-# still compile and run without paying full benchtime (used by CI).
+# One-iteration pass over the hot-path micro-benchmarks and the linalg
+# kernels (CG solve, dense Cholesky): proves they still compile and run
+# without paying full benchtime (used by CI).
 bench-smoke:
 	$(GO) test -run '^$$' -count=1 -benchtime 1x \
 		-bench '^(BenchmarkAnalyzeCov|BenchmarkCoupleSweep|BenchmarkExtractBits|BenchmarkElmoreTree|BenchmarkPromotionLoop|BenchmarkThetaSweepRouted|BenchmarkMonteCarlo)$$' .
+	$(GO) test -run '^$$' -count=1 -benchtime 1x -bench . ./internal/linalg
 
 # Caching benchmark: serve cold-vs-warm, memoized sensitivity sweep
 # (medians of repeated requests and sweeps), singleflight dedup factor,

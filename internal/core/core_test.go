@@ -151,18 +151,6 @@ func TestParallelSweepMonotoneGain(t *testing.T) {
 	}
 }
 
-func TestMismatchSpanSmall(t *testing.T) {
-	r := run(t, Config{Bits: 6, Style: place.Spiral, SkipNL: true})
-	span, err := MismatchSpan(r, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Symmetric placement cancels the gradient to first order.
-	if span > 1e-6 {
-		t.Errorf("systematic span %g too large for a CC placement", span)
-	}
-}
-
 func TestRunRejectsUnknownStyle(t *testing.T) {
 	if _, err := Run(Config{Bits: 6, Style: place.Style(99)}); err == nil {
 		t.Error("unknown style must be rejected")

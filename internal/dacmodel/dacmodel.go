@@ -441,8 +441,10 @@ func monteCarloNL(a *variation.Analysis, shifts [][]float64, par Parasitics, vre
 	return results, nil
 }
 
-// Quantile returns the q-quantile (0..1) of the max-|INL| values of
-// Monte-Carlo results, a convenience for comparing with the 3σ model.
+// Quantile returns the q-quantile (0..1) of the max-|INL| (inl) or
+// max-|DNL| values of Monte-Carlo results, a convenience for comparing
+// with the 3σ model: the sorted values' entry at index ⌊q·(n−1)⌋,
+// clamped to the first and last.
 func Quantile(rs []Result, q float64, inl bool) float64 {
 	if len(rs) == 0 {
 		return math.NaN()
@@ -455,18 +457,6 @@ func Quantile(rs []Result, q float64, inl bool) float64 {
 			vals[i] = r.MaxAbsDNL
 		}
 	}
-	// Insertion sort: result sets are small.
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
-	idx := int(q * float64(len(vals)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(vals) {
-		idx = len(vals) - 1
-	}
-	return vals[idx]
+	slices.Sort(vals)
+	return vals[min(max(int(q*float64(len(vals)-1)), 0), len(vals)-1)]
 }

@@ -211,6 +211,19 @@ func TestQuantile(t *testing.T) {
 	if !math.IsNaN(Quantile(nil, 0.5, true)) {
 		t.Error("empty quantile must be NaN")
 	}
+	// Unsorted DNL values with ties: sorted they read 0.5 0.5 1 2 2 2 4,
+	// and the q-quantile is entry ⌊q·(n−1)⌋.
+	var ties []Result
+	for _, v := range []float64{2, 0.5, 4, 2, 1, 0.5, 2} {
+		ties = append(ties, Result{MaxAbsDNL: v, MaxAbsINL: -v})
+	}
+	for _, c := range []struct{ q, want float64 }{
+		{0, 0.5}, {0.2, 0.5}, {0.34, 1}, {0.5, 2}, {0.83, 2}, {0.9, 2}, {1, 4}, {-1, 0.5}, {2, 4},
+	} {
+		if got := Quantile(ties, c.q, false); got != c.want {
+			t.Errorf("tied DNL q%g = %g, want %g", c.q, got, c.want)
+		}
+	}
 }
 
 func TestMonotoneTransferNominal(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -19,6 +18,7 @@ import (
 	"ccdac/internal/core"
 	"ccdac/internal/fault"
 	"ccdac/internal/obs"
+	"ccdac/internal/par"
 	"ccdac/internal/place"
 	"ccdac/internal/tech"
 )
@@ -57,12 +57,6 @@ type Harness struct {
 	AnnealMoves int
 	// Tech overrides the process technology (nil = tech.FinFET12).
 	Tech *tech.Technology
-	// Workers bounds Prefetch's concurrency (0 = GOMAXPROCS). One
-	// worker per job is never spawned: the pool is fixed-size.
-	Workers int
-	// JobTimeout bounds each Prefetch job's wall time (0 = none);
-	// a timed-out job reports a per-job error, siblings continue.
-	JobTimeout time.Duration
 	// Memo arms the process-wide stage caches (core.Config.Memo) for
 	// every run the harness launches. Results are bitwise identical;
 	// callers that re-run overlapping configurations (calibration,
@@ -152,12 +146,12 @@ func (h *Harness) Prefetch(bits []int) error {
 	return h.PrefetchContext(context.Background(), bits)
 }
 
-// PrefetchContext runs the prefetch on a bounded worker pool under a
-// context. Each job is isolated: a job that fails — or panics — yields
-// a per-job error while sibling jobs run to completion, and the
+// PrefetchContext runs the prefetch under a context, GOMAXPROCS jobs
+// at a time. Each job is isolated: a job that fails — or panics —
+// yields a per-job error while sibling jobs run to completion, and the
 // returned error joins every per-job failure (nil when all succeed).
 // Cancelling ctx stops job dispatch and aborts in-flight jobs at their
-// next stage boundary; JobTimeout (if set) bounds each job alone.
+// next stage boundary.
 func (h *Harness) PrefetchContext(ctx context.Context, bits []int) error {
 	var jobs []job
 	for _, n := range bits {
@@ -167,42 +161,25 @@ func (h *Harness) PrefetchContext(ctx context.Context, bits []int) error {
 			}
 		}
 	}
-	workers := h.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	jobCh := make(chan int)
 	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobCh {
-				errs[i] = h.runJob(ctx, jobs[i])
-			}
-		}()
-	}
-	for i := range jobs {
-		if ctx.Err() != nil {
-			errs[i] = fmt.Errorf("exp: %s %d-bit: not started: %w", jobs[i].m, jobs[i].n, ctx.Err())
-			continue
+	// The callback records each job's error and returns nil, so one
+	// failure never stops ForN from claiming the remaining jobs, and
+	// ForN itself returns nil.
+	_ = par.ForN(par.Resolve(0), len(jobs), func(i int) error {
+		if err := ctx.Err(); err != nil {
+			errs[i] = fmt.Errorf("exp: %s %d-bit: not started: %w", jobs[i].m, jobs[i].n, err)
+			return nil
 		}
-		jobCh <- i
-	}
-	close(jobCh)
-	wg.Wait()
+		errs[i] = h.runJob(ctx, jobs[i])
+		return nil
+	})
 	return errors.Join(errs...)
 }
 
-// runJob executes one prefetch job with panic containment and the
-// optional per-job timeout. A recovered panic becomes this job's
-// error; it never takes down the pool. Each job runs under its own
-// observability span (errored on failure) and feeds the pool's job
-// counters and duration histogram.
+// runJob executes one prefetch job with panic containment. A
+// recovered panic becomes this job's error; it never takes down the
+// pool. Each job runs under its own observability span (errored on
+// failure) and feeds the pool's job counters and duration histogram.
 func (h *Harness) runJob(ctx context.Context, j job) (err error) {
 	ctx, span := obs.StartSpan(ctx, "exp.job")
 	span.SetAttr("method", string(j.m))
@@ -220,11 +197,6 @@ func (h *Harness) runJob(ctx context.Context, j job) (err error) {
 		span.Fail(err)
 		span.End()
 	}()
-	if h.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, h.JobTimeout)
-		defer cancel()
-	}
 	if ferr := fault.Check(fault.StageExpJob); ferr != nil {
 		return fmt.Errorf("exp: %s %d-bit: %w", j.m, j.n, ferr)
 	}

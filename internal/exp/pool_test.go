@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"ccdac/internal/fault"
 )
@@ -55,21 +54,6 @@ func TestPrefetchFailingJobIsJoined(t *testing.T) {
 	}
 }
 
-func TestPrefetchBoundedWorkers(t *testing.T) {
-	h := NewHarness()
-	h.Workers = 1
-	h.AnnealMoves = 500
-	if err := h.Prefetch([]int{6}); err != nil {
-		t.Fatal(err)
-	}
-	h.mu.Lock()
-	cached := len(h.cache)
-	h.mu.Unlock()
-	if cached != len(Methods) {
-		t.Errorf("got %d cached results, want %d", cached, len(Methods))
-	}
-}
-
 func TestPrefetchCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -77,14 +61,5 @@ func TestPrefetchCanceledContext(t *testing.T) {
 	err := h.PrefetchContext(ctx, []int{6})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled through the joined error, got %v", err)
-	}
-}
-
-func TestJobTimeout(t *testing.T) {
-	h := NewHarness()
-	h.JobTimeout = time.Nanosecond
-	err := h.PrefetchContext(context.Background(), []int{6})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want context.DeadlineExceeded per job, got %v", err)
 	}
 }

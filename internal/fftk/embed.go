@@ -175,10 +175,3 @@ func (e *Embedding) Sample(dst []float64, rng *rand.Rand) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,8 +1,9 @@
 // Package fftk provides the FFT kernels behind the flow's structured-
 // covariance paths (docs/PERFORMANCE.md, "Structured covariance"): an
-// iterative radix-2 complex FFT with a Bluestein fallback for general
-// lengths, separable 2-D plans, and two embeddings of a stationary
-// correlation kernel. The row-spectral SemiEmbedding (semi.go) spans a
+// iterative radix-2 complex FFT over power-of-two lengths, separable
+// 2-D plans, and two embeddings of a stationary correlation kernel.
+// Every torus they transform is a power of two on each axis
+// (torusDim). The row-spectral SemiEmbedding (semi.go) spans a
 // lattice with uniform row pitch and arbitrary column positions; its
 // QuadForms is the one structured analysis engine, turning the
 // capacitor-level covariance's O(n²) pair sum into a per-frequency
@@ -23,88 +24,36 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/cmplx"
 )
 
-// Plan is a precomputed complex DFT of one fixed length. The forward
-// transform uses the e^{-2πi jk/n} convention; Inverse applies the
-// conjugate transform and the 1/n scale, so Inverse(Forward(x)) == x
-// up to roundoff.
+// Plan is a precomputed complex DFT of one fixed power-of-two length:
+// the bit-reversal permutation and the first half of the forward
+// twiddle circle. The forward transform uses the e^{-2πi jk/n}
+// convention; Inverse applies the conjugate transform and the 1/n
+// scale, so Inverse(Forward(x)) == x up to roundoff.
 type Plan struct {
-	n    int
-	pow2 bool
-
-	// Radix-2 machinery (pow2 lengths): bit-reversal permutation and
-	// the first half of the forward twiddle circle.
+	n   int
 	rev []int
 	tw  []complex128
-
-	// Bluestein machinery (general lengths): the chirp w_k =
-	// e^{-iπk²/n}, the padded pow2 convolution sub-plan, and the
-	// precomputed spectrum of the chirp filter.
-	chirp []complex128
-	conv  *Plan
-	bspec []complex128
 }
 
-// NewPlan builds a plan for length n ≥ 1. Powers of two take the
-// iterative radix-2 path; any other length is handled by Bluestein's
-// chirp-z reduction to a padded power-of-two convolution, so arbitrary
-// grid dimensions never silently fall back to an O(n²) DFT.
+// NewPlan builds a plan for a power-of-two length n ≥ 1 and returns an
+// error for any other length.
 func NewPlan(n int) (*Plan, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fftk: plan length %d, want >= 1", n)
+	if n < 1 || n&(n-1) != 0 {
+		return nil, fmt.Errorf("fftk: plan length %d, want a power of two >= 1", n)
 	}
-	p := &Plan{n: n}
-	if n&(n-1) == 0 {
-		p.pow2 = true
-		p.rev = bitReversal(n)
-		p.tw = forwardTwiddles(n)
-		return p, nil
-	}
-	// Bluestein: X_k = w_k · Σ_j (x_j w_j) v_{k−j} with v = conj(w),
-	// a linear convolution of length 2n−1 embedded in a pow2 circle.
-	m := 1 << uint(bits.Len(uint(2*n-2)))
-	conv, err := NewPlan(m)
-	if err != nil {
-		return nil, err
-	}
-	p.conv = conv
-	p.chirp = make([]complex128, n)
-	for k := 0; k < n; k++ {
-		// k² mod 2n keeps the chirp phase exact for large k (the phase
-		// of e^{-iπk²/n} has period 2n in k²).
-		ph := -math.Pi * float64((k*k)%(2*n)) / float64(n)
-		p.chirp[k] = cis(ph)
-	}
-	b := make([]complex128, m)
-	b[0] = 1
-	for k := 1; k < n; k++ {
-		v := cmplxConj(p.chirp[k])
-		b[k], b[m-k] = v, v
-	}
-	conv.Forward(b)
-	p.bspec = b
-	return p, nil
+	return &Plan{n: n, rev: bitReversal(n), tw: forwardTwiddles(n)}, nil
 }
 
-// N returns the plan's transform length.
-func (p *Plan) N() int { return p.n }
-
-// Forward transforms x in place; len(x) must equal N(). A Bluestein
-// plan allocates its two convolution buffers per call — the flow's hot
-// paths use pow2 torus dimensions where Forward is allocation-free.
+// Forward transforms x in place, without allocating; len(x) must equal
+// the plan's length.
 func (p *Plan) Forward(x []complex128) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fftk: Forward length %d, want %d", len(x), p.n))
 	}
-	if p.n == 1 {
-		return
-	}
-	if p.pow2 {
-		p.radix2(x)
-		return
-	}
-	p.bluestein(x)
+	p.radix2(x)
 }
 
 // Inverse applies the inverse transform in place, including the 1/n
@@ -114,12 +63,12 @@ func (p *Plan) Inverse(x []complex128) {
 		panic(fmt.Sprintf("fftk: Inverse length %d, want %d", len(x), p.n))
 	}
 	for i, v := range x {
-		x[i] = cmplxConj(v)
+		x[i] = cmplx.Conj(v)
 	}
 	p.Forward(x)
 	inv := complex(1/float64(p.n), 0)
 	for i, v := range x {
-		x[i] = cmplxConj(v) * inv
+		x[i] = cmplx.Conj(v) * inv
 	}
 }
 
@@ -148,24 +97,6 @@ func (p *Plan) radix2(x []complex128) {
 	}
 }
 
-// bluestein evaluates the chirp-z transform via the precomputed padded
-// convolution.
-func (p *Plan) bluestein(x []complex128) {
-	m := p.conv.n
-	a := make([]complex128, m)
-	for j := 0; j < p.n; j++ {
-		a[j] = x[j] * p.chirp[j]
-	}
-	p.conv.Forward(a)
-	for i := range a {
-		a[i] *= p.bspec[i]
-	}
-	p.conv.Inverse(a)
-	for k := 0; k < p.n; k++ {
-		x[k] = p.chirp[k] * a[k]
-	}
-}
-
 // Plan2D is a separable forward 2-D DFT over a rows×cols row-major grid:
 // a length-cols transform of every row followed by a length-rows
 // transform of every column. Like Plan, it is immutable and
@@ -175,11 +106,9 @@ type Plan2D struct {
 	row, col   *Plan
 }
 
-// NewPlan2D builds a 2-D plan for a rows×cols grid.
+// NewPlan2D builds a 2-D plan for a rows×cols grid; both dimensions
+// must be powers of two.
 func NewPlan2D(rows, cols int) (*Plan2D, error) {
-	if rows < 1 || cols < 1 {
-		return nil, fmt.Errorf("fftk: plan dims %dx%d, want >= 1", rows, cols)
-	}
 	rp, err := NewPlan(cols)
 	if err != nil {
 		return nil, err
@@ -246,5 +175,3 @@ func cis(ph float64) complex128 {
 	s, c := math.Sincos(ph)
 	return complex(c, s)
 }
-
-func cmplxConj(v complex128) complex128 { return complex(real(v), -imag(v)) }

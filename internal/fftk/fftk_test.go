@@ -38,11 +38,11 @@ func maxAbsDiff(a, b []complex128) float64 {
 	return m
 }
 
-// TestForwardMatchesNaiveDFT exercises both the radix-2 and the
-// Bluestein paths against the direct DFT.
+// TestForwardMatchesNaiveDFT checks the radix-2 transform against the
+// direct DFT at every power-of-two length up to 128.
 func TestForwardMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 27, 32, 100, 128} {
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
 		p, err := NewPlan(n)
 		if err != nil {
 			t.Fatalf("NewPlan(%d): %v", n, err)
@@ -59,7 +59,7 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 
 func TestInverseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 2, 6, 8, 15, 64, 96, 256} {
+	for _, n := range []int{1, 2, 8, 64, 256} {
 		p, err := NewPlan(n)
 		if err != nil {
 			t.Fatalf("NewPlan(%d): %v", n, err)
@@ -75,10 +75,10 @@ func TestInverseRoundTrip(t *testing.T) {
 }
 
 // TestPlan2DMatchesNaive checks the separable 2-D transform against
-// row/column naive DFTs, including a non-pow2 dimension.
+// row/column naive DFTs, including non-square grids.
 func TestPlan2DMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, dims := range [][2]int{{1, 1}, {2, 4}, {4, 4}, {3, 5}, {8, 6}} {
+	for _, dims := range [][2]int{{1, 1}, {2, 4}, {4, 4}, {4, 8}, {8, 2}} {
 		rows, cols := dims[0], dims[1]
 		p, err := NewPlan2D(rows, cols)
 		if err != nil {
@@ -109,10 +109,15 @@ func TestPlan2DMatchesNaive(t *testing.T) {
 }
 
 func TestPlanRejectsBadLength(t *testing.T) {
-	if _, err := NewPlan(0); err == nil {
-		t.Error("NewPlan(0) succeeded, want error")
+	for _, n := range []int{0, -4, 3, 6, 12, 100} {
+		if _, err := NewPlan(n); err == nil {
+			t.Errorf("NewPlan(%d) succeeded, want error", n)
+		}
 	}
 	if _, err := NewPlan2D(0, 4); err == nil {
 		t.Error("NewPlan2D(0, 4) succeeded, want error")
+	}
+	if _, err := NewPlan2D(4, 6); err == nil {
+		t.Error("NewPlan2D(4, 6) succeeded, want error")
 	}
 }

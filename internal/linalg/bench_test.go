@@ -34,16 +34,16 @@ func BenchmarkSolveCG(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.SolveCGIter(rhs, 1e-12, 0); err != nil {
+		if _, _, err := s.SolveCG(rhs, 1e-12, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkSolveSPD exercises the dense Cholesky fallback with the
-// fused forward/back substitution buffer. The larger sizes measure
-// the blocked right-looking factorization where the cache behavior of
-// the trailing update dominates.
+// fused forward/back substitution buffer. The column-form
+// factorization costs O(n³); the larger sizes show where its row
+// streams leave the cache.
 func BenchmarkSolveSPD(b *testing.B) {
 	for _, n := range []int{128, 512, 1024, 2048} {
 		d := benchLaplacian(n).ToDense()

@@ -42,28 +42,17 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// MulVec computes y = M·x, allocating the result. Hot paths that
-// solve repeatedly should reuse a destination via MulVecTo.
+// MulVec computes y = M·x, allocating the result.
 func (m *Dense) MulVec(x []float64) []float64 {
 	y := make([]float64, m.N)
-	m.MulVecTo(y, x)
-	return y
-}
-
-// MulVecTo computes dst = M·x in place; dst must have length N and may
-// not alias x.
-func (m *Dense) MulVecTo(dst, x []float64) {
-	if len(dst) != m.N {
-		panic(fmt.Sprintf("linalg: MulVecTo dst length %d, want %d", len(dst), m.N))
-	}
-	for i := 0; i < m.N; i++ {
-		row := m.Data[i*m.N : (i+1)*m.N]
+	for i := range y {
 		s := 0.0
-		for j, v := range row {
+		for j, v := range m.Data[i*m.N : (i+1)*m.N] {
 			s += v * x[j]
 		}
-		dst[i] = s
+		y[i] = s
 	}
+	return y
 }
 
 // LU holds an LU factorization with partial pivoting: P·A = L·U.
@@ -155,125 +144,38 @@ func (f *LU) Det() float64 {
 	return d
 }
 
-// cholBlock is the panel width of the blocked Cholesky: wide enough
-// to amortize the trailing-update loop overhead, narrow enough that a
-// panel row (cholBlock·8 bytes) stays L1-resident during the
-// rank-k update's dot products.
-const cholBlock = 64
-
 // Cholesky computes the lower-triangular factor L with A = L·Lᵀ for a
-// symmetric positive-definite matrix. Used to sample correlated
-// Gaussian mismatch vectors in the Monte-Carlo extension, and as the
-// CG solver's direct fallback.
+// symmetric positive-definite matrix. The exact Monte-Carlo sampler
+// factors the (N+1)×(N+1) capacitor covariance with it, and SolveSPD
+// uses it as the CG solver's direct fallback.
 // It returns an error if A is not (numerically) positive definite.
 //
-// The factorization is right-looking and blocked: factor a
-// cholBlock-wide diagonal panel, solve the rows below it, then fold
-// the panel into the trailing submatrix with fixed-width dot products.
-// The left-looking column loop it replaces streamed two full-length
-// rows per dot product — past ~2k that is two L1 evictions per entry;
-// the blocked trailing update reads cholBlock-length row slices that
-// stay cached, roughly halving large-n factor time.
+// The factorization is the plain column form: column j's pivot and
+// every entry below it are dot products over the columns left of j,
+// accumulated in ascending column order. a is left untouched.
 func Cholesky(a *Dense) (*Dense, error) {
 	n := a.N
 	l := NewDense(n)
-	// Seed the factor with A's lower triangle — the only part the
-	// right-looking updates read or write; a is left untouched.
 	for i := 0; i < n; i++ {
 		copy(l.Data[i*n:i*n+i+1], a.Data[i*n:i*n+i+1])
 	}
-	for k := 0; k < n; k += cholBlock {
-		kb := k + cholBlock
-		if kb > n {
-			kb = n
+	for j := 0; j < n; j++ {
+		rj := l.Data[j*n : j*n+j]
+		d := l.Data[j*n+j]
+		for _, v := range rj {
+			d -= v * v
 		}
-		// Factor the diagonal block in place (unblocked; earlier
-		// panels already folded their contributions in, so only
-		// within-panel columns feed these sums).
-		for j := k; j < kb; j++ {
-			d := l.Data[j*n+j]
-			for t := k; t < j; t++ {
-				d -= l.Data[j*n+t] * l.Data[j*n+t]
-			}
-			if d <= 0 {
-				return nil, fmt.Errorf("linalg: matrix not positive definite at column %d (pivot %g)", j, d)
-			}
-			ljj := math.Sqrt(d)
-			l.Data[j*n+j] = ljj
-			for i := j + 1; i < kb; i++ {
-				s := l.Data[i*n+j]
-				for t := k; t < j; t++ {
-					s -= l.Data[i*n+t] * l.Data[j*n+t]
-				}
-				l.Data[i*n+j] = s / ljj
-			}
+		if d <= 0 {
+			return nil, fmt.Errorf("linalg: matrix not positive definite at column %d (pivot %g)", j, d)
 		}
-		// Panel solve: rows below the block against the factored
-		// diagonal block's transpose.
-		for i := kb; i < n; i++ {
-			for j := k; j < kb; j++ {
-				s := l.Data[i*n+j]
-				for t := k; t < j; t++ {
-					s -= l.Data[i*n+t] * l.Data[j*n+t]
-				}
-				l.Data[i*n+j] = s / l.Data[j*n+j]
+		ljj := math.Sqrt(d)
+		l.Data[j*n+j] = ljj
+		for i := j + 1; i < n; i++ {
+			s := l.Data[i*n+j]
+			for t, v := range l.Data[i*n : i*n+j] {
+				s -= v * rj[t]
 			}
-		}
-		// Trailing rank-kb update: A22 -= L21·L21ᵀ, lower triangle
-		// only. The update is memory-bound (each entry is one
-		// fixed-width dot over two panel rows), so it runs 2×2
-		// register-tiled: every loaded row feeds two dot products,
-		// doubling the arithmetic intensity of the dominant stream.
-		i := kb
-		for ; i+1 < n; i += 2 {
-			ri0 := l.Data[i*n+k : i*n+kb]
-			ri1 := l.Data[(i+1)*n+k : (i+1)*n+kb]
-			j := kb
-			for ; j+1 <= i; j += 2 {
-				rj0 := l.Data[j*n+k : j*n+kb]
-				rj1 := l.Data[(j+1)*n+k : (j+1)*n+kb]
-				var s00, s01, s10, s11 float64
-				for t := range rj0 {
-					a0, a1 := ri0[t], ri1[t]
-					b0, b1 := rj0[t], rj1[t]
-					s00 += a0 * b0
-					s01 += a0 * b1
-					s10 += a1 * b0
-					s11 += a1 * b1
-				}
-				l.Data[i*n+j] -= s00
-				l.Data[i*n+j+1] -= s01
-				l.Data[(i+1)*n+j] -= s10
-				l.Data[(i+1)*n+j+1] -= s11
-			}
-			for ; j <= i; j++ {
-				rj := l.Data[j*n+k : j*n+kb]
-				var s0, s1 float64
-				for t := range rj {
-					s0 += ri0[t] * rj[t]
-					s1 += ri1[t] * rj[t]
-				}
-				l.Data[i*n+j] -= s0
-				l.Data[(i+1)*n+j] -= s1
-			}
-			// Row i+1's diagonal-column entry (j = i+1) pairs with no
-			// column of row i; it is the row's self dot.
-			var s float64
-			for _, v := range ri1 {
-				s += v * v
-			}
-			l.Data[(i+1)*n+(i+1)] -= s
-		}
-		if i < n { // odd trailing row
-			ri := l.Data[i*n+k : i*n+kb]
-			for j := kb; j <= i; j++ {
-				rj := l.Data[j*n+k : j*n+kb]
-				s := 0.0
-				for t, v := range ri {
-					s += v * rj[t]
-				}
-				l.Data[i*n+j] -= s
-			}
+			l.Data[i*n+j] = s / ljj
 		}
 	}
 	return l, nil
@@ -285,8 +187,9 @@ func Cholesky(a *Dense) (*Dense, error) {
 // classical cheap lower bound on κ₂(A) — exact for diagonal matrices,
 // and within a small factor for the diagonally dominant covariance and
 // conductance matrices this flow produces. It costs O(n) on a factor
-// that was already computed, which is what lets the health endpoint
-// report conditioning on every request without a second factorization.
+// that was already computed, which is what lets the exact Monte-Carlo
+// sampler set the ccdac_numeric_cov_cond_estimate gauge on every run
+// without a second factorization.
 // Returns +Inf for a non-positive diagonal and 1 for an empty factor.
 func CondEstFromChol(l *Dense) float64 {
 	if l.N == 0 {

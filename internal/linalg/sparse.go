@@ -87,28 +87,11 @@ func (s *Sparse) ToDense() *Dense {
 	return d
 }
 
-// NNZ returns the number of stored entries.
-func (s *Sparse) NNZ() int {
-	n := 0
-	for _, r := range s.rows {
-		n += len(r)
-	}
-	return n
-}
-
-// SolveCG solves S·x = b for a symmetric positive-definite S using
-// Jacobi-preconditioned conjugate gradients. tol is the relative
-// residual target (e.g. 1e-12); maxIter <= 0 selects 10·N iterations.
-func (s *Sparse) SolveCG(b []float64, tol float64, maxIter int) ([]float64, error) {
-	x, _, err := s.SolveCGIter(b, tol, maxIter)
-	return x, err
-}
-
 // cgScratch holds the five working vectors of one CG solve. Extraction
-// solves two moment systems per bit network, so steady-state serving
-// churns through thousands of solves; pooling the scratch (everything
-// but the returned solution) removes five of the six allocations per
-// solve without changing a single arithmetic step.
+// solves a first-moment system for every meshed bit network, so
+// steady-state serving churns through thousands of solves; pooling the
+// scratch (everything but the returned solution) removes five of the
+// six allocations per solve without changing a single arithmetic step.
 type cgScratch struct {
 	mInv, r, z, p, ap []float64
 }
@@ -128,14 +111,6 @@ func (c *cgScratch) grow(n int) {
 	c.mInv, c.r, c.z, c.p, c.ap = c.mInv[:n], c.r[:n], c.z[:n], c.p[:n], c.ap[:n]
 }
 
-// SolveCGIter is SolveCG, additionally reporting the number of CG
-// iterations performed — the solver-effort metric surfaced by the
-// observability layer (maxIter when the solve did not converge).
-func (s *Sparse) SolveCGIter(b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	x, st, err := s.SolveCGStats(b, tol, maxIter)
-	return x, st.Iterations, err
-}
-
 // CGStats reports the effort and terminal accuracy of one CG solve —
 // the raw material for the numeric-health telemetry. Residual is the
 // final relative residual ‖b − A·x‖₂/‖b‖₂ (0 for a zero rhs, which is
@@ -147,9 +122,12 @@ type CGStats struct {
 	Residual   float64
 }
 
-// SolveCGStats is SolveCGIter, additionally reporting the final
-// relative residual reached.
-func (s *Sparse) SolveCGStats(b []float64, tol float64, maxIter int) ([]float64, CGStats, error) {
+// SolveCG solves S·x = b for a symmetric positive-definite S using
+// Jacobi-preconditioned conjugate gradients. tol is the relative
+// residual target (e.g. 1e-12); maxIter <= 0 selects 10·N iterations.
+// The stats report the iterations performed (maxIter when the solve
+// did not converge) and the final relative residual.
+func (s *Sparse) SolveCG(b []float64, tol float64, maxIter int) ([]float64, CGStats, error) {
 	if err := fault.Check(fault.StageLinalgCG); err != nil {
 		return nil, CGStats{}, err
 	}

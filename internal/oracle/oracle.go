@@ -1,8 +1,9 @@
 // Package oracle is the accuracy reference for the paper's analysis
-// tail. It evaluates the capacitor covariance of Eqs. 4–6 and the 3σ
-// INL/DNL of Eqs. 9–14 straight from their definitions in Prec-bit
-// math/big arithmetic, taking the same float64 inputs an engine
-// consumes — kernel values, the covariance matrix, unit counts — so
+// tail. It evaluates the capacitor covariance of Eqs. 4–6, the 3σ
+// INL/DNL of Eqs. 9–14 and one Monte-Carlo sample's INL/DNL through
+// Eq. 9 straight from their definitions in Prec-bit math/big
+// arithmetic, taking the same float64 inputs an engine consumes —
+// kernel values, the covariance matrix, unit counts, sampled shifts — so
 // the difference between an engine's result and the oracle's is that
 // engine's own summation error and nothing else.
 //
@@ -262,4 +263,105 @@ func (d DAC) NL(sigma, sigmaD []*big.Float) (inl, dnl *big.Float) {
 		prev.Set(r)
 	}
 	return inl, dnl
+}
+
+// Sample is the float64 input of one Monte-Carlo draw evaluated
+// through Eq. 9: what dacmodel's per-sample evaluation reads from a
+// variation.Analysis, its parasitics, V_REF and one row of sampled
+// capacitor shifts.
+type Sample struct {
+	// Bits is the resolution N; capacitors are C_0..C_N.
+	Bits int
+	// Counts[k] is C_k's unit-cell count and CuFF the unit capacitance.
+	Counts []int
+	CuFF   float64
+	// Shifts[k] is C_k's sampled deviation ΔC_k in fF.
+	Shifts []float64
+	// CTBOn, CTBOff and CTS are the parasitics of Eqs. 10–11 in fF.
+	CTBOn, CTBOff, CTS float64
+	// VRef is the reference voltage V_REF.
+	VRef float64
+}
+
+// Linearity is one sample's transfer measured against one reference
+// line, in LSB: INL[i] = |INL(i)| and DNL[i] = |DNL(i)| for codes
+// i = 1..2^N−1 (index 0 is zero), and their maxima over those codes.
+type Linearity struct {
+	INL, DNL       []*big.Float
+	MaxINL, MaxDNL *big.Float
+}
+
+// NL evaluates the sample's output at every code i by Eq. 9,
+//
+//	V(i) = V_REF·(C^TB_ON + Σ_{k∈D(i)} C_k) / (Σ_k C_k + C^TB_ON + C^TB_OFF + C^TS),
+//
+// with C_k = n_k·C_u + ΔC_k, and returns its linearity twice: raw,
+// against the ideal V_REF·i/2^N with LSB V_REF/2^N, and
+// endpoint-corrected, against the straight line through V(0) and
+// V(2^N−1) with LSB (V(2^N−1) − V(0))/(2^N−1). In both, INL(i) is
+// V(i)'s distance from the line and DNL(i) = (V(i) − V(i−1))/LSB − 1.
+func (s Sample) NL() (raw, endpoint Linearity) {
+	n := s.Bits + 1
+	codes := 1 << s.Bits
+	cu := fromFloat(s.CuFF)
+	c := make([]*big.Float, n)
+	den := newFloat()
+	for k := range c {
+		c[k] = newFloat().Mul(cu, newFloat().SetInt64(int64(s.Counts[k])))
+		c[k].Add(c[k], fromFloat(s.Shifts[k]))
+		den.Add(den, c[k])
+	}
+	for _, v := range []float64{s.CTBOn, s.CTBOff, s.CTS} {
+		den.Add(den, fromFloat(v))
+	}
+	vref := fromFloat(s.VRef)
+	scale := newFloat().Quo(vref, den)
+	// out[i] = V(i): the numerator C^TB_ON + Σ_{k∈D(i)} C_k is built
+	// from code i − 2^(K−1), K the highest set bit of i, by one Prec-bit
+	// addition per code, then scaled by V_REF over the denominator.
+	out := make([]*big.Float, codes)
+	out[0] = fromFloat(s.CTBOn)
+	for k, half := 1, 1; half < codes; k, half = k+1, half<<1 {
+		for j := 0; j < half; j++ {
+			out[half+j] = newFloat().Add(out[j], c[k])
+		}
+	}
+	for _, v := range out {
+		v.Mul(v, scale)
+	}
+	raw = linearity(out, newFloat(), newFloat().SetMantExp(vref, -s.Bits))
+	lsb := newFloat().Sub(out[codes-1], out[0])
+	lsb.Quo(lsb, newFloat().SetInt64(int64(codes-1)))
+	endpoint = linearity(out, out[0], lsb)
+	return raw, endpoint
+}
+
+// linearity measures out against the line v0 + i·lsb through
+// u(i) = (out[i] − v0)/lsb: INL(i) = u(i) − i and DNL(i) = u(i) −
+// u(i−1) − 1.
+func linearity(out []*big.Float, v0, lsb *big.Float) Linearity {
+	l := Linearity{
+		INL: make([]*big.Float, len(out)), DNL: make([]*big.Float, len(out)),
+		MaxINL: newFloat(), MaxDNL: newFloat(),
+	}
+	l.INL[0], l.DNL[0] = newFloat(), newFloat()
+	one := newFloat().SetInt64(1)
+	inv := newFloat().Quo(one, lsb)
+	prev, u, code := newFloat(), newFloat(), newFloat()
+	prev.Sub(out[0], v0).Mul(prev, inv)
+	for i := 1; i < len(out); i++ {
+		u.Sub(out[i], v0).Mul(u, inv)
+		l.INL[i] = newFloat().Sub(u, code.SetInt64(int64(i)))
+		l.INL[i].Abs(l.INL[i])
+		l.DNL[i] = newFloat().Sub(u, prev)
+		l.DNL[i].Abs(l.DNL[i].Sub(l.DNL[i], one))
+		if l.INL[i].Cmp(l.MaxINL) > 0 {
+			l.MaxINL = l.INL[i]
+		}
+		if l.DNL[i].Cmp(l.MaxDNL) > 0 {
+			l.MaxDNL = l.DNL[i]
+		}
+		prev, u = u, prev
+	}
+	return l
 }

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"testing"
@@ -77,5 +78,41 @@ func TestSigmaAndNLByHand(t *testing.T) {
 		if e := RelErr(6*want, v); e > 1e-15 {
 			t.Errorf("%s = %s, want %.17g", name, v.Text('g', 20), 6*want)
 		}
+	}
+}
+
+// TestSampleNLByHand checks a 2-bit sample against closed forms:
+// counts (1, 1, 2), C_u = 1, shifts (0, 0, δ), no parasitics, so the
+// capacitors are (1, 1, 2 + δ) and V(i)/V_REF = (0, 1, 2 + δ, 3 + δ)/T
+// with T = 4 + δ. Raw, |INL| = (δ, 2δ, δ)/T and |DNL| = (δ, 3δ, δ)/T;
+// endpoint-corrected, |INL| = (δ, δ, 0)/(3 + δ) and |DNL| =
+// (δ, 2δ, δ)/(3 + δ), whatever V_REF.
+func TestSampleNLByHand(t *testing.T) {
+	const delta = 0.25
+	s := Sample{Bits: 2, Counts: []int{1, 1, 2}, CuFF: 1, Shifts: []float64{0, 0, delta}, VRef: 1.5}
+	raw, endpoint := s.NL()
+	tot, span := 4+delta, 3+delta
+	for _, c := range []struct {
+		name     string
+		l        Linearity
+		inl, dnl []float64
+		max      [2]float64
+	}{
+		{"raw", raw, []float64{0, delta / tot, 2 * delta / tot, delta / tot},
+			[]float64{0, delta / tot, 3 * delta / tot, delta / tot}, [2]float64{2 * delta / tot, 3 * delta / tot}},
+		{"endpoint", endpoint, []float64{0, delta / span, delta / span, 0},
+			[]float64{0, delta / span, 2 * delta / span, delta / span}, [2]float64{delta / span, 2 * delta / span}},
+	} {
+		check := func(what string, got *big.Float, want float64) {
+			if v, _ := got.Float64(); math.Abs(v-want) > 1e-15 {
+				t.Errorf("%s %s = %s, want %.17g", c.name, what, got.Text('g', 20), want)
+			}
+		}
+		for i := range c.inl {
+			check(fmt.Sprintf("INL(%d)", i), c.l.INL[i], c.inl[i])
+			check(fmt.Sprintf("DNL(%d)", i), c.l.DNL[i], c.dnl[i])
+		}
+		check("max INL", c.l.MaxINL, c.max[0])
+		check("max DNL", c.l.MaxDNL, c.max[1])
 	}
 }

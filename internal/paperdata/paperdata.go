@@ -83,18 +83,6 @@ func Cells() []Cell {
 	}
 }
 
-// RuntimeSeconds returns the paper's Table III runtimes, indexed by
-// bit count: [spiral, bc].
-func RuntimeSeconds() map[int][2]float64 {
-	return map[int][2]float64{
-		6:  {0.02, 0.03},
-		7:  {0.04, 0.05},
-		8:  {0.12, 0.19},
-		9:  {0.35, 0.38},
-		10: {1.11, 2.25},
-	}
-}
-
 // Find returns the paper cell for (bits, method), if present.
 func Find(bits int, method string) (Cell, bool) {
 	for _, c := range Cells() {

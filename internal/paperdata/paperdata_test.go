@@ -63,17 +63,6 @@ func TestPaperInternalOrderings(t *testing.T) {
 	}
 }
 
-func TestRuntimeTable(t *testing.T) {
-	rt := RuntimeSeconds()
-	if len(rt) != 5 {
-		t.Fatalf("runtime rows = %d", len(rt))
-	}
-	// Superlinear growth and BC >= spiral at 10 bits.
-	if rt[10][0] <= rt[6][0] || rt[10][1] < rt[10][0] {
-		t.Errorf("runtime shape broken: %+v", rt)
-	}
-}
-
 func TestSpearmanKnownValues(t *testing.T) {
 	// Perfect monotone agreement.
 	if rho := Spearman([]float64{1, 2, 3, 4}, []float64{10, 20, 30, 40}); math.Abs(rho-1) > 1e-12 {

@@ -382,14 +382,11 @@ func (n *Net) reduce(root int) (*reduced, error) {
 	return s, nil
 }
 
-// capRHS returns C·w over the reduced rows in farads (C·1 for nil w).
-func (s *reduced) capRHS(w []float64) []float64 {
+// capRHS returns C·1 over the reduced rows in farads.
+func (s *reduced) capRHS() []float64 {
 	rhs := make([]float64, len(s.capRow))
 	for i, c := range s.capRow {
 		rhs[i] = c * 1e-15 // fF -> F; tau in seconds
-		if w != nil {
-			rhs[i] *= w[i]
-		}
 	}
 	return rhs
 }
@@ -415,23 +412,14 @@ func (n *Net) FirstMoment(root int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	tau, err := n.firstMoment(s)
-	if err != nil {
-		return nil, err
-	}
-	return s.expand(tau), nil
-}
-
-// firstMoment solves G·tau = C·1 on a reduced system (nil when empty).
-func (n *Net) firstMoment(s *reduced) ([]float64, error) {
 	if s.g == nil {
-		return nil, nil
+		return s.expand(nil), nil
 	}
-	tau, err := n.solveSPD(s.g, s.capRHS(nil), "first-moment")
+	tau, err := n.solveSPD(s.g, s.capRHS())
 	if err != nil {
 		return nil, fmt.Errorf("rcnet: moment solve: %w", err)
 	}
-	return tau, nil
+	return s.expand(tau), nil
 }
 
 // solveSPD solves g·x = rhs, preferring the Jacobi-preconditioned CG
@@ -439,8 +427,8 @@ func (n *Net) firstMoment(s *reduced) ([]float64, error) {
 // exhausts its iteration budget. The fallback is exact (direct), so
 // results stay correct; it is recorded as a warning on the net because
 // it signals an ill-conditioned extraction and costs O(n³).
-func (n *Net) solveSPD(g *linalg.Sparse, rhs []float64, what string) ([]float64, error) {
-	x, st, err := g.SolveCGStats(rhs, 1e-12, 40*g.N)
+func (n *Net) solveSPD(g *linalg.Sparse, rhs []float64) ([]float64, error) {
+	x, st, err := g.SolveCG(rhs, 1e-12, 40*g.N)
 	n.cgIters += st.Iterations
 	if err == nil {
 		n.cgSolves = append(n.cgSolves, CGSolve{Iterations: st.Iterations, Residual: st.Residual})
@@ -456,53 +444,8 @@ func (n *Net) solveSPD(g *linalg.Sparse, rhs []float64, what string) ([]float64,
 	n.cgFallbacks++
 	n.cgSolves = append(n.cgSolves, CGSolve{Iterations: st.Iterations, Residual: st.Residual, Fallback: true})
 	n.warn = append(n.warn, fmt.Sprintf(
-		"%s CG solve did not converge; fell back to dense Cholesky (n=%d)", what, g.N))
+		"first-moment CG solve did not converge; fell back to dense Cholesky (n=%d)", g.N))
 	return x, nil
-}
-
-// Moments computes the first and second moments of each node's step
-// response for an arbitrary connected RC network driven at root:
-// m1 = G⁻¹·C·1 (the generalized Elmore delay, seconds) and
-// m2 = G⁻¹·C·m1 (seconds²). The per-node dominant-pole estimate
-// m2/m1 (the AWE single-pole fit) satisfies m1/2 ≤ m2/m1 ≤ τ_max for
-// RC trees — the lower bound from the nonnegative impulse response
-// (E[t²] ≥ E[t]²), the upper from m2 = Σaτ² ≤ τ_max·m1 — and is exact
-// for a single pole.
-func (n *Net) Moments(root int) (m1, m2 []float64, err error) {
-	s, err := n.reduce(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	tau, err := n.firstMoment(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s.g == nil {
-		return s.expand(nil), s.expand(nil), nil
-	}
-	// C·m1 with per-representative capacitance: every node of a group
-	// shares its representative's m1, so one stamp per row suffices.
-	sol, err := n.solveSPD(s.g, s.capRHS(tau), "second-moment")
-	if err != nil {
-		return nil, nil, fmt.Errorf("rcnet: second moment solve: %w", err)
-	}
-	return s.expand(tau), s.expand(sol), nil
-}
-
-// DominantTau returns the per-node dominant-pole time-constant
-// estimate m2/m1 in seconds (zero where m1 is zero).
-func (n *Net) DominantTau(root int) ([]float64, error) {
-	m1, m2, err := n.Moments(root)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(m1))
-	for i := range m1 {
-		if m1[i] > 0 {
-			out[i] = m2[i] / m1[i]
-		}
-	}
-	return out, nil
 }
 
 // MaxDelay returns the maximum delay over the given node set from the

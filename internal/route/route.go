@@ -158,9 +158,6 @@ func (l *Layout) CellCenter(c geom.Cell) geom.Pt {
 	return geom.Pt{X: l.colX[c.Col], Y: l.rowY[c.Row]}
 }
 
-// RailY returns the terminal rail y coordinate of capacitor bit.
-func (l *Layout) RailY(bit int) float64 { return l.railY[bit] }
-
 // TrackX returns the x coordinate of the center of the slot range
 // [slot, slot+par) in the given channel.
 func (l *Layout) TrackX(channel, slot, par int) float64 {
@@ -647,18 +644,6 @@ func sortedUniqueAsc(vs []float64) []float64 {
 
 // Area returns the routed array area in square microns.
 func (l *Layout) Area() float64 { return l.Width * l.Height }
-
-// WirelengthByBit sums routed wirelength in microns per capacitor
-// (abutment, branch, trunk, bridge), excluding top-plate wires.
-func (l *Layout) WirelengthByBit() []float64 {
-	out := make([]float64, l.M.Bits+1)
-	for _, w := range l.Wires {
-		if w.Bit >= 0 {
-			out[w.Bit] += w.Seg.Len()
-		}
-	}
-	return out
-}
 
 // ViaCuts returns the total number of physical via cuts (vias count
 // p^2 under p-wire parallel routing), the Sigma N_V of Table I.

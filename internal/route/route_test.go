@@ -45,8 +45,8 @@ func TestRouteSpiralBasics(t *testing.T) {
 	// Every bit gets a terminal at its rail.
 	for bit := 0; bit <= 6; bit++ {
 		term := l.Terminals[bit]
-		if term.Y != l.RailY(bit) {
-			t.Errorf("bit %d terminal y=%g, want rail %g", bit, term.Y, l.RailY(bit))
+		if term.Y != l.railY[bit] {
+			t.Errorf("bit %d terminal y=%g, want rail %g", bit, term.Y, l.railY[bit])
 		}
 		if term.X < 0 || term.X > l.Width {
 			t.Errorf("bit %d terminal x=%g outside layout", bit, term.X)
@@ -193,7 +193,7 @@ func TestTrunksEndAtRails(t *testing.T) {
 			continue
 		}
 		lo := math.Min(w.Seg.A.Y, w.Seg.B.Y)
-		if lo == l.RailY(w.Bit) {
+		if lo == l.railY[w.Bit] {
 			reached[w.Bit] = true
 		}
 	}
@@ -285,24 +285,6 @@ func TestAllCellsCoveredByClusters(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestWirelengthByBitSums(t *testing.T) {
-	l := routed(t, 6, place.Spiral)
-	per := l.WirelengthByBit()
-	sum := 0.0
-	for _, v := range per {
-		sum += v
-	}
-	top := 0.0
-	for _, w := range l.Wires {
-		if w.Bit == TopPlateBit {
-			top += w.Seg.Len()
-		}
-	}
-	if math.Abs(sum+top-l.TotalWirelength()) > 1e-9 {
-		t.Errorf("per-bit %g + top %g != total %g", sum, top, l.TotalWirelength())
 	}
 }
 

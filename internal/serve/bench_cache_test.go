@@ -220,7 +220,7 @@ func TestBenchCache(t *testing.T) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := s.SolveCGIter(rhs, 1e-12, 0); err != nil {
+			if _, _, err := s.SolveCG(rhs, 1e-12, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

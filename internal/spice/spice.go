@@ -9,7 +9,6 @@ package spice
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"ccdac/internal/linalg"
@@ -159,7 +158,7 @@ func Transient(n *rcnet.Net, root int, dt float64, steps int, observe []int) (*W
 		for i := 0; i < m; i++ {
 			rhs[i] = cOverDt[i]*v[i] + b[i]
 		}
-		next, err := sys.SolveCG(rhs, 1e-12, 0)
+		next, _, err := sys.SolveCG(rhs, 1e-12, 0)
 		if err != nil {
 			return nil, fmt.Errorf("spice: step %d: %w", s, err)
 		}
@@ -225,56 +224,4 @@ func SettleWithin(n *rcnet.Net, root int, nodes []int, tol, tauHint float64) (fl
 		horizon *= 4
 	}
 	return 0, fmt.Errorf("spice: network did not settle within %g tau", horizon)
-}
-
-// CSV renders the waveform as comma-separated samples — time in
-// seconds followed by one column per observed node — for external
-// plotting. names supplies the column headers (defaults to node ids).
-func (w *Waveform) CSV(names []string) string {
-	var b strings.Builder
-	b.WriteString("t_s")
-	for i, node := range w.Nodes {
-		name := fmt.Sprintf("n%d", node)
-		if i < len(names) && names[i] != "" {
-			name = names[i]
-		}
-		b.WriteString(",")
-		b.WriteString(name)
-	}
-	b.WriteString("\n")
-	for s := range w.TimeSec {
-		fmt.Fprintf(&b, "%.6g", w.TimeSec[s])
-		for i := range w.Nodes {
-			fmt.Fprintf(&b, ",%.6g", w.V[i][s])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// ElementCounts reports the number of resistors and (nonzero)
-// capacitors, a convenience for netlist tests and reports.
-func ElementCounts(n *rcnet.Net) (rs, cs int) {
-	rs = len(n.Resistors())
-	for _, c := range n.Caps() {
-		if c > 0 {
-			cs++
-		}
-	}
-	return rs, cs
-}
-
-// NodesByCap returns node indices sorted by descending capacitance, a
-// helper for picking observation nodes in large networks.
-func NodesByCap(n *rcnet.Net, limit int) []int {
-	caps := n.Caps()
-	idx := make([]int, len(caps))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return caps[idx[a]] > caps[idx[b]] })
-	if limit > 0 && limit < len(idx) {
-		idx = idx[:limit]
-	}
-	return idx
 }

@@ -158,29 +158,17 @@ func TestNetlistCountsMatchNetwork(t *testing.T) {
 	}
 	bn := sum.Bits[6]
 	nl := Netlist(bn.Net, bn.Root, "bit6")
-	rs, cs := ElementCounts(bn.Net)
+	rs, cs := len(bn.Net.Resistors()), 0
+	for _, c := range bn.Net.Caps() {
+		if c > 0 {
+			cs++
+		}
+	}
 	if got := strings.Count(nl, "\nR"); got != rs {
 		t.Errorf("netlist has %d resistors, network %d", got, rs)
 	}
 	if got := strings.Count(nl, "\nC"); got != cs {
 		t.Errorf("netlist has %d capacitors, network %d", got, cs)
-	}
-}
-
-func TestNodesByCap(t *testing.T) {
-	n := rcnet.New()
-	a := n.AddNode()
-	b := n.AddNode()
-	c := n.AddNode()
-	n.AddC(a, 1)
-	n.AddC(b, 5)
-	n.AddC(c, 3)
-	got := NodesByCap(n, 2)
-	if len(got) != 2 || got[0] != b || got[1] != c {
-		t.Errorf("NodesByCap = %v", got)
-	}
-	if got := NodesByCap(n, 0); len(got) != 3 {
-		t.Errorf("unlimited NodesByCap = %v", got)
 	}
 }
 
@@ -200,28 +188,5 @@ func TestSanitize(t *testing.T) {
 	}
 	if got := sanitize(""); got != "net" {
 		t.Errorf("sanitize empty = %q", got)
-	}
-}
-
-func TestWaveformCSV(t *testing.T) {
-	n, root, load := singleRC(t, 1000, 10)
-	wf, err := Transient(n, root, 1e-12, 3, []int{load})
-	if err != nil {
-		t.Fatal(err)
-	}
-	csv := wf.CSV([]string{"vload"})
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("csv lines = %d, want header + 3", len(lines))
-	}
-	if lines[0] != "t_s,vload" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "1e-12,") {
-		t.Errorf("first sample = %q", lines[1])
-	}
-	// Default names fall back to node ids.
-	if !strings.Contains(wf.CSV(nil), "n1") {
-		t.Error("default column name missing")
 	}
 }

@@ -200,91 +200,6 @@ type ViaRStudy struct {
 	ParallelGain []float64
 }
 
-// SizeResult reports the outcome of unit-capacitor sizing.
-type SizeResult struct {
-	// Factor is the chosen C_u scale relative to the base technology.
-	Factor float64
-	// CuFF is the resulting unit capacitance.
-	CuFF float64
-	// INL and DNL are the worst-case nonlinearities at that size.
-	INL, DNL float64
-	// F3dBHz and AreaUm2 are the costs paid for the matching.
-	F3dBHz  float64
-	AreaUm2 float64
-}
-
-// SizeForSpec finds the smallest unit capacitor (by bisection over the
-// C_u scale factor, relative sigma falling as 1/sqrt(C_u)) whose
-// worst-case INL and DNL meet the spec — the unit-capacitor sizing
-// loop that Lin et al. [8] integrate with placement and routing. It
-// returns an error when even maxFactor cannot meet the spec.
-func SizeForSpec(cfg core.Config, specLSB, maxFactor float64) (*SizeResult, error) {
-	if specLSB <= 0 {
-		return nil, fmt.Errorf("sweep: spec must be positive")
-	}
-	if maxFactor < 1 {
-		maxFactor = 1
-	}
-	eval := func(f float64) (*SizeResult, error) {
-		pts, err := Sensitivity(cfg, KnobUnitCap, []float64{f}, true)
-		if err != nil {
-			return nil, err
-		}
-		base := cfg.Tech
-		if base == nil {
-			base = tech.FinFET12()
-		}
-		t, err := ScaledTech(base, KnobUnitCap, f)
-		if err != nil {
-			return nil, err
-		}
-		c := cfg
-		c.Tech = t
-		c.SkipNL = true
-		r, err := core.Run(c)
-		if err != nil {
-			return nil, err
-		}
-		return &SizeResult{
-			Factor: f, CuFF: t.Unit.CfF,
-			INL: pts[0].INL, DNL: pts[0].DNL,
-			F3dBHz: pts[0].F3dBHz, AreaUm2: r.Electrical.AreaUm2,
-		}, nil
-	}
-	meets := func(r *SizeResult) bool { return r.INL <= specLSB && r.DNL <= specLSB }
-
-	hiRes, err := eval(maxFactor)
-	if err != nil {
-		return nil, err
-	}
-	if !meets(hiRes) {
-		return nil, fmt.Errorf("sweep: spec %.4g LSB unreachable even at %gx C_u (INL %.4g, DNL %.4g)",
-			specLSB, maxFactor, hiRes.INL, hiRes.DNL)
-	}
-	loRes, err := eval(1)
-	if err != nil {
-		return nil, err
-	}
-	if meets(loRes) {
-		return loRes, nil
-	}
-	lo, hi := 1.0, maxFactor
-	best := hiRes
-	for i := 0; i < 12 && hi/lo > 1.05; i++ {
-		mid := math.Sqrt(lo * hi)
-		r, err := eval(mid)
-		if err != nil {
-			return nil, err
-		}
-		if meets(r) {
-			best, hi = r, mid
-		} else {
-			lo = mid
-		}
-	}
-	return best, nil
-}
-
 // StudyViaR runs the via-resistance study.
 func StudyViaR(bits int, factors []float64) (*ViaRStudy, error) {
 	return StudyViaRContext(context.Background(), bits, factors)

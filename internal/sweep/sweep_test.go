@@ -209,36 +209,3 @@ func TestUnitCapKnobTradesINLForSpeed(t *testing.T) {
 		t.Errorf("4x C_u did not slow switching: %+v", pts)
 	}
 }
-
-func TestSizeForSpec(t *testing.T) {
-	cfg := core.Config{Bits: 8, Style: place.Spiral, ThetaSteps: 4}
-	// Baseline INL at 8-bit spiral is ~0.02 LSB; a spec just below it
-	// forces upsizing, a loose one returns the base size.
-	loose, err := SizeForSpec(cfg, 0.5, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.Factor != 1 {
-		t.Errorf("loose spec sized up to %gx unnecessarily", loose.Factor)
-	}
-	tight, err := SizeForSpec(cfg, 0.012, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Factor <= 1 {
-		t.Errorf("tight spec did not upsize: %+v", tight)
-	}
-	if tight.INL > 0.012 || tight.DNL > 0.012 {
-		t.Errorf("sized result misses spec: %+v", tight)
-	}
-	if tight.AreaUm2 <= loose.AreaUm2 {
-		t.Error("upsizing must cost area")
-	}
-	// Impossible spec errors out.
-	if _, err := SizeForSpec(cfg, 1e-7, 4); err == nil {
-		t.Error("unreachable spec must be rejected")
-	}
-	if _, err := SizeForSpec(cfg, 0, 4); err == nil {
-		t.Error("zero spec must be rejected")
-	}
-}

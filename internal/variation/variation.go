@@ -138,36 +138,6 @@ func (a *Analysis) DCSys(k int) float64 {
 	return a.CStar[k] - float64(a.Counts[k])*a.CuFF
 }
 
-// SigmaOn returns sigma of Delta C_ON(i) per Eq. 13 for the given
-// switch states D_1..D_N (D[k] indexes capacitor k; D[0] is ignored —
-// C_0 is always grounded).
-func (a *Analysis) SigmaOn(d []bool) float64 {
-	v := 0.0
-	for j := 1; j <= a.Bits; j++ {
-		if !d[j] {
-			continue
-		}
-		for k := 1; k <= a.Bits; k++ {
-			if d[k] {
-				v += a.Cov.At(j, k)
-			}
-		}
-	}
-	return math.Sqrt(math.Max(0, v))
-}
-
-// SigmaT returns sigma of Delta C_T per Eq. 14 (all capacitors,
-// including C_0).
-func (a *Analysis) SigmaT() float64 {
-	v := 0.0
-	for j := 0; j <= a.Bits; j++ {
-		for k := 0; k <= a.Bits; k++ {
-			v += a.Cov.At(j, k)
-		}
-	}
-	return math.Sqrt(math.Max(0, v))
-}
-
 // cellPt pairs a placement cell with its positioned center.
 type cellPt struct {
 	c geom.Cell

@@ -146,33 +146,6 @@ func TestDispersionLowersRatioVariance(t *testing.T) {
 	}
 }
 
-func TestSigmaOnSubsetOfSigmaT(t *testing.T) {
-	_, a := analyzeStyle(t, 6, place.Spiral, 0)
-	d := make([]bool, 7)
-	for k := 1; k <= 6; k++ {
-		d[k] = true
-	}
-	allOn := a.SigmaOn(d)
-	if allOn <= 0 {
-		t.Fatal("sigma_ON must be positive with bits on")
-	}
-	if a.SigmaT() < allOn {
-		t.Errorf("sigma_T %g below sigma_ON(all) %g", a.SigmaT(), allOn)
-	}
-	// No bits on: zero.
-	if got := a.SigmaOn(make([]bool, 7)); got != 0 {
-		t.Errorf("sigma_ON with no bits = %g, want 0", got)
-	}
-	// Monotone: adding a bit cannot reduce sigma (all covariances > 0).
-	d5 := make([]bool, 7)
-	d5[5] = true
-	d56 := make([]bool, 7)
-	d56[5], d56[6] = true, true
-	if a.SigmaOn(d56) <= a.SigmaOn(d5) {
-		t.Error("sigma_ON must grow with more bits on")
-	}
-}
-
 func TestSweepThetaSharesCovariance(t *testing.T) {
 	m, err := place.NewSpiral(6)
 	if err != nil {
