@@ -54,20 +54,20 @@ bench-analyze:
 	BENCH_ANALYZE_OUT=BENCH_analyze.json $(GO) test \
 		-run '^TestBenchAnalyze$$' -count=1 -v .
 
-# One-iteration pass over the hot-path micro-benchmarks and the linalg
-# kernels (CG solve, dense Cholesky): proves they still compile and run
-# without paying full benchtime (used by CI).
+# One-iteration pass over the hot-path micro-benchmarks (the tree
+# Backward-Euler transient among them) and the exact sampler's dense
+# Cholesky: proves they still compile and run without paying full
+# benchtime (used by CI).
 bench-smoke:
 	$(GO) test -run '^$$' -count=1 -benchtime 1x \
-		-bench '^(BenchmarkAnalyzeCov|BenchmarkCoupleSweep|BenchmarkExtractBits|BenchmarkElmoreTree|BenchmarkPromotionLoop|BenchmarkThetaSweepRouted|BenchmarkMonteCarlo)$$' .
-	$(GO) test -run '^$$' -count=1 -benchtime 1x -bench . ./internal/linalg
+		-bench '^(BenchmarkAnalyzeCov|BenchmarkCoupleSweep|BenchmarkExtractBits|BenchmarkElmoreTree|BenchmarkPromotionLoop|BenchmarkThetaSweepRouted|BenchmarkMonteCarlo|BenchmarkSpiceTransient)$$' .
+	$(GO) test -run '^$$' -count=1 -benchtime 1x -bench '^BenchmarkCholesky$$' ./internal/linalg
 
 # Caching benchmark: serve cold-vs-warm, memoized sensitivity sweep
-# (medians of repeated requests and sweeps), singleflight dedup factor,
-# and CG solver allocations, written to BENCH_cache.json. Asserts
-# warm-hit speedup > 1, one generation for 8
-# concurrent identical requests, and pooled-scratch solver allocs;
-# doubles as CI's cache-correctness smoke (see docs/PERFORMANCE.md).
+# (medians of repeated requests and sweeps) and singleflight dedup
+# factor, written to BENCH_cache.json. Asserts warm-hit speedup > 1
+# and one generation for 8 concurrent identical requests; doubles as
+# CI's cache-correctness smoke (see docs/PERFORMANCE.md).
 bench-cache:
 	BENCH_CACHE_OUT=$(CURDIR)/BENCH_cache.json $(GO) test \
 		-run '^TestBenchCache$$' -count=1 -v ./internal/serve

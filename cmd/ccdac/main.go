@@ -72,7 +72,8 @@ func main() {
 	}
 	if err != nil {
 		// Warnings accumulated before the failure still matter for
-		// diagnosing it (a CG fallback before a routing abort, say).
+		// diagnosing it (a retried parallel-wire promotion before a
+		// routing abort, say).
 		var pe *ccdac.PipelineError
 		if errors.As(err, &pe) {
 			for _, w := range pe.Warnings {

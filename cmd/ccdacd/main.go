@@ -22,9 +22,9 @@
 // Every request runs under its own observability trace; its metrics
 // fold into one global registry, so /metrics reports fleet totals
 // (request rates and latency histograms per route, pipeline runs,
-// degradation and CG-fallback counters). SIGTERM/SIGINT starts a
-// graceful drain: /readyz flips to 503 and in-flight requests get
-// -drain to finish. See docs/OBSERVABILITY.md.
+// parallel-wire retry and dense-fallback counters). SIGTERM/SIGINT
+// starts a graceful drain: /readyz flips to 503 and in-flight requests
+// get -drain to finish. See docs/OBSERVABILITY.md.
 package main
 
 import (

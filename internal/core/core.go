@@ -154,7 +154,7 @@ type Result struct {
 	// Par is the final per-bit parallel wire assignment.
 	Par []int
 	// Warnings records graceful degradations taken during the run:
-	// CG→dense solver fallbacks, abandoned parallel-wire promotions,
+	// abandoned parallel-wire promotions, dense covariance fallbacks
 	// and skipped best-BC candidates. An empty slice means the full
 	// flow ran as configured.
 	Warnings []string
@@ -165,14 +165,11 @@ type Result struct {
 	PlaceTime, RouteTime, AnalyzeTime time.Duration
 }
 
-// RunStats reports one run's degradation and solver-effort counters in
-// structured form — the numeric counterpart of the Warnings prose, so
-// tests assert on counts instead of matching warning text. The same
-// numbers are recorded as trace metrics when a trace is live.
+// RunStats reports one run's degradation counters in structured form
+// — the numeric counterpart of the Warnings prose, so tests assert on
+// counts instead of matching warning text. The same numbers are
+// recorded as trace metrics when a trace is live.
 type RunStats struct {
-	// CGIterations and CGFallbacks total the sparse-solver effort and
-	// CG→Cholesky fallbacks of the kept layout's extraction.
-	CGIterations, CGFallbacks int
 	// ParWireRetries counts parallel-wire promotions retried with fewer
 	// wires after a routing or extraction failure.
 	ParWireRetries int
@@ -345,9 +342,6 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	res.RouteTime = time.Since(start)
 	res.Layout = l
 	res.Par = par
-	res.Warnings = append(res.Warnings, sum.Warnings...)
-	res.Stats.CGIterations = sum.CGIterations
-	res.Stats.CGFallbacks = sum.CGFallbacks
 
 	start = time.Now()
 	res.Electrical = sum

@@ -189,8 +189,5 @@ func summaryBytes(s *extract.Summary) int64 {
 		}
 		n += int64(len(b.CellNodes)) * 8
 	}
-	for _, w := range s.Warnings {
-		n += int64(len(w)) + 16
-	}
 	return n
 }

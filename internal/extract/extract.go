@@ -66,13 +66,9 @@ type Summary struct {
 	AreaUm2 float64
 	// Bits holds the per-capacitor extracted networks, indexed by bit.
 	Bits []BitNet
-	// Warnings records solver degradations taken during extraction
-	// (e.g. a CG→dense-Cholesky fallback in a bit's moment solve).
-	Warnings []string
-	// CGIterations and CGFallbacks total the sparse-solver effort and
-	// CG→Cholesky degradations across every bit's delay solve — the
-	// structured counterparts of the fallback prose in Warnings, so
-	// tests and dashboards assert on numbers instead of strings.
+	// CGIterations and CGFallbacks are always 0: every bit network is
+	// a tree analyzed in closed form, with no iterative solve. They
+	// remain only because the perfbench flow workload still reads them.
 	CGIterations, CGFallbacks int
 }
 
@@ -109,7 +105,8 @@ func Extract(l *route.Layout) (*Summary, error) {
 
 // ExtractContext is Extract under a context carrying the observability
 // trace: the coupling sweep and the per-bit network builds are recorded
-// as nested spans, and solver effort lands in the trace's metrics.
+// as nested spans, and the pair and node counts land in the trace's
+// metrics.
 func ExtractContext(ctx context.Context, l *route.Layout) (*Summary, error) {
 	if err := fault.Check(fault.StageExtract); err != nil {
 		return nil, fmt.Errorf("extract: %w", err)
@@ -132,13 +129,12 @@ func ExtractContext(ctx context.Context, l *route.Layout) (*Summary, error) {
 		s.CWirefF += l.Tech.WireC(w.Layer, effLen(l, w), w.Par)
 	}
 
-	// Per-bit network builds are independent (each assembles and solves
-	// its own rcnet from the shared read-only layout), so they fan out
-	// across the context's worker budget; results land by bit index and
-	// warnings/solver stats are folded in bit order afterwards, keeping
-	// the summary identical at any worker count. Bits are claimed
-	// MSB-first: ForN hands out ascending indices, and the largest net
-	// (half the cells) should start first, not last.
+	// Per-bit network builds are independent (each assembles and
+	// analyzes its own rcnet from the shared read-only layout), so they
+	// fan out across the context's worker budget; results land by bit
+	// index, keeping the summary identical at any worker count. Bits
+	// are claimed MSB-first: ForN hands out ascending indices, and the
+	// largest net (half the cells) should start first, not last.
 	_, span = obs.StartSpan(ctx, "extract.bitnets")
 	nBits := l.M.Bits + 1
 	s.Bits = make([]BitNet, nBits)
@@ -166,32 +162,12 @@ func ExtractContext(ctx context.Context, l *route.Layout) (*Summary, error) {
 		return nil, err
 	}
 	nodes := 0
-	maxResidual := 0.0
 	for bit, bn := range nets {
 		s.Bits[bit] = *bn
 		nodes += bn.Net.NumNodes()
-		st := bn.Net.Stats()
-		s.CGIterations += st.CGIterations
-		s.CGFallbacks += st.CGFallbacks
-		for _, sv := range st.Solves {
-			// Per-solve distributions, not just the run totals: a single
-			// near-cap solve hiding inside a healthy average is exactly
-			// what the numeric-health histograms exist to expose.
-			obs.Observe(ctx, "ccdac_numeric_cg_solve_iterations", float64(sv.Iterations))
-			obs.Observe(ctx, "ccdac_numeric_cg_residual", sv.Residual)
-			if sv.Residual > maxResidual {
-				maxResidual = sv.Residual
-			}
-		}
-		for _, w := range bn.Net.Warnings() {
-			s.Warnings = append(s.Warnings, fmt.Sprintf("extract: bit %d: %s", bit, w))
-		}
 	}
 	span.End()
 	obs.Count(ctx, "ccdac_extract_nodes_total", int64(nodes))
-	obs.Count(ctx, "ccdac_linalg_cg_iterations_total", int64(s.CGIterations))
-	obs.Count(ctx, "ccdac_rcnet_cg_fallback_total", int64(s.CGFallbacks))
-	obs.SetGauge(ctx, "ccdac_numeric_cg_max_residual", maxResidual)
 	return s, nil
 }
 
@@ -438,7 +414,8 @@ func (b *bitNodes) nodeOf(p geom.Pt, layer int) int {
 // buildBitNet assembles the RC charging network of one capacitor from
 // its cells (row-major cell indices) and its routed wires and vias
 // (indices into the layout's), each ascending, and runs the Elmore
-// analysis.
+// analysis on its tree. A network that is not a tree rooted at the
+// driver fails with rcnet.ErrNotTree.
 func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, cells, wires, vias []int) (*BitNet, error) {
 	net := rcnet.New()
 	// A routed bit network is a tree: every wire and via is one
@@ -490,7 +467,7 @@ func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, cells, wires,
 		}
 		net.AddR(nodes.nodeOf(v.At, v.LayerA), nodes.nodeOf(v.At, v.LayerB), r)
 	}
-	delays, err := bn.Net.Delay(root)
+	delays, err := net.ElmoreTree(root)
 	if err != nil {
 		return nil, err
 	}

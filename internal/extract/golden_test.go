@@ -30,7 +30,7 @@ type goldenBit struct {
 type goldenSummary struct {
 	par                       []int
 	cts, cWire, cbb, wl, area uint64
-	viaCuts, cgIters          int
+	viaCuts                   int
 	bits                      []goldenBit
 }
 
@@ -56,7 +56,6 @@ func goldenOf(s *Summary, parOf []int) goldenSummary {
 		wl:      math.Float64bits(s.WirelengthUm),
 		area:    math.Float64bits(s.AreaUm2),
 		viaCuts: s.ViaCuts,
-		cgIters: s.CGIterations,
 	}
 	for _, b := range s.Bits {
 		cells := digest(func(put func(uint64)) {
@@ -90,8 +89,8 @@ func goldenOf(s *Summary, parOf []int) goldenSummary {
 
 func (g goldenSummary) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "{par: %#v, cts: %#x, cWire: %#x, cbb: %#x, wl: %#x, area: %#x, viaCuts: %d, cgIters: %d, bits: []goldenBit{\n",
-		g.par, g.cts, g.cWire, g.cbb, g.wl, g.area, g.viaCuts, g.cgIters)
+	fmt.Fprintf(&b, "{par: %#v, cts: %#x, cWire: %#x, cbb: %#x, wl: %#x, area: %#x, viaCuts: %d, bits: []goldenBit{\n",
+		g.par, g.cts, g.cWire, g.cbb, g.wl, g.area, g.viaCuts)
 	for _, x := range g.bits {
 		fmt.Fprintf(&b, "\t{%#x, %#x, %#x, %#x, %d, %d, %#x, %#x},\n",
 			x.tau, x.rWire, x.rVia, x.cWire, x.nodes, x.root, x.cells, x.net)
@@ -164,7 +163,7 @@ func TestGoldenPromotionLoop(t *testing.T) {
 
 // goldenPromotion holds the captured summaries, keyed style/bits.
 var goldenPromotion = map[string]goldenSummary{
-	"spiral/6": {par: []int{1, 1, 1, 1, 2, 2, 2}, cts: 0x3f96fbc507dc6d51, cWire: 0x404073f7ced91686, cbb: 0x3ff227c8e37ad5cc, wl: 0x4073ea7ef9db22d1, area: 0x406e3b256ffc115e, viaCuts: 58, cgIters: 0, bits: []goldenBit{
+	"spiral/6": {par: []int{1, 1, 1, 1, 2, 2, 2}, cts: 0x3f96fbc507dc6d51, cWire: 0x404073f7ced91686, cbb: 0x3ff227c8e37ad5cc, wl: 0x4073ea7ef9db22d1, area: 0x406e3b256ffc115e, viaCuts: 58, bits: []goldenBit{
 		{0x3d7bc48e5612a4d3, 0x406593f7ced91687, 0x4054000000000000, 0x3ffafd60e94ee392, 6, 4, 0xa8c7f832281a39c5, 0xe81b5404b45b875},
 		{0x3d7fefd50cd5d606, 0x406a4bc6a7ef9db4, 0x4054000000000000, 0x3ffc6a7ef9db22d2, 6, 4, 0xa8c7f832281a39c5, 0x138219089db483a9},
 		{0x3d8792516f4d3b5b, 0x407c7126e978d4fd, 0x4069000000000000, 0x40117f90a4279215, 12, 10, 0x692558b056101a44, 0xa6f1a1acbcefdeb9},
@@ -173,7 +172,7 @@ var goldenPromotion = map[string]goldenSummary{
 		{0x3da7ae6d0c3c8e11, 0x407034395810624e, 0x4049000000000000, 0x40236199780baa58, 26, 24, 0x3f71fbaf4605ff25, 0xdea10f5dc0345837},
 		{0x3da504cf742d5b1e, 0x405a051eb851eb83, 0x4024000000000000, 0x400a5aee631f8a0d, 35, 33, 0x8935dd2422f6eb25, 0xc0086613c8e61f91},
 	}},
-	"spiral/8": {par: []int{1, 1, 1, 1, 1, 1, 2, 2, 2}, cts: 0x3fb70cf75f478e3b, cWire: 0x404c1b280f12c277, cbb: 0x3ff92ce1e05a4846, wl: 0x4090c29fbe76c8ab, area: 0x408bde2ac3222923, viaCuts: 42, cgIters: 0, bits: []goldenBit{
+	"spiral/8": {par: []int{1, 1, 1, 1, 1, 1, 2, 2, 2}, cts: 0x3fb70cf75f478e3b, cWire: 0x404c1b280f12c277, cbb: 0x3ff92ce1e05a4846, wl: 0x4090c29fbe76c8ab, area: 0x408bde2ac3222923, viaCuts: 42, bits: []goldenBit{
 		{0x3d885a5635106384, 0x40743eb851eb851e, 0x4054000000000000, 0x4008fae147ae147a, 6, 4, 0xa8c7f832281a39c5, 0x2411b3d3f96c41de},
 		{0x3d8ac2040514d92a, 0x4076d3f7ced91688, 0x4054000000000000, 0x4008e8a71de69ad5, 6, 4, 0xa8c7f832281a39c5, 0xf5b46e3bf589436},
 		{0x3d91d0ffb7462115, 0x4087b9999999999a, 0x4069000000000000, 0x401c264e7e125496, 12, 10, 0x692558b056101a44, 0x7643fe81edf66368},
@@ -184,7 +183,7 @@ var goldenPromotion = map[string]goldenSummary{
 		{0x3dc73ce93e7d2f04, 0x406ea395810624df, 0x4034000000000000, 0x401e96bb98c7e285, 69, 67, 0x310e42af98fb7125, 0xf5a0bf2431ba2b9a},
 		{0x3dc9518cde32cc1c, 0x40770e147ae147b7, 0x4024000000000000, 0x4026240b780346e0, 131, 129, 0xdaae756b97d6bf25, 0xf5276226334b25cf},
 	}},
-	"spiral/10": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2}, cts: 0x3fd71143f522566f, cWire: 0x4062e98a86d71f0e, cbb: 0x4008fa62314d7fdf, wl: 0x40af23810624dd1c, area: 0x40aa99a415f45e0a, viaCuts: 46, cgIters: 0, bits: []goldenBit{
+	"spiral/10": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2}, cts: 0x3fd71143f522566f, cWire: 0x4062e98a86d71f0e, cbb: 0x4008fa62314d7fdf, wl: 0x40af23810624dd1c, area: 0x40aa99a415f45e0a, viaCuts: 46, bits: []goldenBit{
 		{0x3d9a119e4b9c76b6, 0x4083cd70a3d70a3e, 0x4054000000000000, 0x4018bd566cf41f21, 6, 4, 0xa8c7f832281a39c5, 0x479e18c70c27d145},
 		{0x3d9ae6db64c86993, 0x40851810624dd2f1, 0x4054000000000000, 0x401727bb2fec56d5, 6, 4, 0xa8c7f832281a39c5, 0xbab917aa6cb8dc10},
 		{0x3da090d6969da062, 0x40958ae147ae147c, 0x4069000000000000, 0x40298ccdf4143973, 12, 10, 0x692558b056101a44, 0x53bf5702bc444f5d},
@@ -197,7 +196,7 @@ var goldenPromotion = map[string]goldenSummary{
 		{0x3df1f1aa1819f852, 0x408a1322d0e56037, 0x4034000000000000, 0x403917f62b6ae7c4, 261, 259, 0x47b5eeb1c24f5b25, 0x75fa8fc9f266b9e4},
 		{0x3df03b5ede70cc42, 0x4096611eb851eb57, 0x4024000000000000, 0x4044eacd9e83e3e7, 515, 513, 0x3accd01c5be01425, 0x6b080dd3c6259c3},
 	}},
-	"spiral/12": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2}, cts: 0x3ff711b60ae967f1, cWire: 0x407d0d53cddd6e7e, cbb: 0x4018e12259c71bac, wl: 0x40cdd37ced91698a, area: 0x40c9d467381d7dc7, viaCuts: 50, cgIters: 0, bits: []goldenBit{
+	"spiral/12": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2}, cts: 0x3ff711b60ae967f1, cWire: 0x407d0d53cddd6e7e, cbb: 0x4018e12259c71bac, wl: 0x40cdd37ced91698a, area: 0x40c9d467381d7dc7, viaCuts: 50, bits: []goldenBit{
 		{0x3db097a89f1e1b41, 0x409394cccccccccd, 0x4054000000000000, 0x40289e90ff972474, 6, 4, 0xa8c7f832281a39c5, 0xf0e9d510f2dbb01e},
 		{0x3db038636de527be, 0x40943a1cac083128, 0x4054000000000000, 0x4026474538ef34d8, 6, 4, 0xa8c7f832281a39c5, 0x32d171adf31fcc55},
 		{0x3db33df98f23685a, 0x40a473851eb851ec, 0x4069000000000000, 0x4038400daf152be0, 12, 10, 0x692558b056101a44, 0x3fe50f3cc32a75db},
@@ -212,7 +211,7 @@ var goldenPromotion = map[string]goldenSummary{
 		{0x3e1b54d8fc7c3025, 0x40a7c5439581065c, 0x4034000000000000, 0x40564cd9e83e41fd, 1029, 1027, 0x21b84c137ccdb625, 0x23e1bc9fa5936cb4},
 		{0x3e16509cef159dec, 0x40b6487ae147aeea, 0x4024000000000000, 0x406494af4f0d84ac, 2051, 2049, 0x217a8ebb0efc9725, 0xc96d296d84cf606d},
 	}},
-	"chessboard/6": {par: []int{1, 1, 1, 1, 1, 1, 2}, cts: 0x3f9734cfeb653e47, cWire: 0x405e8eb5b2d4d3f8, cbb: 0x40288d5211ab0eba, wl: 0x408224bc6a7ef9db, area: 0x4070bf0995aaf790, viaCuts: 224, cgIters: 0, bits: []goldenBit{
+	"chessboard/6": {par: []int{1, 1, 1, 1, 1, 1, 2}, cts: 0x3f9734cfeb653e47, cWire: 0x405e8eb5b2d4d3f8, cbb: 0x40288d5211ab0eba, wl: 0x408224bc6a7ef9db, area: 0x4070bf0995aaf790, viaCuts: 224, bits: []goldenBit{
 		{0x3d5cad4bb3304fe8, 0x4037c28f5c28f5c2, 0x4044000000000000, 0x3fca43fe5c91d14d, 4, 2, 0xa8c7f832281a39c5, 0x673ca0903ee28cf8},
 		{0x3d80f30ab66c0d83, 0x406b3126e978d500, 0x4054000000000000, 0x4001e2dc21785d28, 6, 4, 0xa8c7f832281a39c5, 0x869f8179c5d9f293},
 		{0x3d86f67b99589be4, 0x407968f5c28f5c2a, 0x4064000000000000, 0x4010f648fcc913db, 10, 8, 0x692558b056101a44, 0xeedf3fedcf6933d0},
@@ -221,7 +220,7 @@ var goldenPromotion = map[string]goldenSummary{
 		{0x3db80876d95a6c0f, 0x40a6f43958106251, 0x408f400000000000, 0x403d5704f1d7484f, 66, 64, 0x3f71fbaf4605ff25, 0x1a752bd7df572e9a},
 		{0x3db9db0a81777bca, 0x409ec65e353f7cf5, 0x407a400000000000, 0x40518a2c830155d1, 116, 114, 0x8935dd2422f6eb25, 0xc6ab35cc3fd6f11f},
 	}},
-	"chessboard/8": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 2}, cts: 0x3fb74886818ee0e2, cWire: 0x40808e4d013a92c9, cbb: 0x4053696b5e5dafbd, wl: 0x40a41bd70a3d7097, area: 0x4090607b352a8439, viaCuts: 770, cgIters: 0, bits: []goldenBit{
+	"chessboard/8": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 2}, cts: 0x3fb74886818ee0e2, cWire: 0x40808e4d013a92c9, cbb: 0x4053696b5e5dafbd, wl: 0x40a41bd70a3d7097, area: 0x4090607b352a8439, viaCuts: 770, bits: []goldenBit{
 		{0x3d5cad4bb3304fe8, 0x4037c28f5c28f5c2, 0x4044000000000000, 0x3fca43fe5c91d14d, 4, 2, 0xa8c7f832281a39c5, 0x673ca0903ee28cf8},
 		{0x3d8d1fbfba82ec62, 0x40776353f7ced916, 0x4054000000000000, 0x40102ef7abe53d4d, 6, 4, 0xa8c7f832281a39c5, 0xd6caac26c31f1076},
 		{0x3d92402fd76bbdd9, 0x40860c8b43958106, 0x4064000000000000, 0x401eabba9517ed3d, 10, 8, 0x692558b056101a44, 0xa718e7e03530bd77},
@@ -232,7 +231,7 @@ var goldenPromotion = map[string]goldenSummary{
 		{0x3de46889183d5284, 0x40c76be76c8b4394, 0x40a9500000000000, 0x405ee3779ab2e5da, 226, 224, 0x310e42af98fb7125, 0xa7aaeb8746a2ce1f},
 		{0x3de5d9c4e783d533, 0x40bd80df3b645a33, 0x4096d00000000000, 0x4070c0c6816a3c12, 420, 418, 0xdaae756b97d6bf25, 0x686075ddb1030235},
 	}},
-	"chessboard/10": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2}, cts: 0x3fd73698428184ce, cWire: 0x40a165c1c8216cd6, cbb: 0x40798074201bb807, wl: 0x40c562df3b645ab8, area: 0x40b01318fc504817, viaCuts: 2820, cgIters: 0, bits: []goldenBit{
+	"chessboard/10": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2}, cts: 0x3fd73698428184ce, cWire: 0x40a165c1c8216cd6, cbb: 0x40798074201bb807, wl: 0x40c562df3b645ab8, area: 0x40b01318fc504817, viaCuts: 2820, bits: []goldenBit{
 		{0x3d5cad4bb3304fe8, 0x4037c28f5c28f5c3, 0x4044000000000000, 0x3fca43fe5c91d14f, 4, 2, 0xa8c7f832281a39c5, 0x86390f36646d2333},
 		{0x3d9e74a4648d0279, 0x40856e147ae147af, 0x4054000000000000, 0x401ecc40fd67e6de, 6, 4, 0xa8c7f832281a39c5, 0x41e5183292f45366},
 		{0x3da1b9a65411e61d, 0x409453126e978d50, 0x4064000000000000, 0x402d12a3aadc28d4, 10, 8, 0x692558b056101a44, 0x687833aa52c0540a},
@@ -245,7 +244,7 @@ var goldenPromotion = map[string]goldenSummary{
 		{0x3e12f23df717fa68, 0x40e778a3d70a3d5d, 0x40c6940000000000, 0x407fbcb528d6b8da, 834, 832, 0x47b5eeb1c24f5b25, 0xadf7f61932833d84},
 		{0x3e13817faa5a46a9, 0x40dc8dd0624dd2f8, 0x40b5540000000000, 0x4090381ba554298c, 1604, 1602, 0x3accd01c5be01425, 0xac5694cea78e82be},
 	}},
-	"chessboard/12": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2}, cts: 0x3ff726867c866347, cWire: 0x40c1ed9b7e90ff24, cbb: 0x409df00d01b4700f, wl: 0x40e62f8b439580b1, area: 0x40cfbb482be8bc18, viaCuts: 10758, cgIters: 0, bits: []goldenBit{
+	"chessboard/12": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2}, cts: 0x3ff726867c866347, cWire: 0x40c1ed9b7e90ff24, cbb: 0x409df00d01b4700f, wl: 0x40e62f8b439580b1, area: 0x40cfbb482be8bc18, viaCuts: 10758, bits: []goldenBit{
 		{0x3d5cad4bb3304fe8, 0x4037c28f5c28f5c3, 0x4044000000000000, 0x3fca43fe5c91d14f, 4, 2, 0xa8c7f832281a39c5, 0x86390f36646d2333},
 		{0x3db32a4428dc3365, 0x40946c49ba5e353f, 0x4054000000000000, 0x402db0f27bb2fe52, 6, 4, 0xa8c7f832281a39c5, 0x2d8a16007bd85da2},
 		{0x3db534581962a7c3, 0x40a370b439581062, 0x4064000000000000, 0x403c59e4b9e1c6e7, 10, 8, 0x692558b056101a44, 0x394f3fe907028094},
@@ -260,7 +259,7 @@ var goldenPromotion = map[string]goldenSummary{
 		{0x3e4234a8184d2b16, 0x41076adb22d0e5a6, 0x40e5450000000000, 0x40a012eecb0bbb45, 3202, 3200, 0x21b84c137ccdb625, 0xd02fc79e70137bed},
 		{0x3e425f26338abc6e, 0x40fbeed10624dd14, 0x40d4a50000000000, 0x40afc16b19be1559, 6276, 6274, 0x217a8ebb0efc9725, 0xa5e0d754bbe56c60},
 	}},
-	"block-chessboard/6": {par: []int{1, 1, 1, 1, 1, 2, 2}, cts: 0x3f971341fc23d26b, cWire: 0x405118ec95bff044, cbb: 0x4013656c6b632567, wl: 0x407ac00000000000, area: 0x406fdc9c4da9003f, viaCuts: 104, cgIters: 0, bits: []goldenBit{
+	"block-chessboard/6": {par: []int{1, 1, 1, 1, 1, 2, 2}, cts: 0x3f971341fc23d26b, cWire: 0x405118ec95bff044, cbb: 0x4013656c6b632567, wl: 0x407ac00000000000, area: 0x406fdc9c4da9003f, viaCuts: 104, bits: []goldenBit{
 		{0x3d7673009e0cec0e, 0x40604a3d70a3d70a, 0x4054000000000000, 0x3ff35604189374bb, 6, 4, 0xa8c7f832281a39c5, 0xac309ecd5d3fb812},
 		{0x3d80a3354b83a4df, 0x406abe76c8b4395a, 0x4054000000000000, 0x4001288ce703afb8, 6, 4, 0xa8c7f832281a39c5, 0x475e63b78507ccc},
 		{0x3d86777e869dba18, 0x4079d0624dd2f1a9, 0x4069000000000000, 0x4010d076db28b022, 12, 10, 0x692558b056101a44, 0x7de471aaadc0bda9},
@@ -269,7 +268,7 @@ var goldenPromotion = map[string]goldenSummary{
 		{0x3dab7c3ad626fe51, 0x40858ae147ae147a, 0x405b800000000000, 0x403928d7fafe387e, 38, 36, 0x3f71fbaf4605ff25, 0x8c53b41ef5524eb1},
 		{0x3db24d2165c77097, 0x407da2d0e5604188, 0x4051800000000000, 0x403175633e93b986, 46, 44, 0x8935dd2422f6eb25, 0x44190adab5b2f710},
 	}},
-	"block-chessboard/8": {par: []int{1, 1, 1, 1, 1, 1, 1, 2, 2}, cts: 0x3fb7402305be85e7, cWire: 0x407485b280f12c25, cbb: 0x40416db29eed92fb, wl: 0x409f2d374bc6a7fb, area: 0x409013458cd20afb, viaCuts: 291, cgIters: 0, bits: []goldenBit{
+	"block-chessboard/8": {par: []int{1, 1, 1, 1, 1, 1, 1, 2, 2}, cts: 0x3fb7402305be85e7, cWire: 0x407485b280f12c25, cbb: 0x40416db29eed92fb, wl: 0x409f2d374bc6a7fb, area: 0x409013458cd20afb, viaCuts: 291, bits: []goldenBit{
 		{0x3d85ea90610261b3, 0x40720c8b43958106, 0x4054000000000000, 0x4007258f7121ab4a, 6, 4, 0xa8c7f832281a39c5, 0x3245bddeb7e0e862},
 		{0x3d8d1fbfba82ec62, 0x40776353f7ced916, 0x4054000000000000, 0x40102ef7abe53d4d, 6, 4, 0xa8c7f832281a39c5, 0xd6caac26c31f1076},
 		{0x3d91ed3161fe9834, 0x4086c76c8b439581, 0x4069000000000000, 0x401f367146ac156c, 12, 10, 0x692558b056101a44, 0x232e76e4610aa40},
@@ -280,7 +279,7 @@ var goldenPromotion = map[string]goldenSummary{
 		{0x3dd456dad6322772, 0x40af83ae147ae14b, 0x4078600000000000, 0x4062719227ebdab9, 142, 140, 0x310e42af98fb7125, 0x980daad74e466d24},
 		{0x3de273d80ae4abcc, 0x409a2ed916872b04, 0x4061800000000000, 0x404e60ea84de3525, 156, 154, 0xdaae756b97d6bf25, 0x3e04ab564fe075b8},
 	}},
-	"block-chessboard/10": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2}, cts: 0x3fd733a8a3f8982a, cWire: 0x4095168811b1d927, cbb: 0x4070890f4db83839, wl: 0x40c25725e353f7cb, area: 0x40afbcf80dc33721, viaCuts: 566, cgIters: 0, bits: []goldenBit{
+	"block-chessboard/10": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2}, cts: 0x3fd733a8a3f8982a, cWire: 0x4095168811b1d927, cbb: 0x4070890f4db83839, wl: 0x40c25725e353f7cb, area: 0x40afbcf80dc33721, viaCuts: 566, bits: []goldenBit{
 		{0x3d99d396be3f14ee, 0x4082df5c28f5c290, 0x4054000000000000, 0x401b0b344ad1fcff, 6, 4, 0xa8c7f832281a39c5, 0x3a3db200a8400ad5},
 		{0x3d9e6597fb6c6964, 0x40855fbe76c8b43a, 0x4054000000000000, 0x401ece384e6cbc32, 6, 4, 0xa8c7f832281a39c5, 0xe5625b24e0a36298},
 		{0x3da186d739f1d869, 0x409519fbe76c8b41, 0x4069000000000000, 0x402dfb726b9efc1e, 12, 10, 0x692558b056101a44, 0x94f22045055ca410},
@@ -293,7 +292,7 @@ var goldenPromotion = map[string]goldenSummary{
 		{0x3e117c3718272bc4, 0x40e2e73e76c8b432, 0x40b3b00000000000, 0x4078c7311c2588dc, 508, 506, 0x47b5eeb1c24f5b25, 0x91ae55fe2198c0a6},
 		{0x3e11ce5ba785382d, 0x40c40e189374bc6a, 0x4080e00000000000, 0x4077acbf1649924c, 620, 618, 0x3accd01c5be01425, 0xa90605e6def4c},
 	}},
-	"block-chessboard/12": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2}, cts: 0x3ff72cd11962a781, cWire: 0x40c10e6956c0d6f6, cbb: 0x40980e1a7fc10da5, wl: 0x40e66b8d4fdf3b78, area: 0x40d0c4855da27283, viaCuts: 3368, cgIters: 0, bits: []goldenBit{
+	"block-chessboard/12": {par: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2}, cts: 0x3ff72cd11962a781, cWire: 0x40c10e6956c0d6f6, cbb: 0x40980e1a7fc10da5, wl: 0x40e66b8d4fdf3b78, area: 0x40d0c4855da27283, viaCuts: 3368, bits: []goldenBit{
 		{0x3db11fd997e0cccd, 0x409324ed916872af, 0x4054000000000000, 0x402b22abc249740f, 6, 4, 0xa8c7f832281a39c5, 0xef975fbe7ad29418},
 		{0x3db3396d1a8b41ac, 0x40947a9fbe76c8b4, 0x4054000000000000, 0x402dbe0ded288c72, 6, 4, 0xa8c7f832281a39c5, 0x9b529591cd2d76bd},
 		{0x3db4fc35bf0768f4, 0x40a4475c28f5c28f, 0x4069000000000000, 0x403d5b78010a3262, 12, 10, 0x692558b056101a44, 0x143417ccb27b9403},

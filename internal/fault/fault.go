@@ -3,7 +3,8 @@
 // CheckErr) at their entry; tests arm a stage's nth pass to return an
 // error or panic, exercising failure paths that are otherwise
 // unreachable from valid inputs: placement/routing/extraction errors,
-// CG non-convergence, analysis failures, and worker panics.
+// the dense covariance fallback, analysis failures, store IO errors,
+// and worker panics.
 //
 // The registry is process-global and guarded by a single armed flag so
 // the production fast path is one atomic load. Tests that arm faults
@@ -34,8 +35,6 @@ const (
 	StageExtract = "extraction"
 	// StageAnalyze is the variation/nonlinearity analysis (core).
 	StageAnalyze = "analysis"
-	// StageLinalgCG is the sparse CG solve (internal/linalg.SolveCG).
-	StageLinalgCG = "linalg.cg"
 	// StageFFT is the structured-covariance FFT path selection in
 	// internal/variation: an armed fault forces the dense fallback,
 	// exercising the degradation ladder without an irregular layout.
@@ -57,7 +56,7 @@ const (
 // Stages lists every injection point threaded through the flow.
 func Stages() []string {
 	return []string{StageConfig, StagePlace, StageRoute, StageExtract,
-		StageAnalyze, StageLinalgCG, StageFFT, StageExpJob,
+		StageAnalyze, StageFFT, StageExpJob,
 		StageStoreWrite, StageStoreFsync, StageStoreRename,
 		StageStoreRead, StageStoreVerify}
 }

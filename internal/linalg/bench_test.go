@@ -2,59 +2,36 @@ package linalg
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
-// benchLaplacian builds the n-node path-graph Laplacian plus a ground
-// leak — the same SPD structure RC moment solves produce — so the
-// benchmark measures the real solver hot path.
-func benchLaplacian(n int) *Sparse {
-	s := NewSparse(n)
-	for i := 0; i < n; i++ {
-		s.Add(i, i, 1e-3) // ground conductance keeps the system SPD
-	}
-	for i := 0; i+1 < n; i++ {
-		s.AddSym(i, i+1, -1)
-		s.Add(i, i, 1)
-		s.Add(i+1, i+1, 1)
-	}
-	return s
-}
-
-// BenchmarkSolveCG exercises the pooled-scratch CG path; run with
-// -benchmem to confirm allocations per solve (the result vector is the
-// only remaining per-call allocation).
-func BenchmarkSolveCG(b *testing.B) {
-	const n = 256
-	s := benchLaplacian(n)
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = float64(i%7) + 1
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.SolveCG(rhs, 1e-12, 0); err != nil {
-			b.Fatal(err)
+// BenchmarkCholesky factors SPD matrices at the exact sampler's sizes:
+// the (N+1)×(N+1) capacitor covariance at 6 and 12 bits (7 and 13),
+// and 64, past any resolution the flow accepts.
+func BenchmarkCholesky(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{7, 13, 64} {
+		// B·Bᵀ + n·I is SPD and well conditioned.
+		m := NewDense(n)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
 		}
-	}
-}
-
-// BenchmarkSolveSPD exercises the dense Cholesky fallback with the
-// fused forward/back substitution buffer. The column-form
-// factorization costs O(n³); the larger sizes show where its row
-// streams leave the cache.
-func BenchmarkSolveSPD(b *testing.B) {
-	for _, n := range []int{128, 512, 1024, 2048} {
-		d := benchLaplacian(n).ToDense()
-		rhs := make([]float64, n)
-		for i := range rhs {
-			rhs[i] = float64(i%5) + 1
+		a := NewDense(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				s := 0.0
+				for k := 0; k < n; k++ {
+					s += m.At(i, k) * m.At(j, k)
+				}
+				a.Set(i, j, s)
+			}
+			a.Add(i, i, float64(n))
 		}
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SolveSPD(d, rhs); err != nil {
+				if _, err := Cholesky(a); err != nil {
 					b.Fatal(err)
 				}
 			}

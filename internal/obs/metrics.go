@@ -32,20 +32,10 @@ var DefaultSizeBuckets = []float64{
 	1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576,
 }
 
-// DefaultRatioBuckets are the upper bounds used for *_residual and
-// *_ratio histograms: log-spaced from 1e-16 (below float64 machine
-// epsilon — a fully converged solve) up to 1 (no convergence at all).
-var DefaultRatioBuckets = []float64{
-	1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1,
-}
-
 // defaultBuckets picks histogram bounds from the metric's unit suffix.
 func defaultBuckets(name string) []float64 {
 	if strings.HasSuffix(name, "_seconds") {
 		return DefaultDurationBuckets
-	}
-	if strings.HasSuffix(name, "_residual") || strings.HasSuffix(name, "_ratio") {
-		return DefaultRatioBuckets
 	}
 	return DefaultSizeBuckets
 }

@@ -192,19 +192,20 @@ func (t *Trace) Spans() []SpanRecord {
 // nil, and every method is nil-safe, so instrumentation sites never
 // need to branch on whether tracing is live.
 type Span struct {
-	tr       *Trace
-	id       uint64
-	parent   uint64
-	name     string
-	start    time.Time
-	end      time.Time
-	err      string
-	attrs    map[string]string
-	prevCtx  context.Context // pprof label restore target
-	memStart runtime.MemStats
-	alloc    uint64
-	objects  uint64
-	ended    atomic.Bool
+	tr      *Trace
+	id      uint64
+	parent  uint64
+	name    string
+	start   time.Time
+	end     time.Time
+	err     string
+	attrs   map[string]string
+	prevCtx context.Context // pprof label restore target
+	// TotalAlloc and Mallocs at start and their deltas at End, with
+	// Options.MemStats only; a whole runtime.MemStats is ~6 KB a span.
+	allocStart, mallocsStart uint64
+	alloc, objects           uint64
+	ended                    atomic.Bool
 }
 
 type spanKey struct{}
@@ -253,7 +254,9 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		pprof.SetGoroutineLabels(ctx)
 	}
 	if tr.opts.MemStats {
-		runtime.ReadMemStats(&s.memStart)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		s.allocStart, s.mallocsStart = ms.TotalAlloc, ms.Mallocs
 	}
 	if tr.emitting() {
 		tr.emit(Event{
@@ -311,8 +314,8 @@ func (s *Span) End() {
 	if s.tr.opts.MemStats {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		s.alloc = ms.TotalAlloc - s.memStart.TotalAlloc
-		s.objects = ms.Mallocs - s.memStart.Mallocs
+		s.alloc = ms.TotalAlloc - s.allocStart
+		s.objects = ms.Mallocs - s.mallocsStart
 	}
 	if s.tr.opts.PprofLabels {
 		pprof.SetGoroutineLabels(s.prevCtx)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeClock returns a now func that starts at a fixed instant and
@@ -429,6 +430,16 @@ func TestMemStatsDeltas(t *testing.T) {
 
 // sink defeats allocation elision in TestMemStatsDeltas.
 var sink []byte
+
+// TestSpanStaysSmall guards the per-span footprint: every traced stage
+// allocates one Span whether or not Options.MemStats is on, so the
+// struct must not carry a runtime.MemStats (5,776 bytes in Go 1.24),
+// only the two counters End reads.
+func TestSpanStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Span{}); size >= 1024 {
+		t.Errorf("Span is %d bytes, want < 1 KiB", size)
+	}
+}
 
 // BenchmarkDisabledStartSpan measures the disarmed fast path: one
 // atomic load and out. This is the cost every instrumentation site

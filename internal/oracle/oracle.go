@@ -1,11 +1,13 @@
 // Package oracle is the accuracy reference for the paper's analysis
 // tail. It evaluates the capacitor covariance of Eqs. 4–6, the 3σ
-// INL/DNL of Eqs. 9–14 and one Monte-Carlo sample's INL/DNL through
-// Eq. 9 straight from their definitions in Prec-bit math/big
-// arithmetic, taking the same float64 inputs an engine consumes —
-// kernel values, the covariance matrix, unit counts, sampled shifts — so
-// the difference between an engine's result and the oracle's is that
-// engine's own summation error and nothing else.
+// INL/DNL of Eqs. 9–14, one Monte-Carlo sample's INL/DNL through Eq. 9,
+// and the Elmore delay, settling time and 3dB frequency of Eqs. 15–16
+// straight from their definitions in Prec-bit math/big arithmetic,
+// taking the same float64 inputs an engine consumes — kernel values,
+// the covariance matrix, unit counts, sampled shifts, the extracted
+// resistors and capacitances — so the difference between an engine's
+// result and the oracle's is that engine's own rounding error and
+// nothing else.
 //
 // Bit-level goldens pin what an engine computes; this package pins
 // how close that is to exact. A change that reorders an engine's sums
@@ -14,6 +16,7 @@
 package oracle
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -364,4 +367,100 @@ func linearity(out []*big.Float, v0, lsb *big.Float) Linearity {
 		prev, u = u, prev
 	}
 	return l
+}
+
+// Edge is one resistor of an RC network: nodes A and B joined by Ohm
+// ohms. Zero ohms is an ideal short.
+type Edge struct {
+	A, B int
+	Ohm  float64
+}
+
+// Elmore returns the Elmore delay in seconds from the driver node root
+// to every node of an RC tree with resistors edges (ohms) and grounded
+// capacitances capsFF (fF): the τ of Eqs. 15–16,
+//
+//	τ(i) = Σ_{e on the path root→i} R_e · (capacitance below e),
+//
+// each product divided by 10^15 to turn Ω·fF into seconds, every sum
+// and product at Prec bits, over a breadth-first traversal from root.
+// A zero-ohm resistor is an edge of zero resistance, which gives its
+// ends the τ that merging them would; a resistor in parallel with one
+// closes a cycle. It returns an error unless the resistors form a tree
+// spanning every node.
+func Elmore(edges []Edge, capsFF []float64, root int) ([]*big.Float, error) {
+	n := len(capsFF)
+	type arc struct{ to, edge int }
+	adj := make([][]arc, n)
+	for k, e := range edges {
+		adj[e.A] = append(adj[e.A], arc{e.B, k})
+		adj[e.B] = append(adj[e.B], arc{e.A, k})
+	}
+	// parent[i] and via[i] are i's parent and the resistor to it;
+	// reaching a node a second time closes a cycle.
+	parent, via := make([]int, n), make([]int, n)
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[root], via[root] = root, -1
+	order := []int{root}
+	for q := 0; q < len(order); q++ {
+		u := order[q]
+		for _, a := range adj[u] {
+			if a.edge == via[u] {
+				continue
+			}
+			if parent[a.to] >= 0 {
+				return nil, errors.New("oracle: resistors form a cycle")
+			}
+			parent[a.to], via[a.to] = u, a.edge
+			order = append(order, a.to)
+		}
+	}
+	if len(order) != n {
+		return nil, errors.New("oracle: a node is unreachable from the driver")
+	}
+	// Capacitance below each node, leaves first, then the delays.
+	down := make([]*big.Float, n)
+	for i, c := range capsFF {
+		down[i] = fromFloat(c)
+	}
+	for q := n - 1; q > 0; q-- {
+		u := order[q]
+		down[parent[u]].Add(down[parent[u]], down[u])
+	}
+	femto := newFloat().SetInt64(1e15)
+	tau := make([]*big.Float, n)
+	tau[root] = newFloat()
+	for _, u := range order[1:] {
+		step := newFloat().Mul(fromFloat(edges[via[u]].Ohm), down[u])
+		step.Quo(step, femto)
+		tau[u] = step.Add(step, tau[parent[u]])
+	}
+	return tau, nil
+}
+
+// ln2 is ln 2 at Prec bits: Σ_{k≥1} 1/(k·2^k), whose tail after K terms
+// is below 2^−K.
+var ln2 = func() *big.Float {
+	s, t := newFloat(), newFloat()
+	for k := 1; k <= Prec+16; k++ {
+		t.Quo(t.SetInt64(1), newFloat().SetInt64(int64(k)))
+		s.Add(s, t.SetMantExp(t, -k))
+	}
+	return s
+}()
+
+// SettlingTime returns Eq. 15's t_settle = ln(2^(N+2))·τ, the time an
+// N-bit array's charging takes to come within 1/4 LSB.
+func SettlingTime(bits int, tau *big.Float) *big.Float {
+	t := newFloat().Mul(ln2, newFloat().SetInt64(int64(bits+2)))
+	return t.Mul(t, tau)
+}
+
+// F3dB returns Eq. 16's f_3dB = 1/(2·t_settle).
+func F3dB(bits int, tau *big.Float) *big.Float {
+	t := SettlingTime(bits, tau)
+	t.Mul(t, newFloat().SetInt64(2))
+	return t.Quo(newFloat().SetInt64(1), t)
 }

@@ -116,3 +116,62 @@ func TestSampleNLByHand(t *testing.T) {
 		check("max DNL", c.l.MaxDNL, c.max[1])
 	}
 }
+
+// TestElmoreByHand checks Elmore on a three-stage ladder whose delays
+// are integers of Ω·fF (60, 160 and 250), with one stage's node split
+// by a zero-ohm short, and requires an error for a cycle (a resistor
+// paralleling the short, or one closing a loop) and for an unreachable
+// node.
+func TestElmoreByHand(t *testing.T) {
+	// 0 -10Ω- 1 -20Ω- 2 =short= 3 -30Ω- 4; C = 1, 0.5+1.5, 3 at 1, {2,3}, 4.
+	edges := []Edge{{0, 1, 10}, {1, 2, 20}, {2, 3, 0}, {3, 4, 30}}
+	caps := []float64{7, 1, 0.5, 1.5, 3}
+	tau, err := Elmore(edges, caps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ohmFF := range []int64{0, 60, 160, 160, 250} {
+		want := newFloat().Quo(newFloat().SetInt64(ohmFF), newFloat().SetInt64(1e15))
+		if d := newFloat().Sub(tau[i], want); d.Sign() != 0 && d.Quo(d, want).Abs(d).Cmp(big.NewFloat(1e-70)) > 0 {
+			t.Errorf("τ(%d) = %s, want %s", i, tau[i].Text('g', 30), want.Text('g', 30))
+		}
+	}
+	for _, extra := range []Edge{{3, 2, 1000}, {0, 4, 5}} {
+		if _, err := Elmore(append(edges[:len(edges):len(edges)], extra), caps, 0); err == nil {
+			t.Errorf("resistor %v closing a cycle was accepted", extra)
+		}
+	}
+	if _, err := Elmore(edges, append(caps, 1), 0); err == nil {
+		t.Error("a node with no resistor was accepted")
+	}
+}
+
+// TestSettlingAndF3dB checks ln 2 against the independent series
+// 2·atanh(1/3) = Σ 2/((2j+1)·3^(2j+1)), and Eqs. 15–16 at 6 bits:
+// t_settle = 8·ln 2·τ and f_3dB = 1/(2·t_settle).
+func TestSettlingAndF3dB(t *testing.T) {
+	want, term := newFloat(), newFloat()
+	pow := newFloat().SetInt64(3)
+	for j := 0; j < 200; j++ {
+		term.Quo(newFloat().SetInt64(2), newFloat().SetInt64(int64(2*j+1)))
+		want.Add(want, term.Quo(term, pow))
+		pow.Mul(pow, newFloat().SetInt64(9))
+	}
+	if d := newFloat().Sub(ln2, want); d.Quo(d, want).Abs(d).Cmp(big.NewFloat(1e-70)) > 0 {
+		t.Fatalf("ln 2 = %s, want %s", ln2.Text('g', 80), want.Text('g', 80))
+	}
+	if e := RelErr(math.Ln2, ln2); e > 1.2e-16 {
+		t.Errorf("ln 2 differs from math.Ln2 by %g", e)
+	}
+	tau := fromFloat(3e-12)
+	ts := SettlingTime(6, tau)
+	wantTS := newFloat().Mul(newFloat().Mul(ln2, newFloat().SetInt64(8)), tau)
+	if ts.Cmp(wantTS) != 0 {
+		t.Errorf("SettlingTime = %s, want %s", ts.Text('g', 30), wantTS.Text('g', 30))
+	}
+	one := newFloat().Mul(F3dB(6, tau), wantTS)
+	one.Mul(one, newFloat().SetInt64(2))
+	if d := one.Sub(one, newFloat().SetInt64(1)); d.Abs(d).Cmp(big.NewFloat(1e-70)) > 0 {
+		t.Errorf("2·t_settle·f_3dB − 1 = %s", d.Text('g', 10))
+	}
+}

@@ -1,18 +1,16 @@
 // Package rcnet models the RC interconnect networks created by
-// bottom-plate routing and computes their Elmore (first-moment) delays,
-// which the paper uses as the time constant tau in the 3dB-frequency
-// model (Sec. III-B, Eq. 16).
+// bottom-plate routing and analyzes them as trees: the Elmore
+// (first-moment) delays the paper uses as the time constant tau in the
+// 3dB-frequency model (Sec. III-B, Eqs. 15–16), and the Backward-Euler
+// step of the transient simulator that checks that model.
 //
-// Two analyses are provided:
-//
-//   - ElmoreTree: the classical O(n) path-resistance formulation, valid
-//     when the resistive network is a tree rooted at the driver.
-//   - FirstMoment: the general formulation valid for arbitrary
-//     connected RC networks (meshes arise when parallel wires are
-//     cross-strapped): with the driver node grounded, solve
-//     G·tau = C·1, where G is the reduced nodal conductance matrix and
-//     C the nodal capacitance vector. On a tree both analyses agree
-//     exactly, which the tests exploit.
+// Every network the flow extracts is a tree rooted at the driver: the
+// paper's parallel-wire routing divides one edge's wire resistance by
+// p and its via resistance by p² instead of cross-strapping p wires
+// into a mesh. Net.Tree builds that tree once (ideal shorts merged,
+// CSR adjacency, DFS order from the driver) and both analyses run on
+// it in O(n). A network with a cycle, or a node the driver cannot
+// reach, is rejected with ErrNotTree.
 package rcnet
 
 import (
@@ -20,8 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"ccdac/internal/linalg"
 )
 
 // Net is an RC network under construction. Node 0 does not exist until
@@ -32,53 +28,6 @@ type Net struct {
 	res []resistor
 	// capFF[i] is the grounded capacitance at node i in fF.
 	capFF []float64
-	// warn records solver degradations (CG→dense fallbacks) taken
-	// while analyzing this net.
-	warn []string
-	// cgIters and cgFallbacks count solver effort and degradations,
-	// surfaced structurally through Stats for the observability layer.
-	cgIters, cgFallbacks int
-	// cgSolves records each solve's effort and terminal accuracy.
-	cgSolves []CGSolve
-}
-
-// CGSolve is one conjugate-gradient solve's telemetry: the iteration
-// count and the final relative residual ‖b − A·x‖₂/‖b‖₂. For a solve
-// that fell back to dense Cholesky, Residual is the residual CG had
-// reached at its iteration cap (the fallback itself is direct).
-type CGSolve struct {
-	Iterations int
-	Residual   float64
-	Fallback   bool
-}
-
-// NetStats totals the iterative-solver effort and degradations
-// accumulated across every analysis run on one net.
-type NetStats struct {
-	// CGIterations is the total conjugate-gradient iteration count.
-	CGIterations int
-	// CGFallbacks counts CG solves that exhausted their iteration
-	// budget and fell back to the dense Cholesky factorization.
-	CGFallbacks int
-	// Solves lists each individual solve in execution order — the
-	// per-solve distribution behind the numeric-health histograms.
-	Solves []CGSolve
-}
-
-// Stats returns the net's accumulated solver statistics.
-func (n *Net) Stats() NetStats {
-	return NetStats{
-		CGIterations: n.cgIters,
-		CGFallbacks:  n.cgFallbacks,
-		Solves:       append([]CGSolve(nil), n.cgSolves...),
-	}
-}
-
-// Warnings returns the solver-degradation warnings recorded during
-// analyses of this net (e.g. a CG non-convergence that fell back to a
-// dense Cholesky solve).
-func (n *Net) Warnings() []string {
-	return append([]string(nil), n.warn...)
 }
 
 type resistor struct {
@@ -139,8 +88,7 @@ func (n *Net) TotalCapFF() float64 {
 	return s
 }
 
-// Resistor is one resistive element, exposed for netlist export and
-// transient simulation.
+// Resistor is one resistive element, exposed for netlist export.
 type Resistor struct {
 	A, B int
 	Ohm  float64
@@ -162,12 +110,12 @@ func (n *Net) Caps() []float64 {
 	return out
 }
 
-// ErrNotTree is returned by ElmoreTree when the resistive graph has a
-// cycle or a node unreachable from the root.
+// ErrNotTree is returned by Tree and ElmoreTree when the resistive
+// graph has a cycle or a node unreachable from the root.
 var ErrNotTree = errors.New("rcnet: network is not a tree rooted at the driver")
 
-// merged computes a union-find over zero-ohm resistors so both analyses
-// treat ideal shorts as single electrical nodes. It returns the
+// merged computes a union-find over zero-ohm resistors so the tree
+// treats ideal shorts as single electrical nodes. It returns the
 // representative for each node and the per-representative capacitance.
 func (n *Net) merged() (rep []int, capOf []float64) {
 	rep = make([]int, len(n.capFF))
@@ -211,17 +159,34 @@ func joins(rep []int, e resistor) (a, b int, ok bool) {
 	return a, b, a != b
 }
 
-// ElmoreTree computes the Elmore delay in seconds from the driver node
-// (root) to every node, assuming the nonzero-resistance graph is a
-// tree. Capacitances are interpreted in fF, resistances in ohms.
+// Tree is a net's resistive tree rooted at the driver, with ideal
+// shorts merged: each group of nodes joined by zero-ohm resistors is
+// one electrical node, named by its union-find representative. Build
+// one with Net.Tree; it is read-only, so a copy shares its arrays.
+type Tree struct {
+	// rep[i] is node i's representative; root is the driver's.
+	rep  []int
+	root int
+	// order lists the representatives in DFS preorder from root, so
+	// every parent precedes its children.
+	order []int
+	// parent[u] is u's parent representative and parentR[u] the ohms
+	// of the resistor joining them; the root is its own parent.
+	parent  []int
+	parentR []float64
+	// capOf[u] is the grounded capacitance of u's group in fF.
+	capOf []float64
+}
+
+// Tree builds the net's resistive tree from the driver node (root).
 // It returns ErrNotTree for meshes or disconnected networks.
 //
-// All working state lives in slices indexed by node, so the analysis
+// All working state lives in slices indexed by node, so the build
 // makes the same handful of allocations at any network size. The
 // adjacency is a CSR array filled in resistor-insertion order, which
 // fixes the DFS visit order and with it every floating-point
-// accumulation below.
-func (n *Net) ElmoreTree(root int) ([]float64, error) {
+// accumulation the analyses make.
+func (n *Net) Tree(root int) (Tree, error) {
 	rep, capOf := n.merged()
 	nn := len(rep)
 	r := rep[root]
@@ -245,7 +210,7 @@ func (n *Net) ElmoreTree(root int) ([]float64, error) {
 		}
 	}
 	if edges != reps-1 {
-		return nil, ErrNotTree
+		return Tree{}, ErrNotTree
 	}
 	for u := 0; u < nn; u++ {
 		start[u+1] += start[u]
@@ -265,8 +230,7 @@ func (n *Net) ElmoreTree(root int) ([]float64, error) {
 	copy(start[1:], start[:nn])
 	start[0] = 0
 
-	// DFS from root: accumulate downstream capacitance, then delays.
-	// parent[u] < 0 marks u unvisited.
+	// DFS from root. parent[u] < 0 marks u unvisited.
 	parent := make([]int, nn)
 	for i := range parent {
 		parent[i] = -1
@@ -289,164 +253,128 @@ func (n *Net) ElmoreTree(root int) ([]float64, error) {
 		}
 	}
 	if len(order) != reps {
-		return nil, ErrNotTree
+		return Tree{}, ErrNotTree
 	}
+	return Tree{rep: rep, root: r, order: order, parent: parent, parentR: parentR, capOf: capOf}, nil
+}
+
+// Elmore returns the Elmore delay in seconds from the driver to every
+// node, with capacitances in fF and resistances in ohms:
+// τ(v) = τ(parent) + R_edge·(capacitance downstream of v).
+func (t Tree) Elmore() []float64 {
+	nn := len(t.rep)
 	// Downstream capacitance: reverse DFS order.
 	down := make([]float64, nn)
-	for i := len(order) - 1; i >= 0; i-- {
-		u := order[i]
-		down[u] += capOf[u]
-		if u != r {
-			down[parent[u]] += down[u]
+	for i := len(t.order) - 1; i >= 0; i-- {
+		u := t.order[i]
+		down[u] += t.capOf[u]
+		if u != t.root {
+			down[t.parent[u]] += down[u]
 		}
 	}
-	// Delay: forward order. delay(child) = delay(parent) + R_edge * down(child).
-	// Representatives get theirs first; every other node then copies
-	// its representative's.
+	// Delay: forward order. Representatives get theirs first; every
+	// other node then copies its representative's.
 	out := make([]float64, nn)
-	for _, u := range order {
-		if u == r {
+	for _, u := range t.order {
+		if u == t.root {
 			continue
 		}
-		out[u] = out[parent[u]] + parentR[u]*down[u]*1e-15 // ohm*fF -> seconds
+		out[u] = out[t.parent[u]] + t.parentR[u]*down[u]*1e-15 // ohm*fF -> seconds
 	}
-	for i, u := range rep {
+	for i, u := range t.rep {
 		out[i] = out[u]
-	}
-	return out, nil
-}
-
-// reduced is a net's nodal system with the driver grounded and
-// zero-ohm shorts merged: the conductance matrix over the
-// representatives outside the root's group, one row each, numbered in
-// node order of first appearance.
-type reduced struct {
-	g      *linalg.Sparse
-	rep    []int     // union-find representative of each node
-	row    []int     // row of each representative in g; -1 for the root's group
-	capRow []float64 // grounded capacitance of each row's group, fF
-}
-
-// reduce stamps the reduced system of the net driven at root. A group
-// with no resistive path to the rest of the network makes the system
-// singular and is reported as unreachable. When every node is merged
-// into the root's group the system is empty and g is nil.
-func (n *Net) reduce(root int) (*reduced, error) {
-	rep, capOf := n.merged()
-	r := rep[root]
-	row := make([]int, len(rep))
-	for i := range row {
-		row[i] = -1
-	}
-	var capRow []float64
-	for _, u := range rep {
-		if u != r && row[u] < 0 {
-			row[u] = len(capRow)
-			capRow = append(capRow, capOf[u])
-		}
-	}
-	s := &reduced{rep: rep, row: row, capRow: capRow}
-	m := len(capRow)
-	if m == 0 {
-		return s, nil
-	}
-	g := linalg.NewSparse(m)
-	connected := make([]bool, m)
-	for _, e := range n.res {
-		a, b, ok := joins(rep, e)
-		if !ok {
-			continue
-		}
-		cond := 1 / e.ohm
-		ia, ib := row[a], row[b]
-		switch {
-		case ia >= 0 && ib >= 0:
-			g.AddSym(ia, ib, -cond)
-			g.Add(ia, ia, cond)
-			g.Add(ib, ib, cond)
-			connected[ia], connected[ib] = true, true
-		case ia >= 0:
-			g.Add(ia, ia, cond)
-			connected[ia] = true
-		case ib >= 0:
-			g.Add(ib, ib, cond)
-			connected[ib] = true
-		}
-	}
-	for i, ok := range connected {
-		if !ok {
-			return nil, fmt.Errorf("rcnet: node group %d unreachable from driver", i)
-		}
-	}
-	s.g = g
-	return s, nil
-}
-
-// capRHS returns C·1 over the reduced rows in farads.
-func (s *reduced) capRHS() []float64 {
-	rhs := make([]float64, len(s.capRow))
-	for i, c := range s.capRow {
-		rhs[i] = c * 1e-15 // fF -> F; tau in seconds
-	}
-	return rhs
-}
-
-// expand maps a per-row solution back to every node; the root's group
-// is zero. A nil x (empty system) expands to all zeros.
-func (s *reduced) expand(x []float64) []float64 {
-	out := make([]float64, len(s.rep))
-	for i, u := range s.rep {
-		if k := s.row[u]; k >= 0 {
-			out[i] = x[k]
-		}
 	}
 	return out
 }
 
-// FirstMoment computes the first moment of the impulse response at
-// every node (the generalized Elmore delay, in seconds) for an
-// arbitrary connected RC network driven at root, by solving
-// G·tau = C·1 with the root grounded, using preconditioned CG.
-func (n *Net) FirstMoment(root int) ([]float64, error) {
-	s, err := n.reduce(root)
+// ElmoreTree computes the Elmore delay in seconds from the driver node
+// (root) to every node: Tree, then Elmore. It returns ErrNotTree for
+// meshes or disconnected networks.
+func (n *Net) ElmoreTree(root int) ([]float64, error) {
+	t, err := n.Tree(root)
 	if err != nil {
 		return nil, err
 	}
-	if s.g == nil {
-		return s.expand(nil), nil
-	}
-	tau, err := n.solveSPD(s.g, s.capRHS())
-	if err != nil {
-		return nil, fmt.Errorf("rcnet: moment solve: %w", err)
-	}
-	return s.expand(tau), nil
+	return t.Elmore(), nil
 }
 
-// solveSPD solves g·x = rhs, preferring the Jacobi-preconditioned CG
-// iteration and degrading to a dense Cholesky factorization when CG
-// exhausts its iteration budget. The fallback is exact (direct), so
-// results stay correct; it is recorded as a warning on the net because
-// it signals an ill-conditioned extraction and costs O(n³).
-func (n *Net) solveSPD(g *linalg.Sparse, rhs []float64) ([]float64, error) {
-	x, st, err := g.SolveCG(rhs, 1e-12, 40*g.N)
-	n.cgIters += st.Iterations
-	if err == nil {
-		n.cgSolves = append(n.cgSolves, CGSolve{Iterations: st.Iterations, Residual: st.Residual})
-		return x, nil
-	}
-	if !errors.Is(err, linalg.ErrNotConverged) {
-		return nil, err
-	}
-	x, derr := linalg.SolveSPD(g.ToDense(), rhs)
-	if derr != nil {
-		return nil, errors.Join(err, derr)
-	}
-	n.cgFallbacks++
-	n.cgSolves = append(n.cgSolves, CGSolve{Iterations: st.Iterations, Residual: st.Residual, Fallback: true})
-	n.warn = append(n.warn, fmt.Sprintf(
-		"first-moment CG solve did not converge; fell back to dense Cholesky (n=%d)", g.N))
-	return x, nil
+// Stepper advances a tree's unit-step response by Backward Euler. The
+// driver's group is held at 1 V and every other node starts at 0 V;
+// each Step solves
+//
+//	(G + C/dt)·v' = (C/dt)·v + b
+//
+// exactly, where G is the conductance matrix over the non-driver nodes
+// and b holds each node's conductance to the driver. On a tree the
+// system eliminates leaf to root and substitutes root to leaf in O(n),
+// and its pivots depend only on dt, so Stepper factors them once.
+type Stepper struct {
+	t Tree
+	// Per representative u: cdt[u] = C_u/dt in siemens and, below the
+	// root, invD[u] = 1/d_u and pass[u] = g_u/d_u, with d_u u's pivot
+	// and g_u its conductance to its parent: the share of u's
+	// eliminated right-hand side its parent gets, and of its parent's
+	// voltage u gets back.
+	cdt, invD, pass []float64
+	// v[u] is u's voltage after the last step (the root's is 1); y is
+	// the elimination's right-hand side, zero between steps.
+	v, y []float64
 }
+
+// Stepper factors the Backward-Euler system for time step dt seconds.
+func (t Tree) Stepper(dt float64) *Stepper {
+	nn := len(t.rep)
+	s := &Stepper{
+		t:    t,
+		cdt:  make([]float64, nn),
+		invD: make([]float64, nn),
+		pass: make([]float64, nn),
+		v:    make([]float64, nn),
+		y:    make([]float64, nn),
+	}
+	// e[u] collects u's pivot less its own edge: C_u/dt plus, per
+	// child c, g_c in series with e[c], which is what eliminating c's
+	// subtree leaves on u's diagonal. Every term is non-negative, so
+	// the pivots d_u = g_u + e[u] suffer no cancellation.
+	e := s.y
+	for i := len(t.order) - 1; i >= 0; i-- {
+		u := t.order[i]
+		s.cdt[u] = t.capOf[u] * 1e-15 / dt // fF -> F
+		e[u] += s.cdt[u]
+		if u == t.root {
+			continue
+		}
+		g := 1 / t.parentR[u]
+		d := g + e[u]
+		s.invD[u] = 1 / d
+		s.pass[u] = g / d
+		e[t.parent[u]] += s.pass[u] * e[u]
+	}
+	clear(e)
+	s.v[t.root] = 1
+	return s
+}
+
+// Step advances the response by one time step.
+func (s *Stepper) Step() {
+	t, v, y := s.t, s.v, s.y
+	below := t.order[1:] // every representative but the root
+	// Leaf to root: y_u = (C_u/dt)·v_u + Σ_children pass_c·y_c.
+	for i := len(below) - 1; i >= 0; i-- {
+		u := below[i]
+		y[u] += s.cdt[u] * v[u]
+		y[t.parent[u]] += s.pass[u] * y[u]
+	}
+	y[t.root] = 0
+	// Root to leaf: d_u·v_u = y_u + g_u·v_parent.
+	for _, u := range below {
+		v[u] = y[u]*s.invD[u] + s.pass[u]*v[t.parent[u]]
+		y[u] = 0
+	}
+}
+
+// V returns node's voltage after the last step.
+func (s *Stepper) V(node int) float64 { return s.v[s.t.rep[node]] }
 
 // MaxDelay returns the maximum delay over the given node set from the
 // per-node delay slice. Nodes outside the slice range are ignored.
@@ -458,19 +386,4 @@ func MaxDelay(delays []float64, nodes []int) float64 {
 		}
 	}
 	return m
-}
-
-// Delay computes the driving-point time constant of the network seen
-// from root: prefers the exact tree formulation and falls back to the
-// general first-moment solve for meshes. It returns the per-node delay
-// vector in seconds.
-func (n *Net) Delay(root int) ([]float64, error) {
-	d, err := n.ElmoreTree(root)
-	if err == nil {
-		return d, nil
-	}
-	if !errors.Is(err, ErrNotTree) {
-		return nil, err
-	}
-	return n.FirstMoment(root)
 }

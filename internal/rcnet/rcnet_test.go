@@ -3,7 +3,6 @@ package rcnet
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -124,102 +123,27 @@ func TestDisconnectedRejected(t *testing.T) {
 	if _, err := n.ElmoreTree(root); !errors.Is(err, ErrNotTree) {
 		t.Fatalf("tree analysis: want ErrNotTree, got %v", err)
 	}
-	if _, err := n.FirstMoment(root); err == nil {
-		t.Fatal("moment analysis must reject unreachable nodes")
-	}
 }
 
-func TestFirstMomentMatchesTreeOnTrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		n := New()
-		root := n.AddNode()
-		nodes := []int{root}
-		for i := 0; i < 2+rng.Intn(60); i++ {
-			v := n.AddNode()
-			parent := nodes[rng.Intn(len(nodes))]
-			n.AddR(parent, v, 1+rng.Float64()*100)
-			n.AddC(v, rng.Float64()*10)
-			nodes = append(nodes, v)
-		}
-		dt, err := n.ElmoreTree(root)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		dm, err := n.FirstMoment(root)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for i := range dt {
-			scale := math.Max(dt[i], 1e-18)
-			if math.Abs(dt[i]-dm[i]) > 1e-6*scale {
-				t.Fatalf("trial %d node %d: tree %g vs moment %g", trial, i, dt[i], dm[i])
-			}
-		}
-	}
-}
-
-func TestFirstMomentParallelResistors(t *testing.T) {
-	// Two 100-ohm resistors in parallel = 50 ohms: first moment halves.
-	n := New()
-	root := n.AddNode()
-	a := n.AddNode()
-	n.AddR(root, a, 100)
-	n.AddR(root, a, 100)
-	n.AddC(a, 10)
-	d, err := n.FirstMoment(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 50 * 10 * fF
-	if math.Abs(d[a]-want) > 1e-9*want {
-		t.Fatalf("parallel-R tau = %g, want %g", d[a], want)
-	}
-}
-
-func TestFirstMomentMesh2x2(t *testing.T) {
-	// The p=2 parallel-wire junction of the paper: two rails cross-strapped.
-	// Symmetric diamond: root -R- a, root -R- b, a -R- c, b -R- c, cap at c.
-	// By symmetry this is two series 2R paths in parallel = R; tau = R*C.
-	n := New()
-	root := n.AddNode()
-	a := n.AddNode()
-	b := n.AddNode()
-	c := n.AddNode()
-	const r = 80.0
-	n.AddR(root, a, r)
-	n.AddR(root, b, r)
-	n.AddR(a, c, r)
-	n.AddR(b, c, r)
-	n.AddC(c, 5)
-	d, err := n.FirstMoment(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := r * 5 * fF
-	if math.Abs(d[c]-want) > 1e-9*want {
-		t.Fatalf("diamond tau = %g, want %g", d[c], want)
-	}
-}
-
-func TestDelayDispatch(t *testing.T) {
-	// Tree network goes down the tree path; mesh falls back to moments.
+// TestParallelResistorsNotTree: two resistors between the same pair of
+// nodes close a cycle, so the tree build refuses them. Parallel-wire
+// routing stamps p wires as one edge of R/p (vias R/p²), never as p
+// resistors.
+func TestParallelResistorsNotTree(t *testing.T) {
 	n := New()
 	root := n.AddNode()
 	a := n.AddNode()
 	n.AddR(root, a, 10)
 	n.AddC(a, 1)
-	if _, err := n.Delay(root); err != nil {
-		t.Fatalf("tree delay: %v", err)
+	if _, err := n.Tree(root); err != nil {
+		t.Fatalf("single resistor: %v", err)
 	}
-	n.AddR(root, a, 10) // now a 2-resistor mesh
-	d, err := n.Delay(root)
-	if err != nil {
-		t.Fatalf("mesh delay: %v", err)
+	n.AddR(root, a, 10)
+	if _, err := n.Tree(root); !errors.Is(err, ErrNotTree) {
+		t.Fatalf("parallel resistors: Tree returned %v, want ErrNotTree", err)
 	}
-	want := 5 * 1 * fF
-	if math.Abs(d[a]-want) > 1e-9*want {
-		t.Fatalf("mesh dispatch tau = %g, want %g", d[a], want)
+	if _, err := n.ElmoreTree(root); !errors.Is(err, ErrNotTree) {
+		t.Fatalf("parallel resistors: ElmoreTree returned %v, want ErrNotTree", err)
 	}
 }
 
@@ -291,27 +215,5 @@ func TestShortedResistorIgnored(t *testing.T) {
 	want := 100 * 2 * fF
 	if math.Abs(d[b]-want) > 1e-22 {
 		t.Fatalf("tau = %g, want %g", d[b], want)
-	}
-}
-
-// TestMomentsSinglePoleExact checks the first moment of a single RC
-// pole: the reduced system is one node, and FirstMoment must return its
-// time constant R·C exactly up to roundoff.
-func TestMomentsSinglePoleExact(t *testing.T) {
-	n := New()
-	root := n.AddNode()
-	load := n.AddNode()
-	n.AddR(root, load, 1000)
-	n.AddC(load, 10) // tau = 10 ps
-	m1, err := n.FirstMoment(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tau := 1e-11
-	if math.Abs(m1[load]-tau) > 1e-9*tau {
-		t.Errorf("m1 = %g, want %g", m1[load], tau)
-	}
-	if m1[root] != 0 {
-		t.Errorf("root m1 = %g, want 0", m1[root])
 	}
 }

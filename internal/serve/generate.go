@@ -150,7 +150,7 @@ func (s *Server) response(id string, start time.Time, out *genOutcome) *Generate
 
 // withStoreWarning appends the structural degradation warning while
 // the artifact store is running memory-only — the same pattern as the
-// pipeline's CG→Cholesky fallback: the request succeeds, and the
+// pipeline's dense covariance fallback: the request succeeds, and the
 // response says what was given up (here, durability). The input slice
 // is never mutated (it may be shared with the result cache).
 func (s *Server) withStoreWarning(warnings []string) []string {

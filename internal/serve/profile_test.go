@@ -265,7 +265,6 @@ func TestMetricsNumericAndProfcapSeries(t *testing.T) {
 	series := parsePromText(t, string(text))
 
 	for _, key := range []string{
-		"ccdac_numeric_cg_max_residual",
 		`ccdac_numeric_fft_structured_total{path="analyze"}`,
 		"ccdac_profcap_triggered_total", "ccdac_profcap_captured_total",
 		"ccdac_profcap_busy", "ccdac_serve_access_log_sampled_total",
@@ -275,8 +274,7 @@ func TestMetricsNumericAndProfcapSeries(t *testing.T) {
 		}
 	}
 	inputDependent := []string{
-		"ccdac_numeric_cg_solve_iterations", "ccdac_numeric_cg_residual",
-		"ccdac_numeric_cg_max_residual", "ccdac_numeric_cov_cond_estimate",
+		"ccdac_numeric_cov_cond_estimate",
 		"ccdac_numeric_fft_structured_total", "ccdac_numeric_fft_fallback_total",
 		"ccdac_numeric_fft_samples_total",
 	}

@@ -5,7 +5,7 @@
 // trace (isolated spans and metrics, as in library use), and the
 // request's frozen snapshot folds into one global registry via
 // Registry.Merge, so /metrics exposes fleet totals — throughput,
-// latency, degradations, CG-fallback rates — rather than
+// latency, degradations, dense-fallback rates — rather than
 // per-invocation printouts.
 //
 // Endpoints:

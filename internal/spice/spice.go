@@ -11,7 +11,6 @@ import (
 	"math"
 	"strings"
 
-	"ccdac/internal/linalg"
 	"ccdac/internal/rcnet"
 )
 
@@ -67,18 +66,14 @@ type Waveform struct {
 	// V holds one voltage trace per observed node, normalized to the
 	// 1 V input step.
 	V [][]float64
-	// Nodes are the observed node indices, parallel to V.
-	Nodes []int
 }
-
-// shortOhm replaces ideal shorts so the Backward-Euler system stays
-// nonsingular; it is far below any real wire resistance.
-const shortOhm = 1e-6
 
 // Transient simulates the unit-step response of the network driven at
 // root: v_root(t >= 0) = 1 V, all nodes initially 0. Backward Euler
-// with fixed step dt for steps samples. observe selects the recorded
-// nodes (nil records every node).
+// with fixed step dt for steps samples, each step an exact solve on the
+// network's tree (rcnet.Stepper). observe selects the recorded nodes.
+// A network that is not a tree rooted at the driver returns an error
+// wrapping rcnet.ErrNotTree.
 func Transient(n *rcnet.Net, root int, dt float64, steps int, observe []int) (*Waveform, error) {
 	if dt <= 0 || steps < 1 {
 		return nil, fmt.Errorf("spice: need positive dt and steps, got %g, %d", dt, steps)
@@ -87,89 +82,23 @@ func Transient(n *rcnet.Net, root int, dt float64, steps int, observe []int) (*W
 	if root < 0 || root >= nn {
 		return nil, fmt.Errorf("spice: root %d out of range", root)
 	}
-	if observe == nil {
-		observe = make([]int, 0, nn)
-		for i := 0; i < nn; i++ {
-			if i != root {
-				observe = append(observe, i)
-			}
-		}
-	}
-	// Reduced system over non-root nodes: (G + C/dt) v' = (C/dt) v + b,
-	// b_i = sum of conductances from i to the (1 V) root.
-	idx := make([]int, nn)
-	for i := range idx {
-		idx[i] = -1
-	}
-	m := 0
-	for i := 0; i < nn; i++ {
-		if i != root {
-			idx[i] = m
-			m++
-		}
-	}
-	if m == 0 {
+	if nn == 1 {
 		return nil, fmt.Errorf("spice: network has no nodes besides the driver")
 	}
-	sys := linalg.NewSparse(m)
-	b := make([]float64, m)
-	for _, r := range n.Resistors() {
-		ohm := r.Ohm
-		if ohm < shortOhm {
-			ohm = shortOhm
-		}
-		g := 1 / ohm
-		ia, ib := idx[r.A], idx[r.B]
-		switch {
-		case ia >= 0 && ib >= 0:
-			sys.AddSym(ia, ib, -g)
-			sys.Add(ia, ia, g)
-			sys.Add(ib, ib, g)
-		case ia >= 0:
-			sys.Add(ia, ia, g)
-			b[ia] += g
-		case ib >= 0:
-			sys.Add(ib, ib, g)
-			b[ib] += g
-		}
+	tree, err := n.Tree(root)
+	if err != nil {
+		return nil, fmt.Errorf("spice: %w", err)
 	}
-	caps := n.Caps()
-	cOverDt := make([]float64, m)
-	for i := 0; i < nn; i++ {
-		if idx[i] >= 0 {
-			cOverDt[idx[i]] = caps[i] * 1e-15 / dt
-		}
-	}
-	for i := 0; i < m; i++ {
-		if sys.At(i, i) == 0 && cOverDt[i] == 0 {
-			return nil, fmt.Errorf("spice: node %d is floating", i)
-		}
-		sys.Add(i, i, cOverDt[i])
-	}
-
-	v := make([]float64, m)
+	st := tree.Stepper(dt)
 	wf := &Waveform{
 		TimeSec: make([]float64, 0, steps),
-		Nodes:   append([]int(nil), observe...),
 		V:       make([][]float64, len(observe)),
 	}
-	rhs := make([]float64, m)
 	for s := 1; s <= steps; s++ {
-		for i := 0; i < m; i++ {
-			rhs[i] = cOverDt[i]*v[i] + b[i]
-		}
-		next, _, err := sys.SolveCG(rhs, 1e-12, 0)
-		if err != nil {
-			return nil, fmt.Errorf("spice: step %d: %w", s, err)
-		}
-		v = next
+		st.Step()
 		wf.TimeSec = append(wf.TimeSec, float64(s)*dt)
 		for oi, node := range observe {
-			val := 1.0
-			if idx[node] >= 0 {
-				val = v[idx[node]]
-			}
-			wf.V[oi] = append(wf.V[oi], val)
+			wf.V[oi] = append(wf.V[oi], st.V(node))
 		}
 	}
 	return wf, nil

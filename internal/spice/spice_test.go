@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -65,6 +66,24 @@ func TestTransientRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := Transient(n, 99, 1e-12, 10, nil); err == nil {
 		t.Error("bad root must be rejected")
+	}
+}
+
+// TestTransientRejectsMesh: the simulator steps a tree, so a mesh (a
+// resistor closing a cycle) or a node the driver cannot reach is an
+// error wrapping rcnet.ErrNotTree.
+func TestTransientRejectsMesh(t *testing.T) {
+	n, root, load := singleRC(t, 100, 1)
+	mid := n.AddNode()
+	n.AddR(root, mid, 50)
+	n.AddR(mid, load, 50)
+	if _, err := Transient(n, root, 1e-13, 10, nil); !errors.Is(err, rcnet.ErrNotTree) {
+		t.Errorf("mesh: got %v, want an error wrapping rcnet.ErrNotTree", err)
+	}
+	n, root, _ = singleRC(t, 100, 1)
+	n.AddC(n.AddNode(), 1)
+	if _, err := Transient(n, root, 1e-13, 10, nil); !errors.Is(err, rcnet.ErrNotTree) {
+		t.Errorf("orphan node: got %v, want an error wrapping rcnet.ErrNotTree", err)
 	}
 }
 

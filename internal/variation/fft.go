@@ -20,8 +20,7 @@
 // additionally stay within tolerance. Anything else falls back to the
 // dense covariance build or the exact capacitor-level sampler; a
 // degradation is counted by ccdac_numeric_fft_fallback_total and
-// surfaced through Analysis.Warnings, mirroring the CG→Cholesky
-// ladder.
+// surfaced through Analysis.Warnings.
 package variation
 
 import (

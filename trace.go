@@ -68,7 +68,7 @@ func (t *Trace) Spans() []SpanRecord {
 
 // Counter returns the value of an unlabeled counter metric (zero if
 // the run never touched it), e.g.
-// t.Counter("ccdac_rcnet_cg_fallback_total").
+// t.Counter("ccdac_core_parwire_retry_total").
 func (t *Trace) Counter(name string) int64 { return t.metrics.Counters[name] }
 
 // Counters returns every counter series (key: metric name plus
