@@ -11,9 +11,11 @@
 // The suite name is derived from each file name (BENCH_obs.json →
 // obs). A suite with no history yet records a baseline verdict instead
 // of failing, so the gate bootstraps itself. With -update, each report
-// is appended to the history after comparison — run it after an
+// whose metrics differ from its suite's latest history entry is
+// appended to the history after comparison — run it after an
 // intentional performance change to move the baseline; the diff is
-// still printed, but an acknowledged move never exits 1.
+// still printed, but an acknowledged move never exits 1. A report
+// identical to its baseline is not appended again.
 //
 // Exit codes: 0 clean (always with -update, barring I/O errors), 1
 // regression or missing gating metric, 2 usage or schema error.
@@ -23,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -89,7 +92,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				exit = 1
 			}
 		}
-		if *update {
+		if *update && base != nil && maps.Equal(base.Metrics, cur.Metrics) {
+			fmt.Fprintf(stdout, "%-10s unchanged since its latest history entry; not appended\n", suite)
+		} else if *update {
 			cur.UnixTime = time.Now().Unix()
 			cur.GoVersion = runtime.Version()
 			if err := benchfmt.AppendHistory(*history, cur); err != nil {

@@ -108,6 +108,63 @@ func TestUpdateAcknowledgesRegression(t *testing.T) {
 	}
 }
 
+// historyLines counts the entries in a history file.
+func historyLines(t *testing.T, hist string) int {
+	t.Helper()
+	data, err := os.ReadFile(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Count(string(data), "\n")
+}
+
+// TestUpdateAppendsOnlyChangedSuites: -update appends a suite's report
+// only when its metrics differ from that suite's latest entry — an
+// unchanged suite adds no duplicate line, a changed one adds its new
+// report, which then is the baseline.
+func TestUpdateAppendsOnlyChangedSuites(t *testing.T) {
+	dir := t.TempDir()
+	hist := filepath.Join(dir, "h.jsonl")
+	same := write(t, dir, "BENCH_same.json", `{"run_seconds": 1.0, "ops_per_second": 10}`)
+	moved := write(t, dir, "BENCH_moved.json", `{"run_seconds": 2.0}`)
+	if code := run([]string{"-history", hist, "-update", same, moved}, &bytes.Buffer{}, &bytes.Buffer{}); code != 0 {
+		t.Fatalf("bootstrap exit %d", code)
+	}
+	if n := historyLines(t, hist); n != 2 {
+		t.Fatalf("bootstrap wrote %d history lines, want 2", n)
+	}
+
+	// Unchanged: nothing appended, and the run says so.
+	var out bytes.Buffer
+	if code := run([]string{"-history", hist, "-update", same, moved}, &out, &bytes.Buffer{}); code != 0 {
+		t.Fatalf("unchanged update exit %d: %s", code, out.String())
+	}
+	if n := historyLines(t, hist); n != 2 {
+		t.Fatalf("unchanged update grew the history to %d lines, want 2", n)
+	}
+	if got := strings.Count(out.String(), "not appended"); got != 2 {
+		t.Fatalf("unchanged update reported %d suites not appended, want 2:\n%s", got, out.String())
+	}
+
+	// One suite changed: exactly its report is appended.
+	write(t, dir, "BENCH_moved.json", `{"run_seconds": 1.5}`)
+	out.Reset()
+	if code := run([]string{"-history", hist, "-update", same, moved}, &out, &bytes.Buffer{}); code != 0 {
+		t.Fatalf("changed update exit %d: %s", code, out.String())
+	}
+	if n := historyLines(t, hist); n != 3 {
+		t.Fatalf("changed update left %d history lines, want 3", n)
+	}
+	if !strings.Contains(out.String(), "same       unchanged") || strings.Contains(out.String(), "moved      unchanged") {
+		t.Fatalf("changed update output:\n%s", out.String())
+	}
+	out.Reset()
+	if code := run([]string{"-history", hist, "-v", moved}, &out, &bytes.Buffer{}); code != 0 ||
+		!strings.Contains(out.String(), "1.5 -> 1.5") {
+		t.Fatalf("the changed report is not the new baseline (exit %d):\n%s", code, out.String())
+	}
+}
+
 func TestSchemaVersionMismatchExits2(t *testing.T) {
 	dir := t.TempDir()
 	hist := filepath.Join(dir, "h.jsonl")

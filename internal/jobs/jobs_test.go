@@ -49,6 +49,18 @@ func (p *memPersist) checkpoints() []Checkpoint {
 	return append([]Checkpoint(nil), p.cks...)
 }
 
+// last returns the latest record saved for id.
+func (p *memPersist) last(id string) (Job, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := len(p.records) - 1; i >= 0; i-- {
+		if p.records[i].ID == id {
+			return p.records[i], true
+		}
+	}
+	return Job{}, false
+}
+
 // runningOrder is the order jobs first transitioned to running.
 func (p *memPersist) runningOrder() []string {
 	p.mu.Lock()
@@ -600,6 +612,89 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if st := m.Stats(); st.Canceled != 2 {
 		t.Fatalf("stats.Canceled = %d, want 2", st.Canceled)
 	}
+}
+
+// slowPersist takes 20 ms to save a terminal record, so a manager
+// that released a job's waiters before the save returned is caught.
+type slowPersist struct{ memPersist }
+
+func (p *slowPersist) SaveJob(j Job) {
+	if j.State.Terminal() {
+		time.Sleep(20 * time.Millisecond)
+	}
+	p.memPersist.SaveJob(j)
+}
+
+// TestTerminalRecordSavedBeforeWait: on every path to a terminal
+// state — done, failed, canceled while queued, canceled while running
+// — the terminal record is saved before Wait returns the job.
+func TestTerminalRecordSavedBeforeWait(t *testing.T) {
+	defer leakcheck.Check(t)()
+	mp := &slowPersist{}
+	m := New(Options{Workers: 1, MaxBatch: 1, Persist: mp})
+	defer m.Close()
+	check := func(id string, want State) {
+		t.Helper()
+		got := waitJob(t, m, id)
+		rec, ok := mp.last(id)
+		if got.State != want || !ok || rec.State != want {
+			t.Errorf("job %s: Wait = %s, last saved record = %s (%v); want both %s", id, got.State, rec.State, ok, want)
+		}
+	}
+
+	done, err := m.Submit(Spec{Kind: KindGenerate, Bits: 4, SkipNonlinearity: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(done.ID, StateDone)
+
+	// Queued cancel: hold the only worker slot so the job cannot start.
+	held, release := make(chan struct{}), make(chan struct{})
+	var doWG sync.WaitGroup
+	doWG.Add(1)
+	go func() {
+		defer doWG.Done()
+		m.Do(context.Background(), func() error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	queued, err := m.Submit(Spec{Kind: KindGenerate, Bits: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go m.Cancel(queued.ID) // Wait must not return before Cancel saved
+	check(queued.ID, StateCanceled)
+	close(release)
+	doWG.Wait()
+
+	// Running cancel: a long Monte-Carlo job stops at its context.
+	long, err := m.Submit(Spec{Kind: KindYield, Bits: 6, Samples: 50_000_000, Seed: 1, SpecINL: 0.05, CheckpointEvery: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if got, _ := m.Get(long.ID); got.State == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("long job never started running")
+		}
+	}
+	m.Cancel(long.ID)
+	check(long.ID, StateCanceled)
+
+	// Failure: a checkpoint that cannot be made durable fails the job.
+	mp.mu.Lock()
+	mp.ckErr = errors.New("disk gone")
+	mp.mu.Unlock()
+	failed, err := m.Submit(Spec{Kind: KindYield, Bits: 5, Samples: 30, Seed: 1, SpecINL: 0.05, CheckpointEvery: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(failed.ID, StateFailed)
 }
 
 // TestSubmitOverflow: with the queue full of jobs parked in the

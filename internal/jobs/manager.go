@@ -254,8 +254,8 @@ func (m *Manager) Cancel(id string) (Job, bool) {
 	st.mu.Unlock()
 	st.cancel()
 	if canceledNow {
-		m.countFinished(st, StateCanceled)
 		m.persistJob(j)
+		m.countFinished(st, StateCanceled)
 	}
 	return j, true
 }
@@ -659,8 +659,8 @@ func (m *Manager) finishOK(st *jobState, result json.RawMessage) {
 	st.job.FinishedMS = nowMS()
 	j := st.job
 	st.mu.Unlock()
-	m.countFinished(st, j.State)
 	m.persistJob(j)
+	m.countFinished(st, j.State)
 }
 
 // finishErr resolves a failed run. User-canceled jobs report
@@ -692,14 +692,15 @@ func (m *Manager) finishErr(st *jobState, err error) {
 	st.job.FinishedMS = nowMS()
 	j := st.job
 	st.mu.Unlock()
-	m.countFinished(st, j.State)
 	m.persistJob(j)
+	m.countFinished(st, j.State)
 }
 
 // countFinished counts a job that just reached terminal state, then
 // releases its waiters: the stats already include a job by the time
-// Wait returns it. Only the goroutine that made the transition (under
-// st.mu) calls it, so done closes once.
+// Wait returns it, and its caller has already saved the terminal
+// record. Only the goroutine that made the transition (under st.mu)
+// calls it, so done closes once.
 func (m *Manager) countFinished(st *jobState, s State) {
 	m.mu.Lock()
 	switch s {

@@ -1,8 +1,8 @@
 // Persistence seam. The manager does not know about the artifact
-// store; the serve layer implements Persist over it. Job records ride
-// the write-behind persister (losing the last few milliseconds of
-// record churn on a crash is fine — recovery re-derives state from
-// the last checkpoint), while checkpoints save synchronously: a
+// store; the serve layer implements Persist over it. Records and
+// checkpoints are both durable when their call returns. The manager
+// saves a terminal record before it releases the job's waiters, so a
+// job that Wait or a poll reports terminal is durably terminal; and a
 // checkpoint that is not durable before the runner advances past it
 // is not a checkpoint.
 package jobs
@@ -10,9 +10,9 @@ package jobs
 // Persist receives job records and checkpoints as they change. A nil
 // Persist makes the manager purely in-memory.
 type Persist interface {
-	// SaveJob records the job snapshot. Implementations should be
-	// asynchronous (write-behind); errors are logged, not returned —
-	// the job itself proceeds regardless.
+	// SaveJob records the job snapshot and returns once it would
+	// survive a crash. Errors are logged, not returned — the job
+	// itself proceeds regardless.
 	SaveJob(j Job)
 	// SaveCheckpoint durably records partial progress. It must not
 	// return until the checkpoint would survive a crash; an error

@@ -1,10 +1,11 @@
 // Package oracle is the accuracy reference for the paper's analysis
-// tail. It evaluates the capacitor covariance of Eqs. 4–6, the 3σ
-// INL/DNL of Eqs. 9–14, one Monte-Carlo sample's INL/DNL through Eq. 9,
-// and the Elmore delay, settling time and 3dB frequency of Eqs. 15–16
-// straight from their definitions in Prec-bit math/big arithmetic,
-// taking the same float64 inputs an engine consumes — kernel values,
-// the covariance matrix, unit counts, sampled shifts, the extracted
+// tail. It evaluates the gradient-shifted capacitances of Eq. 3, the
+// capacitor covariance of Eqs. 4–6, the 3σ INL/DNL of Eqs. 9–14, one
+// Monte-Carlo sample's INL/DNL through Eq. 9, and the Elmore delay,
+// settling time and 3dB frequency of Eqs. 15–16 straight from their
+// definitions in Prec-bit math/big arithmetic, taking the same float64
+// inputs an engine consumes — cell centres, kernel values, the
+// covariance matrix, unit counts, sampled shifts, the extracted
 // resistors and capacitances — so the difference between an engine's
 // result and the oracle's is that engine's own rounding error and
 // nothing else.
@@ -117,6 +118,53 @@ func RelErr(got float64, want *big.Float) float64 {
 	}
 	v, _ := d.Float64()
 	return v
+}
+
+// Point is a unit cell's centre in µm.
+type Point struct{ X, Y float64 }
+
+// CStar returns Eq. 3's gradient-shifted capacitances at one angle θ,
+//
+//	C*_k = Σ_{j∈k} C_u·t_0/t_j,  t_j/t_0 = 1 + γ·(x_j·cos θ + y_j·sin θ) + q·r_j²,
+//
+// where caps[k] lists capacitor k's cell centres, (x_j, y_j) is cell
+// j's centre less the centroid of every cell and r_j its distance from
+// that centroid; γ (1/µm) is the linear gradient and q (1/µm²) the
+// quadratic extension the paper's linear model leaves at 0. cosT and
+// sinT are the float64 values an engine reads, so the angle's own
+// rounding is not counted against it.
+func CStar(caps [][]Point, gamma, quad, cuFF, cosT, sinT float64) []*big.Float {
+	var sx, sy Sum
+	n := 0
+	for _, cells := range caps {
+		for _, p := range cells {
+			sx.Add(p.X)
+			sy.Add(p.Y)
+			n++
+		}
+	}
+	count := newFloat().SetInt64(int64(n))
+	cx, cy := sx.Value(), sy.Value()
+	cx.Quo(cx, count)
+	cy.Quo(cy, count)
+	g, q, cu := fromFloat(gamma), fromFloat(quad), fromFloat(cuFF)
+	c, s, one := fromFloat(cosT), fromFloat(sinT), fromFloat(1)
+	dx, dy, t, u, v := newFloat(), newFloat(), newFloat(), newFloat(), newFloat()
+	out := make([]*big.Float, len(caps))
+	for k, cells := range caps {
+		out[k] = newFloat()
+		for _, p := range cells {
+			dx.Sub(fromFloat(p.X), cx)
+			dy.Sub(fromFloat(p.Y), cy)
+			t.Add(u.Mul(dx, c), v.Mul(dy, s))
+			t.Mul(t, g) // γ·(x·cos θ + y·sin θ)
+			u.Add(u.Mul(dx, dx), v.Mul(dy, dy))
+			t.Add(t, u.Mul(u, q)) // + q·r²
+			t.Add(t, one)
+			out[k].Add(out[k], u.Quo(cu, t))
+		}
+	}
+	return out
 }
 
 // DAC is the float64 input of the 3σ analysis of one placement at one

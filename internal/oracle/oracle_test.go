@@ -175,3 +175,28 @@ func TestSettlingAndF3dB(t *testing.T) {
 		t.Errorf("2·t_settle·f_3dB − 1 = %s", d.Text('g', 10))
 	}
 }
+
+// TestCStarByHand checks Eq. 3 on three cells centred on (3, 5), with
+// γ = 1/8 and q = 1/16: capacitor 0 is the centre cell, which no
+// gradient shifts (C* = C_u); capacitor 1 is the cells 2 µm either
+// side, whose t/t_0 are 1 ± 1/4 + 1/4 along the gradient (C* = 2/3 + 1
+// = 5/3) and 1 + 1/4 across it (C* = 2/1.25 = 8/5).
+func TestCStarByHand(t *testing.T) {
+	caps := [][]Point{{{3, 5}}, {{5, 5}, {1, 5}}}
+	third := newFloat().Quo(fromFloat(1), fromFloat(3))
+	for _, c := range []struct {
+		cosT, sinT float64
+		want1      *big.Float
+	}{
+		{1, 0, newFloat().Add(fromFloat(1), newFloat().Mul(fromFloat(2), third))},
+		{0, 1, newFloat().Quo(fromFloat(8), fromFloat(5))},
+	} {
+		got := CStar(caps, 0.125, 0.0625, 1, c.cosT, c.sinT)
+		if e := RelErr(1, got[0]); e != 0 {
+			t.Errorf("cos %g: C*_0 = %s, want 1", c.cosT, got[0].Text('g', 30))
+		}
+		if d := newFloat().Sub(got[1], c.want1); d.Abs(d).Cmp(fromFloat(1e-70)) > 0 {
+			t.Errorf("cos %g: C*_1 = %s, want %s", c.cosT, got[1].Text('g', 30), c.want1.Text('g', 30))
+		}
+	}
+}

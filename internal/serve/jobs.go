@@ -1,10 +1,10 @@
 // Async job tier endpoints: POST /v1/jobs submits work to the bounded
 // priority queue of internal/jobs, GET /v1/jobs/{id} polls it, DELETE
 // cancels it, and GET /v1/jobs/{id}/events streams the job's live span
-// events over SSE. Job records persist through the write-behind
-// persister and checkpoints persist synchronously, so a killed daemon
-// restarts with its job history intact and resumes interrupted
-// Monte-Carlo runs from the last checkpoint (see recoverJobs).
+// events over SSE. Job records and checkpoints both save synchronously,
+// so a killed daemon restarts with its job history intact and resumes
+// interrupted Monte-Carlo runs from the last checkpoint (see
+// recoverJobs).
 package serve
 
 import (
@@ -13,21 +13,19 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
 	"ccdac/internal/jobs"
 )
 
-// jobIndexKey/jobCkKey/jobManifestKey are the artifact-store index
-// keys of a job's latest record, its latest checkpoint, and the list
-// of known job IDs (the index hashes its keys, so recovery needs an
-// explicit manifest to enumerate them).
-func jobIndexKey(id string) string { return "job/" + id }
+// jobIndexKey and jobCkKey are the artifact-store index keys of a
+// job's latest record and its latest checkpoint. Recovery enumerates
+// the records by jobPrefix in the store's index.
+func jobIndexKey(id string) string { return jobPrefix + id }
 func jobCkKey(id string) string    { return "jobck/" + id }
 
-const jobManifestKey = "jobs/manifest"
+const jobPrefix = "job/"
 
 // handleJobSubmit accepts a job spec, reserves queue capacity, and
 // answers 202 with the queued record — or 429 with queue depth and an
@@ -110,19 +108,20 @@ func retryAfterSeconds(d time.Duration) int {
 // jobStore adapts the server's artifact store to jobs.Persist.
 type jobStore struct{ s *Server }
 
-// SaveJob persists the job record write-behind: the request path and
-// the worker never block on disk, and losing the last milliseconds of
-// record churn in a crash is fine — recovery resynthesizes state from
-// the spec and the last checkpoint.
+// SaveJob persists the job record synchronously, as SaveCheckpoint
+// does. The manager saves a terminal record before it releases the
+// job's waiters, so a job reported terminal is durably terminal, and
+// no record is dropped the way a full write-behind queue drops one.
 func (p *jobStore) SaveJob(j jobs.Job) {
-	p.s.noteJobID(j.ID)
 	job := persistJob{key: jobIndexKey(j.ID), payload: j}
 	if j.State.Terminal() {
 		// Terminal records join the provenance chain: the final result
 		// is tied to the spec that produced it, like cached generates.
 		job.config = j.Spec
 	}
-	p.s.persist.enqueue(job)
+	if err := p.s.persist.save(job); err != nil {
+		p.s.log.Warn("job record not persisted", "job", j.ID, "err", err)
+	}
 }
 
 // SaveCheckpoint persists synchronously — the worker blocks until the
@@ -136,60 +135,20 @@ func (p *jobStore) SaveCheckpoint(j jobs.Job, ck jobs.Checkpoint) error {
 	return p.s.persist.save(persistJob{key: jobCkKey(j.ID), payload: ck, config: j.Spec, seed: j.Spec.Seed})
 }
 
-// noteJobID keeps the durable job-ID manifest current. The store index
-// hashes its keys, so without this list a restarted daemon could not
-// enumerate its jobs.
-func (s *Server) noteJobID(id string) {
-	s.jobIDMu.Lock()
-	if s.jobIDs == nil {
-		s.jobIDs = make(map[string]bool)
-	}
-	if s.jobIDs[id] {
-		s.jobIDMu.Unlock()
-		return
-	}
-	s.jobIDs[id] = true
-	ids := make([]string, 0, len(s.jobIDs))
-	for jid := range s.jobIDs {
-		ids = append(ids, jid)
-	}
-	s.jobIDMu.Unlock()
-	sort.Strings(ids)
-	s.persist.enqueue(persistJob{key: jobManifestKey, payload: ids})
-}
-
 // recoverJobs reloads persisted job records at boot: terminal jobs
 // become queryable history, interrupted ones re-enqueue and resume
 // from their last checkpoint — the other half of the crash-safety
-// contract (SIGKILL mid-run, restart, identical final output).
+// contract (SIGKILL mid-run, restart, identical final output). The
+// records are the index's job/ keys, which the store replayed at open.
 func (s *Server) recoverJobs() {
-	if _, ok := s.store.LookupIndex(jobManifestKey); !ok {
-		return // no job was ever recorded here
-	}
-	blob, err := s.store.Load(jobManifestKey)
-	if err != nil {
-		s.log.Warn("job manifest unreadable, starting empty", "err", err)
-		return
-	}
-	var ids []string
-	if err := json.Unmarshal(blob, &ids); err != nil {
-		s.log.Warn("job manifest corrupt, starting empty", "err", err)
-		return
-	}
-	s.jobIDMu.Lock()
-	s.jobIDs = make(map[string]bool, len(ids))
-	for _, id := range ids {
-		s.jobIDs[id] = true
-	}
-	s.jobIDMu.Unlock()
 	restored, resumed := 0, 0
-	for _, id := range ids {
+	for _, key := range s.store.IndexKeys(jobPrefix) {
 		var j jobs.Job
-		if !s.loadJSON(jobIndexKey(id), &j) || j.ID == "" {
+		if !s.loadJSON(key, &j) || j.ID == "" {
 			continue
 		}
 		var ck *jobs.Checkpoint
-		if c := new(jobs.Checkpoint); s.loadJSON(jobCkKey(id), c) && c.JobID == id {
+		if c := new(jobs.Checkpoint); s.loadJSON(jobCkKey(j.ID), c) {
 			ck = c
 		}
 		if !j.State.Terminal() {

@@ -21,6 +21,7 @@ import (
 
 	"ccdac/internal/jobs"
 	"ccdac/internal/leakcheck"
+	"ccdac/internal/store"
 )
 
 func postJob(t *testing.T, base, body string) (*http.Response, []byte) {
@@ -561,5 +562,109 @@ func TestJobRecordsSurviveRestart(t *testing.T) {
 	}
 	if !bytes.Equal(got.Result, done.Result) {
 		t.Fatalf("restored result differs:\nbefore: %s\nafter:  %s", done.Result, got.Result)
+	}
+}
+
+// TestJobBurstSurvivesRestart: a burst of finished jobs comes back
+// whole after a clean restart. 200 generate jobs save three records
+// each; every record is durable when its save returns, so the job a
+// Wait reports done is already stored done, and the restarted server
+// finds all 200 done — none re-queued, none missing — by the index's
+// job/ keys, with no job-ID manifest written.
+func TestJobBurstSurvivesRestart(t *testing.T) {
+	defer leakcheck.Check(t)()
+	const n = 200
+	dir := t.TempDir()
+	srv1 := New(Options{Logger: quietLogger(), StoreDir: dir, JobQueueDepth: n})
+	ids := make([]string, n)
+	for i := range ids {
+		j, err := srv1.Jobs().Submit(jobs.Spec{Kind: jobs.KindGenerate, Bits: 4, SkipNonlinearity: true})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ids[i] = j.ID
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	unstored := 0
+	for _, id := range ids {
+		j, err := srv1.Jobs().Wait(ctx, id)
+		if err != nil || j.State != jobs.StateDone {
+			srv1.Close()
+			t.Fatalf("job %s: %v (state %s, %s)", id, err, j.State, j.Error)
+		}
+		// No FlushStore: the terminal record is stored before Wait returns.
+		var stored jobs.Job
+		if !srv1.loadJSON(jobIndexKey(id), &stored) || stored.State != jobs.StateDone {
+			unstored++
+		}
+	}
+	srv1.Close()
+	if unstored > 0 {
+		t.Errorf("%d of %d jobs reported done by Wait had no done record in the store", unstored, n)
+	}
+	if keys := srv1.store.IndexKeys("jobs/"); len(keys) != 0 {
+		t.Errorf("index holds %q, want no jobs/ keys (no job-ID manifest)", keys)
+	}
+
+	srv2 := New(Options{Logger: quietLogger(), StoreDir: dir})
+	defer srv2.Close()
+	var missing, resumed, notDone int
+	for _, id := range ids {
+		j, ok := srv2.Jobs().Get(id)
+		switch {
+		case !ok:
+			missing++
+		case j.Resumed:
+			resumed++
+		case j.State != jobs.StateDone:
+			notDone++
+		}
+	}
+	if missing+resumed+notDone > 0 {
+		t.Fatalf("after restart: %d of %d jobs missing, %d re-queued, %d not done", missing, n, resumed, notDone)
+	}
+}
+
+// TestJobRecoveryReadsIndexNotManifest: a store written by a daemon
+// that also kept a jobs/manifest list of job IDs recovers its jobs
+// from their records alone — a finished one as history, a queued one
+// re-run to done — and leaves the old manifest untouched.
+func TestJobRecoveryReadsIndexNotManifest(t *testing.T) {
+	defer leakcheck.Check(t)()
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := jobs.Spec{Kind: jobs.KindGenerate, Bits: 4, SkipNonlinearity: true}
+	manifest := []byte(`["jdone","jqueued"]`)
+	for key, v := range map[string]any{
+		"jobs/manifest":        manifest,
+		jobIndexKey("jdone"):   jobs.Job{ID: "jdone", Spec: spec, State: jobs.StateDone, Result: json.RawMessage(`{"ok":true}`)},
+		jobIndexKey("jqueued"): jobs.Job{ID: "jqueued", Spec: spec, State: jobs.StateQueued},
+	} {
+		blob, err := encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Save(key, blob, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv := New(Options{Logger: quietLogger(), StoreDir: dir})
+	defer srv.Close()
+	if j, ok := srv.Jobs().Get("jdone"); !ok || j.State != jobs.StateDone || string(j.Result) != `{"ok":true}` {
+		t.Fatalf("finished job = %+v, %v; want its done record", j, ok)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	j, err := srv.Jobs().Wait(ctx, "jqueued")
+	if err != nil || j.State != jobs.StateDone || !j.Resumed {
+		t.Fatalf("queued job = %s (resumed %v, %s), %v; want resumed and done", j.State, j.Resumed, j.Error, err)
+	}
+	if got, err := srv.store.Load("jobs/manifest"); err != nil || !bytes.Equal(got, manifest) {
+		t.Fatalf("manifest = %q, %v; want it untouched", got, err)
 	}
 }

@@ -4,7 +4,8 @@
 // cache warm (docs/ROBUSTNESS.md, "Durable artifact store"). Each
 // persisted artifact also appends a hash-chained provenance record
 // (request config, seed, toolchain, code revision), making stored
-// results tamper-evident and reproducible.
+// results tamper-evident and reproducible. Job records and checkpoints
+// skip the queue and call save directly (jobs.go).
 package serve
 
 import (
@@ -15,9 +16,9 @@ import (
 	"ccdac/internal/store"
 )
 
-// persistJob is one artifact awaiting durability: a cold generate
-// result, a tail-sampled trace, a profile, a job record or checkpoint,
-// or the job manifest.
+// persistJob is one artifact to make durable. Cold generate results,
+// tail-sampled traces and profiles ride the write-behind queue (enqueue);
+// job records and checkpoints save synchronously (save).
 type persistJob struct {
 	// key is the store index key the artifact is saved under.
 	key string
@@ -26,9 +27,8 @@ type persistJob struct {
 	// request path.
 	payload any
 	// config is the provenance record's ConfigJSON, encoded the same
-	// way; nil appends no record (the high-churn manifest and
-	// non-terminal job records stay off the chain). seed is the
-	// record's Seed.
+	// way; nil appends no record (high-churn non-terminal job records
+	// stay off the chain). seed is the record's Seed.
 	config any
 	seed   int64
 }
@@ -70,7 +70,7 @@ func (p *persister) loop() {
 // and, when job carries a config, a provenance link. Store-level
 // failures degrade inside the store (it flips memory-only); the error
 // is an encoding failure, which the write-behind path drops and the
-// synchronous checkpoint path returns.
+// synchronous job-record and checkpoint paths report.
 func (p *persister) save(job persistJob) error {
 	blob, err := encode(job.payload)
 	if err != nil {

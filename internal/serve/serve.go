@@ -85,11 +85,12 @@ type Options struct {
 	MaxBatch int
 	// StoreDir, when non-empty, backs the result cache with a durable
 	// content-addressed artifact store at this directory: cold results
-	// persist via write-behind (the request path never blocks on disk),
-	// the cache restarts warm, and GET /v1/artifacts/{hash} serves
-	// stored blobs. If the directory is unusable the daemon still
-	// starts, degraded to memory-only, and says so in response
-	// warnings. See docs/ROBUSTNESS.md.
+	// persist via write-behind (a generate request never blocks on
+	// disk), the cache restarts warm, and GET /v1/artifacts/{hash}
+	// serves stored blobs. Job records and checkpoints save
+	// synchronously, so a restart recovers every job. If the directory
+	// is unusable the daemon still starts, degraded to memory-only,
+	// and says so in response warnings. See docs/ROBUSTNESS.md.
 	StoreDir string
 	// TraceCapacity bounds each retention class of the flight recorder
 	// (error / degraded / slow / recent rings; see internal/obs): 0
@@ -176,10 +177,8 @@ type Server struct {
 	logsSampled atomic.Int64
 
 	// jobs is the async job tier (queue + coalescer + worker pool)
-	// behind /v1/jobs; jobIDs mirrors the durable job-ID manifest.
-	jobs    *jobs.Manager
-	jobIDMu sync.Mutex
-	jobIDs  map[string]bool
+	// behind /v1/jobs.
+	jobs *jobs.Manager
 	// reqSec tracks an EWMA of limited-route request seconds (as
 	// math.Float64bits) so shed 429s can carry an honest Retry-After.
 	reqSec atomic.Uint64
@@ -386,9 +385,8 @@ func (s *Server) Close() {
 	if s.profcap != nil {
 		s.profcap.Close()
 	}
-	// The job tier stops before the persister: its shutdown persists
-	// final job records (still-running jobs stay non-terminal so the
-	// next boot resumes them), and those writes must drain to disk.
+	// Stopping the job tier saves the records of interrupted jobs
+	// (non-terminal, so the next boot resumes them) before it returns.
 	if s.jobs != nil {
 		s.jobs.Close()
 	}

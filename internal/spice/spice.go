@@ -75,21 +75,13 @@ type Waveform struct {
 // A network that is not a tree rooted at the driver returns an error
 // wrapping rcnet.ErrNotTree.
 func Transient(n *rcnet.Net, root int, dt float64, steps int, observe []int) (*Waveform, error) {
-	if dt <= 0 || steps < 1 {
-		return nil, fmt.Errorf("spice: need positive dt and steps, got %g, %d", dt, steps)
+	if steps < 1 {
+		return nil, fmt.Errorf("spice: need a positive step count, got %d", steps)
 	}
-	nn := n.NumNodes()
-	if root < 0 || root >= nn {
-		return nil, fmt.Errorf("spice: root %d out of range", root)
-	}
-	if nn == 1 {
-		return nil, fmt.Errorf("spice: network has no nodes besides the driver")
-	}
-	tree, err := n.Tree(root)
+	st, err := newStepper(n, root, dt)
 	if err != nil {
-		return nil, fmt.Errorf("spice: %w", err)
+		return nil, err
 	}
-	st := tree.Stepper(dt)
 	wf := &Waveform{
 		TimeSec: make([]float64, 0, steps),
 		V:       make([][]float64, len(observe)),
@@ -102,6 +94,26 @@ func Transient(n *rcnet.Net, root int, dt float64, steps int, observe []int) (*W
 		}
 	}
 	return wf, nil
+}
+
+// newStepper builds the network's tree from the driver root and its
+// Backward-Euler stepper at time step dt.
+func newStepper(n *rcnet.Net, root int, dt float64) (*rcnet.Stepper, error) {
+	if dt <= 0 {
+		return nil, fmt.Errorf("spice: need a positive dt, got %g", dt)
+	}
+	nn := n.NumNodes()
+	if root < 0 || root >= nn {
+		return nil, fmt.Errorf("spice: root %d out of range", root)
+	}
+	if nn == 1 {
+		return nil, fmt.Errorf("spice: network has no nodes besides the driver")
+	}
+	tree, err := n.Tree(root)
+	if err != nil {
+		return nil, fmt.Errorf("spice: %w", err)
+	}
+	return tree.Stepper(dt), nil
 }
 
 // SettleTime returns the earliest sampled time at which every observed
@@ -132,25 +144,41 @@ func (w *Waveform) SettleTime(tol float64) (float64, error) {
 }
 
 // SettleWithin simulates the step response and returns the time to
-// settle every node in nodes within tol of the final value. The time
-// step adapts to the supplied Elmore estimate tauHint (dt = tauHint/50,
-// horizon = 40·tauHint, extended if needed).
+// settle every node in nodes within tol of the final value: the step
+// after the last one at which any of them was out of tolerance. The
+// time step adapts to the supplied Elmore estimate tauHint: dt =
+// tauHint/50 over a horizon of 40·tauHint, extended fourfold up to
+// 2560·tauHint while the horizon's last step is out of tolerance. One
+// stepper runs throughout and no waveform is kept, so memory does not
+// grow with the step count; the result is bit for bit Transient's
+// SettleTime at the first horizon that settles.
 func SettleWithin(n *rcnet.Net, root int, nodes []int, tol, tauHint float64) (float64, error) {
 	if tauHint <= 0 {
 		return 0, fmt.Errorf("spice: need a positive tau hint")
 	}
-	dt := tauHint / 50
-	horizon := 40.0
-	for attempt := 0; attempt < 4; attempt++ {
-		steps := int(horizon * tauHint / dt)
-		wf, err := Transient(n, root, dt, steps, nodes)
-		if err != nil {
-			return 0, err
-		}
-		if t, err := wf.SettleTime(tol); err == nil {
-			return t, nil
-		}
-		horizon *= 4
+	if tol <= 0 {
+		return 0, fmt.Errorf("spice: tolerance must be positive")
 	}
-	return 0, fmt.Errorf("spice: network did not settle within %g tau", horizon)
+	dt := tauHint / 50
+	st, err := newStepper(n, root, dt)
+	if err != nil {
+		return 0, err
+	}
+	s, lastOut := 0, 0
+	for horizon := 40.0; horizon <= 2560; horizon *= 4 {
+		for steps := int(horizon * tauHint / dt); s < steps; {
+			st.Step()
+			s++
+			for _, node := range nodes {
+				if math.Abs(st.V(node)-1) > tol {
+					lastOut = s
+					break
+				}
+			}
+		}
+		if lastOut < s {
+			return float64(lastOut+1) * dt, nil
+		}
+	}
+	return 0, fmt.Errorf("spice: network did not settle within 2560 tau")
 }

@@ -145,6 +145,99 @@ func TestSettlingMatchesElmoreModel(t *testing.T) {
 	}
 }
 
+// settleByWaveform is SettleWithin's reference: each horizon
+// re-simulated from zero into a Waveform and judged by SettleTime.
+func settleByWaveform(n *rcnet.Net, root int, nodes []int, tol, tauHint float64) (float64, error) {
+	dt := tauHint / 50
+	for horizon := 40.0; horizon <= 2560; horizon *= 4 {
+		wf, err := Transient(n, root, dt, int(horizon*tauHint/dt), nodes)
+		if err != nil {
+			return 0, err
+		}
+		if t, err := wf.SettleTime(tol); err == nil {
+			return t, nil
+		}
+	}
+	return 0, errors.New("not settled")
+}
+
+// criticalBit extracts the critical bit network of a routed spiral.
+func criticalBit(t *testing.T, bits int) extract.BitNet {
+	t.Helper()
+	m, err := place.NewSpiral(bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := route.Route(m, tech.FinFET12(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := extract.Extract(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum.Bits[sum.CriticalBit()]
+}
+
+// TestSettleWithinMatchesWaveform: stepping one stepper across the
+// horizons returns the time the waveform reference returns, bit for
+// bit — when the first horizon settles, when a later one does (a tau
+// hint below the true tau), and on an extracted network — and both
+// fail when no horizon settles.
+func TestSettleWithinMatchesWaveform(t *testing.T) {
+	rc, rcRoot, rcLoad := singleRC(t, 1000, 10) // tau = 10 ps
+	crit := criticalBit(t, 6)
+	for _, c := range []struct {
+		name    string
+		n       *rcnet.Net
+		root    int
+		nodes   []int
+		tol     float64
+		tauHint float64
+		settles bool
+	}{
+		{"rc first horizon", rc, rcRoot, []int{rcLoad}, 1.0 / 1024, 1e-11, true},
+		{"rc second horizon", rc, rcRoot, []int{rcLoad}, 1.0 / 1024, 1e-12, true},
+		{"rc fourth horizon", rc, rcRoot, []int{rcLoad}, 1.0 / 1024, 4e-14, true},
+		{"rc never", rc, rcRoot, []int{rcLoad}, 1.0 / 1024, 1e-15, false},
+		{"6-bit critical bit", crit.Net, crit.Root, crit.CellNodes, 1.0 / 256, crit.TauSec, true},
+		{"6-bit, low hint", crit.Net, crit.Root, crit.CellNodes, 1.0 / 256, crit.TauSec / 7, true},
+	} {
+		want, werr := settleByWaveform(c.n, c.root, c.nodes, c.tol, c.tauHint)
+		got, err := SettleWithin(c.n, c.root, c.nodes, c.tol, c.tauHint)
+		if (werr == nil) != c.settles || (err == nil) != c.settles {
+			t.Errorf("%s: reference err %v, SettleWithin err %v; want settled = %v", c.name, werr, err, c.settles)
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: SettleWithin = %.17g, waveform reference = %.17g", c.name, got, want)
+		}
+	}
+}
+
+// TestSettleWithinAllocsFlat: SettleWithin keeps no waveform, so it
+// allocates only what building the tree and its stepper allocates,
+// however many steps and observed nodes it takes.
+func TestSettleWithinAllocsFlat(t *testing.T) {
+	crit := criticalBit(t, 6)
+	tol := 1.0 / 256
+	setup := testing.AllocsPerRun(5, func() {
+		tree, err := crit.Net.Tree(crit.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree.Stepper(crit.TauSec / 50)
+	})
+	settle := testing.AllocsPerRun(5, func() {
+		if _, err := SettleWithin(crit.Net, crit.Root, crit.CellNodes, tol, crit.TauSec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if settle > setup {
+		t.Errorf("SettleWithin allocates %v times per call, building its tree and stepper %v", settle, setup)
+	}
+}
+
 func TestNetlistFormat(t *testing.T) {
 	n, root, _ := singleRC(t, 123.4, 5)
 	nl := Netlist(n, root, "bit 6!")

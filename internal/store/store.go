@@ -37,6 +37,8 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -403,6 +405,22 @@ func (s *Store) IndexLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.idx)
+}
+
+// IndexKeys returns the indexed keys that begin with prefix, sorted,
+// so a caller can enumerate its own namespace of the index New
+// replayed: the serve job tier recovers its job/<id> records this way.
+func (s *Store) IndexKeys(prefix string) []string {
+	s.mu.Lock()
+	var keys []string
+	for k := range s.idx {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
+	}
+	s.mu.Unlock()
+	sort.Strings(keys)
+	return keys
 }
 
 // loadIndex replays the persisted index into memory, dropping entries

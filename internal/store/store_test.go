@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -462,6 +463,34 @@ func TestIndexDurability(t *testing.T) {
 	}
 	if _, err := b.Get("index/deadbeef"); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("torn index entry still present: err = %v, want removed", err)
+	}
+}
+
+// TestIndexKeys: IndexKeys lists the indexed keys under a prefix,
+// sorted, from the index a reopened store replayed — a prefix that
+// shares leading bytes with another namespace ("job/" vs "jobs/")
+// does not reach into it.
+func TestIndexKeys(t *testing.T) {
+	s, b := openTest(t)
+	for _, key := range []string{"job/b", "jobs/manifest", "job/a", "jobck/a", "serve/generate/v3/x"} {
+		if err := s.Save(key, []byte(key), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := New(b, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Store{s, s2} {
+		if got := st.IndexKeys("job/"); !reflect.DeepEqual(got, []string{"job/a", "job/b"}) {
+			t.Errorf("IndexKeys(job/) = %q, want [job/a job/b]", got)
+		}
+		if got := st.IndexKeys(""); len(got) != 5 {
+			t.Errorf("IndexKeys(\"\") = %q, want all 5 keys", got)
+		}
+		if got := st.IndexKeys("nothing/"); len(got) != 0 {
+			t.Errorf("IndexKeys(nothing/) = %q, want none", got)
+		}
 	}
 }
 

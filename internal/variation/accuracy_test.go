@@ -163,3 +163,69 @@ func TestCovarianceEnginesOracle(t *testing.T) {
 	t.Logf("worst relative entry error: QuadForms %.3g (bound %.3g), dense %.3g (bound %.3g)",
 		worstQuad, quadBound, worstDense, denseBound)
 }
+
+// TestGradientOracle measures Eq. 3's gradient table against the
+// oracle on grid and routed layouts at 6–12 bits, at three angles:
+// C*_k from cstarInto, and ΔC_k^sys = C*_k − n_k·C_u as Analysis.DCSys
+// forms it from them. The oracle reads the same cell centres and the
+// same float64 cos θ and sin θ. The paper's linear gradient is
+// measured, and a bowl variant with the quadratic extension on.
+// ΔC_k^sys is a difference of two values that agree to 5–20 digits, so
+// its error is measured against the capacitance it shifts, n_k·C_u:
+// relative to ΔC_k^sys itself it only measures the cancellation (on the
+// 6-bit spiral grid at θ = π/4, C_2's exact shift is −2.2e-20 fF and
+// float64 reads 0). Each worst error must stay within its pinned bound;
+// the errors are logged for the accuracy table in CHANGES.md.
+func TestGradientOracle(t *testing.T) {
+	tch := tech.FinFET12()
+	bowl := *tch
+	bowl.Mis.QuadGradientPPMPerUm2 = 0.05
+	// Pinned worst errors over every layout, angle and gradient.
+	const cstarBound, dcBound = 3.2e-15, 3.2e-15
+	var worstC, worstD float64
+	for _, lo := range oracleLayouts(t, tch) {
+		if raceEnabled && lo.m.Bits > 8 {
+			continue
+		}
+		g := gatherCells(lo.m, lo.pos)
+		caps := make([][]oracle.Point, len(g.caps))
+		for k, cells := range g.caps {
+			for _, cp := range cells {
+				caps[k] = append(caps[k], oracle.Point{X: cp.p.X, Y: cp.p.Y})
+			}
+		}
+		for _, tc := range []*tech.Technology{tch, &bowl} {
+			gg := newGradGeom(g, tc)
+			gamma, quad := tc.Mis.GradientPPMPerUm*1e-6, tc.Mis.QuadGradientPPMPerUm2*1e-6
+			cu := tc.Unit.CfF
+			var ec, ed float64
+			for _, theta := range []float64{0.3, math.Pi / 4, 2.5} {
+				a := &Analysis{CStar: make([]float64, len(g.caps)), Counts: g.counts, CuFF: cu}
+				gg.cstarInto(a.CStar, theta)
+				want := oracle.CStar(caps, gamma, quad, cu, math.Cos(theta), math.Sin(theta))
+				for k, w := range want {
+					ec = max(ec, oracle.RelErr(a.CStar[k], w))
+					nominal := float64(g.counts[k]) * cu
+					d := new(big.Float).SetPrec(oracle.Prec).SetFloat64(a.DCSys(k))
+					d.Sub(d, w)
+					d.Add(d, big.NewFloat(nominal)) // got − (C* − n_k·C_u)
+					e, _ := d.Abs(d).Float64()
+					ed = max(ed, e/nominal)
+				}
+			}
+			name := lo.name
+			if tc == &bowl {
+				name += "-bowl"
+			}
+			t.Logf("%-31s C* %.3g  ΔC^sys %.3g", name, ec, ed)
+			if ec > cstarBound {
+				t.Errorf("%s: C* error %.3g above the pinned %.3g", name, ec, cstarBound)
+			}
+			if ed > dcBound {
+				t.Errorf("%s: ΔC^sys error %.3g of n_k·C_u above the pinned %.3g", name, ed, dcBound)
+			}
+			worstC, worstD = max(worstC, ec), max(worstD, ed)
+		}
+	}
+	t.Logf("worst error: C* %.3g relative (bound %.3g), ΔC^sys %.3g of n_k·C_u (bound %.3g)", worstC, cstarBound, worstD, dcBound)
+}

@@ -41,14 +41,19 @@ func TestGenerateWithTrace(t *testing.T) {
 
 	// The stage spans must account for (nearly) all of the root's wall
 	// time: untraced gaps larger than 10% mean a stage lost its span.
-	var staged int64
-	for _, s := range spans {
-		if s.ParentID == root.ID {
-			staged += s.Duration.Nanoseconds()
+	// A ~1 ms run can also lose 10% to one scheduler stall in the glue
+	// between stages, so the bound judges the best of three runs; a
+	// stage without a span leaves the same gap in all three.
+	best := stageCoverage(spans)
+	for run := 1; run < 3 && best < 0.9; run++ {
+		again, err := Generate(Config{Bits: 6, MaxParallel: 2, ThetaSteps: 2, Trace: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		best = max(best, stageCoverage(again.Trace.Spans()))
 	}
-	if total := root.Duration.Nanoseconds(); total > 0 && float64(staged) < 0.9*float64(total) {
-		t.Errorf("stage spans cover %d of %d ns (<90%%) of the run", staged, total)
+	if best < 0.9 {
+		t.Errorf("stage spans cover %.1f%% (<90%%) of the best of three runs", 100*best)
 	}
 
 	// JSONL output: one valid JSON object per line, covering the stages.
@@ -91,6 +96,27 @@ func TestGenerateWithTrace(t *testing.T) {
 			t.Errorf("stage tree missing %q:\n%s", name, tree)
 		}
 	}
+}
+
+// stageCoverage returns the share of the root span's wall time its
+// direct children cover (1 for an instantaneous root).
+func stageCoverage(spans []SpanRecord) float64 {
+	var root SpanRecord
+	for _, s := range spans {
+		if s.ParentID == 0 {
+			root = s
+		}
+	}
+	var staged int64
+	for _, s := range spans {
+		if s.ParentID == root.ID {
+			staged += s.Duration.Nanoseconds()
+		}
+	}
+	if total := root.Duration.Nanoseconds(); total > 0 {
+		return float64(staged) / float64(total)
+	}
+	return 1
 }
 
 func TestGenerateWithoutTraceHasNoTrace(t *testing.T) {
