@@ -117,15 +117,34 @@ func BenchmarkCoupleSweep(b *testing.B) {
 }
 
 // BenchmarkExtractBits measures the full extraction with the per-bit
-// network build serial vs at the default worker budget.
+// network build serial vs at the default worker budget, on 6/8/10-bit
+// spirals and on the flow workload's heaviest extractions, the 12-bit
+// chessboard and block-chessboard arrays.
 func BenchmarkExtractBits(b *testing.B) {
 	t := tech.FinFET12()
+	type input struct {
+		name string
+		m    *ccmatrix.Matrix
+	}
+	var inputs []input
 	for _, bits := range []int{6, 8, 10} {
 		m, err := place.NewSpiral(bits)
 		if err != nil {
 			b.Fatal(err)
 		}
-		l, err := route.Route(m, t, nil)
+		inputs = append(inputs, input{fmt.Sprintf("N%d", bits), m})
+	}
+	cb, err := place.NewChessboard(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bc, err := place.NewBlockChessboard(12, place.BCParams{CoreBits: 4, BlockCells: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs = append(inputs, input{"N12-chessboard", cb}, input{"N12-block-chessboard", bc})
+	for _, in := range inputs {
+		l, err := route.Route(in.m, t, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +153,8 @@ func BenchmarkExtractBits(b *testing.B) {
 			workers int
 		}{{"serial", -1}, {"parallel", 0}} {
 			ctx := par.WithWorkers(context.Background(), mode.workers)
-			b.Run(fmt.Sprintf("N%d/%s", bits, mode.name), func(b *testing.B) {
+			b.Run(in.name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := extract.ExtractContext(ctx, l); err != nil {
 						b.Fatal(err)

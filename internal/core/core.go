@@ -24,6 +24,7 @@ import (
 	"ccdac/internal/dacmodel"
 	"ccdac/internal/extract"
 	"ccdac/internal/fault"
+	"ccdac/internal/groups"
 	"ccdac/internal/memo"
 	"ccdac/internal/obs"
 	"ccdac/internal/par"
@@ -269,6 +270,10 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	var l, lastL *route.Layout
 	var sum, lastSum *extract.Summary
 	var lastPar []int
+	// gs holds the placement's groups, taken from the first layout and
+	// handed to every later route: a promotion changes only the wire
+	// counts, never the groups. Until then RouteContext finds them.
+	var gs [][]*groups.Group
 	promoted := -1
 	for iter := 0; ; iter++ {
 		var stepL *route.Layout
@@ -281,10 +286,16 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 		err := runStage(ctx, fault.StageRoute, func(sctx context.Context) error {
 			obs.CurrentSpan(sctx).SetAttr("iter", iterAttr)
 			l, rerr := stageMemo(sctx, useMemo, layoutCache, rKey, fault.StageRoute,
-				func(rctx context.Context) (*route.Layout, error) { return route.RouteContext(rctx, m, t, par) },
+				func(rctx context.Context) (*route.Layout, error) {
+					if found := gs; found != nil {
+						return route.RouteGroupsContext(rctx, m, found, t, par, route.Options{})
+					}
+					return route.RouteContext(rctx, m, t, par)
+				},
 				layoutBytes)
 			if rerr == nil {
 				stepL = layoutForTech(l, t)
+				gs = l.Groups
 			}
 			return rerr
 		})

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ccdac/internal/fault"
 	"ccdac/internal/obs"
+	"ccdac/internal/route"
 )
 
 // traced runs f under a fresh live trace and returns the finished
@@ -46,6 +48,52 @@ func TestTraceCoversEveryStage(t *testing.T) {
 		if h.Count == 0 {
 			t.Errorf("no ccdac_core_stage_seconds samples for stage %q", stage)
 		}
+	}
+}
+
+// TestGroupsFoundOncePerPlacement: a run that promotes bits routes
+// its placement several times but finds the groups once, under the
+// first route stage's span, and its final layout is the one a fresh
+// route of the same placement and wire counts builds.
+func TestGroupsFoundOncePerPlacement(t *testing.T) {
+	var res *Result
+	spans, _ := traced(t, func(ctx context.Context) {
+		var err error
+		if res, err = RunContext(ctx, spiralCfg(8, 2)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var routes []obs.SpanRecord
+	var found []obs.SpanRecord
+	for _, s := range spans {
+		switch s.Name {
+		case fault.StageRoute:
+			routes = append(routes, s)
+		case "route.groups":
+			found = append(found, s)
+		}
+	}
+	if len(routes) < 2 {
+		t.Fatalf("%d route stages, want a promotion loop of at least 2", len(routes))
+	}
+	if len(found) != 1 {
+		t.Fatalf("route.groups ran %d times over %d route stages, want once", len(found), len(routes))
+	}
+	var parent *obs.SpanRecord
+	for i := range routes {
+		if routes[i].ID == found[0].ParentID {
+			parent = &routes[i]
+		}
+	}
+	if parent == nil || parent.Attrs["iter"] != "0" {
+		t.Fatalf("route.groups parent = %+v, want the iter-0 route stage", parent)
+	}
+	fresh, err := route.Route(res.Placement, res.Layout.Tech, res.Par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.Wires, res.Layout.Wires) || !reflect.DeepEqual(fresh.Vias, res.Layout.Vias) {
+		t.Error("final layout differs from a fresh route of its placement")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"ccdac/internal/fault"
 	"ccdac/internal/geom"
@@ -226,14 +227,12 @@ func couple(l *route.Layout, s *Summary) ([]float64, int) {
 	nLayers := len(l.Tech.Layers)
 	// Pass 1: find each swept wire's track and count the tracks'
 	// wires. geom.Seg classifies zero-length segments as horizontal,
-	// matching Separation's pairing rules. Map keys compare floats
-	// with ==, so +0 and −0 are one track.
-	type trackKey struct {
-		bucket int
-		perp   float64
-	}
+	// matching Separation's pairing rules. Each bucket indexes its
+	// tracks by their coordinate's bits, with −0 folded onto +0, and a
+	// NaN coordinate opens a track of its own: the tracks are those of
+	// comparing coordinates with ==.
 	var tracks []couplingTrack
-	index := make(map[trackKey]int)
+	index := make([]map[uint64]int, 2*nLayers)
 	trackOf := make([]int32, len(l.Wires)) // track + 1; 0 = not swept
 	swept := 0
 	for i, w := range l.Wires {
@@ -246,11 +245,22 @@ func couple(l *route.Layout, s *Summary) ([]float64, int) {
 			perp = w.Seg.A.X
 			b++
 		}
-		k := trackKey{b, perp}
-		t, ok := index[k]
-		if !ok {
-			t = len(tracks)
-			index[k] = t
+		t := len(tracks)
+		if perp == perp { // a NaN coordinate matches no track
+			k := math.Float64bits(perp)
+			if perp == 0 {
+				k = 0 // −0 and +0 are one track
+			}
+			if index[b] == nil {
+				index[b] = make(map[uint64]int)
+			}
+			if known, ok := index[b][k]; ok {
+				t = known
+			} else {
+				index[b][k] = t
+			}
+		}
+		if t == len(tracks) {
 			tracks = append(tracks, couplingTrack{bucket: b, perp: perp})
 		}
 		tracks[t].end++
@@ -369,10 +379,38 @@ func byBit(n, bits int, bitOf func(i int) int) [][]int {
 // centers is that cell's plate node on every layer (bottom plates are
 // reachable on every layer at the cell); any other point holds one
 // junction node per layer, created on first sight.
+//
+// A point whose two 1-nm coordinates fit in int32 (±2.1 m, far beyond
+// any array) is keyed by both packed into one word; any other point by
+// the exact pair, in a map made on first need. A bitNodes, with its
+// maps, junction list and tree workspace, serves the builds of many
+// nets in turn: bitNodesPool hands them out.
 type bitNodes struct {
 	net  *rcnet.Net
-	at   map[[2]int64]pointNodes
+	at   map[uint64]pointNodes
+	wide map[[2]int64]pointNodes
 	junc []junctionNode
+	tree rcnet.Workspace
+}
+
+// bitNodesPool holds the bitNodes of finished bit builds, so the nets
+// of every bit and every promotion round reuse their storage.
+var bitNodesPool = sync.Pool{New: func() any { return &bitNodes{at: make(map[uint64]pointNodes)} }}
+
+// numbering returns an empty bitNodes for net; release returns it to
+// the pool.
+func numbering(net *rcnet.Net) *bitNodes {
+	b := bitNodesPool.Get().(*bitNodes)
+	b.net = net
+	clear(b.at)
+	b.wide = nil
+	b.junc = b.junc[:0]
+	return b
+}
+
+func (b *bitNodes) release() {
+	b.net = nil
+	bitNodesPool.Put(b)
 }
 
 // pointNodes is one point's cell node (-1 if none) and the head of its
@@ -386,13 +424,42 @@ type junctionNode struct {
 	node, next int32
 }
 
-func pointKey(p geom.Pt) [2]int64 { return [2]int64{quant(p.X), quant(p.Y)} }
+// packed returns the 1-nm coordinates x and y in one word, and false
+// when either leaves int32 range.
+func packed(x, y int64) (uint64, bool) {
+	if x != int64(int32(x)) || y != int64(int32(y)) {
+		return 0, false
+	}
+	return uint64(uint32(x))<<32 | uint64(uint32(y)), true
+}
+
+// lookup returns the nodes at the point with 1-nm coordinates (x, y).
+func (b *bitNodes) lookup(x, y int64) (pointNodes, bool) {
+	if k, ok := packed(x, y); ok {
+		pn, ok := b.at[k]
+		return pn, ok
+	}
+	pn, ok := b.wide[[2]int64{x, y}]
+	return pn, ok
+}
+
+// store records the nodes at the point with 1-nm coordinates (x, y).
+func (b *bitNodes) store(x, y int64, pn pointNodes) {
+	if k, ok := packed(x, y); ok {
+		b.at[k] = pn
+		return
+	}
+	if b.wide == nil {
+		b.wide = make(map[[2]int64]pointNodes)
+	}
+	b.wide[[2]int64{x, y}] = pn
+}
 
 // nodeOf returns the node at p on layer, creating a junction if the
 // point has neither a cell nor a junction on that layer yet.
 func (b *bitNodes) nodeOf(p geom.Pt, layer int) int {
-	k := pointKey(p)
-	pn, ok := b.at[k]
+	x, y := quant(p.X), quant(p.Y)
+	pn, ok := b.lookup(x, y)
 	if !ok {
 		pn = pointNodes{cell: -1, junc: -1}
 	}
@@ -407,14 +474,14 @@ func (b *bitNodes) nodeOf(p geom.Pt, layer int) int {
 	id := b.net.AddNode()
 	b.junc = append(b.junc, junctionNode{layer: layer, node: int32(id), next: pn.junc})
 	pn.junc = int32(len(b.junc) - 1)
-	b.at[k] = pn
+	b.store(x, y, pn)
 	return id
 }
 
 // buildBitNet assembles the RC charging network of one capacitor from
 // its cells (row-major cell indices) and its routed wires and vias
-// (indices into the layout's), each ascending, and runs the Elmore
-// analysis on its tree. A network that is not a tree rooted at the
+// (indices into the layout's), each ascending, and takes its τ, the
+// Elmore delay to its slowest cell, from its tree. A network that is not a tree rooted at the
 // driver fails with rcnet.ErrNotTree.
 func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, cells, wires, vias []int) (*BitNet, error) {
 	net := rcnet.New()
@@ -425,15 +492,13 @@ func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, cells, wires,
 	net.Grow(nodeCount, len(wires)+len(vias)+1)
 	bn := &BitNet{Bit: bit, Net: net, CellNodes: make([]int, 0, len(cells))}
 
-	nodes := &bitNodes{
-		net:  net,
-		at:   make(map[[2]int64]pointNodes, nodeCount),
-		junc: make([]junctionNode, 0, nodeCount-len(cells)),
-	}
+	nodes := numbering(net)
+	defer nodes.release()
 	for _, i := range cells {
 		id := net.AddNode()
 		net.AddC(id, l.Tech.Unit.CfF)
-		nodes.at[pointKey(l.CellCenter(geom.Cell{Row: i / l.M.Cols, Col: i % l.M.Cols}))] = pointNodes{cell: int32(id), junc: -1}
+		c := l.CellCenter(geom.Cell{Row: i / l.M.Cols, Col: i % l.M.Cols})
+		nodes.store(quant(c.X), quant(c.Y), pointNodes{cell: int32(id), junc: -1})
 		bn.CellNodes = append(bn.CellNodes, id)
 	}
 
@@ -467,11 +532,11 @@ func buildBitNet(l *route.Layout, bit int, wireCoupling []float64, cells, wires,
 		}
 		net.AddR(nodes.nodeOf(v.At, v.LayerA), nodes.nodeOf(v.At, v.LayerB), r)
 	}
-	delays, err := net.ElmoreTree(root)
+	tau, err := net.MaxElmore(&nodes.tree, root, bn.CellNodes)
 	if err != nil {
 		return nil, err
 	}
-	bn.TauSec = rcnet.MaxDelay(delays, bn.CellNodes)
+	bn.TauSec = tau
 	return bn, nil
 }
 

@@ -48,7 +48,7 @@ func longSemi(t *testing.T) *SemiEmbedding {
 	t.Helper()
 	longKernel := func(d2 float64) float64 { return math.Exp(-math.Sqrt(d2) / 200) }
 	g := SemiGrid{Rows: 32, DY: 1, ColX: []float64{0, 1.7, 3.1, 4.9, 7.2, 8.8}}
-	e, err := NewSemiEmbedding(g, longKernel, 1)
+	e, err := NewSemiEmbedding(g, longKernel, math.Float64bits, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestSemiQuadFormsOracle(t *testing.T) {
 				}
 				classes[k] = append(classes[k], idx)
 			}
-			e, err := NewSemiEmbedding(g, kernel, 2)
+			e, err := NewSemiEmbedding(g, kernel, math.Float64bits, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,9 +31,11 @@
 package fftk
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"ccdac/internal/par"
@@ -55,11 +57,11 @@ type SemiEmbedding struct {
 	g    SemiGrid
 	cols int
 	m    int // row-torus length, pow2 ≥ 2·Rows−1
-	// S[f] for f = 0…m/2 (S[m−f] = S[f]) is stored by distinct column
-	// separation: lam[f][sep[p]] is the packed entry p = cj(cj+1)/2 +
-	// ci (ci ≤ cj) of S[f].
-	lam  [][]float64 // per frequency 0…m/2: one entry per distinct Δx²
-	sep  []int32     // packed pair → index of its Δx² in lam[f]
+	// S[f] for f = 0…m/2 (S[m−f] = S[f]) is stored by kernel row:
+	// lam[f][sep[p]] is the packed entry p = cj(cj+1)/2 + ci (ci ≤ cj)
+	// of S[f].
+	lam  [][]float64 // per frequency 0…m/2: one entry per distinct row of keys
+	sep  []int32     // packed pair → index of its kernel row in lam[f]
 	plan *Plan
 	k0   float64
 
@@ -89,11 +91,14 @@ type semiScratch struct {
 }
 
 // NewSemiEmbedding builds the row-spectral embedding of kernel(d²) —
-// d² in µm² — over g, running the per-separation transforms on up to
-// workers goroutines; kernel must be safe for concurrent calls.
+// d² in µm² — over g, running the key pass and the transforms on up
+// to workers goroutines. key names the point kernel evaluates d² at:
+// equal keys must imply bit-equal kernel values (math.Float64bits
+// always qualifies), and one kernel row is built per distinct row of
+// keys. kernel and key must be safe for concurrent calls.
 // Construction only fails on degenerate arguments; whether the spectra
 // support sampling is reported by CanSample.
-func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, workers int) (*SemiEmbedding, error) {
+func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, key func(d2 float64) uint64, workers int) (*SemiEmbedding, error) {
 	cols := len(g.ColX)
 	if g.Rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("fftk: semi embedding %dx%d, want >= 1", g.Rows, cols)
@@ -120,57 +125,63 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, workers int) 
 	}
 	// The row-direction kernel of a column pair, k_cc'(Δr) =
 	// kernel(Δx² + (Δr·DY)²) wrapped onto the torus, depends on the
-	// pair only through Δx²: pairs with bit-equal Δx² share one
-	// spectrum, built once per distinct separation. The wrap
-	// min(s, M−s) makes the kernel even — so every spectrum is real and
-	// even in f — and s and M−s share one evaluation per wrap distance.
+	// pair only through Δx², and through Δx² only by the row of keys
+	// its arguments take: pairs whose rows of keys are equal share one
+	// spectrum, built once. The wrap min(s, M−s) makes the kernel even
+	// — so every spectrum is real and even in f — and s and M−s share
+	// one evaluation per wrap distance.
 	e.sep = make([]int32, cols*(cols+1)/2)
 	index := make(map[uint64]int32, cols)
-	var dxs []float64 // the first pair's Δx per distinct Δx²
+	var x2s []float64 // the distinct Δx²
 	for cj := 0; cj < cols; cj++ {
 		for ci := 0; ci <= cj; ci++ {
 			dx := g.ColX[ci] - g.ColX[cj]
-			key := math.Float64bits(dx * dx)
-			k, ok := index[key]
+			x2 := dx * dx
+			bits := math.Float64bits(x2)
+			k, ok := index[bits]
 			if !ok {
-				k = int32(len(dxs))
-				index[key] = k
-				dxs = append(dxs, dx)
+				k = int32(len(x2s))
+				index[bits] = k
+				x2s = append(x2s, x2)
 			}
 			e.sep[cj*(cj+1)/2+ci] = k
 		}
 	}
 	half := m/2 + 1
+	groupOf, rows := groupKeyRows(x2s, g.DY, half, key, workers)
+	for p, k := range e.sep {
+		e.sep[p] = groupOf[k]
+	}
 	e.lam = make([][]float64, half)
 	for f := range e.lam {
-		e.lam[f] = make([]float64, len(dxs))
+		e.lam[f] = make([]float64, len(rows))
 	}
-	// Two real spectra come out of one complex transform: separations
-	// 2p and 2p+1 go in as the real and the imaginary part of one
-	// input, and since both spectra are real they come out as the real
-	// and the imaginary part of its transform. An odd last separation
-	// runs alone on a zero imaginary part. The pairs' transforms are
-	// independent and each writes only its own two columns of lam, so
-	// they run in contiguous blocks, one set of buffers per block;
-	// every spectrum is the serial one at any worker count. The
-	// transforms cannot fail, so ForN has no error to report.
-	pairs := (len(dxs) + 1) / 2
+	// Two real spectra come out of one complex transform: rows 2p and
+	// 2p+1 go in as the real and the imaginary part of one input, and
+	// since both spectra are real they come out as the real and the
+	// imaginary part of its transform. An odd last row runs alone on a
+	// zero imaginary part. The pairs' transforms are independent and
+	// each writes only its own two columns of lam, so they run in
+	// contiguous blocks, one set of buffers per block; every spectrum is
+	// the serial one at any worker count. The transforms cannot fail,
+	// so ForN has no error to report.
+	pairs := (len(rows) + 1) / 2
 	blocks := min(max(workers, 1), pairs)
 	_ = par.ForN(workers, blocks, func(b int) error {
 		re, im := make([]float64, half), make([]float64, half)
 		buf := make([]complex128, m)
-		row := func(vals []float64, dx float64) {
+		row := func(vals []float64, x2 float64) {
 			for w := range vals {
 				wr := float64(w) * g.DY
-				vals[w] = kernel(dx*dx + wr*wr)
+				vals[w] = kernel(x2 + wr*wr)
 			}
 		}
 		for p := b * pairs / blocks; p < (b+1)*pairs/blocks; p++ {
 			k := 2 * p
-			two := k+1 < len(dxs)
-			row(re, dxs[k])
+			two := k+1 < len(rows)
+			row(re, rows[k])
 			if two {
-				row(im, dxs[k+1])
+				row(im, rows[k+1])
 			} else {
 				clear(im)
 			}
@@ -188,7 +199,7 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, workers int) 
 		}
 		return nil
 	})
-	e.KernelEvals = int64(len(dxs) * half)
+	e.KernelEvals = int64(len(rows) * half)
 	e.pool.New = func() any {
 		return &semiScratch{
 			field: make([]complex128, cols*m),
@@ -196,6 +207,62 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, workers int) 
 		}
 	}
 	return e, nil
+}
+
+// groupKeyRows groups the distinct separations x2s by their row of
+// keys key(Δx² + (w·dy)²), w = 0…half−1: one kernel row serves each
+// group, since equal keys give bit-equal kernel values. It returns each
+// separation's group and, per group, the smallest Δx² in it; groups
+// are numbered by ascending Δx².
+//
+// The separations are sorted first, and each row is compared only with
+// the row before it. A key that, like tech.RhoTable's, never decreases
+// as its argument grows makes that complete: rows equal at Δx² = a < b
+// are equal at every Δx² between, so every group is a run of sorted
+// neighbours. (With any other key the grouping is still sound, only
+// possibly finer.) The comparisons run in contiguous blocks on up to
+// workers goroutines, each keeping two rows of keys.
+func groupKeyRows(x2s []float64, dy float64, half int, key func(d2 float64) uint64, workers int) (groupOf []int32, rows []float64) {
+	n := len(x2s)
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	// Every Δx² is a square, so ≥ +0 or NaN: its bits order it.
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Compare(math.Float64bits(x2s[a]), math.Float64bits(x2s[b]))
+	})
+	// same[i] reports that sorted separation i has the keys of i−1.
+	same := make([]bool, n)
+	keys := func(dst []uint64, x2 float64) {
+		for w := range dst {
+			wr := float64(w) * dy
+			dst[w] = key(x2 + wr*wr)
+		}
+	}
+	blocks := min(max(workers, 1), n)
+	// The key rows cannot fail, so ForN has no error to report.
+	_ = par.ForN(workers, blocks, func(b int) error {
+		lo, hi := b*n/blocks, (b+1)*n/blocks
+		prev, cur := make([]uint64, half), make([]uint64, half)
+		if lo > 0 {
+			keys(prev, x2s[order[lo-1]])
+		}
+		for i := lo; i < hi; i++ {
+			keys(cur, x2s[order[i]])
+			same[i] = i > 0 && slices.Equal(prev, cur)
+			prev, cur = cur, prev
+		}
+		return nil
+	})
+	groupOf = make([]int32, n)
+	for i, k := range order {
+		if !same[i] {
+			rows = append(rows, x2s[k])
+		}
+		groupOf[k] = int32(len(rows) - 1)
+	}
+	return groupOf, rows
 }
 
 // QuadForms evaluates the full matrix of quadratic forms G[j][k] =
@@ -223,35 +290,59 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, workers int) 
 func (e *SemiEmbedding) QuadForms(classes [][]int, workers int) [][]float64 {
 	R, C, M := e.g.Rows, e.cols, e.m
 	nc := len(classes)
-	// Spectral indicators: one FFT per (class, column) with cells.
-	spec := make([][]complex128, nc*C)
+	// slot[j*C+c] numbers class j's column-c indicator, in (class,
+	// column) order, or is -1 when the class has no cell there.
+	slot := make([]int32, nc*C)
+	for i := range slot {
+		slot[i] = -1
+	}
 	for j, cls := range classes {
 		for _, idx := range cls {
 			r, c := idx/C, idx%C
 			if r < 0 || r >= R || c < 0 {
 				panic(fmt.Sprintf("fftk: QuadForms cell index %d outside %dx%d", idx, R, C))
 			}
-			if spec[j*C+c] == nil {
-				spec[j*C+c] = make([]complex128, M)
+			slot[j*C+c] = 0
+		}
+	}
+	slots := int32(0)
+	for i, s := range slot {
+		if s == 0 {
+			slot[i] = slots
+			slots++
+		}
+	}
+	// Two real indicators share one complex transform: indicator 2q
+	// goes in as the real part of input q and 2q+1 as its imaginary
+	// part. The transform Z of the pair splits as X_2q[f] = (Z[f] +
+	// conj(Z[M−f]))/2 and X_2q+1[f] = (Z[f] − conj(Z[M−f]))/(2i); the
+	// contraction reads both halves of it at f and M−f.
+	pairs := int(slots+1) / 2
+	ind := make([]complex128, pairs*M)
+	for j, cls := range classes {
+		for _, idx := range cls {
+			r, c := idx/C, idx%C
+			s := slot[j*C+c]
+			if s%2 == 0 {
+				ind[int(s/2)*M+r] += 1
+			} else {
+				ind[int(s/2)*M+r] += 1i
 			}
-			spec[j*C+c][r] += 1
 		}
 	}
 	// cols[j] lists class j's non-empty columns in ascending order.
 	cols := make([][]int, nc)
 	for j := range cols {
-		for c, v := range spec[j*C : j*C+C] {
-			if v != nil {
+		for c, s := range slot[j*C : j*C+C] {
+			if s >= 0 {
 				cols[j] = append(cols[j], c)
 			}
 		}
 	}
 	// The transforms and frequency blocks cannot fail, so ForN has no
 	// error to report.
-	_ = par.ForN(workers, len(spec), func(i int) error {
-		if spec[i] != nil {
-			e.plan.Forward(spec[i])
-		}
+	_ = par.ForN(workers, pairs, func(q int) error {
+		e.plan.Forward(ind[q*M : q*M+M])
 		return nil
 	})
 
@@ -265,23 +356,20 @@ func (e *SemiEmbedding) QuadForms(classes [][]int, workers int) [][]float64 {
 		yr, yi := make([]float64, nc*C), make([]float64, nc*C)
 		for f := b * half / blocks; f < (b+1)*half/blocks; f++ {
 			e.expand(s, f)
+			mf := (M - f) % M
 			for j, cs := range cols {
 				for _, c := range cs {
-					v := spec[j*C+c][f]
-					ar[j*C+c], ai[j*C+c] = real(v), imag(v)
+					i := slot[j*C+c]
+					z, zm := ind[int(i/2)*M+f], ind[int(i/2)*M+mf]
+					if i%2 == 0 {
+						ar[j*C+c], ai[j*C+c] = (real(z)+real(zm))/2, (imag(z)-imag(zm))/2
+					} else {
+						ar[j*C+c], ai[j*C+c] = (imag(z)+imag(zm))/2, (real(zm)-real(z))/2
+					}
 				}
 			}
 			for j, cs := range cols {
-				aR, aI := ar[j*C:j*C+C], ai[j*C:j*C+C]
-				for x := 0; x < C; x++ {
-					row := s[x*C : x*C+C]
-					re, im := 0.0, 0.0
-					for _, c := range cs {
-						re += row[c] * aR[c]
-						im += row[c] * aI[c]
-					}
-					yr[j*C+x], yi[j*C+x] = re, im
-				}
+				rowsTimes(yr[j*C:j*C+C], yi[j*C:j*C+C], s, ar[j*C:j*C+C], ai[j*C:j*C+C], cs)
 			}
 			p := part[f*np : f*np+np]
 			i := 0
@@ -333,6 +421,45 @@ func (e *SemiEmbedding) QuadForms(classes [][]int, workers int) [][]float64 {
 		}
 	}
 	return G
+}
+
+// rowsTimes sets y = s·a, real and imaginary parts apart, for the
+// dense row-major C×C matrix s and a vector a that is zero outside the
+// ascending columns cs. It runs four rows per pass over cs, each with
+// its own accumulators, so every y[x] is summed in ascending column
+// order exactly as a row at a time would sum it, while each a[c] is
+// loaded once per four rows.
+func rowsTimes(yR, yI, s, aR, aI []float64, cs []int) {
+	C := len(yR)
+	x := 0
+	for ; x+4 <= C; x += 4 {
+		r0, r1, r2, r3 := s[x*C:x*C+C], s[(x+1)*C:(x+1)*C+C], s[(x+2)*C:(x+2)*C+C], s[(x+3)*C:(x+3)*C+C]
+		var re0, im0, re1, im1, re2, im2, re3, im3 float64
+		for _, c := range cs {
+			a, b := aR[c], aI[c]
+			re0 += r0[c] * a
+			im0 += r0[c] * b
+			re1 += r1[c] * a
+			im1 += r1[c] * b
+			re2 += r2[c] * a
+			im2 += r2[c] * b
+			re3 += r3[c] * a
+			im3 += r3[c] * b
+		}
+		yR[x], yI[x] = re0, im0
+		yR[x+1], yI[x+1] = re1, im1
+		yR[x+2], yI[x+2] = re2, im2
+		yR[x+3], yI[x+3] = re3, im3
+	}
+	for ; x < C; x++ {
+		row := s[x*C : x*C+C]
+		re, im := 0.0, 0.0
+		for _, c := range cs {
+			re += row[c] * aR[c]
+			im += row[c] * aI[c]
+		}
+		yR[x], yI[x] = re, im
+	}
 }
 
 // expand writes S[f] into s as a dense row-major C×C matrix.

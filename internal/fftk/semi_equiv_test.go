@@ -4,108 +4,166 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // The references below are the serial forms of the separable
 // embedding's spectrum build and contraction: a serial two-for-one
-// transform over the distinct column separations, expanded back to
-// every column pair, and the packed serial contraction over the
-// half-spectrum. They exist only to pin the deduplicated, parallel
-// build and the ordered parallel contraction bit for bit;
-// TestSemiQuadFormsOracle pins their accuracy.
+// transform over the distinct kernel rows, expanded back to every
+// column pair, and the packed serial contraction over the
+// half-spectrum of two-for-one indicator transforms. They exist only
+// to pin the grouped, parallel build and the ordered, blocked parallel
+// contraction bit for bit; TestSemiQuadFormsOracle pins their
+// accuracy.
 
-// refSemiSpectra numbers the distinct column separations in
-// first-appearance order, transforms separations 2p and 2p+1 as the
-// real and imaginary parts of one length-M input, and returns the
-// packed spectra for frequencies 0…M/2.
-func refSemiSpectra(g SemiGrid, kernel func(d2 float64) float64) [][]float64 {
+// refKernelRows groups g's column pairs by their whole row of keys
+// key(Δx² + (w·DY)²), w = 0…M/2, compared as rows (no sorting or
+// neighbour argument), and numbers the groups by the smallest Δx² they
+// hold. It returns each packed pair's group and each group's smallest
+// Δx².
+func refKernelRows(g SemiGrid, key func(d2 float64) uint64) (pairRow []int, rows []float64) {
 	cols := len(g.ColX)
+	half := torusDim(g.Rows)/2 + 1
+	keyRow := func(x2 float64) string {
+		keys := make([]uint64, half)
+		for w := range keys {
+			wr := float64(w) * g.DY
+			keys[w] = key(x2 + wr*wr)
+		}
+		return fmt.Sprint(keys)
+	}
+	smallest := map[string]float64{}
+	names := make([]string, cols*(cols+1)/2)
+	for cj := 0; cj < cols; cj++ {
+		for ci := 0; ci <= cj; ci++ {
+			dx := g.ColX[ci] - g.ColX[cj]
+			x2 := dx * dx
+			k := keyRow(x2)
+			if v, ok := smallest[k]; !ok || x2 < v {
+				smallest[k] = x2
+			}
+			names[cj*(cj+1)/2+ci] = k
+		}
+	}
+	for _, x2 := range smallest {
+		rows = append(rows, x2)
+	}
+	slices.Sort(rows)
+	pairRow = make([]int, len(names))
+	for p, k := range names {
+		pairRow[p] = slices.Index(rows, smallest[k])
+	}
+	return pairRow, rows
+}
+
+// refSemiSpectra transforms kernel rows 2p and 2p+1 (refKernelRows'
+// numbering) as the real and imaginary parts of one length-M input,
+// and returns the packed spectra for frequencies 0…M/2.
+func refSemiSpectra(g SemiGrid, kernel func(d2 float64) float64, key func(d2 float64) uint64) [][]float64 {
 	m := torusDim(g.Rows)
 	plan, err := NewPlan(m)
 	if err != nil {
 		panic(err)
 	}
-	var dxs []float64
-	sep := make([]int, cols*(cols+1)/2)
-	for cj := 0; cj < cols; cj++ {
-		for ci := 0; ci <= cj; ci++ {
-			dx := g.ColX[ci] - g.ColX[cj]
-			k := -1
-			for i, d := range dxs {
-				if d*d == dx*dx {
-					k = i
-					break
-				}
-			}
-			if k < 0 {
-				k = len(dxs)
-				dxs = append(dxs, dx)
-			}
-			sep[cj*(cj+1)/2+ci] = k
-		}
-	}
-	spec := make([][]float64, m/2+1) // per frequency, per separation
+	pairRow, rows := refKernelRows(g, key)
+	spec := make([][]float64, m/2+1) // per frequency, per kernel row
 	for f := range spec {
-		spec[f] = make([]float64, len(dxs))
+		spec[f] = make([]float64, len(rows))
 	}
 	row := func(k, s int) float64 {
-		if k >= len(dxs) {
+		if k >= len(rows) {
 			return 0
 		}
 		wr := float64(min(s, m-s)) * g.DY
-		return kernel(dxs[k]*dxs[k] + wr*wr)
+		return kernel(rows[k] + wr*wr)
 	}
 	buf := make([]complex128, m)
-	for k := 0; k < len(dxs); k += 2 {
+	for k := 0; k < len(rows); k += 2 {
 		for s := range buf {
 			buf[s] = complex(row(k, s), row(k+1, s))
 		}
 		plan.Forward(buf)
 		for f := range spec {
 			spec[f][k] = real(buf[f])
-			if k+1 < len(dxs) {
+			if k+1 < len(rows) {
 				spec[f][k+1] = imag(buf[f])
 			}
 		}
 	}
 	lamT := make([][]float64, m/2+1)
 	for f := range lamT {
-		lamT[f] = make([]float64, len(sep))
-		for p, k := range sep {
+		lamT[f] = make([]float64, len(pairRow))
+		for p, k := range pairRow {
 			lamT[f][p] = spec[f][k]
 		}
 	}
 	return lamT
 }
 
-// refQuadForms is the packed serial contraction over the given
-// half-spectrum of an M-point torus: frequencies 1…M/2 ascending, the
-// interior ones doubled, then the DC term.
-func refQuadForms(lamT [][]float64, M, R, C int, classes [][]int) [][]float64 {
+// refIndicators returns the half-spectra (f = 0…M/2) of the classes'
+// column indicators, indexed j·C+c and nil where class j has no cell in
+// column c. The indicators with cells are numbered in (class, column)
+// order; indicators 2q and 2q+1 are transformed as the real and
+// imaginary parts of one input and split by X[f] = (Z[f] +
+// conj(Z[M−f]))/2 and X[f] = (Z[f] − conj(Z[M−f]))/(2i).
+func refIndicators(M, R, C int, classes [][]int) [][]complex128 {
 	plan, err := NewPlan(M)
 	if err != nil {
 		panic(err)
 	}
 	nc := len(classes)
-	spec := make([][]complex128, nc*C)
+	series := make([][]float64, nc*C)
 	for j, cls := range classes {
 		for _, idx := range cls {
 			r, c := idx/C, idx%C
 			if r < 0 || r >= R || c < 0 {
 				panic(fmt.Sprintf("fftk: QuadForms cell index %d outside %dx%d", idx, R, C))
 			}
-			if spec[j*C+c] == nil {
-				spec[j*C+c] = make([]complex128, M)
+			if series[j*C+c] == nil {
+				series[j*C+c] = make([]float64, M)
 			}
-			spec[j*C+c][r] += 1
+			series[j*C+c][r]++
 		}
 	}
-	for _, v := range spec {
+	var present []int
+	for i, v := range series {
 		if v != nil {
-			plan.Forward(v)
+			present = append(present, i)
 		}
 	}
+	out := make([][]complex128, nc*C)
+	buf := make([]complex128, M)
+	for q := 0; q < len(present); q += 2 {
+		for r := range buf {
+			im := 0.0
+			if q+1 < len(present) {
+				im = series[present[q+1]][r]
+			}
+			buf[r] = complex(series[present[q]][r], im)
+		}
+		plan.Forward(buf)
+		for h, i := range present[q:min(q+2, len(present))] {
+			out[i] = make([]complex128, M/2+1)
+			for f := range out[i] {
+				z, zm := buf[f], buf[(M-f)%M]
+				if h == 0 {
+					out[i][f] = complex((real(z)+real(zm))/2, (imag(z)-imag(zm))/2)
+				} else {
+					out[i][f] = complex((imag(z)+imag(zm))/2, (real(zm)-real(z))/2)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// refQuadForms is the packed serial contraction over the given
+// half-spectrum of an M-point torus: frequencies 1…M/2 ascending, the
+// interior ones doubled, then the DC term.
+func refQuadForms(lamT [][]float64, M, R, C int, classes [][]int) [][]float64 {
+	nc := len(classes)
+	spec := refIndicators(M, R, C, classes)
 
 	G := make([][]float64, nc)
 	for j := range G {
@@ -190,27 +248,54 @@ func equivGrids() map[string]SemiGrid {
 	}
 }
 
-// equivKernels are a smooth kernel and the long-range mismatch shape.
-var equivKernels = map[string]func(float64) float64{
-	"smooth":     semiKernel,
-	"long-range": func(d2 float64) float64 { return 0.37 * math.Exp(-math.Sqrt(d2)/200) },
+// equivKernel is a kernel with the key it is evaluated at.
+type equivKernel struct {
+	kernel func(d2 float64) float64
+	key    func(d2 float64) uint64
 }
 
-// TestSemiSpectraMatchReference requires every stored cross-spectral
-// entry (f = 0…M/2) of the deduplicated two-for-one build, at 1, 2 and
-// 4 workers, to equal the serial reference's, compared with ==.
+// equivKernels are a smooth kernel and the long-range mismatch shape,
+// each keyed by its argument's bits, and the long-range shape
+// evaluated at d² rounded to 0.05 µm² as tech.RhoTable rounds it to
+// 1e-6 µm², keyed by that quantum: coarse enough that rows of
+// different Δx² share their keys on every test grid.
+var equivKernels = map[string]equivKernel{
+	"smooth":     {semiKernel, math.Float64bits},
+	"long-range": {func(d2 float64) float64 { return 0.37 * math.Exp(-math.Sqrt(d2)/200) }, math.Float64bits},
+	"quantized": {
+		func(d2 float64) float64 { return 0.37 * math.Exp(-math.Sqrt(math.Round(d2*20)/20)/200) },
+		func(d2 float64) uint64 { return uint64(math.Round(d2 * 20)) },
+	},
+}
+
+// TestSemiSpectraMatchReference requires the grouped two-for-one
+// build, at 1, 2 and 4 workers, to find exactly the reference's kernel
+// rows and every stored cross-spectral entry (f = 0…M/2) to equal the
+// serial reference's, compared with ==. The quantized kernel must
+// merge rows of different Δx² on the last-bits grid.
 func TestSemiSpectraMatchReference(t *testing.T) {
 	for gname, g := range equivGrids() {
-		for kname, kernel := range equivKernels {
-			want := refSemiSpectra(g, kernel)
+		for kname, k := range equivKernels {
+			want := refSemiSpectra(g, k.kernel, k.key)
+			_, rows := refKernelRows(g, k.key)
+			_, distinct := refKernelRows(g, math.Float64bits)
+			if len(rows) > len(distinct) || kname == "quantized" && gname == "last-bits" && len(rows) == len(distinct) {
+				t.Fatalf("%s/%s: %d kernel rows for %d distinct Δx²", gname, kname, len(rows), len(distinct))
+			}
 			for _, workers := range []int{1, 2, 4} {
 				name := fmt.Sprintf("%s/%s/workers=%d", gname, kname, workers)
-				e, err := NewSemiEmbedding(g, kernel, workers)
+				e, err := NewSemiEmbedding(g, k.kernel, k.key, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(e.lam) != len(want) {
 					t.Fatalf("%s: %d frequencies, reference %d", name, len(e.lam), len(want))
+				}
+				if got := len(e.lam[0]); got != len(rows) {
+					t.Fatalf("%s: %d kernel rows, reference %d", name, got, len(rows))
+				}
+				if got, want := e.KernelEvals, int64(len(rows)*len(e.lam)); got != want {
+					t.Fatalf("%s: KernelEvals = %d, want %d", name, got, want)
 				}
 				for f := range want {
 					for p := range want[f] {
@@ -233,8 +318,8 @@ func TestSemiQuadFormsMatchReference(t *testing.T) {
 	for gname, g := range equivGrids() {
 		C := len(g.ColX)
 		n := g.Rows * C
-		for kname, kernel := range equivKernels {
-			e, err := NewSemiEmbedding(g, kernel, 1)
+		for kname, k := range equivKernels {
+			e, err := NewSemiEmbedding(g, k.kernel, k.key, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +337,7 @@ func TestSemiQuadFormsMatchReference(t *testing.T) {
 						classes[j] = append(classes[j], idx)
 					}
 				}
-				want := refQuadForms(refSemiSpectra(g, kernel), torusDim(g.Rows), g.Rows, C, classes)
+				want := refQuadForms(refSemiSpectra(g, k.kernel, k.key), torusDim(g.Rows), g.Rows, C, classes)
 				for _, workers := range []int{1, 2, 4} {
 					name := fmt.Sprintf("%s/%s/nc=%d/workers=%d", gname, kname, nc, workers)
 					got := e.QuadForms(classes, workers)

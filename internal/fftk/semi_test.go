@@ -80,7 +80,7 @@ func TestSemiQuadFormsMatchDense(t *testing.T) {
 	}
 
 	for _, c := range cases {
-		e, err := NewSemiEmbedding(c.g, c.kernel, 1)
+		e, err := NewSemiEmbedding(c.g, c.kernel, math.Float64bits, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -107,7 +107,7 @@ func TestSemiQuadFormsMatchDense(t *testing.T) {
 // the quadratic forms collapse to plain column sums of the kernel.
 func TestSemiQuadFormsSingleRow(t *testing.T) {
 	g := SemiGrid{Rows: 1, DY: 0, ColX: []float64{0, 0.9, 2.1}}
-	e, err := NewSemiEmbedding(g, semiKernel, 1)
+	e, err := NewSemiEmbedding(g, semiKernel, math.Float64bits, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSemiQuadFormsSingleRow(t *testing.T) {
 
 func TestSemiSampleCovariance(t *testing.T) {
 	g := SemiGrid{Rows: 4, DY: 1.1, ColX: []float64{0, 1.3, 2.9}}
-	e, err := NewSemiEmbedding(g, semiKernel, 1)
+	e, err := NewSemiEmbedding(g, semiKernel, math.Float64bits, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSemiSampleCovariance(t *testing.T) {
 func TestSemiLongRangeKernelSamples(t *testing.T) {
 	longKernel := func(d2 float64) float64 { return math.Exp(-math.Sqrt(d2) / 200) }
 	g := SemiGrid{Rows: 32, DY: 1, ColX: []float64{0, 1.7, 3.1, 4.9, 7.2, 8.8}}
-	e, err := NewSemiEmbedding(g, longKernel, 1)
+	e, err := NewSemiEmbedding(g, longKernel, math.Float64bits, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,15 +110,15 @@ func (n *Net) Caps() []float64 {
 	return out
 }
 
-// ErrNotTree is returned by Tree and ElmoreTree when the resistive
-// graph has a cycle or a node unreachable from the root.
+// ErrNotTree is returned by Tree, ElmoreTree and MaxElmore when the
+// resistive graph has a cycle or a node unreachable from the root.
 var ErrNotTree = errors.New("rcnet: network is not a tree rooted at the driver")
 
 // merged computes a union-find over zero-ohm resistors so the tree
-// treats ideal shorts as single electrical nodes. It returns the
-// representative for each node and the per-representative capacitance.
-func (n *Net) merged() (rep []int, capOf []float64) {
-	rep = make([]int, len(n.capFF))
+// treats ideal shorts as single electrical nodes. It fills rep with the
+// representative of each node and capOf with the per-representative
+// capacitance; both have one entry per node.
+func (n *Net) merged(rep []int, capOf []float64) {
 	for i := range rep {
 		rep[i] = i
 	}
@@ -141,11 +141,10 @@ func (n *Net) merged() (rep []int, capOf []float64) {
 	for i := range rep {
 		rep[i] = find(i)
 	}
-	capOf = make([]float64, len(n.capFF))
+	clear(capOf)
 	for i, c := range n.capFF {
 		capOf[rep[i]] += c
 	}
-	return rep, capOf
 }
 
 // joins returns the representatives a resistor connects, and false
@@ -186,9 +185,33 @@ type Tree struct {
 // adjacency is a CSR array filled in resistor-insertion order, which
 // fixes the DFS visit order and with it every floating-point
 // accumulation the analyses make.
-func (n *Net) Tree(root int) (Tree, error) {
-	rep, capOf := n.merged()
-	nn := len(rep)
+func (n *Net) Tree(root int) (Tree, error) { return n.tree(new(Workspace), root) }
+
+// Workspace holds the arrays a tree build and its Elmore pass work in,
+// for a caller that analyses many nets in turn: each use regrows them
+// only past the largest net so far. The zero value is ready for use; a
+// Workspace is not safe for concurrent use.
+type Workspace struct {
+	rep, start, to, parent, order, stack []int
+	capOf, ohm, parentR, down, delay     []float64
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short. The contents are stale: the caller sets what it reads.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// tree is Tree building in ws's arrays; the returned Tree shares them,
+// so it is valid until ws's next use.
+func (n *Net) tree(ws *Workspace, root int) (Tree, error) {
+	nn := len(n.capFF)
+	ws.rep, ws.capOf = resize(ws.rep, nn), resize(ws.capOf, nn)
+	rep, capOf := ws.rep, ws.capOf
+	n.merged(rep, capOf)
 	r := rep[root]
 
 	// A tree over the distinct representatives (union-find roots) has
@@ -200,7 +223,9 @@ func (n *Net) Tree(root int) (Tree, error) {
 		}
 	}
 	// start[u]..start[u+1] will index u's neighbors in to/ohm.
-	start := make([]int, nn+1)
+	ws.start = resize(ws.start, nn+1)
+	start := ws.start
+	clear(start)
 	edges := 0
 	for _, e := range n.res {
 		if a, b, ok := joins(rep, e); ok {
@@ -215,8 +240,8 @@ func (n *Net) Tree(root int) (Tree, error) {
 	for u := 0; u < nn; u++ {
 		start[u+1] += start[u]
 	}
-	to := make([]int, 2*edges)
-	ohm := make([]float64, 2*edges)
+	ws.to, ws.ohm = resize(ws.to, 2*edges), resize(ws.ohm, 2*edges)
+	to, ohm := ws.to, ws.ohm
 	// Fill using start[u] as u's cursor, then shift the advanced
 	// cursors (each now the next node's start) back into place.
 	for _, e := range n.res {
@@ -230,15 +255,15 @@ func (n *Net) Tree(root int) (Tree, error) {
 	copy(start[1:], start[:nn])
 	start[0] = 0
 
-	// DFS from root. parent[u] < 0 marks u unvisited.
-	parent := make([]int, nn)
+	// DFS from root. parent[u] < 0 marks u unvisited; parentR is set
+	// for every node the DFS reaches, and only those are read.
+	ws.parent, ws.parentR = resize(ws.parent, nn), resize(ws.parentR, nn)
+	parent, parentR := ws.parent, ws.parentR
 	for i := range parent {
 		parent[i] = -1
 	}
-	parentR := make([]float64, nn)
-	order := make([]int, 0, reps)
-	stack := make([]int, 1, reps)
-	stack[0] = r
+	order := resize(ws.order, reps)[:0]
+	stack := append(resize(ws.stack, reps)[:0], r)
 	parent[r] = r
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
@@ -252,6 +277,7 @@ func (n *Net) Tree(root int) (Tree, error) {
 			}
 		}
 	}
+	ws.order, ws.stack = order, stack
 	if len(order) != reps {
 		return Tree{}, ErrNotTree
 	}
@@ -263,8 +289,20 @@ func (n *Net) Tree(root int) (Tree, error) {
 // τ(v) = τ(parent) + R_edge·(capacitance downstream of v).
 func (t Tree) Elmore() []float64 {
 	nn := len(t.rep)
+	out := t.repDelays(make([]float64, nn), make([]float64, nn))
+	// Every other node copies its representative's delay.
+	for i, u := range t.rep {
+		out[i] = out[u]
+	}
+	return out
+}
+
+// repDelays writes each representative's Elmore delay into out, with
+// down as scratch, and returns out; both have one entry per node, and
+// the entries of other nodes are left as they were.
+func (t Tree) repDelays(down, out []float64) []float64 {
 	// Downstream capacitance: reverse DFS order.
-	down := make([]float64, nn)
+	clear(down)
 	for i := len(t.order) - 1; i >= 0; i-- {
 		u := t.order[i]
 		down[u] += t.capOf[u]
@@ -272,17 +310,13 @@ func (t Tree) Elmore() []float64 {
 			down[t.parent[u]] += down[u]
 		}
 	}
-	// Delay: forward order. Representatives get theirs first; every
-	// other node then copies its representative's.
-	out := make([]float64, nn)
+	// Delay: forward order, from the root's zero.
 	for _, u := range t.order {
 		if u == t.root {
+			out[u] = 0
 			continue
 		}
 		out[u] = out[t.parent[u]] + t.parentR[u]*down[u]*1e-15 // ohm*fF -> seconds
-	}
-	for i, u := range t.rep {
-		out[i] = out[u]
 	}
 	return out
 }
@@ -296,6 +330,28 @@ func (n *Net) ElmoreTree(root int) ([]float64, error) {
 		return nil, err
 	}
 	return t.Elmore(), nil
+}
+
+// MaxElmore returns the largest Elmore delay in seconds from the
+// driver node (root) to any of nodes, building the tree in ws: the
+// value MaxDelay(ElmoreTree(root), nodes) returns, bit for bit,
+// without allocating once ws has grown to the net's size. It returns
+// ErrNotTree for meshes or disconnected networks.
+func (n *Net) MaxElmore(ws *Workspace, root int, nodes []int) (float64, error) {
+	t, err := n.tree(ws, root)
+	if err != nil {
+		return 0, err
+	}
+	nn := len(t.rep)
+	ws.down, ws.delay = resize(ws.down, nn), resize(ws.delay, nn)
+	delay := t.repDelays(ws.down, ws.delay)
+	m := 0.0
+	for _, i := range nodes {
+		if i >= 0 && i < nn {
+			m = math.Max(m, delay[t.rep[i]])
+		}
+	}
+	return m, nil
 }
 
 // Stepper advances a tree's unit-step response by Backward Euler. The

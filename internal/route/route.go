@@ -197,8 +197,37 @@ func RouteWithOptions(m *ccmatrix.Matrix, t *tech.Technology, par []int, opts Op
 }
 
 // RouteWithOptionsContext is RouteWithOptions under a context carrying
-// the observability trace.
+// the observability trace: it finds the placement's groups, then
+// routes them with RouteGroupsContext.
 func RouteWithOptionsContext(ctx context.Context, m *ccmatrix.Matrix, t *tech.Technology, par []int, opts Options) (*Layout, error) {
+	gs, err := FindGroupsContext(ctx, m)
+	if err != nil {
+		return nil, err
+	}
+	return RouteGroupsContext(ctx, m, gs, t, par, opts)
+}
+
+// FindGroupsContext finds the placement's connected capacitor groups
+// (Sec. IV-B2) under the route.groups span: the groups every route of
+// the placement starts from, whatever its parallel-wire counts.
+func FindGroupsContext(ctx context.Context, m *ccmatrix.Matrix) ([][]*groups.Group, error) {
+	_, span := obs.StartSpan(ctx, "route.groups")
+	defer span.End()
+	gs, err := groups.Find(m)
+	if err != nil {
+		err = fmt.Errorf("route: %w", err)
+		span.Fail(err)
+		return nil, err
+	}
+	return gs, nil
+}
+
+// RouteGroupsContext is the router: Algorithm 1 and the top-plate
+// routing over the placement's groups gs, as FindGroupsContext returns
+// them. A caller that routes one placement many times — the
+// parallel-wire promotion loop — finds its groups once and passes them
+// to every route; the layouts share them, read-only.
+func RouteGroupsContext(ctx context.Context, m *ccmatrix.Matrix, gs [][]*groups.Group, t *tech.Technology, par []int, opts Options) (*Layout, error) {
 	if err := fault.Check(fault.StageRoute); err != nil {
 		return nil, fmt.Errorf("route: %w", err)
 	}
@@ -207,6 +236,9 @@ func RouteWithOptionsContext(ctx context.Context, m *ccmatrix.Matrix, t *tech.Te
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("route: %w", err)
+	}
+	if len(gs) != m.Bits+1 {
+		return nil, fmt.Errorf("route: groups for %d capacitors, want %d", len(gs), m.Bits+1)
 	}
 	if par == nil {
 		par = make([]int, m.Bits+1)
@@ -221,15 +253,6 @@ func RouteWithOptionsContext(ctx context.Context, m *ccmatrix.Matrix, t *tech.Te
 		}
 		parOf[i] = p
 	}
-	_, span := obs.StartSpan(ctx, "route.groups")
-	gs, err := groups.Find(m)
-	if err != nil {
-		err = fmt.Errorf("route: %w", err)
-		span.Fail(err)
-		span.End()
-		return nil, err
-	}
-	span.End()
 	l := &Layout{M: m, Tech: t, Groups: gs, Par: parOf, opts: opts}
 	l.step(ctx, "route.clusters", l.formClusters) // Algorithm 1, Step 1
 	l.step(ctx, "route.tracks", l.assignTracks)   // Algorithm 1, Step 2

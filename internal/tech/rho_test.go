@@ -3,6 +3,7 @@ package tech
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -103,6 +104,51 @@ func TestRhoSqDirectMatchesRhoSq(t *testing.T) {
 			if got := math.Float64bits(local.RhoSq(d2)); got != want {
 				t.Fatalf("%s pass %d: RhoLocal.RhoSq(%g) = %#x, direct formula %#x", name, pass, d2, got, want)
 			}
+		}
+	}
+}
+
+// TestRhoKeyImpliesValue: arguments with equal Key get bit-equal RhoSq
+// values, an out-of-range argument shares its key with no other, and
+// over d² ≥ 0 the key never decreases as d² grows — the properties a
+// spectrum build relies on when it evaluates one kernel row per
+// distinct row of keys.
+func TestRhoKeyImpliesValue(t *testing.T) {
+	rt := FinFET12().RhoTable()
+	rng := rand.New(rand.NewSource(23))
+	limit := float64(1<<62) / rhoQuantInv
+	in := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0.5 / rhoQuantInv,
+		1.5 / rhoQuantInv, 2.5 / rhoQuantInv, limit, math.Nextafter(limit, 0),
+		math.Nextafter(limit, math.Inf(1)), 1e300, math.MaxFloat64, math.Inf(1)}
+	for i := 0; i < 3000; i++ {
+		q := float64(rng.Int63n(1 << 24))
+		// Neighbouring floats around quantization points and half-points.
+		for _, v := range []float64{q / rhoQuantInv, (q + 0.5) / rhoQuantInv} {
+			in = append(in, v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
+		}
+	}
+	slices.Sort(in)
+	in = append(in, -1e-12, -1, math.Inf(-1), math.NaN())
+	byKey := map[uint64]uint64{}
+	outOfRange := map[uint64]bool{}
+	prev := uint64(0)
+	for i, d2 := range in {
+		key, val := rt.Key(d2), math.Float64bits(rt.RhoSq(d2))
+		if v, ok := byKey[key]; ok && v != val {
+			t.Fatalf("Key(%g) = %#x is shared by a value %#x, RhoSq gives %#x", d2, key, v, val)
+		}
+		byKey[key] = val
+		if _, ok := rhoKeyOf(d2); !ok {
+			if outOfRange[key] || key < 1<<62 {
+				t.Fatalf("out-of-range Key(%g) = %#x merges with another argument", d2, key)
+			}
+			outOfRange[key] = true
+		}
+		if d2 >= 0 {
+			if i > 0 && key < prev {
+				t.Fatalf("Key(%g) = %#x below the key %#x of a smaller argument", d2, key, prev)
+			}
+			prev = key
 		}
 	}
 }

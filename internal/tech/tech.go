@@ -292,6 +292,20 @@ func (rt *RhoTable) RhoSq(d2Um float64) float64 {
 	return math.Exp(math.Sqrt(d2Um) * rt.coef)
 }
 
+// Key returns d²'s evaluation key: arguments with equal keys get
+// bit-equal RhoSq values. In range it is the quantization point;
+// out of range (huge, negative or NaN d²) it is d²'s own bits, which
+// never merge two arguments. Those bits are at or above 2^62 (a
+// negative or NaN value, or one of at least ~4.6e12 µm²) and every
+// quantization point is below it, so the two kinds of key never meet,
+// and over d² ≥ 0 the key is non-decreasing in d².
+func (rt *RhoTable) Key(d2Um float64) uint64 {
+	if key, ok := rhoKeyOf(d2Um); ok {
+		return uint64(key)
+	}
+	return math.Float64bits(d2Um)
+}
+
 // rhoKeyOf quantizes d² to its memo key; ok is false out of
 // quantization range (huge, negative, or NaN).
 func rhoKeyOf(d2Um float64) (key int64, ok bool) {

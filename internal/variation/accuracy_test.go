@@ -86,7 +86,7 @@ func TestCovarianceEnginesOracle(t *testing.T) {
 	sigmaU2 := tch.SigmaU() * tch.SigmaU()
 	rt := tch.RhoTable()
 	// Pinned worst relative entry errors over every layout.
-	const quadBound, denseBound = 7e-16, 2.5e-12
+	const quadBound, denseBound = 7e-16, 4.5e-15
 	var worstQuad, worstDense float64
 	for _, lo := range oracleLayouts(t, tch) {
 		if raceEnabled && lo.m.Bits > 8 {

@@ -263,15 +263,16 @@ func covarianceDense(ctx context.Context, g *cellGeom, t *tech.Technology) (*lin
 }
 
 // mismatchSemiEmbedding is the separable-lattice analog of
-// mismatchEmbedding, built on up to workers goroutines. The embedding
-// evaluates each distinct kernel argument once (KernelEvals counts
-// them).
+// mismatchEmbedding, built on up to workers goroutines. The kernel
+// takes its value from the RhoTable key of its argument, so the
+// embedding evaluates one kernel row per distinct row of keys
+// (KernelEvals counts the evaluations).
 func mismatchSemiEmbedding(t *tech.Technology, sg fftk.SemiGrid, workers int) (*fftk.SemiEmbedding, error) {
 	sigmaU2 := t.SigmaU() * t.SigmaU()
 	rt := t.RhoTable()
 	return fftk.NewSemiEmbedding(sg, func(d2 float64) float64 {
 		return sigmaU2 * rt.RhoSq(d2)
-	}, workers)
+	}, rt.Key, workers)
 }
 
 // covarianceSemi evaluates the capacitor quadratic forms through the

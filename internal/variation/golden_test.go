@@ -111,11 +111,11 @@ func goldenSweepOf(ctx context.Context, t *testing.T, m *ccmatrix.Matrix, l *rou
 
 // TestGoldenRoutedSweep requires the separable-tier covariance of
 // routed MaxParallel-2 layouts, and the spectral Monte-Carlo samples
-// drawn over them, to match values captured before the row-spectral
-// build and contraction were reworked, bit for bit, at 1 and 2
-// workers. Memo and cache entries, job checkpoints and the
-// benchmark's reference metrics all assume the structured analysis
-// never moves.
+// drawn over them, to match values captured at sample stream 4 (one
+// kernel row per distinct row of keys, class indicators transformed
+// two per FFT), bit for bit, at 1 and 2 workers. Memo and cache
+// entries, job checkpoints and the benchmark's reference metrics all
+// assume the structured analysis moves only with the stream.
 func TestGoldenRoutedSweep(t *testing.T) {
 	tch := tech.FinFET12()
 	for _, style := range []string{"spiral", "chessboard", "block-chessboard"} {
@@ -150,7 +150,7 @@ func TestGoldenRoutedSweep(t *testing.T) {
 // goldenRoutedSweep holds the captured analyses, keyed style/bits.
 var goldenRoutedSweep = map[string]goldenSweep{
 	"spiral/8": {cov: []uint64{
-		0x3f37acc4ef88b976, 0x3f37ab1f0d1ab013, 0x3f47ab9aca375291, 0x3f57aac5431ec5a7,
+		0x3f37acc4ef88b975, 0x3f37ab1f0d1ab013, 0x3f47ab9aca375291, 0x3f57aac5431ec5a7,
 		0x3f67aa8c396382ec, 0x3f77a96c9a672f92, 0x3f87a82040f05256, 0x3f97a6146c6acd3b,
 		0x3fa7a3adb9dfa81e, 0x3f37acc4ef88b976, 0x3f47ab9aca375291, 0x3f57aac4d12752a4,
 		0x3f67aa8baadf1e91, 0x3f77a96c43d10f3c, 0x3f87a81f54f90e26, 0x3f97a61397b6844b,
@@ -162,12 +162,12 @@ var goldenRoutedSweep = map[string]goldenSweep{
 		0x3fc7a782424feb28, 0x3fd7a5b0ed5374fb, 0x3fe7a35f3ab56626, 0x3fd7a6dda384fea8,
 		0x3fe7a53dd2bed9a5, 0x3ff7a312f987c194, 0x3ff7a43d4861a668, 0x4007a252f4392483,
 		0x4017a1107f2c64d2,
-	}, mc: 0x2ea64caaa09c6e56},
+	}, mc: 0x64389dccee7dc935},
 	"spiral/10": {cov: []uint64{
 		0x3f37acc4ef88b976, 0x3f37ab1f0d1ab012, 0x3f47ab9aca375290, 0x3f57aac5431ec5a7,
 		0x3f67aa8c396382eb, 0x3f77a96c9a672f93, 0x3f87a82040f05255, 0x3f97a61781698326,
 		0x3fa7a3b2aa0f4a26, 0x3fb79fe44c82c905, 0x3fc79aae1e8ba0f4, 0x3f37acc4ef88b976,
-		0x3f47ab9aca375290, 0x3f57aac4d12752a3, 0x3f67aa8baadf1e90, 0x3f77a96c43d10f3b,
+		0x3f47ab9aca375291, 0x3f57aac4d12752a3, 0x3f67aa8baadf1e90, 0x3f77a96c43d10f3b,
 		0x3f87a81f54f90e26, 0x3f97a616c892e48e, 0x3fa7a3b1a6db419c, 0x3fb79fe32a7c52c6,
 		0x3fc79aad12f12cc8, 0x3f57abf1fe51b4c4, 0x3f67aac50a230c25, 0x3f77aa8bf22150be,
 		0x3f87a966f3520b71, 0x3f97a82288d9ba39, 0x3fa7a615df34a7ce, 0x3fb7a3b2cb5a0be6,
@@ -181,7 +181,7 @@ var goldenRoutedSweep = map[string]goldenSweep{
 		0x3ff7a44128adaf96, 0x4007a25891bdd24d, 0x40179eff2fd141f7, 0x40279a0b111c11a2,
 		0x4017a1173d35f75a, 0x40279e2b3d5426a4, 0x4037997b4d45c400, 0x40379c38f75738a9,
 		0x40479831777194ed, 0x4057957a19c71157,
-	}, mc: 0xe07a045863862903},
+	}, mc: 0x76a2b64eaed61568},
 	"spiral/12": {cov: []uint64{
 		0x3f37acc4ef88b975, 0x3f37ab1f0d1ab013, 0x3f47ab9aca375291, 0x3f57aac5431ec5a6,
 		0x3f67aa8c396382ea, 0x3f77a96c9a672f93, 0x3f87a82040f05256, 0x3f97a61781698327,
@@ -194,7 +194,7 @@ var goldenRoutedSweep = map[string]goldenSweep{
 		0x3fc79fe762846a39, 0x3fd79ab2e158d16e, 0x3fe7933a0093be55, 0x3ff788f5c4d9d3f5,
 		0x3f77aa9e2cbf3a23, 0x3f87aa0e8b6a80a1, 0x3f97a93247c3ef4d, 0x3fa7a7f60a2f5930,
 		0x3fb7a5fe27a2fa02, 0x3fc7a39b2b6c3342, 0x3fd79fd96c671403, 0x3fe79aa7e7e511ae,
-		0x3ff79332e17c650a, 0x400788f04b7aef26, 0x3f97aa15aa858aec, 0x3fa7a914cc0325df,
+		0x3ff79332e17c650a, 0x400788f04b7aef26, 0x3f97aa15aa858aec, 0x3fa7a914cc0325e0,
 		0x3fb7a7e7955eeaba, 0x3fc7a5ecec6ed8e0, 0x3fd7a395dee172cb, 0x3fe79fd26fc8dd08,
 		0x3ff79aa4a0177e73, 0x4007932fb61ad332, 0x401788ee90047925, 0x3fb7a896ac288a21,
 		0x3fc7a782424feb27, 0x3fd7a5b3de040933, 0x3fe7a3641bdb20b5, 0x3ff79fb2534697e4,
@@ -206,10 +206,10 @@ var goldenRoutedSweep = map[string]goldenSweep{
 		0x4057885ed7274b5f, 0x40379c3d546dc42b, 0x404798377c34d3a9, 0x40579187fb3097ea,
 		0x406787c2e9294e39, 0x405795812fe7a72a, 0x40678fc56b697196, 0x4077868f25fa33a3,
 		0x40778be38b0d4c77, 0x408784052c00fcaa, 0x40977ea837ac354a,
-	}, mc: 0xe471ae09aaa2e29e},
+	}, mc: 0xc42254c3fbef21b9},
 	"chessboard/8": {cov: []uint64{
-		0x3f37acc4ef88b976, 0x3f379e8d661f1aa4, 0x3f47a2c3d1d9a6cc, 0x3f579dbe1f66b6f3,
-		0x3f67a06fd77a2c77, 0x3f779d852622d597, 0x3f879f007406a600, 0x3f979d74e755e2c0,
+		0x3f37acc4ef88b976, 0x3f379e8d661f1aa4, 0x3f47a2c3d1d9a6cc, 0x3f579dbe1f66b6f2,
+		0x3f67a06fd77a2c76, 0x3f779d852622d597, 0x3f879f007406a600, 0x3f979d74e755e2c0,
 		0x3fa79e3b62dcd9b5, 0x3f37acc4ef88b976, 0x3f47a2c3d1d9a6cc, 0x3f57a5a8194f90e2,
 		0x3f67a4a809f86a4a, 0x3f77a54030bd2232, 0x3f87a4fd50ada21e, 0x3f97a5220b2bd0d0,
 		0x3fa7a510c7ae4b30, 0x3f57a5a92ad3ea0d, 0x3f67a14af065db98, 0x3f77a28bf0b94b60,
@@ -220,12 +220,12 @@ var goldenRoutedSweep = map[string]goldenSweep{
 		0x3fc7a261eb49655a, 0x3fd7a2819d8759c2, 0x3fe7a272f94bb9ee, 0x3fd7a26ae85e72ad,
 		0x3fe7a2456d93b67f, 0x3ff7a254f177b18d, 0x3ff7a26669d3ec03, 0x4007a254f177b18d,
 		0x4017a25603f3812d,
-	}, mc: 0xb4728ff8e925cc97},
+	}, mc: 0xf3dbb17e864dfb21},
 	"chessboard/10": {cov: []uint64{
 		0x3f37acc4ef88b976, 0x3f37902ddb7e867d, 0x3f4798a7b4061eb5, 0x3f578e902a2724bc,
-		0x3f6793fa0cc6bbd9, 0x3f778e1a8344a42b, 0x3f879116169d3a9d, 0x3f978df9e0633644,
+		0x3f6793fa0cc6bbd9, 0x3f778e1a8344a42b, 0x3f879116169d3a9d, 0x3f978df9e0633643,
 		0x3fa78f8968cd4926, 0x3fb78df18c8f1e91, 0x3fc78ebda76748be, 0x3f37acc4ef88b976,
-		0x3f4798a7b4061eb5, 0x3f579e751212560e, 0x3f679c73eb76fd7e, 0x3f779da524f1f485,
+		0x3f4798a7b4061eb5, 0x3f579e751212560d, 0x3f679c73eb76fd7e, 0x3f779da524f1f485,
 		0x3f879d1ef77a9e78, 0x3f979d6874049f2d, 0x3fa79d45ebf53942, 0x3fb79d585c1dd9b5,
 		0x3fc79d4f67efea0b, 0x3f579e7965839ffa, 0x3f6795b19d072413, 0x3f779836fc1edcac,
 		0x3f8795185eefc1d8, 0x3f9796b51fcbe913, 0x3fa794ed17922c19, 0x3fb795d2c12d1703,
@@ -239,7 +239,7 @@ var goldenRoutedSweep = map[string]goldenSweep{
 		0x3ff797eb00d6f572, 0x400797c7c6ee06f2, 0x401797d75fed8f3e, 0x402797cfdb4adb5b,
 		0x401797c9ee448252, 0x402797b962366571, 0x403797c0de395272, 0x403797c95c93cc6a,
 		0x404797c11f2ab579, 0x405797c141f831bd,
-	}, mc: 0x24ee9a9a1822083b},
+	}, mc: 0x6f170a3433716ca3},
 	"chessboard/12": {cov: []uint64{
 		0x3f37acc4ef88b975, 0x3f377388d5f4d844, 0x3f47847c99caa0bb, 0x3f577054dced289a,
 		0x3f677b25552c11bc, 0x3f776f67772932a3, 0x3f87755de80e9ecb, 0x3f976f26747ef528,
@@ -252,7 +252,7 @@ var goldenRoutedSweep = map[string]goldenSweep{
 		0x3fc77cf250d2a7d1, 0x3fd77de3c95bf0ba, 0x3fe77cec9aab329b, 0x3ff77d683ec7cab5,
 		0x3f778a51be44b4cc, 0x3f87839d69035568, 0x3f9785d75e9f9bd9, 0x3fa784e77cccce58,
 		0x3fb7856bb6879fd5, 0x3fc7852df19b5a0a, 0x3fd7854eb959ce5c, 0x3fe7853edda1f9d1,
-		0x3ff785474e37b4d4, 0x4007854326951098, 0x3f9784dace4443e6, 0x3fa781e6211b4652,
+		0x3ff785474e37b4d4, 0x4007854326951099, 0x3f9784dace4443e6, 0x3fa781e6211b4652,
 		0x3fb782f3392b5723, 0x3fc7818417838957, 0x3fd7823f7030209e, 0x3fe7816a07049f62,
 		0x3ff781d5322934e5, 0x400781636616c480, 0x4017819c5aae3bfe, 0x3fb7843c1ba3cca7,
 		0x3fc782f3392b5723, 0x3fd78372eff9688e, 0x3fe78337f0aa20a3, 0x3ff783572dc7fe74,
@@ -260,11 +260,11 @@ var goldenRoutedSweep = map[string]goldenSweep{
 		0x3fe782801f67f683, 0x3ff782bec9e3b325, 0x400782652ce252ec, 0x4017829279cf6f87,
 		0x4027825e4bd3ff75, 0x40378278726347a4, 0x3ff7830552fe634b, 0x400782bec9e3b326,
 		0x401782ddb72d5777, 0x402782ced03e4751, 0x403782d6b2f91b64, 0x404782d2d2260329,
-		0x401782c31ade4503, 0x402782a1b9ea4fa3, 0x403782b0d563c39e, 0x4047829ac7047ef8,
+		0x401782c31ade4504, 0x402782a1b9ea4fa3, 0x403782b0d563c39e, 0x4047829ac7047ef8,
 		0x405782a5de3f4eb6, 0x403782c17482e092, 0x404782b116692482, 0x405782b8f463f962,
 		0x406782b516b47c90, 0x405782b17cbe8292, 0x406782a9e224512d, 0x407782ad7d7a4303,
 		0x407782b1dab7916f, 0x408782adce2a7b4c, 0x409782adb678ca9d,
-	}, mc: 0x1db0bb6ca3c5164f},
+	}, mc: 0x27ac87364af4a8e3},
 	"block-chessboard/8": {cov: []uint64{
 		0x3f37acc4ef88b975, 0x3f37a92a09b66d6e, 0x3f47aa3c69aa7572, 0x3f57a8f5b267dfb0,
 		0x3f67a9a4dd64cf4d, 0x3f77a3ffb561b903, 0x3f87a48e3a130b90, 0x3f97a4b31ab226cf,
@@ -278,7 +278,7 @@ var goldenRoutedSweep = map[string]goldenSweep{
 		0x3fc7a1bb954c1077, 0x3fd7a1d3d6453af0, 0x3fe7a1a2cc5d9143, 0x3fd7a23ed0e63ae0,
 		0x3fe7a23c8e8018f0, 0x3ff7a205d879a93d, 0x3ff7a2717df98186, 0x4007a230a89beddd,
 		0x4017a20198fdef15,
-	}, mc: 0xf9aad0c35cac5dc0},
+	}, mc: 0x6c902fab2e9191fd},
 	"block-chessboard/10": {cov: []uint64{
 		0x3f37acc4ef88b976, 0x3f37a91998499f6a, 0x3f47aa31f4973d75, 0x3f57a8dd2584ff93,
 		0x3f67a992d88d898f, 0x3f779fddc194ffb3, 0x3f879e296802b6bb, 0x3f979dc69c5913ca,
@@ -297,10 +297,10 @@ var goldenRoutedSweep = map[string]goldenSweep{
 		0x3ff798bf8e065dc9, 0x400798508722cae2, 0x401798087d5de830, 0x402798025c680c2e,
 		0x4017980916e90e25, 0x402797becfffa780, 0x403797b751eca6d5, 0x403797806165f16b,
 		0x404797772ae3489d, 0x40579772bcbe6b34,
-	}, mc: 0xc77fa530b47c739e},
+	}, mc: 0xdabcf7483dc12b67},
 	"block-chessboard/12": {cov: []uint64{
 		0x3f37acc4ef88b975, 0x3f37a8e740ff6345, 0x3f47aa12959509b9, 0x3f57a8b1aa2ceaf5,
-		0x3f67a96e5847b031, 0x3f7790ca66e1a6ad, 0x3f878e10d1a58c23, 0x3f978c7bffef30a7,
+		0x3f67a96e5847b031, 0x3f7790ca66e1a6ad, 0x3f878e10d1a58c24, 0x3f978c7bffef30a7,
 		0x3fa78d3b5670db6d, 0x3fb78c826a2f3547, 0x3fc78caf495add40, 0x3fd78c959df02cfb,
 		0x3fe78c8eda7187ba, 0x3f37acc4ef88b975, 0x3f47aa12959509b9, 0x3f57aad6040ef192,
 		0x3f67aa92f8778975, 0x3f7790da78d20df4, 0x3f878e1ff526b826, 0x3f978c8dcb24ee93,
@@ -322,7 +322,7 @@ var goldenRoutedSweep = map[string]goldenSweep{
 		0x405781b170d44aa7, 0x4037810101c93ed4, 0x404781211e5c5a54, 0x405781153419ce3c,
 		0x4067811276e5f3bf, 0x4057814c22747137, 0x4067813fe8332d01, 0x4077813c9bcbd9d9,
 		0x407781370a94c4b2, 0x4087813386a23aac, 0x40978131392bcb47,
-	}, mc: 0xd3e4cbe5fc16a3b9},
+	}, mc: 0x49b54d0cdb1e5e6e},
 }
 
 // TestSeparableTierLeavesRhoMemo requires the separable tier — a
@@ -376,5 +376,45 @@ func TestSeparableTierLeavesRhoMemo(t *testing.T) {
 	}
 	if got := snap.Counter("ccdac_variation_rho_memo_hits_total", nil); got != 0 {
 		t.Errorf("rho memo hits counted %d, want 0", got)
+	}
+}
+
+// TestKernelEvalsPerKeyRow pins the spectra build's work on the final
+// routed 12-bit MaxParallel-2 arrays: one 65-point kernel row (M = 128)
+// per distinct row of RhoTable keys. The rows' Δx² are 1131, 1165 and
+// 1421 distinct floats, but channel offsets make many of them differ
+// only by round-off, which the 1e-6 µm² key absorbs.
+func TestKernelEvalsPerKeyRow(t *testing.T) {
+	tch := tech.FinFET12()
+	for _, c := range []struct {
+		style string
+		rows  int64
+	}{{"spiral", 571}, {"chessboard", 241}, {"block-chessboard", 617}} {
+		var m *ccmatrix.Matrix
+		var err error
+		switch c.style {
+		case "spiral":
+			m, err = place.NewSpiral(12)
+		case "chessboard":
+			m, err = place.NewChessboard(12)
+		default:
+			m, err = place.NewBlockChessboard(12, place.BCParams{CoreBits: 4, BlockCells: 2})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := routedPromoted(par.WithWorkers(context.Background(), 2), t, m, tch)
+		g := gatherCells(m, l.CellCenter)
+		lat := fitLattice(g.flat, g.rows, g.cols)
+		if !lat.ok {
+			t.Fatalf("%s: routed layout does not fit the separable lattice", c.style)
+		}
+		emb, err := mismatchSemiEmbedding(tch, lat.sg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.rows * 65; emb.KernelEvals != want {
+			t.Errorf("12-bit %s: KernelEvals = %d (%d rows of 65), want %d rows", c.style, emb.KernelEvals, emb.KernelEvals/65, c.rows)
+		}
 	}
 }

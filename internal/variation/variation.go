@@ -198,25 +198,34 @@ func covariance(ctx context.Context, g *cellGeom, t *tech.Technology) (*linalg.D
 		}
 		local := rt.Local()
 		cj := g.caps[j]
+		// Each cell a's terms go into a partial sum of their own, which
+		// is then added to the entry: a 12-bit entry adds up to 4.2M
+		// terms, and one running sum would round at the entry's
+		// magnitude every time.
+		//
 		// Diagonal entry: rho(0) = 1 self terms plus twice the strict
 		// upper pair sum (symmetry halves the work).
 		s := float64(len(cj))
 		for a := 0; a < len(cj); a++ {
 			pa := cj[a].p
+			row := 0.0
 			for b := a + 1; b < len(cj); b++ {
 				dx, dy := pa.X-cj[b].p.X, pa.Y-cj[b].p.Y
-				s += 2 * local.RhoSq(dx*dx+dy*dy)
+				row += local.RhoSq(dx*dx + dy*dy)
 			}
+			s += 2 * row
 		}
 		cov.Set(j, j, sigmaU2*s)
 		for k := j + 1; k <= bits; k++ {
 			ck := g.caps[k]
 			s := 0.0
 			for _, a := range cj {
+				row := 0.0
 				for _, b := range ck {
 					dx, dy := a.p.X-b.p.X, a.p.Y-b.p.Y
-					s += local.RhoSq(dx*dx + dy*dy)
+					row += local.RhoSq(dx*dx + dy*dy)
 				}
+				s += row
 			}
 			c := sigmaU2 * s
 			cov.Set(j, k, c)
@@ -269,8 +278,14 @@ func SweepThetaContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, 
 // exact capacitor-level one; every spectral draw stayed. Version 3
 // moved draws at round-off: the separable sampler factors the
 // two-for-one half-spectrum, and the exact sampler factors the
-// covariance of the folded QuadForms contraction.
-const SampleStream = 3
+// covariance of the folded QuadForms contraction. Version 4 moved
+// draws at round-off again: the separable spectra build one kernel row
+// per distinct row of RhoTable keys, so rows share complex transforms
+// with other partners, and QuadForms transforms its class indicators
+// two per complex FFT; the exact sampler factors that covariance, or
+// the dense pair sum's, which now adds each cell's row of ρ values
+// into its own partial.
+const SampleStream = 4
 
 // samplerCov is the matrix the exact sampler factors: a copy of a.Cov
 // plus σ_u²·1e-9 per unit cell on the diagonal. That is the exact
