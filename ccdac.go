@@ -11,7 +11,10 @@
 // optional parallel wires on critical bits), extracts parasitics, and
 // evaluates the circuit metrics: Elmore-delay-based 3dB switching
 // frequency and 3σ worst-case INL/DNL under a linear oxide gradient
-// plus spatially-correlated random mismatch.
+// plus spatially-correlated random mismatch. Every run builds its
+// capacitor covariance through one engine, the row-spectral QuadForms
+// contraction, with the dense pair sum as its fallback (reported in
+// Result.Warnings and on the trace's analysis span).
 //
 // Quick start:
 //
@@ -117,16 +120,6 @@ type Config struct {
 	// calibration, servers) reuse intermediates; results are bitwise
 	// identical to Memo-off runs. See docs/PERFORMANCE.md.
 	Memo bool
-	// FFT selects the covariance engine behind the variation analysis:
-	// "" or "auto" (the default) uses the FFT-accelerated structured
-	// path whenever the layout sits on a regular grid, falling back to
-	// the dense path otherwise; "off" forces dense everywhere, and
-	// Monte-Carlo runs then take the exact capacitor-level sampler.
-	// The two engines agree to the tolerance documented in
-	// docs/PERFORMANCE.md, not bitwise, so "off" is the A/B escape
-	// hatch when auditing a result. Fallbacks are surfaced on Result.Warnings and the
-	// ccdac_numeric_fft_* metrics.
-	FFT string
 }
 
 // Metrics summarizes a generated layout, mirroring the paper's
@@ -304,7 +297,6 @@ func toCoreConfig(cfg Config) (core.Config, error) {
 		SkipNL:      cfg.SkipNonlinearity,
 		Workers:     cfg.Workers,
 		Memo:        cfg.Memo,
-		FFT:         cfg.FFT,
 	}
 	switch cfg.TechNode {
 	case "", "finfet12":

@@ -29,7 +29,6 @@ func main() {
 	theta := flag.Int("theta", 8, "gradient angles for worst-case INL/DNL")
 	skipNL := flag.Bool("fast", false, "skip the INL/DNL analysis")
 	workers := flag.Int("workers", 0, "analysis worker budget (0 = GOMAXPROCS, negative = serial)")
-	fftMode := flag.String("fft", "auto", "covariance engine: auto (FFT when the grid allows) or off (always dense)")
 	svgOut := flag.String("svg", "", "write the routed layout SVG to this file")
 	placeOut := flag.String("placement-svg", "", "write the placement SVG to this file")
 	gdsOut := flag.String("gds", "", "write the layout as a GDSII stream to this file")
@@ -58,7 +57,6 @@ func main() {
 		ThetaSteps:       *theta,
 		SkipNonlinearity: *skipNL,
 		Workers:          *workers,
-		FFT:              *fftMode,
 		Trace:            *traceOut != "" || *otlpOut != "" || *metricsOut != "",
 		TraceMemStats:    *traceMem,
 	}

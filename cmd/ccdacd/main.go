@@ -51,7 +51,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "max sub-requests per /v1/batch call (0 = 64)")
 	storeDir := flag.String("store-dir", "", "durable artifact store directory: persists the result cache across restarts and serves /v1/artifacts/{hash} (empty = memory only)")
 	traceCap := flag.Int("trace-capacity", 0, "flight-recorder traces kept per retention class (0 = 32, negative = disable /debug/traces)")
-	traceSlowQ := flag.Float64("trace-slow-quantile", 0, "latency quantile above which healthy traces are tail-sampled as slow (0 = 0.99)")
 	slowRequest := flag.Duration("slow-request", 0, "log WARN with trace correlation for requests slower than this (0 = disabled)")
 	profileWindow := flag.Duration("profile-window", 0, "CPU-profile window for triggered/manual captures (0 = 2s, negative = disable profile capture)")
 	profileCooldown := flag.Duration("profile-cooldown", 0, "minimum gap between triggered profile captures (0 = 60s)")
@@ -87,7 +86,6 @@ func main() {
 		MaxBatch:           *maxBatch,
 		StoreDir:           *storeDir,
 		TraceCapacity:      *traceCap,
-		TraceSlowQuantile:  *traceSlowQ,
 		SlowRequest:        *slowRequest,
 		ProfileWindow:      *profileWindow,
 		ProfileCooldown:    *profileCooldown,

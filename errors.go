@@ -165,11 +165,6 @@ func (cfg Config) Validate() error {
 	default:
 		return configErr(cfg, "TechNode", "unknown technology node %q", cfg.TechNode)
 	}
-	switch cfg.FFT {
-	case "", "auto", "off":
-	default:
-		return configErr(cfg, "FFT", "unknown covariance engine %q (want \"auto\" or \"off\")", cfg.FFT)
-	}
 	return nil
 }
 

@@ -73,14 +73,6 @@ type Config struct {
 	// time. Callers may equivalently enable it for a whole call tree
 	// via memo.WithEnabled on the context.
 	Memo bool
-	// FFT selects the covariance kernel family for the analysis
-	// stages: "" or "auto" engages the structured FFT path whenever
-	// the layout geometry allows (the default), "off" forces the
-	// dense path everywhere, exact capacitor-level Monte-Carlo
-	// sampling included — the A/B escape hatch. The two paths
-	// agree to documented tolerance (docs/PERFORMANCE.md), not
-	// bitwise.
-	FFT string
 }
 
 // StageError attributes a flow failure to the pipeline stage that
@@ -209,9 +201,6 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	}
 	// Carry the run's worker budget to every downstream hot loop.
 	ctx = par.WithWorkers(ctx, cfg.Workers)
-	if cfg.FFT == "off" {
-		ctx = variation.WithFFTMode(ctx, variation.FFTOff)
-	}
 	// Arm stage memoization for this call tree when asked; downstream
 	// analysis (covariance, Cholesky) keys off the same mark.
 	if cfg.Memo {
@@ -368,6 +357,9 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 			if steps <= 0 {
 				steps = 8
 			}
+			// The sweep builds one covariance, through QuadForms unless
+			// the layout fits no lattice or the engine fails, and tags
+			// this stage's span with the engine that built it.
 			_, span := obs.StartSpan(sctx, "analysis.sweep")
 			sweep, serr := variation.SweepThetaContext(sctx, m, l.CellCenter, t, steps)
 			span.Fail(serr)
@@ -384,10 +376,9 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 			}
 			res.NL = nl
 			if len(sweep) > 0 {
-				// Covariance-path degradations (FFT → dense fallback)
-				// surface like every other graceful degradation. The
-				// sweep shares one covariance build, so step 0 carries
-				// the run's warnings.
+				// A dense fallback surfaces like every other graceful
+				// degradation. The sweep shares one covariance build, so
+				// step 0 carries the run's warnings.
 				res.Warnings = append(res.Warnings, sweep[0].Warnings...)
 			}
 			return nil

@@ -5,16 +5,22 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ccdac"
+	"ccdac/internal/core"
+	"ccdac/internal/dacmodel"
 	"ccdac/internal/keycheck"
 	"ccdac/internal/leakcheck"
+	"ccdac/internal/obs"
 	"ccdac/internal/variation"
+	"ccdac/internal/yield"
 )
 
 // memPersist records every SaveJob/SaveCheckpoint call in order — the
@@ -362,6 +368,91 @@ func TestCoalescedMatchesSolo(t *testing.T) {
 		}
 		if yr.Samples != 50 || yr.SampleHash == "" {
 			t.Errorf("seed %d: samples %d hash %q, want 50 samples and a hash", seed, yr.Samples, yr.SampleHash)
+		}
+	}
+}
+
+// TestYieldFFTOffDrawsExact: a yield job's fft field still selects its
+// sampler. On a 6-bit spiral, whose routed lattice the spectral
+// sampler serves, an fft:"off" job draws from the exact sampler over
+// the dense covariance: its sample_hash is the one
+// yield.BlockSharedContext reaches under FFTOff over an independently
+// built prefix, and it differs from the auto job's. Each job's
+// jobs.prefix span names the engine that built its covariance.
+func TestYieldFFTOffDrawsExact(t *testing.T) {
+	defer leakcheck.Check(t)()
+	bus := obs.NewBus()
+	sub := bus.Subscribe("", 1<<14)
+	defer sub.Close()
+	m := New(Options{Workers: 1, MaxBatch: 1, Bus: bus})
+	defer m.Close()
+	hashOf := func(j Job) string {
+		t.Helper()
+		if j.State != StateDone {
+			t.Fatalf("job %s finished %s (%s), want done", j.ID, j.State, j.Error)
+		}
+		var yr YieldResult
+		if err := json.Unmarshal(j.Result, &yr); err != nil {
+			t.Fatal(err)
+		}
+		return yr.SampleHash
+	}
+	spec := Spec{Kind: KindYield, Bits: 6, Samples: 200, Seed: 5, SpecINL: 0.05, FFT: "off"}
+	off, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	autoSpec := spec
+	autoSpec.FFT = ""
+	auto, err := m.Submit(autoSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offHash, autoHash := hashOf(waitJob(t, m, off.ID)), hashOf(waitJob(t, m, auto.ID))
+
+	ctx := variation.WithFFTMode(context.Background(), variation.FFTOff)
+	cfg, tch, err := spec.withDefaults().coreConfig(0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := variation.NewSharedContext(ctx, res.Placement, res.Layout.CellCenter, tch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tally yield.Tally
+	if err := yield.BlockSharedContext(ctx, sh, sh.Analysis(math.Pi/4),
+		yield.Spec{MaxAbsDNL: spec.SpecINL, MaxAbsINL: spec.SpecINL},
+		dacmodel.Parasitics{CTSfF: res.Electrical.CTSfF}, 0, spec.Samples, spec.Seed, &tally); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%016x", tally.Hash); offHash != want {
+		t.Errorf("fft:\"off\" job sample_hash = %s, want the exact sampler's %s", offHash, want)
+	}
+	if offHash == autoHash {
+		t.Errorf("fft:\"off\" and auto jobs share sample_hash %s: the selector did not reach the sampler", offHash)
+	}
+
+	prefixAttrs := map[string]map[string]string{}
+	for len(sub.Events()) > 0 {
+		if ev := <-sub.Events(); ev.Type == obs.EventSpanEnd && ev.Name == "jobs.prefix" {
+			prefixAttrs[ev.Tag] = ev.Attrs
+		}
+	}
+	if sub.Dropped() != 0 {
+		t.Fatalf("bus dropped %d events", sub.Dropped())
+	}
+	for id, want := range map[string]map[string]string{
+		off.ID:  {"cov_engine": "dense", "cov_dense_reason": "fft off"},
+		auto.ID: {"cov_engine": "quadforms", "cov_lattice": "separable"},
+	} {
+		for k, v := range want {
+			if got := prefixAttrs[id][k]; got != v {
+				t.Errorf("job %s jobs.prefix span %s = %q, want %q (attrs %v)", id, k, got, v, prefixAttrs[id])
+			}
 		}
 	}
 }

@@ -171,10 +171,10 @@ func (m *Manager) start() {
 // through the coalescer. It returns the queued record, an
 // *OverflowError when the queue is full, or a validation error.
 func (m *Manager) Submit(spec Spec) (Job, error) {
-	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return Job{}, err
 	}
+	spec = spec.withDefaults()
 	class, err := spec.class()
 	if err != nil {
 		return Job{}, err
@@ -619,8 +619,9 @@ func (m *Manager) runGenerate(st *jobState) {
 	m.finishOK(st, raw)
 }
 
-// computeCtx arms a tail context the way core.RunContext arms its own:
-// worker budget, FFT directive, memo mark.
+// computeCtx arms a yield job's covariance and tail context: the
+// worker budget and memo mark core.RunContext arms for its own stages,
+// plus the spec's sampler selector.
 func (m *Manager) computeCtx(ctx context.Context, spec Spec) context.Context {
 	ctx = par.WithWorkers(ctx, m.opts.ComputeWorkers)
 	if spec.FFT == "off" {

@@ -7,7 +7,7 @@
 //
 // The performance lever is compatibility micro-batching: queued yield
 // jobs that share the expensive prefix (placement, routing, extraction
-// and the covariance/FFT plan are determined by the same fields) while
+// and the covariance are determined by the same fields) while
 // differing only in cheap tail fields (seed, sample count, spec
 // bounds, gradient angle) are coalesced into one group. The group runs
 // the prefix once and fans the per-job Monte-Carlo tails across the
@@ -71,7 +71,10 @@ type Spec struct {
 	AnnealSeed  int64  `json:"anneal_seed,omitempty"`
 	AnnealMoves int    `json:"anneal_moves,omitempty"`
 	TechNode    string `json:"tech_node,omitempty"`
-	FFT         string `json:"fft,omitempty"`
+	// FFT selects a yield job's sampler: "off" draws exactly, from the
+	// dense covariance. Every generate builds through QuadForms, so
+	// withDefaults holds a generate spec's fft at "auto".
+	FFT string `json:"fft,omitempty"`
 
 	// Generate tail.
 	ThetaSteps       int  `json:"theta_steps,omitempty"`
@@ -103,7 +106,7 @@ func (s Spec) withDefaults() Spec {
 	if s.TechNode == "" {
 		s.TechNode = "finfet12"
 	}
-	if s.FFT == "" {
+	if s.FFT == "" || s.Kind != KindYield {
 		s.FFT = "auto"
 	}
 	if s.MaxParallel <= 1 {
@@ -141,12 +144,17 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// Validate rejects specs the runner could not execute. It assumes
-// withDefaults already ran (Manager.Submit applies both). Both kinds
-// are held to the public ccdac.Config bounds, so an out-of-range field
-// is refused at submission instead of failing (or silently running)
+// Validate rejects specs the runner could not execute. It checks the
+// fft field as submitted, since withDefaults canonicalizes a generate
+// spec's away, and every other field in canonical form. Both kinds are
+// held to the public ccdac.Config bounds, so an out-of-range field is
+// refused at submission instead of failing (or silently running)
 // later.
 func (s Spec) Validate() error {
+	if err := CheckFFT(s.FFT); err != nil {
+		return err
+	}
+	s = s.withDefaults()
 	switch s.Kind {
 	case KindGenerate:
 	case KindYield:
@@ -166,6 +174,16 @@ func (s Spec) Validate() error {
 		return err
 	}
 	return s.Config(0, false).Validate()
+}
+
+// CheckFFT is the one check of the fft field, shared by job specs,
+// /v1/generate and /v1/batch: an unknown value is a config error.
+func CheckFFT(fft string) error {
+	switch fft {
+	case "", "auto", "off":
+		return nil
+	}
+	return fmt.Errorf("jobs: %w: unknown covariance engine %q (want \"auto\" or \"off\")", ccdac.ErrConfig, fft)
 }
 
 // class resolves the priority class.
@@ -204,10 +222,11 @@ func (s Spec) key(domain string) string {
 // GenerateKey is the result identity of a generate spec: serve's result
 // cache and the artifact store index its result under this key. The
 // domain keeps the name and version every stored key was built with.
-// v2 added the fft directive: the engines agree only to tolerance, so
-// their results must not share entries. v3 marked the move of grid and
-// odd-bit routed covariances to the row-spectral engine, up to ~2e-12
-// from what older binaries stored.
+// v2 added the fft directive, which withDefaults now holds at "auto"
+// for every generate spec; the key still hashes it, so stored entries
+// keep their keys. v3 marked the move of grid and odd-bit routed
+// covariances to the row-spectral engine, up to ~2e-12 from what older
+// binaries stored.
 func (s Spec) GenerateKey() string {
 	return s.withDefaults().key("serve/generate/v3")
 }
@@ -230,7 +249,6 @@ func (s Spec) coreConfig(workers int, useMemo bool) (core.Config, *tech.Technolo
 		MaxParallel: s.MaxParallel,
 		Workers:     workers,
 		Memo:        useMemo,
-		FFT:         s.FFT,
 	}
 	t := tech.FinFET12()
 	switch s.TechNode {
@@ -285,7 +303,6 @@ func (s Spec) Config(workers int, useMemo bool) ccdac.Config {
 		ThetaSteps:       s.ThetaSteps,
 		SkipNonlinearity: s.SkipNonlinearity,
 		TechNode:         s.TechNode,
-		FFT:              s.FFT,
 		Workers:          workers,
 		Memo:             useMemo,
 	}

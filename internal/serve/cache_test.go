@@ -183,10 +183,9 @@ func TestSingleflightLeaderCancelHandoff(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// ~0.45 s cold on a 2-core host; ~40 ms once an earlier run has
-	// memoized its stages, still far longer than the follower takes to
-	// subscribe.
-	body := `{"bits":12,"max_parallel":2,"theta_steps":360,"fft":"off"}`
+	// ~0.25 s on a 2-core host, every time: far longer than the
+	// follower takes to subscribe.
+	body := slowBody()
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	defer cancelLeader()
 	leaderDone := make(chan error, 1)
@@ -399,5 +398,6 @@ func TestCacheKeyCompleteness(t *testing.T) {
 	}, cacheKey, map[string]string{
 		"Workers": "results are bit-identical at any worker count",
 		"Cache":   "a per-request directive, not an input of the result",
+		"FFT":     "every generate builds its covariance through QuadForms; the field selects only a yield job's sampler",
 	})
 }

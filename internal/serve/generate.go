@@ -14,7 +14,8 @@ import (
 
 // GenerateRequest is the JSON body of POST /v1/generate, mirroring
 // ccdac.Config field for field (tracing is managed server-side and is
-// not a client knob). Unknown fields are rejected with 400.
+// not a client knob), plus the cache directive and the compatibility
+// fft field. Unknown fields are rejected with 400.
 type GenerateRequest struct {
 	Bits             int    `json:"bits"`
 	Style            string `json:"style,omitempty"`
@@ -40,12 +41,10 @@ type GenerateRequest struct {
 	// generation, no stage memoization) — the knob for "I changed the
 	// binary, show me fresh numbers". Anything else is a 400.
 	Cache string `json:"cache,omitempty"`
-	// FFT selects the covariance engine: "" or "auto" (default) uses
-	// the structured FFT path when the layout geometry allows, "off"
-	// forces the dense covariance build and the exact Monte-Carlo
-	// sampler — the A/B audit knob. Anything else is a 400. The two
-	// engines agree only to documented tolerance, so the directive is
-	// part of the result-cache key.
+	// FFT is accepted for compatibility and changes nothing: every
+	// generate builds its covariance through QuadForms, so "auto" and
+	// "off" share one result-cache entry. Anything else is a 400. The
+	// field still selects a yield job's sampler (jobs.Spec.FFT).
 	FFT string `json:"fft,omitempty"`
 }
 
@@ -89,14 +88,18 @@ type GenerateResponse struct {
 	Counters    map[string]int64 `json:"counters,omitempty"`
 }
 
-// requestConfig checks one request's cache directive and maps it onto
-// the pipeline config under the server's worker cap. An unknown
-// directive is the client's fault: the error maps to 400 through
-// statusOf. Field bounds are checked by generate, before the cache.
+// requestConfig checks one request's cache and fft directives and maps
+// it onto the pipeline config under the server's worker cap. An
+// unknown directive is the client's fault: the error maps to 400
+// through statusOf. Field bounds are checked by generate, before the
+// cache.
 func (s *Server) requestConfig(req GenerateRequest) (ccdac.Config, error) {
 	if req.Cache != "" && req.Cache != "default" && req.Cache != "bypass" {
 		return ccdac.Config{}, fmt.Errorf("serve: %w: unknown cache directive %q (want \"default\" or \"bypass\")",
 			ccdac.ErrConfig, req.Cache)
+	}
+	if err := jobs.CheckFFT(req.FFT); err != nil {
+		return ccdac.Config{}, err
 	}
 	// Per-request worker budget: the server's cap, unless the request
 	// asked for less (a negative ask means serial analysis).

@@ -633,7 +633,7 @@ func TestJobBurstSurvivesRestart(t *testing.T) {
 func TestJobRecoveryReadsIndexNotManifest(t *testing.T) {
 	defer leakcheck.Check(t)()
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{})
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

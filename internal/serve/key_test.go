@@ -7,7 +7,8 @@ import "testing"
 // change to the canonical form or to the key builder's field order moves
 // these strings and would silently cold-start every stored result. Rows
 // that canonicalize together (spelled-out defaults, ignored fields, the
-// skip_nonlinearity theta rule, max_parallel 0 and 1) share a digest.
+// skip_nonlinearity theta rule, max_parallel 0 and 1, fft off and auto)
+// share a digest.
 func TestCacheKeyPinned(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -34,14 +35,14 @@ func TestCacheKeyPinned(t *testing.T) {
 		{"skip_nonlinearity with theta_steps", GenerateRequest{Bits: 8, ThetaSteps: 5, SkipNonlinearity: true},
 			"32b125eff100b2acd8d4d08ffd088587"},
 		{"theta_steps", GenerateRequest{Bits: 8, ThetaSteps: 5}, "6bb4221601f952fc5d79a7a5cf604065"},
-		{"fft off", GenerateRequest{Bits: 8, FFT: "off"}, "cdc1e26af5fc3be7080261e330b52345"},
+		{"fft off", GenerateRequest{Bits: 8, FFT: "off"}, "9567f8dffb01c7961ddebdc5c308097c"},
 		{"bulk65", GenerateRequest{Bits: 8, TechNode: "bulk65"}, "85bfc73fa9bcfd6fde5fb04cbd92da2c"},
 		{"max_parallel 0", GenerateRequest{Bits: 10}, "7ccf2c97bb6a1b0cbca2ebad847b864e"},
 		{"max_parallel 1", GenerateRequest{Bits: 10, MaxParallel: 1}, "7ccf2c97bb6a1b0cbca2ebad847b864e"},
 		{"max_parallel 2", GenerateRequest{Bits: 10, MaxParallel: 2}, "f027960fe6c47b062bfc6d3f594f8938"},
 		{"every field set", GenerateRequest{Bits: 12, Style: "block-chessboard", CoreBits: 6, BlockCells: 4,
 			MaxParallel: 3, ThetaSteps: 16, TechNode: "bulk65", Workers: -1, Cache: "bypass", FFT: "off"},
-			"bf5c36d688c460f281379bc9da18e04d"},
+			"cbf171edaf475cb4425cfebd6d1e05f4"},
 	} {
 		if got := cacheKey(c.req); got != c.want {
 			t.Errorf("%s: cacheKey = %s, want %s", c.name, got, c.want)

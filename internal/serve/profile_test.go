@@ -324,12 +324,12 @@ func TestSlowTraceTriggersProfileCapture(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// One request an order of magnitude slower than the window (~0.6 s
-	// on a 2-core host; the profile windows are 50ms): lands above the
+	// One request several times slower than the window (~0.3 s on a
+	// 2-core host; the profile windows are 50ms): lands above the
 	// slow quantile and is retained for cause.
 	const outlier = "slow-outlier"
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/generate",
-		strings.NewReader(`{"bits":12,"style":"block-chessboard","theta_steps":360,"fft":"off","cache":"bypass"}`))
+		strings.NewReader(`{"bits":12,"best_bc":true,"theta_steps":360,"cache":"bypass"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,9 +97,6 @@ type Options struct {
 	// selects the default (32 per class), negative disables trace
 	// recording entirely — /debug/traces then 404s.
 	TraceCapacity int
-	// TraceSlowQuantile is the latency quantile above which a healthy
-	// request's trace is tail-sampled as "slow" (default 0.99).
-	TraceSlowQuantile float64
 	// SlowRequest, when positive, escalates the access log to WARN for
 	// requests slower than this threshold, tagging the entry with the
 	// root span ID and the retained trace ID for follow-up via
@@ -236,7 +233,7 @@ func New(opts Options) *Server {
 		s.cache = memo.New("serve_results", opts.CacheMaxBytes)
 	}
 	if opts.StoreDir != "" {
-		st, err := store.Open(opts.StoreDir, store.Options{})
+		st, err := store.Open(opts.StoreDir)
 		if err != nil {
 			// The daemon must come up even on a hostile disk: run
 			// memory-only, flag the degradation in /metrics and response
@@ -252,10 +249,7 @@ func New(opts Options) *Server {
 		}
 	}
 	if opts.TraceCapacity >= 0 {
-		s.recorder = obs.NewRecorder(obs.RecorderOptions{
-			Capacity:     opts.TraceCapacity,
-			SlowQuantile: opts.TraceSlowQuantile,
-		})
+		s.recorder = obs.NewRecorder(obs.RecorderOptions{Capacity: opts.TraceCapacity})
 	}
 	s.bus = obs.NewBus()
 	if opts.ProfileWindow >= 0 {

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +24,18 @@ import (
 // assert on it.
 func quietLogger() *slog.Logger {
 	return slog.New(slog.NewJSONHandler(io.Discard, nil))
+}
+
+// slowSeed numbers the annealing seeds of slowBody.
+var slowSeed atomic.Int64
+
+// slowBody returns the slow workload of the cancellation tests: a
+// 12-bit annealed generate whose placement no run in this process has
+// made before (-count included), so no stage memo holds any of it.
+// Annealing the fresh placement takes ~0.2 s on a 2-core host.
+func slowBody() string {
+	return fmt.Sprintf(`{"bits":12,"style":"annealed","anneal_moves":2000,"anneal_seed":%d,"theta_steps":360}`,
+		slowSeed.Add(1))
 }
 
 func postGenerate(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -134,10 +147,10 @@ func TestRequestTimeoutCancelsMidRequest(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// A cold 12-bit run on the dense covariance engine takes ~0.4 s on
-	// a 2-core host, so the 1ms deadline always fires mid-pipeline.
+	// A cold annealed 12-bit run takes ~0.25 s on a 2-core host, so
+	// the 1ms deadline always fires mid-pipeline.
 	start := time.Now()
-	resp, data := postGenerate(t, ts.URL, `{"bits":12,"style":"chessboard","theta_steps":360,"fft":"off"}`)
+	resp, data := postGenerate(t, ts.URL, slowBody())
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Errorf("canceled request took %v, want prompt return", elapsed)
 	}
@@ -186,13 +199,12 @@ func TestClientCancelMidRequest(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// A cold 12-bit run on the dense covariance engine takes ~0.4 s on
-	// a 2-core host, far longer than the cancel delay, so the
-	// cancellation always lands mid-pipeline. No test here completes
-	// this configuration, so the stage memo never holds its covariance.
+	// A cold annealed 12-bit run takes ~0.25 s on a 2-core host, far
+	// longer than the cancel delay, so the cancellation always lands
+	// mid-pipeline.
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/generate",
-		strings.NewReader(`{"bits":12,"style":"chessboard","theta_steps":360,"fft":"off"}`))
+		strings.NewReader(slowBody()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,6 +225,60 @@ func TestTraceIndexAndGet(t *testing.T) {
 	}
 }
 
+// TestTraceNamesCovarianceEngine: a generate trace alone says which
+// engine built the covariance. Its analysis span names the engine and
+// the lattice fit's verdict, and marks a matrix the run took from the
+// covariance memo.
+func TestTraceNamesCovarianceEngine(t *testing.T) {
+	srv := New(Options{Logger: quietLogger()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	analysisAttrs := func(body string) map[string]string {
+		t.Helper()
+		if resp, data := postGenerate(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, resp.StatusCode, data)
+		}
+		getJSON := func(path string, v any) {
+			t.Helper()
+			r, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Body.Close()
+			if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var idx traceIndexResponse
+		getJSON("/debug/traces", &idx)
+		if len(idx.Traces) == 0 {
+			t.Fatalf("%s: no trace recorded", body)
+		}
+		var full traceResponse
+		getJSON("/debug/traces/"+idx.Traces[0].ID, &full)
+		for _, sp := range full.Spans {
+			if sp.Name == "analysis" {
+				return sp.Attrs
+			}
+		}
+		t.Fatalf("%s: trace has no analysis span", body)
+		return nil
+	}
+
+	a := analysisAttrs(`{"bits":6,"cache":"bypass"}`)
+	if a["cov_engine"] != "quadforms" || a["cov_lattice"] != "separable" || a["cov_dense_reason"] != "" || a["cov_memo"] != "" {
+		t.Errorf("bypass generate analysis attrs = %v, want cov_engine quadforms, cov_lattice separable, no dense reason, no memo mark", a)
+	}
+	// Two theta counts over one layout: the second takes the first's
+	// covariance from the memo.
+	analysisAttrs(`{"bits":6,"theta_steps":5}`)
+	a = analysisAttrs(`{"bits":6,"theta_steps":6}`)
+	if a["cov_engine"] != "quadforms" || a["cov_memo"] != "hit" {
+		t.Errorf("memoized generate analysis attrs = %v, want cov_engine quadforms and cov_memo hit", a)
+	}
+}
+
 func TestTraceRecorderDisabled(t *testing.T) {
 	srv := New(Options{TraceCapacity: -1, Logger: quietLogger()})
 	ts := httptest.NewServer(srv.Handler())

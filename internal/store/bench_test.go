@@ -47,7 +47,7 @@ func TestBenchStore(t *testing.T) {
 	const n = 200
 	rep.Writes, rep.Reads, rep.WarmRestartEntries = n, n, n
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBenchStore(t *testing.T) {
 
 	// --- Warm restart: reopen and resolve every indexed result. ---
 	start = time.Now()
-	s2, err := Open(dir, Options{})
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@ import (
 // TestCrashRecovery is the crash-safety acceptance bar: a child
 // process writing artifacts at full speed is killed with SIGKILL
 // mid-load, and the reopened store must contain only complete,
-// verifiable state — every listed blob verifies, every index entry
-// resolves to a verified blob, the provenance chain is a clean dense
-// prefix, nothing is quarantined, and no temp file is visible.
+// verifiable state — every listed blob verifies and is indexed, every
+// index entry resolves to a verified blob, the provenance chain is a
+// clean dense prefix, nothing is quarantined, and no temp file is
+// visible.
 func TestCrashRecovery(t *testing.T) {
 	if os.Getenv("STORE_CRASH_DIR") != "" {
 		crashChild(os.Getenv("STORE_CRASH_DIR"))
@@ -50,7 +51,7 @@ func TestCrashRecovery(t *testing.T) {
 	cmd.Wait()
 
 	// Recovery: reopen and audit everything the crashed process left.
-	s, err := Open(dir, fastOpts())
+	s, err := fast(Open(dir))
 	if err != nil {
 		t.Fatalf("reopening crashed store: %v", err)
 	}
@@ -62,10 +63,17 @@ func TestCrashRecovery(t *testing.T) {
 	if len(blobs) == 0 {
 		t.Fatal("crashed store holds no blobs; the child never wrote anything")
 	}
+	indexed := map[string]bool{}
+	for _, hash := range indexSnapshot(s) {
+		indexed[hash] = true
+	}
 	for _, k := range blobs {
 		hash := k[strings.LastIndex(k, "/")+1:]
 		if _, err := s.Get(hash); err != nil {
 			t.Errorf("blob %s does not verify after crash: %v", hash, err)
+		}
+		if !indexed[hash] {
+			t.Errorf("blob %s outlived the reopen with no index entry pointing to it", hash)
 		}
 	}
 	for key, hash := range indexSnapshot(s) {
@@ -98,7 +106,7 @@ func indexSnapshot(s *Store) map[string]string {
 // crashChild writes artifacts, index entries and provenance records as
 // fast as it can until the parent kills the process.
 func crashChild(dir string) {
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash child:", err)
 		os.Exit(1)
@@ -135,11 +143,11 @@ func TestOpenOnHostileRoot(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(file, Options{}); err == nil {
+	if _, err := Open(file); err == nil {
 		t.Fatal("Open over a regular file succeeded, want error")
 	}
 	var pe *os.PathError
-	if _, err := Open(filepath.Join(file, "sub"), Options{}); err == nil || !errors.As(err, &pe) {
+	if _, err := Open(filepath.Join(file, "sub")); err == nil || !errors.As(err, &pe) {
 		t.Fatalf("Open under a regular file: err = %v, want a path error", err)
 	}
 }

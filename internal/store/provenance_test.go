@@ -38,7 +38,7 @@ func TestProvenanceChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(b, fastOpts())
+	s, err := fast(New(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestProvenanceChain(t *testing.T) {
 
 	// A reopened store continues the chain from the persisted head
 	// rather than restarting it.
-	s2, err := New(b, fastOpts())
+	s2, err := fast(New(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestProvenanceTamper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(b, fastOpts())
+		s, err := fast(New(b))
 		if err != nil {
 			t.Fatal(err)
 		}

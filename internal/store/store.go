@@ -53,40 +53,20 @@ var ErrCorrupt = errors.New("store: artifact failed integrity verification (quar
 // ErrNotFound reports a hash or index key with no stored artifact.
 var ErrNotFound = errors.New("store: artifact not found")
 
-// Options tunes one Store. The zero value is usable.
-type Options struct {
-	// Retries is the number of backend attempts per operation beyond
-	// the first (default 2, i.e. 3 attempts total). Each retry backs
-	// off exponentially from RetryBase with ±50% jitter.
-	Retries int
-	// RetryBase is the first retry's backoff (default 10ms).
-	RetryBase time.Duration
-	// MemMaxBytes bounds the degraded-mode memory overlay (default
-	// 64 MiB); beyond it, the oldest overlay blobs are dropped.
-	MemMaxBytes int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 10 * time.Millisecond
-	}
-	if o.MemMaxBytes <= 0 {
-		o.MemMaxBytes = 64 << 20
-	}
-	return o
-}
+// retries is the number of backend attempts per operation beyond the
+// first; each backs off exponentially from Store.retryBase.
+const retries = 2
 
 // Store is a content-addressed artifact store over a Backend. All
 // methods are safe for concurrent use.
 type Store struct {
-	b    Backend // nil for a permanently-degraded (memory-only) store
-	opts Options
+	b Backend // nil for a permanently-degraded (memory-only) store
+	// retryBase is the first retry's backoff (10ms), doubled per
+	// attempt with ±50% jitter; memMax bounds the degraded-mode memory
+	// overlay (64 MiB), beyond which the oldest overlay blobs are
+	// dropped. Tests shorten and shrink them.
+	retryBase time.Duration
+	memMax    int64
 
 	mu       sync.Mutex
 	mem      map[string][]byte // hash → blob: degraded overlay + unflushed writes
@@ -118,33 +98,43 @@ type Backend interface {
 }
 
 // Open opens (creating if needed) a filesystem-backed store at dir.
-func Open(dir string, opts Options) (*Store, error) {
+func Open(dir string) (*Store, error) {
 	b, err := NewFS(dir)
 	if err != nil {
 		return nil, err
 	}
-	return New(b, opts)
+	return New(b)
 }
 
 // New builds a store over b, replaying the persisted index and
-// provenance head. Corrupt index entries (torn by a crash in a
+// provenance head, then reclaiming every blob the index does not point
+// to (reclaimBlobs). Corrupt index entries (torn by a crash in a
 // non-atomic backend, or tampered) are skipped and deleted rather than
 // trusted.
-func New(b Backend, opts Options) (*Store, error) {
-	s := &Store{
-		b:        b,
-		opts:     opts.withDefaults(),
-		mem:      map[string][]byte{},
-		idx:      map[string]string{},
-		idxDirty: map[string]struct{}{},
-	}
-	if err := s.loadIndex(); err != nil {
+func New(b Backend) (*Store, error) {
+	s := newStore(b)
+	complete, err := s.loadIndex()
+	if err != nil {
 		return nil, err
 	}
 	if err := s.prov.load(b); err != nil {
 		return nil, err
 	}
+	if complete {
+		s.reclaimBlobs()
+	}
 	return s, nil
+}
+
+func newStore(b Backend) *Store {
+	return &Store{
+		b:         b,
+		retryBase: 10 * time.Millisecond,
+		memMax:    64 << 20,
+		mem:       map[string][]byte{},
+		idx:       map[string]string{},
+		idxDirty:  map[string]struct{}{},
+	}
 }
 
 // Degrade returns a permanently memory-only store recording why the
@@ -152,13 +142,8 @@ func New(b Backend, opts Options) (*Store, error) {
 // construction. Every operation works against process memory; Degraded
 // reports true for the store's lifetime.
 func Degrade(err error) *Store {
-	s := &Store{
-		opts:        Options{}.withDefaults(),
-		mem:         map[string][]byte{},
-		idx:         map[string]string{},
-		idxDirty:    map[string]struct{}{},
-		degradedErr: err,
-	}
+	s := newStore(nil)
+	s.degradedErr = err
 	s.degraded.Store(true)
 	return s
 }
@@ -201,11 +186,11 @@ func (s *Store) retry(op func() error) error {
 		if err == nil || errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
-		if attempt >= s.opts.Retries {
+		if attempt >= retries {
 			return err
 		}
 		s.retries.Add(1)
-		d := s.opts.RetryBase << attempt
+		d := s.retryBase << attempt
 		// ±50% jitter decorrelates retry storms across goroutines.
 		d = d/2 + time.Duration(rand.Int63n(int64(d)))
 		time.Sleep(d)
@@ -424,15 +409,19 @@ func (s *Store) IndexKeys(prefix string) []string {
 }
 
 // loadIndex replays the persisted index into memory, dropping entries
-// that do not parse (torn or tampered) instead of trusting them.
-func (s *Store) loadIndex() error {
+// that do not parse (torn or tampered) instead of trusting them. It
+// reports whether it read every entry: one it could not read may still
+// point to a blob.
+func (s *Store) loadIndex() (complete bool, err error) {
 	keys, err := s.b.List(indexPrefix)
 	if err != nil {
-		return err
+		return false, err
 	}
+	complete = true
 	for _, k := range keys {
 		data, err := s.b.Get(k)
 		if err != nil {
+			complete = false
 			continue
 		}
 		var e indexEntry
@@ -442,7 +431,31 @@ func (s *Store) loadIndex() error {
 		}
 		s.idx[e.Key] = e.Artifact
 	}
-	return nil
+	return complete, nil
+}
+
+// reclaimBlobs deletes every blob that no index entry points to: job
+// records and checkpoints superseded under their key, and blobs a
+// crash left between the blob put and the index write. New runs it
+// once, before any Save, and only after a replay that read every
+// index entry. While the store runs, a superseded blob stays until the
+// next open: reclaiming it at once would need reference counts across
+// concurrent Saves. Best-effort: a failed list or delete costs disk
+// space, never correctness.
+func (s *Store) reclaimBlobs() {
+	keys, err := s.b.List("blobs/")
+	if err != nil {
+		return
+	}
+	live := make(map[string]bool, len(s.idx))
+	for _, h := range s.idx {
+		live[h] = true
+	}
+	for _, k := range keys {
+		if !live[k[strings.LastIndexByte(k, '/')+1:]] {
+			_ = s.b.Delete(k)
+		}
+	}
 }
 
 // enterDegraded flips the store to memory-only mode, remembering the
@@ -519,7 +532,7 @@ func (s *Store) memPut(hash string, data []byte) {
 	s.mem[hash] = data
 	s.memOrder = append(s.memOrder, hash)
 	s.memBytes += int64(len(data))
-	for s.memBytes > s.opts.MemMaxBytes && len(s.memOrder) > 0 {
+	for s.memBytes > s.memMax && len(s.memOrder) > 0 {
 		old := s.memOrder[0]
 		s.memOrder = s.memOrder[1:]
 		if b, ok := s.mem[old]; ok {

@@ -16,9 +16,12 @@ import (
 	"ccdac/internal/fault"
 )
 
-// fastOpts keeps the retry ladder out of test wall time.
-func fastOpts() Options {
-	return Options{Retries: 2, RetryBase: time.Microsecond}
+// fast keeps the retry ladder out of test wall time.
+func fast(s *Store, err error) (*Store, error) {
+	if s != nil {
+		s.retryBase = time.Microsecond
+	}
+	return s, err
 }
 
 func openTest(t *testing.T) (*Store, *FS) {
@@ -27,7 +30,7 @@ func openTest(t *testing.T) (*Store, *FS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(b, fastOpts())
+	s, err := fast(New(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +266,7 @@ func TestRetryLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb := &flaky{inner: inner, fails: 2}
-	s, err := New(fb, fastOpts())
+	s, err := fast(New(fb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +327,7 @@ func TestDegradedModeAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := &down{inner: inner}
-	s, err := New(db, fastOpts())
+	s, err := fast(New(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +371,7 @@ func TestDegradedModeAndRecovery(t *testing.T) {
 		}
 	}
 	// The dirty index entry flushed too: a fresh store resolves it.
-	s2, err := New(inner, fastOpts())
+	s2, err := fast(New(inner))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,10 +405,10 @@ func TestDegradeConstructor(t *testing.T) {
 }
 
 // TestMemOverlayBound: the degraded overlay is bounded; oldest blobs
-// are dropped beyond MemMaxBytes rather than growing without limit.
+// are dropped beyond its byte bound rather than growing without limit.
 func TestMemOverlayBound(t *testing.T) {
 	s := Degrade(errors.New("down"))
-	s.opts.MemMaxBytes = 64
+	s.memMax = 64
 	var hashes []string
 	for i := 0; i < 8; i++ {
 		h, err := s.put([]byte(strings.Repeat(fmt.Sprintf("%d", i), 16)))
@@ -437,7 +440,7 @@ func TestIndexDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(b, fastOpts())
+	s, err := fast(New(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +454,7 @@ func TestIndexDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := New(b, fastOpts())
+	s2, err := fast(New(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,6 +469,57 @@ func TestIndexDurability(t *testing.T) {
 	}
 }
 
+// TestReopenReclaimsUnindexedBlobs: a key saved N times leaves N blobs
+// while the store runs. Reopening keeps only the one its index entry
+// points to, removes a blob a crash left before its index write, and
+// Load returns the newest value. A replay that could not read an index
+// entry reclaims nothing.
+func TestReopenReclaimsUnindexedBlobs(t *testing.T) {
+	defer fault.Reset()
+	s, b := openTest(t)
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := s.Save("job/a", []byte(fmt.Sprintf("record %d", i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.put([]byte("no index entry")); err != nil {
+		t.Fatal(err)
+	}
+	blobs := func() int {
+		t.Helper()
+		keys, err := b.List("blobs/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(keys)
+	}
+	if got := blobs(); got != n+1 {
+		t.Fatalf("%d blobs before reopen, want %d", got, n+1)
+	}
+
+	fault.Enable(fault.StageStoreRead, 0, errors.New("injected read failure"))
+	if _, err := fast(New(b)); err != nil {
+		t.Fatal(err)
+	}
+	fault.Reset()
+	if got := blobs(); got != n+1 {
+		t.Fatalf("%d blobs after a replay that missed an index entry, want all %d kept", got, n+1)
+	}
+
+	s2, err := fast(New(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := blobs(); got != 1 {
+		t.Errorf("%d blobs after reopen, want 1 (the indexed record)", got)
+	}
+	data, err := s2.Load("job/a")
+	if want := fmt.Sprintf("record %d", n-1); err != nil || string(data) != want {
+		t.Errorf("Load after reopen = %q, %v, want %q", data, err, want)
+	}
+}
+
 // TestIndexKeys: IndexKeys lists the indexed keys under a prefix,
 // sorted, from the index a reopened store replayed — a prefix that
 // shares leading bytes with another namespace ("job/" vs "jobs/")
@@ -477,7 +531,7 @@ func TestIndexKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s2, err := New(b, fastOpts())
+	s2, err := fast(New(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +621,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("VerifyProvenance = %d, %v", n, err)
 	}
 
-	s2, err := New(b, fastOpts())
+	s2, err := fast(New(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +663,7 @@ func TestSaveLoadDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failing, err := New(&down{inner: inner}, fastOpts())
+	failing, err := fast(New(&down{inner: inner}))
 	if err != nil {
 		t.Fatal(err)
 	}

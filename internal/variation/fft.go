@@ -33,6 +33,7 @@ import (
 	"ccdac/internal/fault"
 	"ccdac/internal/fftk"
 	"ccdac/internal/linalg"
+	"ccdac/internal/memo"
 	"ccdac/internal/obs"
 	"ccdac/internal/par"
 	"ccdac/internal/tech"
@@ -80,10 +81,12 @@ const (
 	// geometry allows and falls back to the dense build or the exact
 	// sampler otherwise.
 	FFTAuto FFTMode = iota
-	// FFTOff always uses the dense covariance build and the exact
-	// capacitor-level sampler — kept reachable for A/B verification,
-	// as the exact Monte-Carlo reference, and as an operational escape
-	// hatch.
+	// FFTOff builds the covariance by the dense pair sum and draws from
+	// the exact capacitor-level sampler: the exact Monte-Carlo
+	// reference, selected by a yield job's fft:"off" and by tests. No
+	// generate selects it, so a generate's covariance comes from
+	// QuadForms, with the pair sum only as the fallback when the layout
+	// fits no lattice or fault.StageFFT fires.
 	FFTOff
 )
 
@@ -220,34 +223,66 @@ func mismatchEmbedding(t *tech.Technology, grid fftk.Grid) (*fftk.Embedding, int
 	return emb, evals, err
 }
 
+// covBuilt is a covariance matrix with the account of its build, kept
+// beside it in the covariance memo: the engine ("quadforms" or
+// "dense"), the separable lattice fit's verdict ("separable", "none",
+// or "" where FFTOff skips the fit), and why the dense pair sum ran
+// ("fft off", "no lattice", or "fallback: " and the engine's error).
+type covBuilt struct {
+	cov                    *linalg.Dense
+	engine, lattice, dense string
+}
+
+// tag writes the account onto the span the build ran under as cov_*
+// attributes, with cov_memo naming a matrix this run took from the
+// covariance memo ("hit", or "shared" for another run's pending build).
+func (b *covBuilt) tag(span *obs.Span, st memo.Status) {
+	span.SetAttr("cov_engine", b.engine)
+	if b.lattice != "" {
+		span.SetAttr("cov_lattice", b.lattice)
+	}
+	if b.dense != "" {
+		span.SetAttr("cov_dense_reason", b.dense)
+	}
+	if st != memo.Cold {
+		span.SetAttr("cov_memo", st.String())
+	}
+}
+
 // covarianceAuto builds the capacitor-level covariance through the
 // row-spectral QuadForms engine when the mode allows and the layout
 // fits the separable lattice — placement grids and routed layouts
 // alike — and by the dense pair sum otherwise. A degradation (not an
 // irregular layout — that is the dense path working as designed) is
 // counted and returned as a warning for Result.Warnings.
-func covarianceAuto(ctx context.Context, g *cellGeom, t *tech.Technology, mode FFTMode) (*linalg.Dense, []string, error) {
+func covarianceAuto(ctx context.Context, g *cellGeom, t *tech.Technology, mode FFTMode) (*covBuilt, []string, error) {
+	b := &covBuilt{engine: "dense", dense: "fft off"}
+	var warns []string
 	if mode != FFTOff {
+		b.lattice, b.dense = "none", "no lattice"
 		if lat := fitLattice(g.flat, g.rows, g.cols); lat.ok {
+			b.lattice = "separable"
 			err := fault.Check(fault.StageFFT)
 			if err == nil {
-				var cov *linalg.Dense
-				if cov, err = covarianceSemi(ctx, g, t, lat.sg); err == nil {
+				if b.cov, err = covarianceSemi(ctx, g, t, lat.sg); err == nil {
 					obs.CountL(ctx, "ccdac_numeric_fft_structured_total", obs.Labels{"path": "analyze"}, 1)
-					return cov, nil, nil
+					b.engine, b.dense = "quadforms", ""
+					return b, nil, nil
 				}
 				if ctx.Err() != nil {
 					return nil, nil, err
 				}
 			}
 			obs.CountL(ctx, "ccdac_numeric_fft_fallback_total", obs.Labels{"path": "analyze"}, 1)
-			warn := fmt.Sprintf("analysis: structured covariance unavailable (%v); dense fallback", err)
-			cov, derr := covarianceDense(ctx, g, t)
-			return cov, []string{warn}, derr
+			b.dense = fmt.Sprintf("fallback: %v", err)
+			warns = []string{fmt.Sprintf("analysis: structured covariance unavailable (%v); dense fallback", err)}
 		}
 	}
-	cov, err := covarianceDense(ctx, g, t)
-	return cov, nil, err
+	var err error
+	if b.cov, err = covarianceDense(ctx, g, t); err != nil {
+		return nil, nil, err
+	}
+	return b, warns, nil
 }
 
 // covarianceDense is the pair-sum path with its rho-memo counters

@@ -27,6 +27,20 @@ func tracedCtx(t *testing.T) (context.Context, *obs.Trace) {
 	return obs.WithTrace(context.Background(), tr), tr
 }
 
+// spanAnalyze runs analyze under a span of its own and returns the
+// cov_* attributes the covariance build left on it.
+func spanAnalyze(t *testing.T, ctx context.Context, tr *obs.Trace, m *ccmatrix.Matrix, pos Positioner, tch *tech.Technology) (*Analysis, map[string]string) {
+	t.Helper()
+	sctx, span := obs.StartSpan(ctx, "analysis")
+	a, err := analyze(sctx, m, pos, tch, 0)
+	span.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Spans()
+	return a, spans[len(spans)-1].Attrs
+}
+
 // TestStructuredCovarianceMatchesDense is the engine-equivalence
 // property: over spiral, chessboard and randomized symmetric layouts
 // on the regular grid, the FFT path must reproduce the dense pair-sum
@@ -155,12 +169,13 @@ func TestFFTFaultFallsBackDense(t *testing.T) {
 	fault.Enable(fault.StageFFT, 0, errors.New("injected fft fault"))
 	defer fault.Reset()
 	ctx, tr := tracedCtx(t)
-	got, err := analyze(ctx, m, pos, tch, 0)
-	if err != nil {
-		t.Fatalf("faulted analyze must degrade, not fail: %v", err)
-	}
+	got, attrs := spanAnalyze(t, ctx, tr, m, pos, tch)
 	if !fault.Fired(fault.StageFFT) {
 		t.Fatal("injected fault never fired")
+	}
+	if attrs["cov_engine"] != "dense" || attrs["cov_lattice"] != "separable" ||
+		attrs["cov_dense_reason"] != "fallback: injected fft fault" {
+		t.Errorf("span attrs = %v, want the dense engine, a separable lattice and the fallback reason", attrs)
 	}
 	if len(got.Warnings) == 0 || !strings.Contains(got.Warnings[0], "dense fallback") {
 		t.Errorf("Warnings = %q, want a dense-fallback warning", got.Warnings)
@@ -237,9 +252,9 @@ func TestIrregularLayoutKeepsDensePath(t *testing.T) {
 		return p
 	}
 	ctx, tr := tracedCtx(t)
-	a, err := analyze(ctx, m, warped, tch, 0)
-	if err != nil {
-		t.Fatal(err)
+	a, attrs := spanAnalyze(t, ctx, tr, m, warped, tch)
+	if attrs["cov_engine"] != "dense" || attrs["cov_lattice"] != "none" || attrs["cov_dense_reason"] != "no lattice" {
+		t.Errorf("span attrs = %v, want the dense engine for want of a lattice", attrs)
 	}
 	snap := tr.Registry().Snapshot()
 	if c := snap.Counter("ccdac_numeric_fft_structured_total", obs.Labels{"path": "analyze"}); c != 0 {

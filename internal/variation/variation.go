@@ -72,25 +72,33 @@ func covKeyOf(g *cellGeom, t *tech.Technology, mode FFTMode) string {
 // (immutable) matrix; a miss builds — structured or dense per
 // covarianceAuto — and populates the cache when the context opts in.
 // Degradation warnings accompany this run's own build only; they
-// describe a run's own path, not a cache donor's.
+// describe a run's own path, not a cache donor's. Either way the
+// caller's current span is tagged with how the matrix was built.
 func covarianceMemo(ctx context.Context, g *cellGeom, t *tech.Technology) (*linalg.Dense, []string, error) {
 	mode := FFTModeOf(ctx)
 	if !memo.Enabled(ctx) {
-		return covarianceAuto(ctx, g, t, mode)
+		b, warns, err := covarianceAuto(ctx, g, t, mode)
+		if err != nil {
+			return nil, nil, err
+		}
+		b.tag(obs.CurrentSpan(ctx), memo.Cold)
+		return b.cov, warns, nil
 	}
 	var warns []string
-	v, _, err := covCache.Do(ctx, covKeyOf(g, t, mode), func(ctx context.Context) (any, int64, error) {
-		cov, w, err := covarianceAuto(ctx, g, t, mode)
+	v, st, err := covCache.Do(ctx, covKeyOf(g, t, mode), func(ctx context.Context) (any, int64, error) {
+		b, w, err := covarianceAuto(ctx, g, t, mode)
 		if err != nil {
 			return nil, 0, err
 		}
 		warns = w
-		return cov, int64(len(cov.Data))*8 + 64, nil
+		return b, int64(len(b.cov.Data))*8 + 64, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return v.(*linalg.Dense), warns, nil
+	b := v.(*covBuilt)
+	b.tag(obs.CurrentSpan(ctx), st)
+	return b.cov, warns, nil
 }
 
 // Positioner maps a placement cell to its physical center in microns;
@@ -441,8 +449,9 @@ func (sh *Shared) Analysis(thetaRad float64) *Analysis {
 // spiral grid (24k samples, 3 seeds) the yield is 0.649–0.655 from the
 // 2-D sampler and 0.763–0.767 from the exact one, and on 6-, 8- and
 // 10-bit spiral routed layouts the separable sampler reads 5–6 points
-// below exact. Yield sign-off should take FFTOff as the exact
-// reference (docs/PERFORMANCE.md, "Agreement tolerance").
+// below exact. Yield sign-off should take FFTOff, a yield job's
+// fft:"off", as the exact reference (docs/PERFORMANCE.md, "Agreement
+// tolerance").
 func (sh *Shared) MonteCarloRangeContext(ctx context.Context, a *Analysis, from, to int, seed int64) ([][]float64, error) {
 	if from < 0 || to <= from {
 		return nil, fmt.Errorf("variation: bad sample range [%d,%d)", from, to)

@@ -7,7 +7,8 @@
 # daemon writes, then checks the hash against a fresh run of the same
 # spec. This is the end-to-end version of internal/serve's
 # TestJobCrashResume, run against the real binary (see
-# docs/OBSERVABILITY.md, "Async jobs").
+# docs/OBSERVABILITY.md, "Async jobs"). A last restart checks that
+# the store reclaimed every superseded blob when it opened.
 set -eu
 
 GO=${GO:-go}
@@ -128,5 +129,22 @@ if [ "$(printf '%s' "$REC" | field sample_hash)" != "$HASH" ]; then
     exit 1
 fi
 
+# Superseded job records and checkpoints are reclaimed when the store
+# opens: after one more restart, no blob may outlive the index entries
+# that point to blobs. The drill has superseded ~100 checkpoints and
+# records by now.
+blob_files() { find "$STORE/blobs" -type f | wc -l | tr -d ' '; }
+BEFORE=$(blob_files)
+kill $PID
+wait $PID 2>/dev/null || true
+echo "jobs-smoke: restarting over $BEFORE blob files"
+start_daemon
+AFTER=$(blob_files)
+INDEXED=$(curl -fsS "http://$ADDR/metrics" | sed -n 's/^ccdac_store_index_entries \([0-9]*\).*/\1/p')
+if [ -z "$INDEXED" ] || [ "$AFTER" -gt "$INDEXED" ]; then
+    echo "jobs-smoke: FAIL: $AFTER blob files after restart, more than the ${INDEXED:-unknown} index entries" >&2
+    exit 1
+fi
+
 kill -9 $PID 2>/dev/null || true
-echo "jobs-smoke: PASS (resumed after $CKS checkpoints, $WRITTEN written after restart, sample_hash $HASH)"
+echo "jobs-smoke: PASS (resumed after $CKS checkpoints, $WRITTEN written after restart, sample_hash $HASH, blobs $BEFORE -> $AFTER for $INDEXED index entries)"
